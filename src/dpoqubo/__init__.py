@@ -16,11 +16,7 @@ from .backends import (
     SolveResult,
     TabuSolver,
     canonical_qubo,
-    exhaustive_solve,
-    finite_precision_adapter,
     make_backend,
-    simulated_annealing_solve,
-    tabu_search_solve,
 )
 from .bcd import (
     AllZeros,
@@ -38,6 +34,7 @@ from .bcd import (
 )
 from .harness import (
     ALL_VARIANTS,
+    AllocationScore,
     EvaluationReport,
     FeasibilityCheck,
     RunRecord,
@@ -47,6 +44,7 @@ from .harness import (
     emit_report,
     net_mean_return,
     run_matrix,
+    score_allocation,
     sharpe_ratio,
 )
 from .market import (

@@ -32,10 +32,6 @@ __all__ = [
     "SimulatedAnnealingSolver",
     "TabuSolver",
     "FinitePrecisionAdapter",
-    "exhaustive_solve",
-    "simulated_annealing_solve",
-    "tabu_search_solve",
-    "finite_precision_adapter",
     "make_backend",
     "canonical_qubo",
 ]
@@ -77,7 +73,12 @@ class SolveResult:
         object.__setattr__(self, "assignment", bits)
 
 
-def _canonical_qubo(model: AnyModel) -> Qubo:
+def canonical_qubo(model: AnyModel) -> Qubo:
+    """Any supported model as an energy-equivalent QUBO.
+
+    Quantized models convert at face (integer) value, so their energies stay
+    in integer units; float models convert exactly.
+    """
     if isinstance(model, Qubo):
         return model
     if isinstance(model, QuantizedIsing):
@@ -93,44 +94,55 @@ def _canonical_qubo(model: AnyModel) -> Qubo:
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def canonical_qubo(model: AnyModel) -> Qubo:
-    """Any supported model as an energy-equivalent QUBO.
-
-    Quantized models convert at face (integer) value, so their energies stay
-    in integer units; float models convert exactly.
-    """
-    return _canonical_qubo(model)
-
-
 def _flip_deltas(q: np.ndarray, diag: np.ndarray, x: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Energy change of flipping each bit, given grad = Q @ x."""
     sign = 1.0 - 2.0 * x
     return sign * (diag + 2.0 * (grad - diag * x))
 
 
-class ExhaustiveSolver:
-    """Global minimizer by full enumeration; ties go to the lowest binary
-    value of the assignment (bit i weighted 2**i)."""
+class _Solver:
+    """The solve skeleton of every backend: canonicalize the model once, let
+    the backend's ``_search(q, request)`` return its best assignment and that
+    assignment's energy without the offset, then add ``q.offset`` and time it."""
 
-    def __init__(self, cap: int = 24, chunk_bits: int = 16) -> None:
-        self.cap = cap
-        self.chunk = 1 << chunk_bits
-        self.name = "exhaustive"
+    name: str
 
     def solve(self, request: SolveRequest) -> SolveResult:
         start = time.perf_counter()
-        q = _canonical_qubo(request.model)
+        q = canonical_qubo(request.model)
+        assignment, energy = self._search(q, request)
+        return SolveResult(
+            assignment=assignment,
+            reported_energy=energy + q.offset,
+            wall_time=time.perf_counter() - start,
+            backend_id=self.name,
+        )
+
+
+# enumeration limits: the largest model enumerated, and the number of
+# assignments scored per vectorized chunk
+_EXHAUSTIVE_CAP = 24
+_EXHAUSTIVE_CHUNK = 1 << 16
+
+
+class ExhaustiveSolver(_Solver):
+    """Global minimizer by full enumeration of at most 24 variables; ties go
+    to the lowest binary value of the assignment (bit i weighted 2**i)."""
+
+    name = "exhaustive"
+
+    def _search(self, q: Qubo, request: SolveRequest):
         n = q.n
-        if n > self.cap:
+        if n > _EXHAUSTIVE_CAP:
             raise BackendError(
-                f"exhaustive enumeration capped at {self.cap} variables, model has {n}"
+                f"exhaustive enumeration capped at {_EXHAUSTIVE_CAP} variables, model has {n}"
             )
         total = 1 << n
         shifts = np.arange(n, dtype=np.uint64)
         best_energy = np.inf
         best_counter = 0
-        for lo in range(0, total, self.chunk):
-            counters = np.arange(lo, min(lo + self.chunk, total), dtype=np.uint64)
+        for lo in range(0, total, _EXHAUSTIVE_CHUNK):
+            counters = np.arange(lo, min(lo + _EXHAUSTIVE_CHUNK, total), dtype=np.uint64)
             bits = ((counters[:, None] >> shifts) & 1).astype(float)
             energies = ((bits @ q.coeffs) * bits).sum(axis=1)
             k = int(np.argmin(energies))
@@ -139,58 +151,42 @@ class ExhaustiveSolver:
             if energies[k] < best_energy:
                 best_energy = float(energies[k])
                 best_counter = lo + k
-        assignment = ((best_counter >> np.arange(n)) & 1).astype(np.int8)
-        return SolveResult(
-            assignment=assignment,
-            reported_energy=best_energy + q.offset,
-            wall_time=time.perf_counter() - start,
-            backend_id=self.name,
-        )
+        return (best_counter >> np.arange(n)) & 1, best_energy
 
 
-class SimulatedAnnealingSolver:
+class SimulatedAnnealingSolver(_Solver):
     """Single-flip Metropolis with a geometric cooling schedule.
 
     Each sweep proposes ``n`` uniformly random flips at temperature
     ``t0 * cooling**sweep``; the best assignment ever visited is returned.
-    ``t0`` defaults to ``n * max|Q|``, matched to the scale of single-flip
-    energy changes.
+    ``t0`` is ``n * max|Q|``, matched to the scale of single-flip energy
+    changes.
     """
 
-    def __init__(
-        self,
-        sweeps: int = 200,
-        cooling: float = 0.97,
-        t0: float | None = None,
-    ) -> None:
+    name = "sa"
+
+    def __init__(self, sweeps: int = 200, cooling: float = 0.97) -> None:
         if sweeps <= 0:
             raise ValueError("sweeps must be positive")
         if not 0.0 < cooling < 1.0:
             raise ValueError("cooling factor must lie in (0, 1)")
-        if t0 is not None and t0 <= 0.0:
-            raise ValueError("t0 must be positive")
         self.sweeps = sweeps
         self.cooling = cooling
-        self.t0 = t0
-        self.name = "sa"
 
-    def solve(self, request: SolveRequest) -> SolveResult:
-        start = time.perf_counter()
-        q = _canonical_qubo(request.model)
+    def _search(self, q: Qubo, request: SolveRequest):
         n = q.n
         rng = np.random.default_rng(request.seed)
         sweeps = request.effort if request.effort is not None else self.sweeps
         coeffs = q.coeffs
         diag = np.diag(coeffs)
         max_abs = float(np.abs(coeffs).max()) if n else 0.0
-        t0 = self.t0 if self.t0 is not None else max(n * max_abs, 1e-12)
 
         x = rng.integers(0, 2, size=n).astype(float)
         grad = coeffs @ x
         energy = float(x @ grad)
         best_energy, best_x = energy, x.copy()
 
-        temperature = t0
+        temperature = max(n * max_abs, 1e-12)
         for _ in range(sweeps):
             indices = rng.integers(0, n, size=n)
             accepts = rng.random(size=n)
@@ -204,15 +200,10 @@ class SimulatedAnnealingSolver:
                     if energy < best_energy:
                         best_energy, best_x = energy, x.copy()
             temperature *= self.cooling
-        return SolveResult(
-            assignment=best_x.astype(np.int8),
-            reported_energy=best_energy + q.offset,
-            wall_time=time.perf_counter() - start,
-            backend_id=self.name,
-        )
+        return best_x, best_energy
 
 
-class TabuSolver:
+class TabuSolver(_Solver):
     """Steepest single-flip search with a fixed-tenure tabu list.
 
     Every iteration flips the lowest-delta admissible bit (ties to the lowest
@@ -221,6 +212,8 @@ class TabuSolver:
     tenure ``max(7, n // 10)``, ``100 * n`` iterations.
     """
 
+    name = "tabu"
+
     def __init__(self, iterations: int | None = None, tenure: int | None = None) -> None:
         if iterations is not None and iterations <= 0:
             raise ValueError("iterations must be positive")
@@ -228,11 +221,8 @@ class TabuSolver:
             raise ValueError("tenure must be positive")
         self.iterations = iterations
         self.tenure = tenure
-        self.name = "tabu"
 
-    def solve(self, request: SolveRequest) -> SolveResult:
-        start = time.perf_counter()
-        q = _canonical_qubo(request.model)
+    def _search(self, q: Qubo, request: SolveRequest):
         n = q.n
         rng = np.random.default_rng(request.seed)
         iterations = (
@@ -264,22 +254,18 @@ class TabuSolver:
             expires[i] = it + 1 + tenure
             if energy < best_energy:
                 best_energy, best_x = energy, x.copy()
-        return SolveResult(
-            assignment=best_x.astype(np.int8),
-            reported_energy=best_energy + q.offset,
-            wall_time=time.perf_counter() - start,
-            backend_id=self.name,
-        )
+        return best_x, best_energy
 
 
-class FinitePrecisionAdapter:
+class FinitePrecisionAdapter(_Solver):
     """Emulate a device restricted to signed 8-bit coefficients.
 
     The submitted QUBO goes through spin conversion, dynamic-range tuning,
     and int8 quantization; the wrapped backend then solves the integer model.
     The returned energy is re-scored on the *submitted* model in full
     precision, so quantization error shows up in solution quality, never in
-    bookkeeping.
+    bookkeeping.  A submitted ``QuantizedIsing`` reaches the wrapped backend
+    unchanged.
     """
 
     def __init__(self, inner, tuning_budget: int = 100) -> None:
@@ -293,41 +279,17 @@ class FinitePrecisionAdapter:
         """The integer model the inner backend would see for ``model``."""
         if isinstance(model, QuantizedIsing):
             return model
-        spin_model = qubo_to_ising(_canonical_qubo(model))
+        spin_model = qubo_to_ising(canonical_qubo(model))
         tuned = reduce_dynamic_range(spin_model, budget=self.tuning_budget)
         return quantize_int8(tuned.model, provenance=tuned.steps)
 
-    def solve(self, request: SolveRequest) -> SolveResult:
-        start = time.perf_counter()
-        original = _canonical_qubo(request.model)
-        quantized = self.quantize(request.model)
+    def _search(self, q: Qubo, request: SolveRequest):
+        model = request.model if isinstance(request.model, QuantizedIsing) else q
         inner_result = self.inner.solve(
-            SolveRequest(model=quantized, seed=request.seed, effort=request.effort)
+            SolveRequest(model=self.quantize(model), seed=request.seed, effort=request.effort)
         )
         bits = inner_result.assignment.astype(float)
-        rescored = float(bits @ original.coeffs @ bits) + original.offset
-        return SolveResult(
-            assignment=inner_result.assignment,
-            reported_energy=rescored,
-            wall_time=time.perf_counter() - start,
-            backend_id=self.name,
-        )
-
-
-def exhaustive_solve(request: SolveRequest) -> SolveResult:
-    return ExhaustiveSolver().solve(request)
-
-
-def simulated_annealing_solve(request: SolveRequest) -> SolveResult:
-    return SimulatedAnnealingSolver().solve(request)
-
-
-def tabu_search_solve(request: SolveRequest) -> SolveResult:
-    return TabuSolver().solve(request)
-
-
-def finite_precision_adapter(inner) -> FinitePrecisionAdapter:
-    return FinitePrecisionAdapter(inner)
+        return inner_result.assignment, float(bits @ q.coeffs @ bits)
 
 
 _BASE_BACKENDS = {

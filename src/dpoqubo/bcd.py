@@ -24,7 +24,7 @@ from typing import Union
 import numpy as np
 
 from .backends import SolveRequest
-from .qubo import BlockPartition, Qubo, as_bits, qubo_energy
+from .qubo import BlockPartition, Qubo, _require_partition, as_bits, qubo_energy
 
 __all__ = [
     "AllZeros",
@@ -100,15 +100,13 @@ class Subproblem:
 
     ``q_hat`` is the block's diagonal sub-matrix plus ``diag(h)`` where
     ``h = 2 * Q[block, outside] @ x[outside]``; for block tridiagonal models
-    only the two adjacent blocks contribute to ``h``, and those snapshots are
-    kept in ``left_context``/``right_context``.  Differences of ``y' q_hat y``
-    across candidate block vectors equal global energy differences exactly.
+    only the two adjacent blocks contribute to ``h``.  Differences of
+    ``y' q_hat y`` across candidate block vectors equal global energy
+    differences exactly.
     """
 
     q_hat: np.ndarray
     block_index: int
-    left_context: np.ndarray | None
-    right_context: np.ndarray | None
 
     def __post_init__(self) -> None:
         m = np.array(self.q_hat, dtype=float)
@@ -138,12 +136,6 @@ class BcdBackendError(RuntimeError):
         self.partial_trace: tuple[BcdTraceRecord, ...] = ()
 
 
-def _require_partition(q: Qubo) -> BlockPartition:
-    if q.partition is None:
-        raise ValueError("block coordinate descent needs a partitioned model")
-    return q.partition
-
-
 def extract_subproblem(q: Qubo, x, i: int) -> Subproblem:
     """Freeze everything outside block ``i`` of ``x`` into a local QUBO."""
     part = _require_partition(q)
@@ -155,9 +147,7 @@ def extract_subproblem(q: Qubo, x, i: int) -> Subproblem:
     masked[sl] = 0.0
     induced = 2.0 * (q.coeffs[sl, :] @ masked)
     q_hat = q.coeffs[sl, sl] + np.diag(induced)
-    left = as_bits(x, q.n)[part.block_slice(i - 1)].copy() if i > 0 else None
-    right = as_bits(x, q.n)[part.block_slice(i + 1)].copy() if i < len(part) - 1 else None
-    return Subproblem(q_hat=q_hat, block_index=i, left_context=left, right_context=right)
+    return Subproblem(q_hat=q_hat, block_index=i)
 
 
 def solve_block(sub: Subproblem, backend, cfg: BcdConfig, base_seed: int | None = None) -> np.ndarray:

@@ -27,11 +27,11 @@ from .bcd import BcdConfig, bcd_solve
 from .harness import (
     ALL_VARIANTS,
     StrategyVariant,
-    check_feasibility,
+    _metric_fields,
+    _write_series,
     emit_report,
-    net_mean_return,
     run_matrix,
-    sharpe_ratio,
+    score_allocation,
 )
 from .market import (
     append_cash_asset,
@@ -51,10 +51,8 @@ from .model import (
     decode,
     encode_qubo,
     load_config,
-    objective_terms,
-    risk_matrices,
 )
-from .qubo import Qubo, as_bits
+from .qubo import as_bits
 from .serialize import ModelFormatError, load_model, save_model
 
 __all__ = ["main"]
@@ -192,7 +190,7 @@ def _cmd_solve(args) -> int:
         )
         assignment, energy = res.assignment, float(res.reported_energy)
     else:
-        q = model if isinstance(model, Qubo) else canonical_qubo(model)
+        q = canonical_qubo(model)
         cfg = BcdConfig(
             seed=args.seed,
             global_iters=args.bcd_iters,
@@ -219,48 +217,24 @@ def _cmd_solve(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     solution = json.loads(Path(args.solution).read_text())
-    overrides = _config_overrides(args)
-    if args.config:
-        config = load_config(args.config, **overrides)
-    elif "config" in solution:
-        config = config_from_dict(solution["config"])
-        if overrides:
-            config = replace(config, **overrides)
+    if "config" in solution and not args.config:
+        config = replace(config_from_dict(solution["config"]), **_config_overrides(args))
     else:
-        config = DpoConfig(**overrides)
+        config = _resolve_config(args)
     panel = _build_panel(args, config, args.seed)
     alloc = decode(np.asarray(solution["assignment"]), config)
-    check = check_feasibility(alloc, config.budget)
+    score = score_allocation(alloc, panel, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report: dict = {
-        "feasible": check.feasible,
+    report = {
+        "feasible": score.feasible,
         "weights": alloc.weights.tolist(),
+        **_metric_fields(score),
     }
-    if not check.feasible:
-        report["violations"] = [list(v) for v in check.violations]
-    else:
-        risks = risk_matrices(config, panel)
-        series = net_mean_return(alloc, panel, config)
-        sharpe = sharpe_ratio(alloc, panel, risks, config)
-        terms = objective_terms(config, panel, risks, alloc)
-        report["total_net_return"] = float(series.sum())
-        if sharpe.zero_risk:
-            report["zero_risk"] = True
-        else:
-            report["sharpe"] = sharpe.value
-        report["objective"] = {
-            "gross_return": terms.gross_return,
-            "risk": terms.risk,
-            "transaction_cost": terms.transaction_cost,
-            "budget_penalty": terms.budget_penalty,
-            "total": terms.total,
-        }
-        lines = ["interval,net_return"]
-        lines += [f"{t},{v!r}" for t, v in enumerate(series.tolist())]
-        (out / "series.csv").write_text("\n".join(lines) + "\n")
+    if score.feasible:
+        _write_series(out / "series.csv", score.net_returns)
     (out / "evaluation.json").write_text(json.dumps(report, indent=2) + "\n")
-    status = "feasible" if check.feasible else "infeasible"
+    status = "feasible" if score.feasible else "infeasible"
     print(f"wrote {out / 'evaluation.json'}: {status}")
     return 0
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -41,6 +41,7 @@ from .model import (
 
 __all__ = [
     "ALL_VARIANTS",
+    "AllocationScore",
     "EvaluationReport",
     "FeasibilityCheck",
     "RunRecord",
@@ -50,6 +51,7 @@ __all__ = [
     "emit_report",
     "net_mean_return",
     "run_matrix",
+    "score_allocation",
     "sharpe_ratio",
 ]
 
@@ -145,11 +147,61 @@ def sharpe_ratio(
     config: DpoConfig,
 ) -> SharpeRatio:
     """Gross return over the square root of the (scaled) risk term."""
-    terms = objective_terms(config, panel, risks, allocation)
+    return _sharpe(objective_terms(config, panel, risks, allocation))
+
+
+def _sharpe(terms: ObjectiveTerms) -> SharpeRatio:
     if terms.risk <= 0.0:  # PSD risks and gamma >= 0 make negatives impossible
         return SharpeRatio(value=None, zero_risk=True)
     return SharpeRatio(
         value=terms.gross_return / math.sqrt(terms.risk), zero_risk=False
+    )
+
+
+@dataclass(frozen=True)
+class AllocationScore:
+    """Portfolio metrics of one allocation.
+
+    The performance fields are None (and ``zero_risk`` False) when the
+    allocation breaks the budget; ``sharpe`` is also None on zero risk.
+    """
+
+    feasible: bool
+    violations: tuple[tuple[int, int], ...] = ()
+    net_returns: np.ndarray | None = None
+    total_net_return: float | None = None
+    sharpe: float | None = None
+    zero_risk: bool = False
+    objective: ObjectiveTerms | None = None
+
+
+def score_allocation(
+    allocation: PortfolioAllocation,
+    panel: ReturnPanel,
+    config: DpoConfig,
+    risks: Sequence[RiskMatrix] | None = None,
+) -> AllocationScore:
+    """Feasibility first; a feasible allocation then gets its net-return
+    series, their total, the return/risk ratio and the objective terms.
+
+    ``risks`` default to the config's estimator on ``panel`` and are only
+    estimated when the allocation is feasible.
+    """
+    check = check_feasibility(allocation, config.budget)
+    if not check.feasible:
+        return AllocationScore(feasible=False, violations=check.violations)
+    if risks is None:
+        risks = risk_matrices(config, panel)
+    series = net_mean_return(allocation, panel, config)
+    terms = objective_terms(config, panel, risks, allocation)
+    sharpe = _sharpe(terms)
+    return AllocationScore(
+        feasible=True,
+        net_returns=series,
+        total_net_return=float(series.sum()),
+        sharpe=sharpe.value,
+        zero_risk=sharpe.zero_risk,
+        objective=terms,
     )
 
 
@@ -172,23 +224,25 @@ class EvaluationReport:
     For infeasible or failed cells the performance fields (``net_returns``,
     ``total_net_return``, ``sharpe``, ``objective``) are all ``None`` — an
     allocation that breaks the budget has no meaningful portfolio metrics.
+    Failed cells also leave the solve fields at their empty defaults.
     """
 
     backend: str
     variant: StrategyVariant
     error: str | None
     feasible: bool
-    energy: float | None
-    allocation: PortfolioAllocation | None
-    violations: tuple[tuple[int, int], ...]
-    net_returns: np.ndarray | None
-    total_net_return: float | None
-    sharpe: float | None
-    zero_risk: bool
-    objective: ObjectiveTerms | None
-    runtime: float | None
-    selected_run: int | None
-    runs: tuple[RunRecord, ...]
+    _: KW_ONLY
+    energy: float | None = None
+    allocation: PortfolioAllocation | None = None
+    violations: tuple[tuple[int, int], ...] = ()
+    net_returns: np.ndarray | None = None
+    total_net_return: float | None = None
+    sharpe: float | None = None
+    zero_risk: bool = False
+    objective: ObjectiveTerms | None = None
+    runtime: float | None = None
+    selected_run: int | None = None
+    runs: tuple[RunRecord, ...] = ()
     #: per-visit sweep trace of the selected run (block decompositions only)
     energy_trace: tuple | None = None
 
@@ -199,15 +253,9 @@ class EvaluationReport:
         return "feasible" if self.feasible else "infeasible"
 
 
-def _cell_solver(backend, variant: StrategyVariant):
-    if variant.precision == "int8":
-        return FinitePrecisionAdapter(backend)
-    return backend
-
-
 def _run_once(q, backend, variant: StrategyVariant, run_seed: int):
     """Returns (assignment, energy, wall_time, trace) for one seeded solve."""
-    solver = _cell_solver(backend, variant)
+    solver = FinitePrecisionAdapter(backend) if variant.precision == "int8" else backend
     if variant.decomposition == "global":
         res = solver.solve(SolveRequest(q, seed=run_seed))
         return res.assignment, float(res.reported_energy), float(res.wall_time), None
@@ -222,23 +270,18 @@ def _evaluate_cell(q, backend, variant, config, panel, risks, seed, runs):
         run_seed = seed + r * _SEED_STRIDE
         assignment, energy, wall, trace = _run_once(q, backend, variant, run_seed)
         alloc = decode(assignment, config)
-        check = check_feasibility(alloc, config.budget)
-        total = (
-            float(net_mean_return(alloc, panel, config).sum())
-            if check.feasible
-            else None
-        )
+        score = score_allocation(alloc, panel, config, risks)
         records.append(
             RunRecord(
                 index=r,
                 seed=run_seed,
                 energy=energy,
-                feasible=check.feasible,
-                total_net_return=total,
+                feasible=score.feasible,
+                total_net_return=score.total_net_return,
                 wall_time=wall,
             )
         )
-        solutions.append((alloc, check, trace))
+        solutions.append((alloc, score, trace))
 
     feasible_runs = [rec for rec in records if rec.feasible]
     if feasible_runs:
@@ -247,46 +290,18 @@ def _evaluate_cell(q, backend, variant, config, panel, risks, seed, runs):
     else:
         # nothing feasible: surface the lowest-energy attempt for diagnostics
         best = min(records, key=lambda rec: rec.energy)
-    alloc, check, trace = solutions[best.index]
-    if check.feasible:
-        series = net_mean_return(alloc, panel, config)
-        sharpe = sharpe_ratio(alloc, panel, risks, config)
-        terms = objective_terms(config, panel, risks, alloc)
-        return EvaluationReport(
-            backend=backend.name,
-            variant=variant,
-            error=None,
-            feasible=True,
-            energy=best.energy,
-            allocation=alloc,
-            violations=(),
-            net_returns=series,
-            total_net_return=float(series.sum()),
-            sharpe=sharpe.value,
-            zero_risk=sharpe.zero_risk,
-            objective=terms,
-            runtime=best.wall_time,
-            selected_run=best.index,
-            runs=tuple(records),
-            energy_trace=trace,
-        )
+    alloc, score, trace = solutions[best.index]
     return EvaluationReport(
         backend=backend.name,
         variant=variant,
         error=None,
-        feasible=False,
         energy=best.energy,
         allocation=alloc,
-        violations=check.violations,
-        net_returns=None,
-        total_net_return=None,
-        sharpe=None,
-        zero_risk=False,
-        objective=None,
         runtime=best.wall_time,
         selected_run=best.index,
         runs=tuple(records),
         energy_trace=trace,
+        **vars(score),  # the score's fields are the report's metric fields
     )
 
 
@@ -347,17 +362,6 @@ def run_matrix(
                         variant=variant,
                         error=f"{type(exc).__name__}: {exc}",
                         feasible=False,
-                        energy=None,
-                        allocation=None,
-                        violations=(),
-                        net_returns=None,
-                        total_net_return=None,
-                        sharpe=None,
-                        zero_risk=False,
-                        objective=None,
-                        runtime=None,
-                        selected_run=None,
-                        runs=(),
                     )
                 )
             cell += 1
@@ -397,24 +401,40 @@ def _cell_summary(report: EvaluationReport) -> dict:
         }
         for rec in report.runs
     ]
-    if not report.feasible:
-        entry["violations"] = [list(v) for v in report.violations]
-        return entry
-    entry["total_net_return"] = report.total_net_return
-    if report.zero_risk:
-        entry["zero_risk"] = True
+    entry.update(_metric_fields(report))
+    if report.feasible:
+        entry["series"] = f"series_{_slug(report.backend)}_{report.variant.label}.csv"
+    return entry
+
+
+def _metric_fields(score: AllocationScore | EvaluationReport) -> dict:
+    """JSON metric fields of a scored allocation: the violations when it is
+    infeasible, else the total net return, the ratio and the objective terms.
+    ``summary.json`` cells and ``dpoqubo evaluate`` both write these."""
+    if not score.feasible:
+        return {"violations": [list(v) for v in score.violations]}
+    fields: dict = {"total_net_return": score.total_net_return}
+    if score.zero_risk:
+        fields["zero_risk"] = True
     else:
-        entry["sharpe"] = report.sharpe
-    terms = report.objective
-    entry["objective"] = {
+        fields["sharpe"] = score.sharpe
+    terms = score.objective
+    fields["objective"] = {
         "gross_return": terms.gross_return,
         "risk": terms.risk,
         "transaction_cost": terms.transaction_cost,
         "budget_penalty": terms.budget_penalty,
         "total": terms.total,
     }
-    entry["series"] = f"series_{_slug(report.backend)}_{report.variant.label}.csv"
-    return entry
+    return fields
+
+
+def _write_series(path: Path, net_returns: np.ndarray) -> Path:
+    """One ``interval,net_return`` row per interval, values in repr form."""
+    lines = ["interval,net_return"]
+    lines += [f"{t},{val!r}" for t, val in enumerate(net_returns.tolist())]
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def emit_report(reports: Sequence[EvaluationReport], out_dir: str | Path) -> list[Path]:
@@ -433,17 +453,10 @@ def emit_report(reports: Sequence[EvaluationReport], out_dir: str | Path) -> lis
     path.write_text(json.dumps(summary, indent=2) + "\n")
     written.append(path)
 
-    for report in reports:
-        if not report.feasible or report.error is not None:
-            continue
-        name = f"series_{_slug(report.backend)}_{report.variant.label}.csv"
-        lines = ["interval,net_return"]
-        lines += [
-            f"{t},{val!r}" for t, val in enumerate(report.net_returns.tolist())
-        ]
-        spath = out / name
-        spath.write_text("\n".join(lines) + "\n")
-        written.append(spath)
+    # a series file for exactly the cells whose summary row names one
+    for report, cell in zip(reports, summary["cells"]):
+        if "series" in cell:
+            written.append(_write_series(out / cell["series"], report.net_returns))
 
     timings = {
         "cells": [

@@ -65,14 +65,19 @@ class CoefficientSet:
         object.__setattr__(self, "values", v)
 
 
+def _coefficient_values(model) -> np.ndarray:
+    """Fields, then upper-triangle couplings in row order: the values of
+    :func:`coefficient_set` without building its back-references."""
+    iu = np.triu_indices(model.n, k=1)
+    return np.concatenate([model.linear, model.quadratic[iu]])
+
+
 def coefficient_set(model: IsingModel) -> CoefficientSet:
     """Collect all field and coupling coefficients of an Ising model."""
     n = model.n
-    iu = np.triu_indices(n, k=1)
-    values = np.concatenate([model.linear, model.quadratic[iu]])
     refs: list[EntryRef] = [("h", i) for i in range(n)]
-    refs.extend(("J", int(i), int(j)) for i, j in zip(*iu))
-    return CoefficientSet(values=values, refs=tuple(refs))
+    refs.extend(("J", int(i), int(j)) for i, j in zip(*np.triu_indices(n, k=1)))
+    return CoefficientSet(values=_coefficient_values(model), refs=tuple(refs))
 
 
 @dataclass(frozen=True)
@@ -131,6 +136,9 @@ class TuningResult:
 # ground-state bookkeeping used by the tuning accept test
 
 _EXHAUSTIVE_LIMIT = 12
+# seed and number of the random starts of the sampled check for larger models
+_CHECK_SEED = 0
+_CHECK_STARTS = 64
 
 
 def _spin_table(n: int) -> np.ndarray:
@@ -178,32 +186,30 @@ class _MinimizerCheck:
     also a best-found state of the original.
     """
 
-    def __init__(self, original: IsingModel, seed: int, starts: int) -> None:
+    def __init__(self, original: IsingModel) -> None:
         self.n = original.n
         self.exhaustive = self.n <= _EXHAUSTIVE_LIMIT
         if self.exhaustive:
             self._spins = _spin_table(self.n)
             self._original_argmin = _argmin_rows(_all_energies(original, self._spins))
         else:
-            rng = np.random.default_rng(seed)
-            self._starts = (1 - 2 * rng.integers(0, 2, size=(starts, self.n))).astype(
-                np.int8
-            )
-            states = [_greedy_descent(original, s) for s in self._starts]
-            energies = np.array(
-                [_ising_energy_fast(original, s) for s in states]
-            )
-            keep = _argmin_rows(energies)
-            self._original_best = {states[i].tobytes() for i in keep}
+            rng = np.random.default_rng(_CHECK_SEED)
+            self._starts = (
+                1 - 2 * rng.integers(0, 2, size=(_CHECK_STARTS, self.n))
+            ).astype(np.int8)
+            self._original_best = self._best_states(original)
+
+    def _best_states(self, model: IsingModel) -> set[bytes]:
+        """The lowest-energy end states of the multistart descents on ``model``."""
+        states = [_greedy_descent(model, s) for s in self._starts]
+        energies = np.array([_ising_energy_fast(model, s) for s in states])
+        return {states[i].tobytes() for i in _argmin_rows(energies)}
 
     def passes(self, candidate: IsingModel) -> bool:
         if self.exhaustive:
             argmin = _argmin_rows(_all_energies(candidate, self._spins))
             return bool(argmin & self._original_argmin)
-        states = [_greedy_descent(candidate, s) for s in self._starts]
-        energies = np.array([_ising_energy_fast(candidate, s) for s in states])
-        keep = _argmin_rows(energies)
-        return any(states[i].tobytes() in self._original_best for i in keep)
+        return not self._best_states(candidate).isdisjoint(self._original_best)
 
 
 def _ising_energy_fast(model: IsingModel, z: np.ndarray) -> float:
@@ -267,13 +273,7 @@ def _widen_gap_moves(model: IsingModel, values: np.ndarray):
     # gap straddling zero: no move toward zero can widen it
 
 
-def reduce_dynamic_range(
-    model: IsingModel,
-    budget: int = 100,
-    *,
-    check_seed: int = 0,
-    check_starts: int = 64,
-) -> TuningResult:
+def reduce_dynamic_range(model: IsingModel, budget: int = 100) -> TuningResult:
     """Lower a model's coefficient dynamic range by single-entry tuning.
 
     Up to ``budget`` accepted steps are applied.  Each step rewrites one
@@ -285,11 +285,11 @@ def reduce_dynamic_range(
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    check = _MinimizerCheck(model, seed=check_seed, starts=check_starts) if budget else None
+    check = _MinimizerCheck(model) if budget else None
     current = model
     steps: list[TuningStep] = []
     while len(steps) < budget:
-        values = coefficient_set(current).values
+        values = _coefficient_values(current)
         before = dynamic_range(values)
         if before.degenerate:
             break
@@ -299,7 +299,7 @@ def reduce_dynamic_range(
         ):
             old_value = float(current.linear[index])
             candidate = _with_linear(current, index, new_value)
-            after = dynamic_range(coefficient_set(candidate).values)
+            after = dynamic_range(_coefficient_values(candidate))
             if after.bits >= before.bits:
                 continue
             if not check.passes(candidate):
@@ -372,7 +372,7 @@ def quantize_int8(
     Ties round half-to-even.  An all-zero model quantizes to zeros with scale
     1 and the degenerate flag set.
     """
-    values = coefficient_set(model).values
+    values = _coefficient_values(model)
     alpha = float(np.abs(values).max()) if values.size else 0.0
     n = model.n
     if alpha == 0.0:
@@ -434,10 +434,8 @@ def quantization_loss_report(
         partition = quantized.partition or model.partition
     n = model.n
     iu = np.triu_indices(n, k=1)
-    src = np.concatenate([model.linear, model.quadratic[iu]])
-    img = np.concatenate(
-        [quantized.linear.astype(float), quantized.quadratic[iu].astype(float)]
-    )
+    src = _coefficient_values(model)
+    img = _coefficient_values(quantized).astype(float)
     nonzero = src != 0.0
     zeroed = nonzero & (img == 0.0)
     total = int(zeroed.sum())

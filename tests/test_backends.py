@@ -11,9 +11,8 @@ from dpoqubo.backends import (
     SolveRequest,
     SolveResult,
     TabuSolver,
+    canonical_qubo,
     make_backend,
-    simulated_annealing_solve,
-    tabu_search_solve,
 )
 from dpoqubo.precision import quantization_loss_report, quantize_int8
 from dpoqubo.qubo import BlockPartition, IsingModel, Qubo, qubo_energy, qubo_to_ising
@@ -84,14 +83,14 @@ class TestExhaustive:
 class TestSimulatedAnnealing:
     def test_seed_determinism(self):
         q = random_qubo(3, n=12)
-        a = simulated_annealing_solve(SolveRequest(model=q, seed=7))
-        b = simulated_annealing_solve(SolveRequest(model=q, seed=7))
+        a = SimulatedAnnealingSolver().solve(SolveRequest(model=q, seed=7))
+        b = SimulatedAnnealingSolver().solve(SolveRequest(model=q, seed=7))
         assert np.array_equal(a.assignment, b.assignment)
         assert a.reported_energy == b.reported_energy
 
     def test_reported_energy_reverifiable(self):
         q = random_qubo(4, n=15)
-        result = simulated_annealing_solve(SolveRequest(model=q, seed=0))
+        result = SimulatedAnnealingSolver().solve(SolveRequest(model=q, seed=0))
         assert qubo_energy(q, result.assignment) == pytest.approx(
             result.reported_energy, abs=1e-9
         )
@@ -102,14 +101,14 @@ class TestSimulatedAnnealing:
         for seed in range(20):
             q = random_qubo(500 + seed, n=10)
             best_e, _ = brute_force_minimum(q)
-            got = simulated_annealing_solve(SolveRequest(model=q, seed=seed))
+            got = SimulatedAnnealingSolver().solve(SolveRequest(model=q, seed=seed))
             hits += got.reported_energy <= best_e + 1e-9
         assert hits >= 19
 
     def test_more_effort_not_worse_in_median(self):
         q = random_qubo(42, n=14, scale=2.0)
         default = [
-            simulated_annealing_solve(SolveRequest(model=q, seed=s)).reported_energy
+            SimulatedAnnealingSolver().solve(SolveRequest(model=q, seed=s)).reported_energy
             for s in range(30)
         ]
         doubled = [
@@ -144,8 +143,8 @@ class TestTabu:
 
     def test_seed_determinism(self):
         q = random_qubo(6, n=12)
-        a = tabu_search_solve(SolveRequest(model=q, seed=5))
-        b = tabu_search_solve(SolveRequest(model=q, seed=5))
+        a = TabuSolver().solve(SolveRequest(model=q, seed=5))
+        b = TabuSolver().solve(SolveRequest(model=q, seed=5))
         assert np.array_equal(a.assignment, b.assignment)
 
     def test_quality_gate_sample(self):
@@ -153,13 +152,13 @@ class TestTabu:
         for seed in range(20):
             q = random_qubo(800 + seed, n=10)
             best_e, _ = brute_force_minimum(q)
-            got = tabu_search_solve(SolveRequest(model=q, seed=seed))
+            got = TabuSolver().solve(SolveRequest(model=q, seed=seed))
             hits += got.reported_energy <= best_e + 1e-9
         assert hits >= 19
 
     def test_reported_energy_reverifiable(self):
         q = random_qubo(7, n=16)
-        result = tabu_search_solve(SolveRequest(model=q, seed=2))
+        result = TabuSolver().solve(SolveRequest(model=q, seed=2))
         assert qubo_energy(q, result.assignment) == pytest.approx(
             result.reported_energy, abs=1e-9
         )
@@ -276,3 +275,43 @@ class TestRequestValidation:
         )
         with pytest.raises(ValueError):
             result.assignment[0] = 1
+
+
+class _RecordingBackend:
+    """Exact inner backend that remembers every model it was handed."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.models = []
+
+    def solve(self, request):
+        self.models.append(request.model)
+        return ExhaustiveSolver().solve(request)
+
+
+def _model_of_kind(kind, q):
+    if kind == "qubo":
+        return q
+    if kind == "ising":
+        return qubo_to_ising(q)
+    return quantize_int8(qubo_to_ising(q))
+
+
+class TestSolveContract:
+    @pytest.mark.parametrize("wrapped", [False, True], ids=["bare", "int8"])
+    @pytest.mark.parametrize("name", ["exhaustive", "sa", "tabu"])
+    @pytest.mark.parametrize("kind", ["qubo", "ising", "quantized"])
+    def test_reported_energy_is_canonical_energy(self, name, wrapped, kind):
+        model = _model_of_kind(kind, random_qubo(61, n=8, scale=3.0))
+        backend = make_backend(f"int8({name})" if wrapped else name)
+        result = backend.solve(SolveRequest(model=model, seed=4))
+        expected = qubo_energy(canonical_qubo(model), result.assignment)
+        assert result.reported_energy == pytest.approx(expected, rel=1e-9)
+        assert result.backend_id == backend.name
+
+    def test_adapter_hands_quantized_model_to_inner_unchanged(self):
+        qm = quantize_int8(qubo_to_ising(random_qubo(62, n=6)))
+        inner = _RecordingBackend()
+        FinitePrecisionAdapter(inner).solve(SolveRequest(model=qm, seed=1))
+        assert len(inner.models) == 1 and inner.models[0] is qm

@@ -48,7 +48,6 @@ class TestExtractSubproblem:
         q = Qubo.from_dense(rng.normal(size=(5, 5)), partition=BlockPartition.from_sizes([5]))
         sub = extract_subproblem(q, np.zeros(5, dtype=int), 0)
         np.testing.assert_array_equal(sub.q_hat, q.coeffs)
-        assert sub.left_context is None and sub.right_context is None
 
     @pytest.mark.parametrize("block", [0, 1, 2])
     def test_energy_delta_identity_exhaustive(self, block):
@@ -65,16 +64,6 @@ class TestExtractSubproblem:
             expected = qubo_energy(q, trial) - base_global
             got = sub.local_energy(np.array(y)) - base_local
             assert got == pytest.approx(expected, rel=1e-10, abs=1e-10)
-
-    def test_context_snapshots(self):
-        q = tridiagonal_qubo(2, [2, 2, 2])
-        x = np.array([1, 0, 1, 1, 0, 1])
-        sub = extract_subproblem(q, x, 1)
-        assert sub.left_context.tolist() == [1, 0]
-        assert sub.right_context.tolist() == [0, 1]
-        edge = extract_subproblem(q, x, 0)
-        assert edge.left_context is None
-        assert edge.right_context.tolist() == [1, 1]
 
     def test_index_out_of_range(self):
         q = tridiagonal_qubo(0, [2, 2])

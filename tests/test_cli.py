@@ -197,6 +197,20 @@ class TestEvaluate:
         assert "total_net_return" not in report
         assert not (out / "series.csv").exists()
 
+    def test_infeasible_solution_needs_no_risk_estimate(self, tmp_path, prices_csv):
+        # dt=1 leaves one daily return per interval, too few to estimate risk;
+        # an infeasible solution is reported without estimating it
+        sol = tmp_path / "bad.json"
+        sol.write_text(json.dumps({"assignment": [1] * 16}))
+        out = tmp_path / "eval"
+        code = run([
+            "evaluate", "--solution", sol, "--prices", prices_csv, "--n-t", 2,
+            "--n-a", 4, "--n-r", 2, "--budget", 3, "--dt", 1, "--out", out,
+        ])
+        assert code == 0
+        report = json.loads((out / "evaluation.json").read_text())
+        assert report["feasible"] is False and report["violations"]
+
     def test_flag_override_on_embedded_config(
         self, tmp_path, prices_csv, model_file
     ):
