@@ -15,7 +15,7 @@ from dpoqubo import (
     FinitePrecisionAdapter,
     SolveRequest,
     bcd_solve,
-    coefficient_set,
+    coefficient_values,
     dynamic_range,
     make_scale_separated_qubo,
     quantization_loss_report,
@@ -32,7 +32,7 @@ sep = scale_separation_report(inst.qubo)
 print(f"inter/intra coefficient ratio: {sep.ratio:.2e} "
       f"(int8 zeroing threshold is 1/255 = {1 / 255:.2e})")
 
-dr = dynamic_range(coefficient_set(ising))
+dr = dynamic_range(coefficient_values(ising))
 print(f"dynamic range of the coefficients: {dr.bits:.1f} bits")
 
 tuned = reduce_dynamic_range(ising)

@@ -26,7 +26,6 @@ from .bcd import (
     BcdTraceRecord,
     Provided,
     RandomInit,
-    Subproblem,
     bcd_solve,
     extract_subproblem,
     solve_block,
@@ -85,13 +84,12 @@ from .model import (
 )
 from .planted import PlantedInstance, make_scale_separated_qubo
 from .precision import (
-    CoefficientSet,
     DynamicRange,
     QuantizationLossReport,
     QuantizedIsing,
     TuningResult,
     TuningStep,
-    coefficient_set,
+    coefficient_values,
     dynamic_range,
     quantization_loss_report,
     quantize_int8,

@@ -32,7 +32,6 @@ __all__ = [
     "Provided",
     "InitPolicy",
     "BcdConfig",
-    "Subproblem",
     "BcdTraceRecord",
     "BcdResult",
     "BcdBackendError",
@@ -94,50 +93,30 @@ class BcdConfig:
             raise ValueError("repeats_per_block must be >= 1")
 
 
-@dataclass(frozen=True)
-class Subproblem:
-    """One block's frozen-context QUBO.
-
-    ``q_hat`` is the block's diagonal sub-matrix plus ``diag(h)`` where
-    ``h = 2 * Q[block, outside] @ x[outside]``; for block tridiagonal models
-    only the two adjacent blocks contribute to ``h``.  Differences of
-    ``y' q_hat y`` across candidate block vectors equal global energy
-    differences exactly.
-    """
-
-    q_hat: np.ndarray
-    block_index: int
-
-    def __post_init__(self) -> None:
-        m = np.array(self.q_hat, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("q_hat must be square")
-        if not np.array_equal(m, m.T):
-            raise ValueError("q_hat must be symmetric")
-        m.setflags(write=False)
-        object.__setattr__(self, "q_hat", m)
-
-    @property
-    def size(self) -> int:
-        return self.q_hat.shape[0]
-
-    def local_energy(self, y) -> float:
-        bits = as_bits(y, self.size).astype(float)
-        return float(bits @ self.q_hat @ bits)
-
-
 class BcdBackendError(RuntimeError):
-    """A backend failed while solving one block; carries the block index and,
-    when raised out of ``bcd_solve``, the trace recorded so far."""
+    """A backend failed while solving one block; carries the block index and
+    the trace recorded before the failure."""
 
-    def __init__(self, block_index: int, message: str) -> None:
+    def __init__(
+        self,
+        block_index: int,
+        message: str,
+        partial_trace: tuple[BcdTraceRecord, ...] = (),
+    ) -> None:
         super().__init__(f"block {block_index}: {message}")
         self.block_index = block_index
-        self.partial_trace: tuple[BcdTraceRecord, ...] = ()
+        self.partial_trace = partial_trace
 
 
-def extract_subproblem(q: Qubo, x, i: int) -> Subproblem:
-    """Freeze everything outside block ``i`` of ``x`` into a local QUBO."""
+def extract_subproblem(q: Qubo, x, i: int) -> Qubo:
+    """Freeze everything outside block ``i`` of ``x`` into a local QUBO.
+
+    The result is offset-free and its matrix is the block's diagonal
+    sub-matrix plus ``diag(h)`` where ``h = 2 * Q[block, outside] @
+    x[outside]``; for block tridiagonal models only the two adjacent blocks
+    contribute to ``h``.  Differences of ``qubo_energy(sub, y)`` across
+    candidate block vectors ``y`` equal global energy differences exactly.
+    """
     part = _require_partition(q)
     if not 0 <= i < len(part):
         raise IndexError(f"block index {i} out of range (m={len(part)})")
@@ -146,24 +125,19 @@ def extract_subproblem(q: Qubo, x, i: int) -> Subproblem:
     masked = bits.copy()
     masked[sl] = 0.0
     induced = 2.0 * (q.coeffs[sl, :] @ masked)
-    q_hat = q.coeffs[sl, sl] + np.diag(induced)
-    return Subproblem(q_hat=q_hat, block_index=i)
+    return Qubo(q.coeffs[sl, sl] + np.diag(induced))
 
 
-def solve_block(sub: Subproblem, backend, cfg: BcdConfig, base_seed: int | None = None) -> np.ndarray:
+def solve_block(sub: Qubo, backend, cfg: BcdConfig, base_seed: int | None = None) -> np.ndarray:
     """Best of ``I`` backend runs on the block, judged by full-precision
     local energy (ties keep the earliest run)."""
     base = cfg.seed if base_seed is None else base_seed
-    local = Qubo(sub.q_hat)
     best_energy = np.inf
     best: np.ndarray | None = None
     for run in range(cfg.repeats_per_block):
-        try:
-            result = backend.solve(SolveRequest(model=local, seed=base + run))
-        except Exception as exc:
-            raise BcdBackendError(sub.block_index, str(exc)) from exc
-        candidate = as_bits(result.assignment, sub.size)
-        energy = sub.local_energy(candidate)
+        result = backend.solve(SolveRequest(model=sub, seed=base + run))
+        candidate = as_bits(result.assignment, sub.n)
+        energy = qubo_energy(sub, candidate)
         if energy < best_energy:
             best_energy, best = energy, candidate
     assert best is not None
@@ -242,14 +216,13 @@ def bcd_solve(q: Qubo, backend, cfg: BcdConfig | None = None) -> BcdResult:
             t0 = time.perf_counter()
             sub = extract_subproblem(q, x, i)
             sl = part.block_slice(i)
-            incumbent_energy = sub.local_energy(x[sl])
+            incumbent_energy = qubo_energy(sub, x[sl])
             try:
                 candidate = solve_block(sub, backend, cfg, base_seed=base_seed)
-            except BcdBackendError as err:
-                err.partial_trace = tuple(trace)
-                raise
+            except Exception as exc:
+                raise BcdBackendError(i, str(exc), tuple(trace)) from exc
             pre_energy = energy
-            accepted = sub.local_energy(candidate) < incumbent_energy
+            accepted = qubo_energy(sub, candidate) < incumbent_energy
             if accepted:
                 x = write_back(x, part, i, candidate)
                 energy = qubo_energy(q, x)

@@ -42,10 +42,8 @@ from .market import (
     save_prices,
 )
 from .model import (
-    Covariance,
     DpoConfig,
-    Semicovariance,
-    Shrinkage,
+    _risk_from_json,
     config_from_dict,
     config_to_dict,
     decode,
@@ -90,14 +88,13 @@ def _config_overrides(args) -> dict:
         if getattr(args, k, None) is not None
     }
     if getattr(args, "risk", None) is not None:
-        if args.risk == "covariance":
-            overrides["risk"] = Covariance()
-        elif args.risk == "semicovariance":
-            overrides["risk"] = Semicovariance(
-                benchmark=args.benchmark if args.benchmark is not None else 0.0
-            )
-        else:
-            overrides["risk"] = Shrinkage(delta_override=args.shrinkage_delta)
+        overrides["risk"] = _risk_from_json(
+            {
+                "kind": args.risk,
+                "benchmark": args.benchmark,
+                "delta_override": args.shrinkage_delta,
+            }
+        )
     return overrides
 
 

@@ -334,29 +334,45 @@ def objective_terms(
 
 
 def _weight_space_form(
-    config: DpoConfig, panel: ReturnPanel, risks: Sequence[RiskMatrix]
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Quadratic form (M, c, const) with -score(omega) = w'Mw + c'w + const,
-    omega flattened row-major (interval-major, asset-minor)."""
+    config: DpoConfig,
+    mu: np.ndarray,
+    risks: Sequence[RiskMatrix] | None,
+    rhos: Sequence[float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quadratic form (M, c) with -score(omega) = w'Mw + c'w + const,
+    omega flattened row-major (interval-major, asset-minor).
+
+    Interval ``t`` earns ``mu[t]`` and its budget penalty weighs ``rhos[t]``;
+    ``risks=None`` leaves out the risk term.  The constant is left to the
+    caller.
+    """
     n_t, n_a = config.n_t, config.n_a
     m = np.zeros((n_t * n_a, n_t * n_a))
     c = np.zeros(n_t * n_a)
-    rho = resolved_rho(config, panel)
     tc = config.nu * config.lam
     for t in range(n_t):
         sl = slice(t * n_a, (t + 1) * n_a)
-        m[sl, sl] += 0.5 * config.gamma * risks[t].matrix
-        m[sl, sl] += rho * np.ones((n_a, n_a))
+        if risks is not None:
+            m[sl, sl] += 0.5 * config.gamma * risks[t].matrix
+        m[sl, sl] += rhos[t] * np.ones((n_a, n_a))
         # turnover: own term, plus being "previous" for the next interval
         m[sl, sl] += tc * (2.0 if t < n_t - 1 else 1.0) * np.eye(n_a)
         if t > 0:
             prev = slice((t - 1) * n_a, t * n_a)
             m[prev, sl] += -tc * np.eye(n_a)
             m[sl, prev] += -tc * np.eye(n_a)
-        c[sl] += -panel.interval_returns[t]
-        c[sl] += -2.0 * rho * config.budget
-    const = rho * config.budget**2 * n_t
-    return m, c, const
+        c[sl] += -mu[t]
+        c[sl] += -2.0 * rhos[t] * config.budget
+    return m, c
+
+
+def _bit_expand(config: DpoConfig, m: np.ndarray, c: np.ndarray, const: float) -> Qubo:
+    """The QUBO over little-endian weight bits of ``w'Mw + c'w + const``,
+    one block per interval."""
+    powers = 2.0 ** np.arange(config.n_r)
+    expand = np.kron(np.eye(config.n_t * config.n_a), powers[None, :])  # omega = expand @ x
+    coeffs = expand.T @ m @ expand + np.diag(expand.T @ c)
+    return Qubo.from_dense(coeffs, offset=const, partition=config.partition())
 
 
 def encode_qubo(
@@ -379,11 +395,9 @@ def encode_qubo(
     for t, r in enumerate(risks):
         if r.n_a != config.n_a:
             raise ValueError(f"risk matrix {t} is {r.n_a}x{r.n_a}, expected {config.n_a}")
-    m, c, const = _weight_space_form(config, panel, risks)
-    powers = 2.0 ** np.arange(config.n_r)
-    expand = np.kron(np.eye(config.n_t * config.n_a), powers[None, :])  # omega = expand @ x
-    coeffs = expand.T @ m @ expand + np.diag(expand.T @ c)
-    return Qubo.from_dense(coeffs, offset=const, partition=config.partition())
+    rho = resolved_rho(config, panel)
+    m, c = _weight_space_form(config, panel.interval_returns, risks, [rho] * config.n_t)
+    return _bit_expand(config, m, c, const=rho * config.budget**2 * config.n_t)
 
 
 def decode(x, config: DpoConfig) -> PortfolioAllocation:
@@ -396,9 +410,6 @@ def decode(x, config: DpoConfig) -> PortfolioAllocation:
 
 # ---------------------------------------------------------------------------
 # config files
-
-_RISK_KINDS = {"covariance": Covariance, "semicovariance": Semicovariance, "shrinkage": Shrinkage}
-
 
 def _risk_to_json(choice: RiskModelChoice) -> dict:
     if isinstance(choice, Covariance):
@@ -420,7 +431,8 @@ def _risk_from_json(obj) -> RiskModelChoice:
     if kind == "covariance":
         return Covariance()
     if kind == "semicovariance":
-        return Semicovariance(benchmark=float(obj.get("benchmark", 0.0)))
+        benchmark = obj.get("benchmark")
+        return Semicovariance(benchmark=0.0 if benchmark is None else float(benchmark))
     if kind == "shrinkage":
         override = obj.get("delta_override")
         return Shrinkage(delta_override=None if override is None else float(override))

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DpoConfig, PortfolioAllocation, decode
-from .qubo import BlockPartition, Qubo
+from .model import DpoConfig, PortfolioAllocation, _bit_expand, _weight_space_form, decode
+from .qubo import Qubo
 
 __all__ = ["PlantedInstance", "make_scale_separated_qubo"]
 
@@ -68,9 +68,10 @@ def make_scale_separated_qubo(
     if representable % 2:
         raise ValueError("n_a * (2^n_r - 1) must be even so the budget can sit at half")
     budget = representable // 2
+    # lam=rho makes config.nu * config.lam the turnover weight coupling_rate * rho
     config = DpoConfig(
         n_t=n_t, n_a=n_a, n_r=n_r, budget=budget,
-        nu=coupling_rate, lam=1.0, rho=rho, gamma=0.0, dt=2,
+        nu=coupling_rate, lam=rho, rho=rho, gamma=0.0, dt=2,
     )
     rng = np.random.default_rng(seed)
     rho_schedule = tuple(float(rho * growth**t) for t in range(n_t))
@@ -85,30 +86,11 @@ def make_scale_separated_qubo(
             for t in range(n_t)
         ]
     )
-    tc = coupling_rate * rho
-
-    # weight-space quadratic form of the negated score, then bit expansion
-    # (same layout as the standard encoder, but with per-interval rho)
-    dim = n_t * n_a
-    m = np.zeros((dim, dim))
-    c = np.zeros(dim)
+    m, c = _weight_space_form(config, mu, None, rho_schedule)
     const = 0.0
-    for t in range(n_t):
-        sl = slice(t * n_a, (t + 1) * n_a)
-        m[sl, sl] += rho_schedule[t] * np.ones((n_a, n_a))
-        m[sl, sl] += tc * (2.0 if t < n_t - 1 else 1.0) * np.eye(n_a)
-        if t > 0:
-            prev = slice((t - 1) * n_a, t * n_a)
-            m[prev, sl] += -tc * np.eye(n_a)
-            m[sl, prev] += -tc * np.eye(n_a)
-        c[sl] += -mu[t]
-        c[sl] += -2.0 * rho_schedule[t] * budget
-        const += rho_schedule[t] * budget**2
-    powers = 2.0 ** np.arange(n_r)
-    expand = np.kron(np.eye(dim), powers[None, :])
-    coeffs = expand.T @ m @ expand + np.diag(expand.T @ c)
-    part = BlockPartition.from_sizes([n_a * n_r] * n_t)
-    qubo = Qubo.from_dense(coeffs, offset=const, partition=part)
+    for rho_t in rho_schedule:  # a plain loop: sum() of floats compensates on 3.12+
+        const += rho_t * budget**2
+    qubo = _bit_expand(config, m, c, const)
     return PlantedInstance(
         qubo=qubo,
         config=config,

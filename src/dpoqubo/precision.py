@@ -23,16 +23,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qubo import BlockPartition, IsingModel, as_spins
+from .qubo import BlockPartition, IsingModel, as_spins, ising_energy
 
 __all__ = [
-    "CoefficientSet",
     "DynamicRange",
     "TuningStep",
     "TuningResult",
     "QuantizedIsing",
     "QuantizationLossReport",
-    "coefficient_set",
+    "coefficient_values",
     "dynamic_range",
     "reduce_dynamic_range",
     "quantize_int8",
@@ -40,44 +39,12 @@ __all__ = [
     "quantization_loss_report",
 ]
 
-# Entry references: ("h", i) for a field term, ("J", i, j) with i < j for a
-# coupling term.
-EntryRef = tuple
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    """Flat view of every model coefficient with a back-reference per value.
-
-    ``values[k]`` came from model entry ``refs[k]``; each field appears once
-    and each unordered coupling pair appears once, so the back-references are
-    a bijection onto the model's free coefficients.
-    """
-
-    values: np.ndarray
-    refs: tuple[EntryRef, ...]
-
-    def __post_init__(self) -> None:
-        v = np.array(self.values, dtype=float)
-        v.setflags(write=False)
-        if v.shape[0] != len(self.refs):
-            raise ValueError("values and refs must have equal length")
-        object.__setattr__(self, "values", v)
-
-
-def _coefficient_values(model) -> np.ndarray:
-    """Fields, then upper-triangle couplings in row order: the values of
-    :func:`coefficient_set` without building its back-references."""
+def coefficient_values(model) -> np.ndarray:
+    """Every free coefficient of an Ising model as one flat array: the fields
+    in index order, then the couplings ``(i, j)`` with ``i < j`` in row order.
+    Each unordered pair appears once."""
     iu = np.triu_indices(model.n, k=1)
     return np.concatenate([model.linear, model.quadratic[iu]])
-
-
-def coefficient_set(model: IsingModel) -> CoefficientSet:
-    """Collect all field and coupling coefficients of an Ising model."""
-    n = model.n
-    refs: list[EntryRef] = [("h", i) for i in range(n)]
-    refs.extend(("J", int(i), int(j)) for i, j in zip(*np.triu_indices(n, k=1)))
-    return CoefficientSet(values=_coefficient_values(model), refs=tuple(refs))
 
 
 @dataclass(frozen=True)
@@ -94,15 +61,14 @@ class DynamicRange:
     degenerate: bool = False
 
 
-def dynamic_range(x) -> DynamicRange:
-    """Measure the dynamic range of a coefficient collection in bits.
+def dynamic_range(values) -> DynamicRange:
+    """Measure the dynamic range of a coefficient array in bits.
 
     Differences are taken between *distinct* values, so the largest is the
     range and the smallest is the tightest gap between adjacent sorted
     values; zero values participate, zero differences never occur.
     """
-    values = x.values if isinstance(x, CoefficientSet) else np.asarray(x, dtype=float)
-    distinct = np.unique(values)
+    distinct = np.unique(np.asarray(values, dtype=float))
     if distinct.size < 2:
         return DynamicRange(bits=0.0, largest_diff=0.0, smallest_diff=0.0, degenerate=True)
     largest = float(distinct[-1] - distinct[0])
@@ -116,9 +82,9 @@ def dynamic_range(x) -> DynamicRange:
 
 @dataclass(frozen=True)
 class TuningStep:
-    """One accepted single-entry move."""
+    """One accepted single-entry move; ``entry`` is ``("h", i)`` for field ``i``."""
 
-    entry: EntryRef
+    entry: tuple[str, int]
     old_value: float
     new_value: float
     bits_before: float
@@ -202,7 +168,7 @@ class _MinimizerCheck:
     def _best_states(self, model: IsingModel) -> set[bytes]:
         """The lowest-energy end states of the multistart descents on ``model``."""
         states = [_greedy_descent(model, s) for s in self._starts]
-        energies = np.array([_ising_energy_fast(model, s) for s in states])
+        energies = np.array([ising_energy(model, s) for s in states])
         return {states[i].tobytes() for i in _argmin_rows(energies)}
 
     def passes(self, candidate: IsingModel) -> bool:
@@ -210,13 +176,6 @@ class _MinimizerCheck:
             argmin = _argmin_rows(_all_energies(candidate, self._spins))
             return bool(argmin & self._original_argmin)
         return not self._best_states(candidate).isdisjoint(self._original_best)
-
-
-def _ising_energy_fast(model: IsingModel, z: np.ndarray) -> float:
-    zf = z.astype(float)
-    return model.offset + float(model.linear @ zf) + 0.5 * float(
-        zf @ model.quadratic @ zf
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +248,7 @@ def reduce_dynamic_range(model: IsingModel, budget: int = 100) -> TuningResult:
     current = model
     steps: list[TuningStep] = []
     while len(steps) < budget:
-        values = _coefficient_values(current)
+        values = coefficient_values(current)
         before = dynamic_range(values)
         if before.degenerate:
             break
@@ -299,7 +258,7 @@ def reduce_dynamic_range(model: IsingModel, budget: int = 100) -> TuningResult:
         ):
             old_value = float(current.linear[index])
             candidate = _with_linear(current, index, new_value)
-            after = dynamic_range(_coefficient_values(candidate))
+            after = dynamic_range(coefficient_values(candidate))
             if after.bits >= before.bits:
                 continue
             if not check.passes(candidate):
@@ -350,11 +309,14 @@ class QuantizedIsing:
             raise ValueError(
                 f"partition covers {self.partition.n} indices, model has {lin.size}"
             )
+        scale = float(self.scale)
+        if not (math.isfinite(scale) and scale > 0.0):
+            raise ValueError(f"scale must be finite and > 0, got {scale!r}")
         lin.setflags(write=False)
         quad.setflags(write=False)
         object.__setattr__(self, "linear", lin)
         object.__setattr__(self, "quadratic", quad)
-        object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "scale", scale)
 
     @property
     def n(self) -> int:
@@ -372,7 +334,7 @@ def quantize_int8(
     Ties round half-to-even.  An all-zero model quantizes to zeros with scale
     1 and the degenerate flag set.
     """
-    values = _coefficient_values(model)
+    values = coefficient_values(model)
     alpha = float(np.abs(values).max()) if values.size else 0.0
     n = model.n
     if alpha == 0.0:
@@ -434,17 +396,15 @@ def quantization_loss_report(
         partition = quantized.partition or model.partition
     n = model.n
     iu = np.triu_indices(n, k=1)
-    src = _coefficient_values(model)
-    img = _coefficient_values(quantized).astype(float)
+    src = coefficient_values(model)
+    img = coefficient_values(quantized).astype(float)
     nonzero = src != 0.0
     zeroed = nonzero & (img == 0.0)
     total = int(zeroed.sum())
     if partition is None:
         intra = inter = None
     else:
-        block_of = np.empty(n, dtype=int)
-        for k, (start, stop) in enumerate(partition.blocks):
-            block_of[start:stop] = k
+        block_of = partition.block_of()
         crosses = np.concatenate(
             [np.zeros(n, dtype=bool), block_of[iu[0]] != block_of[iu[1]]]
         )

@@ -82,6 +82,10 @@ class BlockPartition:
     def __len__(self) -> int:
         return len(self.blocks)
 
+    def block_of(self) -> np.ndarray:
+        """Block number of every index, as an array of length ``n``."""
+        return np.repeat(np.arange(len(self.blocks)), self.sizes)
+
     def block_slice(self, k: int) -> slice:
         """Slice selecting block ``k``'s indices."""
         start, stop = self.blocks[k]
@@ -316,9 +320,7 @@ def scale_separation_report(q: Qubo) -> ScaleSeparation:
     cross-block couplings.
     """
     part = _require_partition(q)
-    block_of = np.empty(q.n, dtype=int)
-    for k, (start, stop) in enumerate(part.blocks):
-        block_of[start:stop] = k
+    block_of = part.block_of()
     same = block_of[:, None] == block_of[None, :]
     mags = np.abs(q.coeffs)
     max_intra = float(mags[same].max()) if same.any() else 0.0

@@ -50,39 +50,23 @@ def _partition_lines(partition: BlockPartition | None) -> list[str]:
 
 def dump_model(model: Model) -> str:
     """Render a model in the text format above."""
-    lines = [f"{_MAGIC} {_VERSION}"]
-    if isinstance(model, Qubo):
-        lines.append("kind qubo")
-        lines.append(f"n {model.n}")
-        lines.append(f"offset {_fmt(model.offset)}")
-        lines.extend(_partition_lines(model.partition))
-        rows, cols = np.nonzero(np.triu(model.coeffs))
-        # np.triu keeps the diagonal, so every independent entry appears once
-        for i, j in zip(rows, cols):
-            lines.append(f"c {i} {j} {_fmt(model.coeffs[i, j])}")
-    elif isinstance(model, QuantizedIsing):
-        lines.append("kind ising")
-        lines.append(f"n {model.n}")
-        lines.append("integer 1")
-        lines.append(f"scale {_fmt(model.scale)}")
-        lines.extend(_partition_lines(model.partition))
-        for i in np.flatnonzero(model.linear):
-            lines.append(f"h {i} {int(model.linear[i])}")
-        rows, cols = np.nonzero(np.triu(model.quadratic, k=1))
-        for i, j in zip(rows, cols):
-            lines.append(f"c {i} {j} {int(model.quadratic[i, j])}")
-    elif isinstance(model, IsingModel):
-        lines.append("kind ising")
-        lines.append(f"n {model.n}")
-        lines.append(f"offset {_fmt(model.offset)}")
-        lines.extend(_partition_lines(model.partition))
-        for i in np.flatnonzero(model.linear):
-            lines.append(f"h {i} {_fmt(model.linear[i])}")
-        rows, cols = np.nonzero(np.triu(model.quadratic, k=1))
-        for i, j in zip(rows, cols):
-            lines.append(f"c {i} {j} {_fmt(model.quadratic[i, j])}")
+    if isinstance(model, QuantizedIsing):
+        header, fmt = ["integer 1", f"scale {_fmt(model.scale)}"], int
+    elif isinstance(model, (Qubo, IsingModel)):
+        header, fmt = [f"offset {_fmt(model.offset)}"], _fmt
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    is_qubo = isinstance(model, Qubo)
+    lines = [f"{_MAGIC} {_VERSION}", f"kind {'qubo' if is_qubo else 'ising'}", f"n {model.n}"]
+    lines.extend(header)
+    lines.extend(_partition_lines(model.partition))
+    if not is_qubo:
+        lines.extend(f"h {i} {fmt(model.linear[i])}" for i in np.flatnonzero(model.linear))
+    matrix = model.coeffs if is_qubo else model.quadratic
+    # np.triu keeps the diagonal, so every independent QUBO entry appears
+    # once; an Ising diagonal is zero and never listed
+    rows, cols = np.nonzero(np.triu(matrix))
+    lines.extend(f"c {i} {j} {fmt(matrix[i, j])}" for i, j in zip(rows, cols))
     return "\n".join(lines) + "\n"
 
 
@@ -101,6 +85,7 @@ def parse_model(text: str) -> Model:
     offset = 0.0
     integer = False
     scale: float | None = None
+    scale_lineno = 0
     blocks: list[tuple[int, int]] = []
     entries: list[tuple[int, str, list[str]]] = []
     seen_magic = False
@@ -138,7 +123,7 @@ def parse_model(text: str) -> Model:
                     raise ModelFormatError(lineno, "integer flag must be 0 or 1")
             elif tag == "scale":
                 (v,) = args
-                scale = float(v)
+                scale, scale_lineno = float(v), lineno
             elif tag == "partition":
                 a, b = args
                 blocks.append((int(a), int(b)))
@@ -212,12 +197,15 @@ def parse_model(text: str) -> Model:
         both = np.concatenate([linear, quadratic.ravel()])
         if both.min(initial=0) < -128 or both.max(initial=0) > 127:
             raise ModelFormatError(1, "integer coefficients exceed signed 8-bit range")
-        return QuantizedIsing(
-            linear=linear.astype(np.int8),
-            quadratic=quadratic.astype(np.int8),
-            scale=scale,
-            partition=partition,
-        )
+        try:
+            return QuantizedIsing(
+                linear=linear.astype(np.int8),
+                quadratic=quadratic.astype(np.int8),
+                scale=scale,
+                partition=partition,
+            )
+        except ValueError as exc:
+            raise ModelFormatError(scale_lineno, str(exc)) from exc
     return IsingModel(linear=linear, quadratic=quadratic, offset=offset, partition=partition)
 
 

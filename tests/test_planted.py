@@ -8,7 +8,6 @@ from dpoqubo.bcd import BcdConfig, bcd_solve, extract_subproblem
 from dpoqubo.planted import make_scale_separated_qubo
 from dpoqubo.precision import quantization_loss_report, quantize_int8
 from dpoqubo.qubo import (
-    Qubo,
     qubo_energy,
     qubo_to_ising,
     scale_separation_report,
@@ -63,6 +62,23 @@ class TestConstruction:
         prev = np.vstack([np.zeros(2), w[:-1]])
         turnover = 1e-3 * 1.0 * float(((w - prev) ** 2).sum())
         assert qubo_energy(inst.qubo, x) == pytest.approx(-gross + turnover, rel=1e-12)
+
+    @pytest.mark.parametrize("rho", [1.0, 0.3, 7.0])
+    def test_energy_matches_config_score(self, rho):
+        # the config's nu * lam is the turnover weight the QUBO charges, and
+        # rho_schedule the per-interval budget weights, at any point
+        inst = make_scale_separated_qubo(5, rho=rho)
+        cfg = inst.config
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            x = rng.integers(0, 2, size=inst.qubo.n)
+            w = inst.decode(x).weights.astype(float)
+            gross = float((w * inst.interval_returns).sum())
+            prev = np.vstack([np.zeros(cfg.n_a), w[:-1]])
+            turnover = cfg.nu * cfg.lam * float(((w - prev) ** 2).sum())
+            budget = float(np.dot(inst.rho_schedule, (w.sum(axis=1) - cfg.budget) ** 2))
+            expected = -(gross - turnover - budget)
+            assert qubo_energy(inst.qubo, x) == pytest.approx(expected, rel=1e-12)
 
     def test_odd_representable_total_rejected(self):
         with pytest.raises(ValueError):
@@ -140,7 +156,7 @@ class TestQuantizationContrast:
         inst = make_scale_separated_qubo(0)
         x = np.ones(12, dtype=np.int8)
         sub = extract_subproblem(inst.qubo, x, 1)
-        qm = quantize_int8(qubo_to_ising(Qubo.from_dense(sub.q_hat)))
+        qm = quantize_int8(qubo_to_ising(sub))
         assert np.count_nonzero(qm.linear) > 0
 
     def test_full_precision_exhaustive_is_feasible(self):

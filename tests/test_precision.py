@@ -6,7 +6,7 @@ import pytest
 
 from dpoqubo.precision import (
     QuantizedIsing,
-    coefficient_set,
+    coefficient_values,
     dynamic_range,
     quantization_loss_report,
     quantize_int8,
@@ -68,29 +68,22 @@ class TestDynamicRange:
     def test_duplicates_collapse(self):
         assert dynamic_range([1.0, 1.0, 2.0]).bits == 0.0
 
-    def test_accepts_coefficient_set(self):
+    def test_accepts_coefficient_values(self):
         m = IsingModel(
             linear=np.array([1.0, 2.0]),
             quadratic=np.array([[0.0, 4.0], [4.0, 0.0]]),
         )
-        cs = coefficient_set(m)
-        assert sorted(cs.values.tolist()) == [1.0, 2.0, 4.0]
-        assert dynamic_range(cs).bits == pytest.approx(math.log2(3.0))
+        values = coefficient_values(m)
+        assert sorted(values.tolist()) == [1.0, 2.0, 4.0]
+        assert dynamic_range(values).bits == pytest.approx(math.log2(3.0))
 
 
-class TestCoefficientSet:
-    def test_backrefs_cover_model(self):
+class TestCoefficientValues:
+    def test_value_order(self):
         rng = np.random.default_rng(3)
         m = random_ising(rng, 4)
-        cs = coefficient_set(m)
-        assert len(cs.refs) == 4 + 6
-        for value, ref in zip(cs.values, cs.refs):
-            if ref[0] == "h":
-                assert m.linear[ref[1]] == value
-            else:
-                _, i, j = ref
-                assert i < j
-                assert m.quadratic[i, j] == value
+        expected = list(m.linear) + [m.quadratic[i, j] for i in range(4) for j in range(i + 1, 4)]
+        assert coefficient_values(m).tolist() == expected
 
 
 class TestTuning:
@@ -106,7 +99,7 @@ class TestTuning:
             linear=np.array([10.0, 0.001]),
             quadratic=np.zeros((2, 2)),
         )
-        before = dynamic_range(coefficient_set(m).values).bits
+        before = dynamic_range(coefficient_values(m)).bits
         out = reduce_dynamic_range(m, budget=1)
         assert len(out.steps) == 1
         step = out.steps[0]
@@ -155,8 +148,8 @@ class TestTuning:
         rng = np.random.default_rng(99)
         m = random_ising(rng, 6, scale=10.0)
         out = reduce_dynamic_range(m, budget=40)
-        before = dynamic_range(coefficient_set(m).values).bits
-        after = dynamic_range(coefficient_set(out.model).values).bits
+        before = dynamic_range(coefficient_values(m)).bits
+        after = dynamic_range(coefficient_values(out.model)).bits
         assert after <= before
 
 

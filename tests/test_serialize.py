@@ -126,6 +126,13 @@ class TestValidation:
         with pytest.raises(ModelFormatError, match="scale"):
             parse_model(text)
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0.0", "-2.0"])
+    def test_integer_scale_must_be_positive_and_finite(self, scale):
+        text = f"dpoqubo-model 1\nkind ising\nn 1\ninteger 1\nscale {scale}\nh 0 5\n"
+        with pytest.raises(ModelFormatError, match="scale") as err:
+            parse_model(text)
+        assert err.value.lineno == 5
+
     def test_integer_range_enforced(self):
         text = "dpoqubo-model 1\nkind ising\nn 1\ninteger 1\nscale 1.0\nh 0 200\n"
         with pytest.raises(ModelFormatError, match="8-bit"):
