@@ -21,9 +21,9 @@ from dpoqubo import (
 )
 
 # a 3-asset market plus cash, enough days for 4 intervals of 6 trading days
-series = append_cash_asset(generate_synthetic(seed=8, n_a=3, days=25))
+table = append_cash_asset(generate_synthetic(seed=8, n_a=3, days=25))
 config = DpoConfig(n_t=4, n_a=4, n_r=3, budget=5, dt=6, nu=0.01, rho=1.0)
-panel = compute_returns(series, config.n_t, config.dt)
+panel = compute_returns(table, config.n_t, config.dt)
 
 print("interval returns (rows = intervals, cols = assets):")
 print(np.array2string(panel.interval_returns, precision=4))

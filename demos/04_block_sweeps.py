@@ -22,8 +22,8 @@ from dpoqubo import (
 )
 
 config = DpoConfig(n_t=6, n_a=4, n_r=3, budget=5, dt=6, nu=0.01, rho=1.0)
-series = append_cash_asset(generate_synthetic(seed=21, n_a=3, days=37))
-panel = compute_returns(series, config.n_t, config.dt)
+table = append_cash_asset(generate_synthetic(seed=21, n_a=3, days=37))
+panel = compute_returns(table, config.n_t, config.dt)
 q = encode_qubo(config, panel)
 print(f"{q.n} variables in {len(q.partition)} blocks of 12 -- small enough "
       "to solve each block exactly")

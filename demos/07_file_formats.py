@@ -31,10 +31,10 @@ workdir = Path(tempfile.mkdtemp(prefix="dpoqubo_demo_"))
 print("working under", workdir)
 
 # --- prices ----------------------------------------------------------------
-series = append_cash_asset(generate_synthetic(seed=2, n_a=2, days=13))
-save_prices(series, workdir / "prices.csv")
+table = append_cash_asset(generate_synthetic(seed=2, n_a=2, days=13))
+save_prices(table, workdir / "prices.csv")
 back = load_prices(workdir / "prices.csv")
-assert all(np.array_equal(a.prices, b.prices) for a, b in zip(series, back))
+assert np.array_equal(table.prices, back.prices)
 print("prices.csv round-trips bit-exactly,",
       (workdir / "prices.csv").read_text().count("\n"), "lines")
 

@@ -47,7 +47,7 @@ from .harness import (
     sharpe_ratio,
 )
 from .market import (
-    PriceSeries,
+    PriceTable,
     ReturnPanel,
     append_cash_asset,
     bundled_prices_path,

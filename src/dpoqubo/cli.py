@@ -128,21 +128,19 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_series(args, config: DpoConfig, seed: int):
+def _load_table(args, config: DpoConfig, seed: int):
     if args.prices:
         return load_prices(args.prices)
     if args.bundled:
         return load_bundled_prices()
     days = args.days if args.days is not None else config.n_t * config.dt + 1
-    series = generate_synthetic(seed, args.assets, days)
-    if args.cash:
-        series = append_cash_asset(series)
-    return series
+    table = generate_synthetic(seed, args.assets, days)
+    return append_cash_asset(table) if args.cash else table
 
 
 def _build_panel(args, config: DpoConfig, seed: int):
-    series = _load_series(args, config, seed)
-    return compute_returns(series, config.n_t, config.dt, trim=args.trim)
+    table = _load_table(args, config, seed)
+    return compute_returns(table, config.n_t, config.dt, trim=args.trim)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +148,7 @@ def _build_panel(args, config: DpoConfig, seed: int):
 
 
 def _cmd_synth(args) -> int:
-    series = generate_synthetic(
+    table = generate_synthetic(
         args.seed,
         args.assets,
         args.days,
@@ -161,9 +159,9 @@ def _cmd_synth(args) -> int:
         start_date=args.start_date,
     )
     if args.cash:
-        series = append_cash_asset(series)
-    save_prices(series, args.out)
-    print(f"wrote {args.out}: {len(series)} assets x {args.days} days")
+        table = append_cash_asset(table)
+    save_prices(table, args.out)
+    print(f"wrote {args.out}: {len(table.assets)} assets x {args.days} days")
     return 0
 
 
@@ -179,6 +177,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.strategy == "block" and args.effort is not None:
+        raise ValueError("--effort applies only to --strategy global; block sweeps do not use it")
     model = load_model(args.model)
     backend = make_backend(args.backend)
     if args.strategy == "global":
@@ -311,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="solve the whole model at once or sweep block by block",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--effort", type=int, help="backend-specific iteration budget")
+    p.add_argument("--effort", type=int, help="backend-specific iteration budget (global strategy only)")
     p.add_argument("--bcd-iters", dest="bcd_iters", type=int, default=3)
     p.add_argument("--bcd-repeats", dest="bcd_repeats", type=int, default=3)
     p.add_argument("--out", required=True, metavar="FILE")

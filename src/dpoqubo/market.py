@@ -18,12 +18,11 @@ import io
 import os
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "PriceSeries",
+    "PriceTable",
     "ReturnPanel",
     "load_prices",
     "parse_prices",
@@ -41,33 +40,35 @@ _MISSING_MARKERS = {"", "na", "nan", "n/a", "null"}
 
 
 @dataclass(frozen=True)
-class PriceSeries:
-    """One asset's closing prices, aligned with strictly increasing date labels."""
+class PriceTable:
+    """Closing prices of assets that share one calendar.
 
-    asset_id: str
-    prices: np.ndarray
+    ``prices[d, k]`` is asset ``assets[k]``'s price on ``dates[d]``; the
+    matrix is a read-only float64 copy.  Dates strictly increase, asset
+    names are non-empty and distinct, and every price is positive and finite.
+    """
+
     dates: tuple[str, ...]
+    assets: tuple[str, ...]
+    prices: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.array(self.prices, dtype=float)
-        if p.ndim != 1:
-            raise ValueError("prices must be a 1-D vector")
-        if p.size and (not np.all(np.isfinite(p)) or np.any(p <= 0.0)):
-            raise ValueError(f"asset {self.asset_id!r}: prices must be positive and finite")
         dates = tuple(str(d) for d in self.dates)
-        if len(dates) != p.size:
-            raise ValueError(
-                f"asset {self.asset_id!r}: {len(dates)} dates for {p.size} prices"
-            )
+        assets = tuple(str(a) for a in self.assets)
+        p = np.array(self.prices, dtype=float)
+        if p.shape != (len(dates), len(assets)):
+            raise ValueError(f"prices shape {p.shape} != (dates, assets) = ({len(dates)}, {len(assets)})")
+        if not all(assets) or len(set(assets)) != len(assets):
+            raise ValueError(f"asset names must be non-empty and distinct, got {assets}")
+        if not np.all(np.isfinite(p)) or np.any(p <= 0.0):
+            raise ValueError("prices must be positive and finite")
         for a, b in zip(dates, dates[1:]):
             if not a < b:
-                raise ValueError(f"asset {self.asset_id!r}: dates not strictly increasing ({a!r} >= {b!r})")
+                raise ValueError(f"dates not strictly increasing ({a!r} >= {b!r})")
         p.setflags(write=False)
-        object.__setattr__(self, "prices", p)
         object.__setattr__(self, "dates", dates)
-
-    def __len__(self) -> int:
-        return self.prices.size
+        object.__setattr__(self, "assets", assets)
+        object.__setattr__(self, "prices", p)
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ class ReturnPanel:
         return slice(t * self.dt, (t + 1) * self.dt)
 
 
-def parse_prices(text: str) -> list[PriceSeries]:
+def parse_prices(text: str) -> PriceTable:
     """Parse delimited price text; see :func:`load_prices`."""
     reader = csv.reader(io.StringIO(text))
     try:
@@ -149,80 +150,58 @@ def parse_prices(text: str) -> list[PriceSeries]:
             raise ValueError(f"line {lineno}: non-numeric price") from None
         if any(not np.isfinite(v) or v <= 0.0 for v in values):
             raise ValueError(f"line {lineno}: prices must be positive and finite")
-        dates.append(row[0].strip())
+        date = row[0].strip()
+        if dates and not dates[-1] < date:
+            raise ValueError(f"line {lineno}: dates not strictly increasing ({dates[-1]!r} >= {date!r})")
+        dates.append(date)
         rows.append(values)
     matrix = np.array(rows, dtype=float).reshape(len(rows), len(assets))
-    return [
-        PriceSeries(asset_id=asset, prices=matrix[:, k], dates=tuple(dates))
-        for k, asset in enumerate(assets)
-    ]
+    return PriceTable(dates=tuple(dates), assets=tuple(assets), prices=matrix)
 
 
-def load_prices(path: str | os.PathLike) -> list[PriceSeries]:
-    """Load a delimited price file, one series per asset column.
+def load_prices(path: str | os.PathLike) -> PriceTable:
+    """Load a delimited price file as one table, one column per asset.
 
-    Rows missing any asset's price are dropped whole; malformed rows,
-    non-positive prices, and out-of-order dates raise ``ValueError``.
+    Rows missing any asset's price are dropped whole; malformed rows, bad
+    prices, out-of-order dates and bad asset names raise ``ValueError``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         return parse_prices(fh.read())
 
 
-def save_prices(series: Sequence[PriceSeries], path: str | os.PathLike) -> None:
-    """Write aligned series back to the delimited format."""
-    _check_aligned(series)
+def save_prices(table: PriceTable, path: str | os.PathLike) -> None:
+    """Write a table back to the delimited format."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["date"] + [s.asset_id for s in series])
-        for k, date in enumerate(series[0].dates):
-            writer.writerow([date] + [repr(float(s.prices[k])) for s in series])
+        writer.writerow(["date", *table.assets])
+        for date, row in zip(table.dates, table.prices):
+            writer.writerow([date] + [repr(float(v)) for v in row])
 
 
-def _check_aligned(series: Sequence[PriceSeries]) -> None:
-    if not series:
-        raise ValueError("no price series given")
-    dates = series[0].dates
-    for s in series[1:]:
-        if s.dates != dates:
-            raise ValueError(f"asset {s.asset_id!r} is not date-aligned with {series[0].asset_id!r}")
-
-
-def normalize_prices(series: PriceSeries) -> PriceSeries:
-    """Divide by the first price so every series starts at exactly 1.
+def normalize_prices(table: PriceTable) -> PriceTable:
+    """Divide every column by its first price so each asset starts at exactly 1.
 
     Only price ratios enter returns, so this changes nothing downstream;
     it puts assets with different currency scales on one plot axis.
     """
-    if len(series) == 0:
-        raise ValueError(f"asset {series.asset_id!r}: cannot normalize an empty series")
-    return PriceSeries(
-        asset_id=series.asset_id,
-        prices=series.prices / series.prices[0],
-        dates=series.dates,
-    )
+    if not table.dates:
+        raise ValueError("cannot normalize an empty price table")
+    return PriceTable(table.dates, table.assets, table.prices / table.prices[0])
 
 
-def append_cash_asset(
-    series: Sequence[PriceSeries], asset_id: str = "CASH"
-) -> list[PriceSeries]:
+def append_cash_asset(table: PriceTable, asset_id: str = "CASH") -> PriceTable:
     """Add a constant-price asset (price 1 on every date, log return 0)."""
-    series = list(series)
-    if series:
-        _check_aligned(series)
-        dates = series[0].dates
-    else:
-        dates = ()
-    cash = PriceSeries(asset_id=asset_id, prices=np.ones(len(dates)), dates=dates)
-    return series + [cash]
+    prices = np.hstack([table.prices, np.ones((len(table.dates), 1))])
+    return PriceTable(table.dates, table.assets + (asset_id,), prices)
 
 
-def daily_log_returns(series: PriceSeries) -> np.ndarray:
-    """log(P_{s+1} / P_s) for every consecutive day pair."""
-    return np.diff(np.log(series.prices))
+def daily_log_returns(table: PriceTable) -> np.ndarray:
+    """log(P_{s+1} / P_s) for every consecutive day pair, one column per asset."""
+    return np.diff(np.log(table.prices), axis=0)
 
 
 def compute_returns(
-    series: Sequence[PriceSeries],
+    table: PriceTable,
     n_t: int,
     dt: int,
     trim: str = "tail",
@@ -234,20 +213,18 @@ def compute_returns(
     ``t``'s return compares the boundary prices at daily indices ``t*dt``
     and ``(t+1)*dt``, which telescopes to the sum of its daily returns.
     """
-    _check_aligned(series)
     if n_t <= 0 or dt <= 0:
         raise ValueError("n_t and dt must be positive")
     if trim not in ("tail", "head"):
         raise ValueError(f"trim must be 'tail' or 'head', got {trim!r}")
     need = n_t * dt + 1
-    have = len(series[0])
+    have = len(table.dates)
     if have < need:
         raise ValueError(
             f"insufficient history: {have} prices, need n_t*dt+1 = {need}"
         )
     lo, hi = (0, need) if trim == "tail" else (have - need, have)
-    prices = np.column_stack([s.prices[lo:hi] for s in series])
-    logp = np.log(prices)
+    logp = np.log(table.prices[lo:hi])
     daily = np.diff(logp, axis=0)
     boundaries = logp[:: dt]
     interval = np.diff(boundaries, axis=0)
@@ -255,7 +232,7 @@ def compute_returns(
         interval_returns=interval,
         daily_returns=daily,
         dt=dt,
-        assets=tuple(s.asset_id for s in series),
+        assets=table.assets,
     )
 
 
@@ -269,7 +246,7 @@ def generate_synthetic(
     correlation: float = 0.25,
     start_price=100.0,
     start_date: str = "2023-01-02",
-) -> list[PriceSeries]:
+) -> PriceTable:
     """Correlated geometric random walk prices, deterministic per seed.
 
     Daily log returns are jointly normal with per-asset ``drift`` and
@@ -302,10 +279,8 @@ def generate_synthetic(
 
     day0 = datetime.date.fromisoformat(start_date)
     dates = tuple((day0 + datetime.timedelta(days=k)).isoformat() for k in range(days))
-    return [
-        PriceSeries(asset_id=f"asset{k + 1}", prices=np.exp(logp[:, k]), dates=dates)
-        for k in range(n_a)
-    ]
+    assets = tuple(f"asset{k + 1}" for k in range(n_a))
+    return PriceTable(dates=dates, assets=assets, prices=np.exp(logp))
 
 
 def bundled_prices_path():
@@ -313,6 +288,6 @@ def bundled_prices_path():
     return resources.files("dpoqubo").joinpath("data/synthetic_prices.csv")
 
 
-def load_bundled_prices() -> list[PriceSeries]:
+def load_bundled_prices() -> PriceTable:
     """Load the packaged fixture: five random-walk assets plus constant CASH."""
     return parse_prices(bundled_prices_path().read_text(encoding="utf-8"))

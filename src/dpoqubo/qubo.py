@@ -261,10 +261,11 @@ def qubo_to_ising(q: Qubo) -> IsingModel:
     )
 
 
-def ising_to_qubo(m: IsingModel, partition: BlockPartition | None = None) -> Qubo:
+def ising_to_qubo(m: IsingModel) -> Qubo:
     """Convert an Ising model to the equivalent QUBO (inverse of qubo_to_ising).
 
-    The model's own partition is kept unless ``partition`` overrides it.
+    The QUBO keeps the model's partition.  ``2 * quadratic`` plus a diagonal
+    is exactly symmetric, so no symmetrising pass is needed.
     """
     j = m.quadratic
     coeffs = 2.0 * j
@@ -272,9 +273,7 @@ def ising_to_qubo(m: IsingModel, partition: BlockPartition | None = None) -> Qub
     diag = -2.0 * m.linear - 2.0 * coupling_row_sum
     coeffs = coeffs + np.diag(diag)
     offset = m.offset + float(m.linear.sum()) + float(j.sum()) / 2.0
-    return Qubo.from_dense(
-        coeffs, offset=offset, partition=partition if partition is not None else m.partition
-    )
+    return Qubo(coeffs, offset=offset, partition=m.partition)
 
 
 def _require_partition(q: Qubo) -> BlockPartition:

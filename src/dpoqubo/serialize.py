@@ -78,6 +78,17 @@ class ModelFormatError(ValueError):
         self.lineno = lineno
 
 
+def _finite(lineno: int, text: str) -> float:
+    """Parse a coefficient or offset field, which must be a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise ModelFormatError(lineno, f"expected a finite number, got {text!r}")
+    return value
+
+
 def parse_model(text: str) -> Model:
     """Parse the text format back into a model object."""
     kind: str | None = None
@@ -115,7 +126,7 @@ def parse_model(text: str) -> Model:
                     raise ModelFormatError(lineno, "n must be a positive integer")
             elif tag == "offset":
                 (v,) = args
-                offset = float(v)
+                offset = _finite(lineno, v)
             elif tag == "integer":
                 (v,) = args
                 integer = v == "1"
@@ -155,7 +166,7 @@ def parse_model(text: str) -> Model:
         for lineno, tag, args in entries:
             if tag != "c" or len(args) != 3:
                 raise ModelFormatError(lineno, "qubo files hold 'c i j value' records")
-            i, j, v = int(args[0]), int(args[1]), float(args[2])
+            i, j, v = int(args[0]), int(args[1]), _finite(lineno, args[2])
             if not (0 <= i <= j < n):
                 raise ModelFormatError(lineno, f"indices ({i}, {j}) must satisfy 0 <= i <= j < n")
             if (i, j) in seen:
@@ -173,7 +184,7 @@ def parse_model(text: str) -> Model:
         if tag == "h":
             if len(args) != 2:
                 raise ModelFormatError(lineno, "'h i value' takes two arguments")
-            i, v = int(args[0]), float(args[1])
+            i, v = int(args[0]), _finite(lineno, args[1])
             if not 0 <= i < n:
                 raise ModelFormatError(lineno, f"index {i} out of range")
             if i in seen_h:
@@ -183,7 +194,7 @@ def parse_model(text: str) -> Model:
         else:
             if len(args) != 3:
                 raise ModelFormatError(lineno, "'c i j value' takes three arguments")
-            i, j, v = int(args[0]), int(args[1]), float(args[2])
+            i, j, v = int(args[0]), int(args[1]), _finite(lineno, args[2])
             if not (0 <= i < j < n):
                 raise ModelFormatError(lineno, f"coupling ({i}, {j}) must satisfy 0 <= i < j < n")
             if (i, j) in seen_c:

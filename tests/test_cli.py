@@ -35,17 +35,17 @@ def model_file(tmp_path, prices_csv):
 
 class TestSynth:
     def test_writes_parseable_prices(self, prices_csv):
-        series = load_prices(prices_csv)
-        assert len(series) == 4  # 3 synthetic + cash
-        assert all(len(s.prices) == 25 for s in series)
-        assert series[-1].asset_id == "CASH"
-        assert np.all(series[-1].prices == 1.0)
+        table = load_prices(prices_csv)
+        assert len(table.assets) == 4  # 3 synthetic + cash
+        assert table.prices.shape == (25, 4)
+        assert table.assets[-1] == "CASH"
+        assert np.all(table.prices[:, -1] == 1.0)
 
     def test_no_cash_flag(self, tmp_path):
         out = tmp_path / "p.csv"
         run(["synth", "--out", out, "--seed", 1, "--assets", 2, "--days", 10,
              "--no-cash"])
-        assert len(load_prices(out)) == 2
+        assert len(load_prices(out).assets) == 2
 
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -133,6 +133,17 @@ class TestSolve:
         ])
         assert code == 0
         assert json.loads(out.read_text())["backend"] == "int8(tabu)"
+
+    def test_block_strategy_rejects_effort(self, tmp_path, model_file, capsys):
+        out = tmp_path / "sol.json"
+        code = run([
+            "solve", "--model", model_file, "--strategy", "block",
+            "--effort", 10, "--out", out,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--effort" in err and "--strategy global" in err
+        assert not out.exists()
 
     def test_unknown_backend_fails_cleanly(self, tmp_path, model_file, capsys):
         code = run([

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dpoqubo.market import (
-    PriceSeries,
+    PriceTable,
     ReturnPanel,
     append_cash_asset,
     compute_returns,
@@ -17,47 +17,56 @@ from dpoqubo.market import (
 )
 
 
-def make_series(prices, asset_id="X"):
+def make_table(prices, asset_id="X"):
     dates = tuple(f"2023-01-{d + 1:02d}" for d in range(len(prices)))
-    return PriceSeries(asset_id=asset_id, prices=np.array(prices, float), dates=dates)
+    return PriceTable(dates, (asset_id,), np.array(prices, float).reshape(-1, 1))
 
 
-class TestPriceSeries:
+class TestPriceTable:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
-            make_series([1.0, 0.0, 2.0])
+            make_table([1.0, 0.0, 2.0])
 
     def test_rejects_unsorted_dates(self):
         with pytest.raises(ValueError, match="increasing"):
-            PriceSeries("X", np.array([1.0, 2.0]), ("2023-01-02", "2023-01-01"))
+            PriceTable(("2023-01-02", "2023-01-01"), ("X",), [[1.0], [2.0]])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="dates"):
-            PriceSeries("X", np.array([1.0, 2.0]), ("2023-01-01",))
+            PriceTable(("2023-01-01",), ("X",), [[1.0], [2.0]])
 
     def test_prices_read_only(self):
-        s = make_series([1.0, 2.0])
+        t = make_table([1.0, 2.0])
         with pytest.raises(ValueError):
-            s.prices[0] = 5.0
+            t.prices[0, 0] = 5.0
+
+    @pytest.mark.parametrize("assets", [("a", ""), ("a", "a")])
+    def test_rejects_empty_or_duplicate_asset_names(self, assets):
+        with pytest.raises(ValueError, match="non-empty and distinct"):
+            PriceTable(("2023-01-01",), assets, [[1.0, 2.0]])
+
+    def test_has_no_length(self):
+        # len() would be ambiguous between days and assets
+        with pytest.raises(TypeError):
+            len(make_table([1.0, 2.0]))
 
 
 class TestParsing:
     def test_small_file(self):
         text = "date,a,b\n2023-01-01,1.0,2.0\n2023-01-02,1.1,2.1\n2023-01-03,1.2,2.2\n"
-        series = parse_prices(text)
-        assert [s.asset_id for s in series] == ["a", "b"]
-        assert all(len(s) == 3 for s in series)
+        table = parse_prices(text)
+        assert table.assets == ("a", "b")
+        assert table.prices.shape == (3, 2)
 
     def test_missing_cell_drops_whole_row(self):
         text = "date,a,b\n2023-01-01,1.0,2.0\n2023-01-02,1.1,\n2023-01-03,1.2,2.2\n"
-        series = parse_prices(text)
-        assert all(len(s) == 2 for s in series)
-        assert series[0].dates == ("2023-01-01", "2023-01-03")
+        table = parse_prices(text)
+        assert table.prices.shape == (2, 2)
+        assert table.dates == ("2023-01-01", "2023-01-03")
 
     def test_nan_marker_drops_row(self):
         text = "date,a\n2023-01-01,1.0\n2023-01-02,NaN\n"
-        (s,) = parse_prices(text)
-        assert len(s) == 1
+        assert parse_prices(text).prices.shape == (1, 1)
 
     def test_malformed_row_raises(self):
         with pytest.raises(ValueError, match="line 2"):
@@ -71,82 +80,94 @@ class TestParsing:
         with pytest.raises(ValueError, match="positive"):
             parse_prices("date,a\n2023-01-01,-3.0\n")
 
+    @pytest.mark.parametrize("second", ["2023-01-02", "2023-01-01"])
+    def test_repeated_or_out_of_order_date_names_line(self, second):
+        text = f"date,a\n2023-01-02,1.0\n{second},2.0\n"
+        with pytest.raises(ValueError, match="line 3: dates not strictly increasing"):
+            parse_prices(text)
+
+    @pytest.mark.parametrize("header", ["date,a,", "date,a,a"])
+    def test_empty_or_duplicate_asset_name_rejected(self, header):
+        with pytest.raises(ValueError, match="non-empty and distinct"):
+            parse_prices(f"{header}\n2023-01-01,1.0,2.0\n")
+
     def test_header_spaces_tolerated(self):
-        series = parse_prices("date, alpha, beta\n2023-01-01, 1.0, 2.0\n")
-        assert [s.asset_id for s in series] == ["alpha", "beta"]
+        table = parse_prices("date, alpha, beta\n2023-01-01, 1.0, 2.0\n")
+        assert table.assets == ("alpha", "beta")
 
     def test_save_load_roundtrip(self, tmp_path):
-        series = generate_synthetic(seed=5, n_a=3, days=10)
+        table = generate_synthetic(seed=5, n_a=3, days=10)
         path = tmp_path / "prices.csv"
-        save_prices(series, path)
-        text = path.read_text()
-        back = parse_prices(text)
-        for a, b in zip(series, back):
-            assert a.asset_id == b.asset_id
-            assert np.array_equal(a.prices, b.prices)
+        save_prices(table, path)
+        back = parse_prices(path.read_text())
+        assert back.assets == table.assets
+        assert back.dates == table.dates
+        assert np.array_equal(back.prices, table.prices)
 
 
 class TestNormalize:
     def test_first_price_becomes_one(self):
-        s = normalize_prices(make_series([2.0, 4.0, 8.0]))
-        assert s.prices.tolist() == [1.0, 2.0, 4.0]
+        t = normalize_prices(make_table([2.0, 4.0, 8.0]))
+        assert t.prices[:, 0].tolist() == [1.0, 2.0, 4.0]
 
     def test_constant_series(self):
-        s = normalize_prices(make_series([5.0, 5.0, 5.0]))
-        assert s.prices.tolist() == [1.0, 1.0, 1.0]
+        t = normalize_prices(make_table([5.0, 5.0, 5.0]))
+        assert t.prices[:, 0].tolist() == [1.0, 1.0, 1.0]
+
+    def test_each_column_divided_by_its_own_first_price(self):
+        t = PriceTable(("d1", "d2"), ("a", "b"), [[2.0, 10.0], [4.0, 5.0]])
+        assert normalize_prices(t).prices.tolist() == [[1.0, 1.0], [2.0, 0.5]]
 
     def test_returns_unchanged(self):
         rng = np.random.default_rng(12)
-        s = make_series(np.exp(rng.normal(size=30).cumsum()) * 42.0)
+        t = make_table(np.exp(rng.normal(size=30).cumsum()) * 42.0)
         np.testing.assert_allclose(
-            daily_log_returns(normalize_prices(s)),
-            daily_log_returns(s),
+            daily_log_returns(normalize_prices(t)),
+            daily_log_returns(t),
             rtol=0,
             atol=1e-12,
         )
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            normalize_prices(PriceSeries("X", np.array([]), ()))
+            normalize_prices(PriceTable((), ("X",), np.empty((0, 1))))
 
 
 class TestCashAsset:
     def test_empty_panel(self):
-        panel = append_cash_asset([])
-        assert len(panel) == 1
-        assert panel[0].asset_id == "CASH"
+        table = append_cash_asset(PriceTable(("d1", "d2"), (), np.empty((2, 0))))
+        assert table.assets == ("CASH",)
+        assert table.prices.tolist() == [[1.0], [1.0]]
 
     def test_cash_returns_exactly_zero(self):
-        series = generate_synthetic(seed=1, n_a=5, days=25)
-        panel = append_cash_asset(series)
-        assert len(panel) == 6
-        returns = compute_returns(panel, n_t=4, dt=6)
+        table = append_cash_asset(generate_synthetic(seed=1, n_a=5, days=25))
+        assert len(table.assets) == 6
+        returns = compute_returns(table, n_t=4, dt=6)
         assert np.all(returns.interval_returns[:, -1] == 0.0)
         assert np.all(returns.daily_returns[:, -1] == 0.0)
 
-    def test_misaligned_panel_rejected(self):
-        a = make_series([1.0, 2.0])
-        b = PriceSeries("Y", np.array([1.0, 2.0]), ("2022-01-01", "2022-01-02"))
-        with pytest.raises(ValueError, match="aligned"):
-            append_cash_asset([a, b])
+    def test_second_cash_column_rejected(self):
+        table = append_cash_asset(make_table([1.0, 2.0]))
+        with pytest.raises(ValueError, match="distinct"):
+            append_cash_asset(table)
 
 
 class TestComputeReturns:
     def test_exact_exponentials(self):
-        s = make_series([1.0, math.e, math.e**2])
-        panel = compute_returns([s], n_t=2, dt=1)
+        s = make_table([1.0, math.e, math.e**2])
+        panel = compute_returns(s, n_t=2, dt=1)
         np.testing.assert_allclose(panel.interval_returns, [[1.0], [1.0]], atol=1e-15)
 
     def test_constant_prices_zero_returns(self):
-        s = make_series([7.0] * 13)
-        panel = compute_returns([s], n_t=3, dt=4)
+        s = make_table([7.0] * 13)
+        panel = compute_returns(s, n_t=3, dt=4)
         assert np.all(panel.interval_returns == 0.0)
         assert np.all(panel.daily_returns == 0.0)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_interval_is_sum_of_dailies(self, seed):
-        series = generate_synthetic(seed=seed, n_a=4, days=61)
-        panel = compute_returns(series, n_t=5, dt=12)
+        table = generate_synthetic(seed=seed, n_a=4, days=61)
+        panel = compute_returns(table, n_t=5, dt=12)
         for t in range(panel.n_t):
             block = panel.daily_returns[panel.daily_slice(t)]
             np.testing.assert_allclose(
@@ -154,33 +175,33 @@ class TestComputeReturns:
             )
 
     def test_insufficient_history(self):
-        s = make_series([1.0, 2.0, 3.0])
+        s = make_table([1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="insufficient"):
-            compute_returns([s], n_t=3, dt=1)
+            compute_returns(s, n_t=3, dt=1)
 
     def test_tail_trim_keeps_earliest_window(self):
         prices = [1.0, 2.0, 4.0, 8.0, 16.0]
-        s = make_series(prices)
-        panel = compute_returns([s], n_t=2, dt=1, trim="tail")
+        s = make_table(prices)
+        panel = compute_returns(s, n_t=2, dt=1, trim="tail")
         np.testing.assert_allclose(panel.interval_returns[:, 0], [math.log(2)] * 2)
-        head = compute_returns([s], n_t=2, dt=1, trim="head")
+        head = compute_returns(s, n_t=2, dt=1, trim="head")
         # same ratios here, but the window starts two days later
         assert head.interval_returns.shape == (2, 1)
 
     def test_head_trim_uses_latest_window(self):
-        s = make_series([1.0, 1.0, 1.0, 2.0, 4.0])
-        head = compute_returns([s], n_t=2, dt=1, trim="head")
+        s = make_table([1.0, 1.0, 1.0, 2.0, 4.0])
+        head = compute_returns(s, n_t=2, dt=1, trim="head")
         np.testing.assert_allclose(head.interval_returns[:, 0], [math.log(2)] * 2)
-        tail = compute_returns([s], n_t=2, dt=1, trim="tail")
+        tail = compute_returns(s, n_t=2, dt=1, trim="tail")
         np.testing.assert_allclose(tail.interval_returns[:, 0], [0.0, 0.0])
 
     def test_bad_trim_rejected(self):
         with pytest.raises(ValueError, match="trim"):
-            compute_returns([make_series([1.0, 2.0])], n_t=1, dt=1, trim="middle")
+            compute_returns(make_table([1.0, 2.0]), n_t=1, dt=1, trim="middle")
 
     def test_daily_slices_tile_horizon(self):
-        series = generate_synthetic(seed=3, n_a=2, days=25)
-        panel = compute_returns(series, n_t=4, dt=6)
+        table = generate_synthetic(seed=3, n_a=2, days=25)
+        panel = compute_returns(table, n_t=4, dt=6)
         covered = []
         for t in range(panel.n_t):
             sl = panel.daily_slice(t)
@@ -192,18 +213,18 @@ class TestSynthetic:
     def test_deterministic(self):
         a = generate_synthetic(seed=0, n_a=3, days=50)
         b = generate_synthetic(seed=0, n_a=3, days=50)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.prices, y.prices)
+        assert a.dates == b.dates
+        assert np.array_equal(a.prices, b.prices)
 
     def test_seed_changes_output(self):
         a = generate_synthetic(seed=0, n_a=2, days=20)
         b = generate_synthetic(seed=1, n_a=2, days=20)
-        assert not np.array_equal(a[0].prices, b[0].prices)
+        assert not np.array_equal(a.prices[:, 0], b.prices[:, 0])
 
     def test_zero_volatility_pure_drift(self):
-        (s,) = generate_synthetic(seed=9, n_a=1, days=5, drift=0.01, volatility=0.0)
+        t = generate_synthetic(seed=9, n_a=1, days=5, drift=0.01, volatility=0.0)
         np.testing.assert_allclose(
-            daily_log_returns(s), np.full(4, 0.01), rtol=0, atol=1e-12
+            daily_log_returns(t), np.full((4, 1), 0.01), rtol=0, atol=1e-12
         )
 
     def test_negative_volatility_rejected(self):
@@ -216,26 +237,23 @@ class TestSynthetic:
 
     def test_sample_correlation_matches_target(self):
         target = 0.4
-        series = generate_synthetic(
+        table = generate_synthetic(
             seed=123, n_a=3, days=10_000, volatility=0.02, correlation=target
         )
-        daily = np.column_stack([daily_log_returns(s) for s in series])
-        corr = np.corrcoef(daily.T)
+        corr = np.corrcoef(daily_log_returns(table).T)
         off = corr[np.triu_indices(3, 1)]
         assert np.all(np.abs(off - target) < 0.1)
 
 
 class TestBundledFixture:
     def test_shape_and_cash(self):
-        series = load_bundled_prices()
-        assert len(series) == 6
-        assert series[-1].asset_id == "CASH"
-        assert all(len(s) == 529 for s in series)
-        assert np.all(series[-1].prices == 1.0)
+        table = load_bundled_prices()
+        assert table.prices.shape == (529, 6)
+        assert table.assets[-1] == "CASH"
+        assert np.all(table.prices[:, -1] == 1.0)
 
     def test_tiles_22_by_24(self):
-        series = load_bundled_prices()
-        panel = compute_returns(series, n_t=22, dt=24)
+        panel = compute_returns(load_bundled_prices(), n_t=22, dt=24)
         assert panel.interval_returns.shape == (22, 6)
         assert panel.daily_returns.shape == (528, 6)
 

@@ -344,11 +344,11 @@ class TestEncodeQubo:
         assert verify_block_tridiagonal(q)[0]
 
     def test_normalization_invariance(self):
-        series = generate_synthetic(seed=4, n_a=3, days=13)
+        table = generate_synthetic(seed=4, n_a=3, days=13)
         cfg = DpoConfig(n_t=3, n_a=3, n_r=2, budget=4, dt=4)
-        q_raw = encode_qubo(cfg, compute_returns(series, 3, 4))
+        q_raw = encode_qubo(cfg, compute_returns(table, 3, 4))
         q_norm = encode_qubo(
-            cfg, compute_returns([normalize_prices(s) for s in series], 3, 4)
+            cfg, compute_returns(normalize_prices(table), 3, 4)
         )
         np.testing.assert_allclose(q_raw.coeffs, q_norm.coeffs, rtol=0, atol=1e-10)
         assert q_raw.offset == pytest.approx(q_norm.offset, abs=1e-10)

@@ -133,6 +133,16 @@ class TestValidation:
             parse_model(text)
         assert err.value.lineno == 5
 
+    @pytest.mark.parametrize(
+        "record, kind",
+        [("offset nan", "qubo"), ("c 0 0 nan", "qubo"), ("h 0 inf", "ising")],
+    )
+    def test_non_finite_values_rejected_at_their_line(self, record, kind):
+        text = f"dpoqubo-model 1\nkind {kind}\nn 1\n{record}\n"
+        with pytest.raises(ModelFormatError, match="finite") as err:
+            parse_model(text)
+        assert err.value.lineno == 4
+
     def test_integer_range_enforced(self):
         text = "dpoqubo-model 1\nkind ising\nn 1\ninteger 1\nscale 1.0\nh 0 200\n"
         with pytest.raises(ModelFormatError, match="8-bit"):
