@@ -19,13 +19,10 @@ from .backends import (
     make_backend,
 )
 from .bcd import (
-    AllZeros,
     BcdBackendError,
     BcdConfig,
     BcdResult,
     BcdTraceRecord,
-    Provided,
-    RandomInit,
     bcd_solve,
     extract_subproblem,
     solve_block,

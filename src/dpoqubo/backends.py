@@ -154,24 +154,25 @@ class ExhaustiveSolver(_Solver):
         return (best_counter >> np.arange(n)) & 1, best_energy
 
 
+# geometric cooling factor applied to the annealing temperature after each sweep
+_SA_COOLING = 0.97
+
+
 class SimulatedAnnealingSolver(_Solver):
     """Single-flip Metropolis with a geometric cooling schedule.
 
     Each sweep proposes ``n`` uniformly random flips at temperature
-    ``t0 * cooling**sweep``; the best assignment ever visited is returned.
+    ``t0 * 0.97**sweep``; the best assignment ever visited is returned.
     ``t0`` is ``n * max|Q|``, matched to the scale of single-flip energy
     changes.
     """
 
     name = "sa"
 
-    def __init__(self, sweeps: int = 200, cooling: float = 0.97) -> None:
+    def __init__(self, sweeps: int = 200) -> None:
         if sweeps <= 0:
             raise ValueError("sweeps must be positive")
-        if not 0.0 < cooling < 1.0:
-            raise ValueError("cooling factor must lie in (0, 1)")
         self.sweeps = sweeps
-        self.cooling = cooling
 
     def _search(self, q: Qubo, request: SolveRequest):
         n = q.n
@@ -199,7 +200,7 @@ class SimulatedAnnealingSolver(_Solver):
                     energy += delta
                     if energy < best_energy:
                         best_energy, best_x = energy, x.copy()
-            temperature *= self.cooling
+            temperature *= _SA_COOLING
         return best_x, best_energy
 
 
@@ -208,19 +209,16 @@ class TabuSolver(_Solver):
 
     Every iteration flips the lowest-delta admissible bit (ties to the lowest
     index), even uphill; a flipped bit stays tabu for ``tenure`` iterations
-    unless undoing it would beat the best energy seen (aspiration).  Defaults:
-    tenure ``max(7, n // 10)``, ``100 * n`` iterations.
+    unless undoing it would beat the best energy seen (aspiration).  The
+    tenure is ``max(7, n // 10)``; the default is ``100 * n`` iterations.
     """
 
     name = "tabu"
 
-    def __init__(self, iterations: int | None = None, tenure: int | None = None) -> None:
+    def __init__(self, iterations: int | None = None) -> None:
         if iterations is not None and iterations <= 0:
             raise ValueError("iterations must be positive")
-        if tenure is not None and tenure <= 0:
-            raise ValueError("tenure must be positive")
         self.iterations = iterations
-        self.tenure = tenure
 
     def _search(self, q: Qubo, request: SolveRequest):
         n = q.n
@@ -230,7 +228,7 @@ class TabuSolver(_Solver):
             if request.effort is not None
             else (self.iterations if self.iterations is not None else 100 * n)
         )
-        tenure = self.tenure if self.tenure is not None else max(7, n // 10)
+        tenure = max(7, n // 10)
         coeffs = q.coeffs
         diag = np.diag(coeffs)
 
@@ -257,6 +255,10 @@ class TabuSolver(_Solver):
         return best_x, best_energy
 
 
+# accepted dynamic-range tuning steps allowed per quantization
+_TUNING_BUDGET = 100
+
+
 class FinitePrecisionAdapter(_Solver):
     """Emulate a device restricted to signed 8-bit coefficients.
 
@@ -268,11 +270,8 @@ class FinitePrecisionAdapter(_Solver):
     unchanged.
     """
 
-    def __init__(self, inner, tuning_budget: int = 100) -> None:
-        if tuning_budget < 0:
-            raise ValueError("tuning budget must be >= 0")
+    def __init__(self, inner) -> None:
         self.inner = inner
-        self.tuning_budget = tuning_budget
         self.name = f"int8({inner.name})"
 
     def quantize(self, model: AnyModel) -> QuantizedIsing:
@@ -280,7 +279,7 @@ class FinitePrecisionAdapter(_Solver):
         if isinstance(model, QuantizedIsing):
             return model
         spin_model = qubo_to_ising(canonical_qubo(model))
-        tuned = reduce_dynamic_range(spin_model, budget=self.tuning_budget)
+        tuned = reduce_dynamic_range(spin_model, budget=_TUNING_BUDGET)
         return quantize_int8(tuned.model, provenance=tuned.steps)
 
     def _search(self, q: Qubo, request: SolveRequest):

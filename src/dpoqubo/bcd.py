@@ -18,8 +18,7 @@ visit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +26,6 @@ from .backends import SolveRequest
 from .qubo import BlockPartition, Qubo, _require_partition, as_bits, qubo_energy
 
 __all__ = [
-    "AllZeros",
-    "RandomInit",
-    "Provided",
-    "InitPolicy",
     "BcdConfig",
     "BcdTraceRecord",
     "BcdResult",
@@ -43,48 +38,17 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class AllZeros:
-    """Start from the empty assignment (the all-cash, uninvested portfolio)."""
-
-
-@dataclass(frozen=True)
-class RandomInit:
-    """Start from uniformly random bits drawn with the given seed."""
-
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class Provided:
-    """Start from a caller-supplied assignment (e.g. a warm start)."""
-
-    assignment: np.ndarray
-
-    def __post_init__(self) -> None:
-        bits = as_bits(self.assignment)
-        bits.setflags(write=False)
-        object.__setattr__(self, "assignment", bits)
-
-
-InitPolicy = Union[AllZeros, RandomInit, Provided]
-
-
-@dataclass(frozen=True)
 class BcdConfig:
     """Sweep control: J global iterations, I backend runs per block visit.
 
     ``seed`` anchors the deterministic per-visit seed schedule: block visit
     number ``v`` (counting across iterations) uses backend seeds
     ``seed + v*I .. seed + v*I + I - 1``, so no two visits share seeds.
-    ``early_stop`` ends the solve after a full sweep with no accepted update;
-    it is off by default, matching a fixed-iteration protocol.
     """
 
     global_iters: int = 3
     repeats_per_block: int = 3
     seed: int = 0
-    init: InitPolicy = field(default_factory=AllZeros)
-    early_stop: bool = False
 
     def __post_init__(self) -> None:
         if self.global_iters < 1:
@@ -128,14 +92,14 @@ def extract_subproblem(q: Qubo, x, i: int) -> Qubo:
     return Qubo(q.coeffs[sl, sl] + np.diag(induced))
 
 
-def solve_block(sub: Qubo, backend, cfg: BcdConfig, base_seed: int | None = None) -> np.ndarray:
-    """Best of ``I`` backend runs on the block, judged by full-precision
-    local energy (ties keep the earliest run)."""
-    base = cfg.seed if base_seed is None else base_seed
+def solve_block(sub: Qubo, backend, cfg: BcdConfig, base_seed: int) -> np.ndarray:
+    """Best of ``I`` backend runs on the block, seeded ``base_seed ..
+    base_seed + I - 1``, judged by full-precision local energy (ties keep
+    the earliest run)."""
     best_energy = np.inf
     best: np.ndarray | None = None
     for run in range(cfg.repeats_per_block):
-        result = backend.solve(SolveRequest(model=sub, seed=base + run))
+        result = backend.solve(SolveRequest(model=sub, seed=base_seed + run))
         candidate = as_bits(result.assignment, sub.n)
         energy = qubo_energy(sub, candidate)
         if energy < best_energy:
@@ -182,34 +146,23 @@ class BcdResult:
         object.__setattr__(self, "assignment", bits)
 
 
-def _initial_assignment(cfg: BcdConfig, n: int) -> np.ndarray:
-    if isinstance(cfg.init, AllZeros):
-        return np.zeros(n, dtype=np.int8)
-    if isinstance(cfg.init, RandomInit):
-        rng = np.random.default_rng(cfg.init.seed)
-        return rng.integers(0, 2, size=n).astype(np.int8)
-    if isinstance(cfg.init, Provided):
-        return as_bits(cfg.init.assignment, n).copy()
-    raise TypeError(f"unknown init policy {cfg.init!r}")
-
-
 def bcd_solve(q: Qubo, backend, cfg: BcdConfig | None = None) -> BcdResult:
-    """Sweep all blocks in ascending order for ``J`` global iterations.
+    """Sweep all blocks in ascending order for ``J`` global iterations,
+    starting from all zeros (the all-cash, uninvested portfolio).
 
-    Each visit solves the frozen-context subproblem ``I`` times and accepts
-    the best candidate only on strict local improvement, so the energy trace
-    never increases and a global minimizer is a fixed point under an exact
-    block backend.
+    Every sweep runs.  Each visit solves the frozen-context subproblem ``I``
+    times and accepts the best candidate only on strict local improvement,
+    so the energy trace never increases and a global minimizer is a fixed
+    point under an exact block backend.
     """
     cfg = cfg or BcdConfig()
     part = _require_partition(q)
     m = len(part)
     start = time.perf_counter()
-    x = _initial_assignment(cfg, q.n)
+    x = np.zeros(q.n, dtype=np.int8)
     energy = qubo_energy(q, x)
     trace: list[BcdTraceRecord] = []
     for iteration in range(cfg.global_iters):
-        sweep_changed = False
         for i in range(m):
             visit = iteration * m + i
             base_seed = cfg.seed + visit * cfg.repeats_per_block
@@ -218,7 +171,7 @@ def bcd_solve(q: Qubo, backend, cfg: BcdConfig | None = None) -> BcdResult:
             sl = part.block_slice(i)
             incumbent_energy = qubo_energy(sub, x[sl])
             try:
-                candidate = solve_block(sub, backend, cfg, base_seed=base_seed)
+                candidate = solve_block(sub, backend, cfg, base_seed)
             except Exception as exc:
                 raise BcdBackendError(i, str(exc), tuple(trace)) from exc
             pre_energy = energy
@@ -226,7 +179,6 @@ def bcd_solve(q: Qubo, backend, cfg: BcdConfig | None = None) -> BcdResult:
             if accepted:
                 x = write_back(x, part, i, candidate)
                 energy = qubo_energy(q, x)
-                sweep_changed = True
             trace.append(
                 BcdTraceRecord(
                     iteration=iteration,
@@ -239,8 +191,6 @@ def bcd_solve(q: Qubo, backend, cfg: BcdConfig | None = None) -> BcdResult:
                     accepted=accepted,
                 )
             )
-        if cfg.early_stop and not sweep_changed:
-            break
     return BcdResult(
         assignment=x,
         energy=energy,

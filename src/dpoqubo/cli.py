@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .backends import SolveRequest, canonical_qubo, make_backend
-from .bcd import BcdConfig, bcd_solve
+from .backends import BackendError, SolveRequest, canonical_qubo, make_backend
+from .bcd import BcdBackendError, BcdConfig, bcd_solve
 from .harness import (
     ALL_VARIANTS,
     StrategyVariant,
@@ -346,7 +346,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ModelFormatError, OSError, KeyError) as exc:
+    except (ValueError, ModelFormatError, OSError, KeyError, BackendError, BcdBackendError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

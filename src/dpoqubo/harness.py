@@ -313,7 +313,6 @@ def run_matrix(
     *,
     runs: int = 3,
     seed: int = 0,
-    risks: Sequence[RiskMatrix] | None = None,
 ) -> list[EvaluationReport]:
     """Solve the encoded problem across every backend x variant cell.
 
@@ -342,8 +341,7 @@ def run_matrix(
     for v in variants:
         if not isinstance(v, StrategyVariant):
             raise TypeError(f"not a StrategyVariant: {v!r}")
-    if risks is None:
-        risks = risk_matrices(config, panel)
+    risks = risk_matrices(config, panel)
     q = encode_qubo(config, panel, risks)
 
     reports: list[EvaluationReport] = []

@@ -1,8 +1,9 @@
 """Closing-price ingestion, return computation, and synthetic data generation.
 
 Price files are delimited text with a header row ``date,asset1,asset2,...``
-and one row per trading day.  A day is only usable when *every* asset has a
-price, so rows with any missing cell are dropped whole.
+and one row per trading day, dated ``YYYY-MM-DD``.  A day is only usable
+when *every* asset has a price, so rows with any missing cell are dropped
+whole.
 
 Time indexing downstream: with ``n_t`` rebalancing intervals of ``dt``
 trading days each, rebalancing time ``t`` sits at daily index ``t * dt``;
@@ -123,6 +124,13 @@ class ReturnPanel:
         return slice(t * self.dt, (t + 1) * self.dt)
 
 
+def _is_iso_date(text: str) -> bool:
+    try:
+        return datetime.date.fromisoformat(text).isoformat() == text
+    except ValueError:
+        return False
+
+
 def parse_prices(text: str) -> PriceTable:
     """Parse delimited price text; see :func:`load_prices`."""
     reader = csv.reader(io.StringIO(text))
@@ -141,6 +149,9 @@ def parse_prices(text: str) -> PriceTable:
             continue
         if len(row) != len(header):
             raise ValueError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+        date = row[0].strip()
+        if not _is_iso_date(date):
+            raise ValueError(f"line {lineno}: date {date!r} is not YYYY-MM-DD")
         cells = [cell.strip() for cell in row[1:]]
         if any(cell.lower() in _MISSING_MARKERS for cell in cells):
             continue  # not a valid trading day: some asset did not trade
@@ -150,7 +161,6 @@ def parse_prices(text: str) -> PriceTable:
             raise ValueError(f"line {lineno}: non-numeric price") from None
         if any(not np.isfinite(v) or v <= 0.0 for v in values):
             raise ValueError(f"line {lineno}: prices must be positive and finite")
-        date = row[0].strip()
         if dates and not dates[-1] < date:
             raise ValueError(f"line {lineno}: dates not strictly increasing ({dates[-1]!r} >= {date!r})")
         dates.append(date)
@@ -162,8 +172,9 @@ def parse_prices(text: str) -> PriceTable:
 def load_prices(path: str | os.PathLike) -> PriceTable:
     """Load a delimited price file as one table, one column per asset.
 
-    Rows missing any asset's price are dropped whole; malformed rows, bad
-    prices, out-of-order dates and bad asset names raise ``ValueError``.
+    Dates are ``YYYY-MM-DD``, so their string order is date order.  Rows
+    missing any asset's price are dropped whole; malformed rows, bad dates
+    and prices, out-of-order dates and bad asset names raise ``ValueError``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         return parse_prices(fh.read())
@@ -189,10 +200,11 @@ def normalize_prices(table: PriceTable) -> PriceTable:
     return PriceTable(table.dates, table.assets, table.prices / table.prices[0])
 
 
-def append_cash_asset(table: PriceTable, asset_id: str = "CASH") -> PriceTable:
-    """Add a constant-price asset (price 1 on every date, log return 0)."""
+def append_cash_asset(table: PriceTable) -> PriceTable:
+    """Add a constant-price asset named ``CASH`` (price 1 on every date, log
+    return 0)."""
     prices = np.hstack([table.prices, np.ones((len(table.dates), 1))])
-    return PriceTable(table.dates, table.assets + (asset_id,), prices)
+    return PriceTable(table.dates, table.assets + ("CASH",), prices)
 
 
 def daily_log_returns(table: PriceTable) -> np.ndarray:

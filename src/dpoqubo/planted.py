@@ -26,6 +26,11 @@ from .qubo import Qubo
 
 __all__ = ["PlantedInstance", "make_scale_separated_qubo"]
 
+# interval return magnitude per unit of the block's budget weight, and the
+# turnover coupling per unit of ``rho``
+_RETURN_SCALE = 0.02
+_COUPLING_RATE = 1e-3
+
 
 @dataclass(frozen=True)
 class PlantedInstance:
@@ -47,18 +52,16 @@ def make_scale_separated_qubo(
     n_r: int = 2,
     rho: float = 1.0,
     growth: float = 20.0,
-    coupling_rate: float = 1e-3,
-    return_scale: float = 0.02,
 ) -> PlantedInstance:
     """Portfolio QUBO with per-interval budget weights ``rho * growth**t``.
 
     The budget is fixed at ``n_a * (2**n_r - 1) / 2`` capital units (requires
     ``n_a * (2**n_r - 1)`` even).  Interval returns are random with magnitude
-    ``return_scale * rho_t``, so every block is internally well-conditioned;
-    adjacent blocks couple through a turnover penalty of ``coupling_rate *
-    rho``, orders of magnitude below the last block's budget scale.  With the
-    defaults the inter/intra coefficient ratio is far below 1/255, the int8
-    cliff for whole-model quantization.
+    ``0.02 * rho_t``, so every block is internally well-conditioned; adjacent
+    blocks couple through a turnover penalty of ``1e-3 * rho``, orders of
+    magnitude below the last block's budget scale.  With the defaults the
+    inter/intra coefficient ratio is far below 1/255, the int8 cliff for
+    whole-model quantization.
     """
     if n_t < 2:
         raise ValueError("need at least two intervals to have inter-block structure")
@@ -68,10 +71,10 @@ def make_scale_separated_qubo(
     if representable % 2:
         raise ValueError("n_a * (2^n_r - 1) must be even so the budget can sit at half")
     budget = representable // 2
-    # lam=rho makes config.nu * config.lam the turnover weight coupling_rate * rho
+    # lam=rho makes config.nu * config.lam the turnover weight _COUPLING_RATE * rho
     config = DpoConfig(
         n_t=n_t, n_a=n_a, n_r=n_r, budget=budget,
-        nu=coupling_rate, lam=rho, rho=rho, gamma=0.0, dt=2,
+        nu=_COUPLING_RATE, lam=rho, rho=rho, gamma=0.0, dt=2,
     )
     rng = np.random.default_rng(seed)
     rho_schedule = tuple(float(rho * growth**t) for t in range(n_t))
@@ -81,7 +84,7 @@ def make_scale_separated_qubo(
         [
             rng.uniform(0.5, 1.5, size=n_a)
             * rng.choice([-1.0, 1.0], size=n_a)
-            * return_scale
+            * _RETURN_SCALE
             * rho_schedule[t]
             for t in range(n_t)
         ]

@@ -289,6 +289,7 @@ class QuantizedIsing:
     ``scale = 127 / alpha`` where ``alpha`` is the source model's largest
     absolute coefficient; dividing integer energies by ``scale`` recovers
     approximate source-model energies (the source offset is not carried).
+    Coefficients must be integers in -128..127; others raise ``ValueError``.
     """
 
     linear: np.ndarray
@@ -299,10 +300,17 @@ class QuantizedIsing:
     partition: BlockPartition | None = None
 
     def __post_init__(self) -> None:
-        lin = np.array(self.linear, dtype=np.int8)
-        quad = np.array(self.quadratic, dtype=np.int8)
+        lin = np.asarray(self.linear)
+        quad = np.asarray(self.quadratic)
         if lin.ndim != 1 or quad.shape != (lin.size, lin.size):
             raise ValueError("inconsistent coefficient shapes")
+        for values in (lin, quad):
+            if np.any(values != np.round(values)):
+                raise ValueError("coefficients must be integers; got non-integer values")
+            if np.any((values < -128) | (values > 127)):
+                raise ValueError("coefficients exceed the signed 8-bit range -128..127")
+        lin = lin.astype(np.int8)
+        quad = quad.astype(np.int8)
         if not np.array_equal(quad, quad.T) or np.any(np.diag(quad) != 0):
             raise ValueError("quadratic must be symmetric with zero diagonal")
         if self.partition is not None and self.partition.n != lin.size:
@@ -369,8 +377,8 @@ class QuantizationLossReport:
     """Where quantization destroyed structure.
 
     ``zeroed_intra``/``zeroed_inter`` split the zeroed couplings by whether
-    the pair crosses a block boundary; they are None when no partition was
-    supplied.  Field coefficients count as intra-block.
+    the pair crosses a block boundary; they are None when neither model
+    carries a partition.  Field coefficients count as intra-block.
     """
 
     zeroed_total: int
@@ -380,20 +388,16 @@ class QuantizationLossReport:
 
 
 def quantization_loss_report(
-    model: IsingModel,
-    quantized: QuantizedIsing,
-    partition: BlockPartition | None = None,
+    model: IsingModel, quantized: QuantizedIsing
 ) -> QuantizationLossReport:
     """Count nonzero source coefficients whose int8 image is zero, and the
     worst relative reconstruction error over nonzero source coefficients.
 
-    The intra/inter split uses ``partition`` if given, else the partition
-    carried by either model.
+    The intra/inter split uses the partition carried by either model.
     """
     if model.n != quantized.n:
         raise ValueError("model and quantized sizes differ")
-    if partition is None:
-        partition = quantized.partition or model.partition
+    partition = quantized.partition or model.partition
     n = model.n
     iu = np.triu_indices(n, k=1)
     src = coefficient_values(model)

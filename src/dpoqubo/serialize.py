@@ -96,9 +96,9 @@ def parse_model(text: str) -> Model:
     offset = 0.0
     integer = False
     scale: float | None = None
-    scale_lineno = 0
     blocks: list[tuple[int, int]] = []
-    entries: list[tuple[int, str, list[str]]] = []
+    partition: BlockPartition | None = None
+    entries: list[tuple[int, str, list]] = []
     seen_magic = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -134,12 +134,16 @@ def parse_model(text: str) -> Model:
                     raise ModelFormatError(lineno, "integer flag must be 0 or 1")
             elif tag == "scale":
                 (v,) = args
-                scale, scale_lineno = float(v), lineno
+                scale = float(v)
+                if not (np.isfinite(scale) and scale > 0.0):
+                    raise ModelFormatError(lineno, f"scale must be finite and > 0, got {v!r}")
             elif tag == "partition":
                 a, b = args
                 blocks.append((int(a), int(b)))
+                partition = BlockPartition(tuple(blocks))  # checks each range at its line
             elif tag in ("c", "h"):
-                entries.append((lineno, tag, args))
+                # indices parse here, at their line; values once the kind is known
+                entries.append((lineno, tag, [int(a) for a in args[:-1]] + args[-1:]))
             else:
                 raise ModelFormatError(lineno, f"unknown record {tag!r}")
         except ModelFormatError:
@@ -154,7 +158,6 @@ def parse_model(text: str) -> Model:
     if integer and scale is None:
         raise ModelFormatError(1, "integer models must declare a scale")
 
-    partition = BlockPartition(tuple(blocks)) if blocks else None
     if partition is not None and partition.n != n:
         raise ModelFormatError(1, f"partition covers {partition.n} of {n} indices")
 
@@ -166,7 +169,7 @@ def parse_model(text: str) -> Model:
         for lineno, tag, args in entries:
             if tag != "c" or len(args) != 3:
                 raise ModelFormatError(lineno, "qubo files hold 'c i j value' records")
-            i, j, v = int(args[0]), int(args[1]), _finite(lineno, args[2])
+            i, j, v = args[0], args[1], _finite(lineno, args[2])
             if not (0 <= i <= j < n):
                 raise ModelFormatError(lineno, f"indices ({i}, {j}) must satisfy 0 <= i <= j < n")
             if (i, j) in seen:
@@ -184,7 +187,7 @@ def parse_model(text: str) -> Model:
         if tag == "h":
             if len(args) != 2:
                 raise ModelFormatError(lineno, "'h i value' takes two arguments")
-            i, v = int(args[0]), _finite(lineno, args[1])
+            i, v = args[0], _finite(lineno, args[1])
             if not 0 <= i < n:
                 raise ModelFormatError(lineno, f"index {i} out of range")
             if i in seen_h:
@@ -194,7 +197,7 @@ def parse_model(text: str) -> Model:
         else:
             if len(args) != 3:
                 raise ModelFormatError(lineno, "'c i j value' takes three arguments")
-            i, j, v = int(args[0]), int(args[1]), _finite(lineno, args[2])
+            i, j, v = args[0], args[1], _finite(lineno, args[2])
             if not (0 <= i < j < n):
                 raise ModelFormatError(lineno, f"coupling ({i}, {j}) must satisfy 0 <= i < j < n")
             if (i, j) in seen_c:
@@ -203,20 +206,10 @@ def parse_model(text: str) -> Model:
             quadratic[i, j] = v
             quadratic[j, i] = v
     if integer:
-        if np.any(linear != np.round(linear)) or np.any(quadratic != np.round(quadratic)):
-            raise ModelFormatError(1, "integer model contains non-integer coefficients")
-        both = np.concatenate([linear, quadratic.ravel()])
-        if both.min(initial=0) < -128 or both.max(initial=0) > 127:
-            raise ModelFormatError(1, "integer coefficients exceed signed 8-bit range")
         try:
-            return QuantizedIsing(
-                linear=linear.astype(np.int8),
-                quadratic=quadratic.astype(np.int8),
-                scale=scale,
-                partition=partition,
-            )
+            return QuantizedIsing(linear, quadratic, scale=scale, partition=partition)
         except ValueError as exc:
-            raise ModelFormatError(scale_lineno, str(exc)) from exc
+            raise ModelFormatError(1, str(exc)) from exc
     return IsingModel(linear=linear, quadratic=quadratic, offset=offset, partition=partition)
 
 

@@ -7,8 +7,8 @@ import pytest
 
 from dpoqubo.cli import main
 from dpoqubo.market import load_prices
-from dpoqubo.qubo import Qubo, qubo_energy
-from dpoqubo.serialize import load_model
+from dpoqubo.qubo import BlockPartition, Qubo, qubo_energy
+from dpoqubo.serialize import load_model, save_model
 
 
 def run(argv):
@@ -143,6 +143,23 @@ class TestSolve:
         assert code == 1
         err = capsys.readouterr().err
         assert "--effort" in err and "--strategy global" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "strategy, message",
+        [("global", "capped at 24 variables"), ("block", "block 0: exhaustive enumeration")],
+    )
+    def test_backend_failure_fails_cleanly(self, tmp_path, capsys, strategy, message):
+        model = tmp_path / "wide.txt"
+        save_model(Qubo(-np.eye(60), partition=BlockPartition.from_sizes([30, 30])), model)
+        out = tmp_path / "sol.json"
+        code = run([
+            "solve", "--model", model, "--backend", "exhaustive",
+            "--strategy", strategy, "--out", out,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert not out.exists()
 
     def test_unknown_backend_fails_cleanly(self, tmp_path, model_file, capsys):

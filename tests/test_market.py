@@ -17,9 +17,9 @@ from dpoqubo.market import (
 )
 
 
-def make_table(prices, asset_id="X"):
+def make_table(prices):
     dates = tuple(f"2023-01-{d + 1:02d}" for d in range(len(prices)))
-    return PriceTable(dates, (asset_id,), np.array(prices, float).reshape(-1, 1))
+    return PriceTable(dates, ("X",), np.array(prices, float).reshape(-1, 1))
 
 
 class TestPriceTable:
@@ -84,6 +84,12 @@ class TestParsing:
     def test_repeated_or_out_of_order_date_names_line(self, second):
         text = f"date,a\n2023-01-02,1.0\n{second},2.0\n"
         with pytest.raises(ValueError, match="line 3: dates not strictly increasing"):
+            parse_prices(text)
+
+    @pytest.mark.parametrize("date", ["9/29/2023", "2023-1-02", "20230102", "2023-02-30"])
+    def test_non_iso_date_names_line(self, date):
+        text = f"date,a\n{date},1.0\n2023-10-02,2.0\n"
+        with pytest.raises(ValueError, match=f"line 2: date '{date}' is not YYYY-MM-DD"):
             parse_prices(text)
 
     @pytest.mark.parametrize("header", ["date,a,", "date,a,a"])

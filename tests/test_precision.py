@@ -228,6 +228,29 @@ class TestQuantize:
                 scale=1.0,
             )
 
+    @pytest.mark.parametrize(
+        "linear, coupling, match",
+        [
+            ([200.0, 1.0], 0.0, "8-bit"),
+            ([0.0, -129.0], 0.0, "8-bit"),
+            ([0.0, 0.0], 300.0, "8-bit"),
+            ([1.5, 0.0], 0.0, "non-integer"),
+            ([0.0, 0.0], np.nan, "non-integer"),
+        ],
+    )
+    def test_rejects_values_outside_int8(self, linear, coupling, match):
+        with pytest.raises(ValueError, match=match):
+            QuantizedIsing(
+                linear=np.array(linear),
+                quadratic=[[0.0, coupling], [coupling, 0.0]],
+                scale=1.0,
+            )
+
+    def test_int8_extremes_kept(self):
+        qm = QuantizedIsing(linear=[-128.0, 127.0], quadratic=np.zeros((2, 2)), scale=1.0)
+        assert qm.linear.tolist() == [-128, 127]
+        assert qm.linear.dtype == np.int8
+
 
 class TestLossReport:
     def test_uniform_scale_int_coeffs_lossless(self):
@@ -245,8 +268,8 @@ class TestLossReport:
         j[0, 1] = j[1, 0] = 1000.0
         j[2, 3] = j[3, 2] = -1000.0
         j[1, 2] = j[2, 1] = 1.0  # cross-block, 1000:1 below the scale anchor
-        m = IsingModel(linear=np.zeros(4), quadratic=j)
-        report = quantization_loss_report(m, quantize_int8(m), partition=part)
+        m = IsingModel(linear=np.zeros(4), quadratic=j, partition=part)
+        report = quantization_loss_report(m, quantize_int8(m))
         assert report.zeroed_inter == 1
         assert report.zeroed_intra == 0
         assert report.zeroed_total == 1

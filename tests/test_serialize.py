@@ -143,6 +143,21 @@ class TestValidation:
             parse_model(text)
         assert err.value.lineno == 4
 
+    @pytest.mark.parametrize(
+        "kind, records",
+        [
+            ("qubo", "c x 0 1.0"),
+            ("ising", "h y 1.0"),
+            ("qubo", "partition 0 1\npartition 1 1"),
+        ],
+        ids=["qubo-index", "ising-index", "empty-partition"],
+    )
+    def test_bad_index_or_partition_rejected_at_its_line(self, kind, records):
+        text = f"dpoqubo-model 1\nkind {kind}\nn 2\n{records}\n"
+        with pytest.raises(ModelFormatError) as err:
+            parse_model(text)
+        assert err.value.lineno == 3 + len(records.splitlines())
+
     def test_integer_range_enforced(self):
         text = "dpoqubo-model 1\nkind ising\nn 1\ninteger 1\nscale 1.0\nh 0 200\n"
         with pytest.raises(ModelFormatError, match="8-bit"):
