@@ -34,7 +34,6 @@ from .harness import (
     EvaluationReport,
     FeasibilityCheck,
     RunRecord,
-    SharpeRatio,
     StrategyVariant,
     check_feasibility,
     emit_report,

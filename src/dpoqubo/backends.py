@@ -48,7 +48,8 @@ class SolveRequest:
     """A model plus the reproducibility knobs: seed and countable effort.
 
     ``effort`` is backend-specific (sweeps for annealing, iterations for tabu
-    search, ignored by enumeration); None means the backend default.
+    search, ignored by enumeration) and is set only here; None means the
+    backend's default.
     """
 
     model: AnyModel
@@ -65,7 +66,6 @@ class SolveResult:
     assignment: np.ndarray
     reported_energy: float
     wall_time: float
-    backend_id: str
 
     def __post_init__(self) -> None:
         bits = np.array(self.assignment, dtype=np.int8)
@@ -94,7 +94,7 @@ def canonical_qubo(model: AnyModel) -> Qubo:
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def _flip_deltas(q: np.ndarray, diag: np.ndarray, x: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def _flip_deltas(diag: np.ndarray, x: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Energy change of flipping each bit, given grad = Q @ x."""
     sign = 1.0 - 2.0 * x
     return sign * (diag + 2.0 * (grad - diag * x))
@@ -115,7 +115,6 @@ class _Solver:
             assignment=assignment,
             reported_energy=energy + q.offset,
             wall_time=time.perf_counter() - start,
-            backend_id=self.name,
         )
 
 
@@ -164,20 +163,16 @@ class SimulatedAnnealingSolver(_Solver):
     Each sweep proposes ``n`` uniformly random flips at temperature
     ``t0 * 0.97**sweep``; the best assignment ever visited is returned.
     ``t0`` is ``n * max|Q|``, matched to the scale of single-flip energy
-    changes.
+    changes.  A request's ``effort`` sets the number of sweeps, 200 by default.
     """
 
     name = "sa"
-
-    def __init__(self, sweeps: int = 200) -> None:
-        if sweeps <= 0:
-            raise ValueError("sweeps must be positive")
-        self.sweeps = sweeps
+    sweeps = 200
 
     def _search(self, q: Qubo, request: SolveRequest):
         n = q.n
         rng = np.random.default_rng(request.seed)
-        sweeps = request.effort if request.effort is not None else self.sweeps
+        sweeps = request.effort or self.sweeps
         coeffs = q.coeffs
         diag = np.diag(coeffs)
         max_abs = float(np.abs(coeffs).max()) if n else 0.0
@@ -210,24 +205,17 @@ class TabuSolver(_Solver):
     Every iteration flips the lowest-delta admissible bit (ties to the lowest
     index), even uphill; a flipped bit stays tabu for ``tenure`` iterations
     unless undoing it would beat the best energy seen (aspiration).  The
-    tenure is ``max(7, n // 10)``; the default is ``100 * n`` iterations.
+    tenure is ``max(7, n // 10)``.  A request's ``effort`` sets the number of
+    iterations; ``iterations = None`` means the default, ``100 * n``.
     """
 
     name = "tabu"
-
-    def __init__(self, iterations: int | None = None) -> None:
-        if iterations is not None and iterations <= 0:
-            raise ValueError("iterations must be positive")
-        self.iterations = iterations
+    iterations = None
 
     def _search(self, q: Qubo, request: SolveRequest):
         n = q.n
         rng = np.random.default_rng(request.seed)
-        iterations = (
-            request.effort
-            if request.effort is not None
-            else (self.iterations if self.iterations is not None else 100 * n)
-        )
+        iterations = request.effort or self.iterations or 100 * n
         tenure = max(7, n // 10)
         coeffs = q.coeffs
         diag = np.diag(coeffs)
@@ -239,7 +227,7 @@ class TabuSolver(_Solver):
         expires = np.zeros(n, dtype=np.int64)  # iteration at which tabu ends
 
         for it in range(iterations):
-            deltas = _flip_deltas(coeffs, diag, x, grad)
+            deltas = _flip_deltas(diag, x, grad)
             admissible = (expires <= it) | (energy + deltas < best_energy - 1e-12)
             if not admissible.any():
                 admissible[:] = True  # fully tabu: fall back to the plain best move

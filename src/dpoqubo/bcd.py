@@ -84,9 +84,8 @@ def extract_subproblem(q: Qubo, x, i: int) -> Qubo:
     part = _require_partition(q)
     if not 0 <= i < len(part):
         raise IndexError(f"block index {i} out of range (m={len(part)})")
-    bits = as_bits(x, q.n).astype(float)
+    masked = as_bits(x, q.n).astype(float)
     sl = part.block_slice(i)
-    masked = bits.copy()
     masked[sl] = 0.0
     induced = 2.0 * (q.coeffs[sl, :] @ masked)
     return Qubo(q.coeffs[sl, sl] + np.diag(induced))
@@ -128,7 +127,6 @@ class BcdTraceRecord:
     pre_energy: float
     post_energy: float
     wall_time: float
-    backend_id: str
     seed: int
     accepted: bool
 
@@ -186,7 +184,6 @@ def bcd_solve(q: Qubo, backend, cfg: BcdConfig | None = None) -> BcdResult:
                     pre_energy=pre_energy,
                     post_energy=energy,
                     wall_time=time.perf_counter() - t0,
-                    backend_id=getattr(backend, "name", type(backend).__name__),
                     seed=base_seed,
                     accepted=accepted,
                 )

@@ -45,7 +45,6 @@ __all__ = [
     "EvaluationReport",
     "FeasibilityCheck",
     "RunRecord",
-    "SharpeRatio",
     "StrategyVariant",
     "check_feasibility",
     "emit_report",
@@ -88,9 +87,12 @@ ALL_VARIANTS = tuple(
 
 @dataclass(frozen=True)
 class FeasibilityCheck:
-    feasible: bool
     #: (interval, invested) for every interval whose total misses the budget
     violations: tuple[tuple[int, int], ...]
+
+    @property
+    def feasible(self) -> bool:
+        return not self.violations
 
 
 def check_feasibility(
@@ -106,7 +108,7 @@ def check_feasibility(
     bad = tuple(
         (int(t), int(s)) for t, s in enumerate(sums) if int(s) != int(budget)
     )
-    return FeasibilityCheck(feasible=not bad, violations=bad)
+    return FeasibilityCheck(violations=bad)
 
 
 def net_mean_return(
@@ -133,37 +135,29 @@ def net_mean_return(
     return gross - cost
 
 
-@dataclass(frozen=True)
-class SharpeRatio:
-    #: None when the risk term is zero — the ratio is undefined there
-    value: float | None
-    zero_risk: bool
-
-
 def sharpe_ratio(
     allocation: PortfolioAllocation | np.ndarray,
     panel: ReturnPanel,
     risks: Sequence[RiskMatrix],
     config: DpoConfig,
-) -> SharpeRatio:
-    """Gross return over the square root of the (scaled) risk term."""
+) -> float | None:
+    """Gross return over the square root of the (scaled) risk term; None when
+    the risk term is zero, where the ratio is undefined."""
     return _sharpe(objective_terms(config, panel, risks, allocation))
 
 
-def _sharpe(terms: ObjectiveTerms) -> SharpeRatio:
+def _sharpe(terms: ObjectiveTerms) -> float | None:
     if terms.risk <= 0.0:  # PSD risks and gamma >= 0 make negatives impossible
-        return SharpeRatio(value=None, zero_risk=True)
-    return SharpeRatio(
-        value=terms.gross_return / math.sqrt(terms.risk), zero_risk=False
-    )
+        return None
+    return terms.gross_return / math.sqrt(terms.risk)
 
 
 @dataclass(frozen=True)
 class AllocationScore:
     """Portfolio metrics of one allocation.
 
-    The performance fields are None (and ``zero_risk`` False) when the
-    allocation breaks the budget; ``sharpe`` is also None on zero risk.
+    The performance fields are None when the allocation breaks the budget;
+    ``sharpe`` is also None on zero risk.
     """
 
     feasible: bool
@@ -171,7 +165,6 @@ class AllocationScore:
     net_returns: np.ndarray | None = None
     total_net_return: float | None = None
     sharpe: float | None = None
-    zero_risk: bool = False
     objective: ObjectiveTerms | None = None
 
 
@@ -194,13 +187,11 @@ def score_allocation(
         risks = risk_matrices(config, panel)
     series = net_mean_return(allocation, panel, config)
     terms = objective_terms(config, panel, risks, allocation)
-    sharpe = _sharpe(terms)
     return AllocationScore(
         feasible=True,
         net_returns=series,
         total_net_return=float(series.sum()),
-        sharpe=sharpe.value,
-        zero_risk=sharpe.zero_risk,
+        sharpe=_sharpe(terms),
         objective=terms,
     )
 
@@ -238,7 +229,6 @@ class EvaluationReport:
     net_returns: np.ndarray | None = None
     total_net_return: float | None = None
     sharpe: float | None = None
-    zero_risk: bool = False
     objective: ObjectiveTerms | None = None
     runtime: float | None = None
     selected_run: int | None = None
@@ -407,12 +397,13 @@ def _cell_summary(report: EvaluationReport) -> dict:
 
 def _metric_fields(score: AllocationScore | EvaluationReport) -> dict:
     """JSON metric fields of a scored allocation: the violations when it is
-    infeasible, else the total net return, the ratio and the objective terms.
-    ``summary.json`` cells and ``dpoqubo evaluate`` both write these."""
+    infeasible, else the total net return, the ratio (``zero_risk`` in its
+    place when it is undefined) and the objective terms.  ``summary.json``
+    cells and ``dpoqubo evaluate`` both write these."""
     if not score.feasible:
         return {"violations": [list(v) for v in score.violations]}
     fields: dict = {"total_net_return": score.total_net_return}
-    if score.zero_risk:
+    if score.sharpe is None:
         fields["zero_risk"] = True
     else:
         fields["sharpe"] = score.sharpe

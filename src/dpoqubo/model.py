@@ -34,7 +34,6 @@ __all__ = [
     "Covariance",
     "Semicovariance",
     "Shrinkage",
-    "RiskModelChoice",
     "DpoConfig",
     "ShrinkageDiagnostics",
     "RiskMatrix",
@@ -48,6 +47,8 @@ __all__ = [
     "objective_terms",
     "encode_qubo",
     "decode",
+    "config_from_dict",
+    "config_to_dict",
     "load_config",
     "save_config",
 ]
@@ -122,10 +123,6 @@ class DpoConfig:
     def n(self) -> int:
         """Number of binary variables."""
         return self.n_t * self.n_a * self.n_r
-
-    @property
-    def max_weight(self) -> int:
-        return 2**self.n_r - 1
 
     def partition(self) -> BlockPartition:
         """One block per rebalancing interval."""

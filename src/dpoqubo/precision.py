@@ -51,14 +51,17 @@ def coefficient_values(model) -> np.ndarray:
 class DynamicRange:
     """Log-ratio of extreme nonzero differences between coefficient values.
 
-    ``bits = log2(largest_diff / smallest_diff)``.  ``degenerate`` is set
-    when every value is equal, in which case ``bits`` is defined as 0.
+    ``bits = log2(largest_diff / smallest_diff)``.  A range is
+    ``degenerate`` when every value is equal; ``bits`` is defined as 0 there.
     """
 
     bits: float
     largest_diff: float
     smallest_diff: float
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        return self.largest_diff == 0.0
 
 
 def dynamic_range(values) -> DynamicRange:
@@ -70,7 +73,7 @@ def dynamic_range(values) -> DynamicRange:
     """
     distinct = np.unique(np.asarray(values, dtype=float))
     if distinct.size < 2:
-        return DynamicRange(bits=0.0, largest_diff=0.0, smallest_diff=0.0, degenerate=True)
+        return DynamicRange(bits=0.0, largest_diff=0.0, smallest_diff=0.0)
     largest = float(distinct[-1] - distinct[0])
     smallest = float(np.diff(distinct).min())
     return DynamicRange(
@@ -295,7 +298,6 @@ class QuantizedIsing:
     linear: np.ndarray
     quadratic: np.ndarray
     scale: float
-    degenerate: bool = False
     provenance: tuple[TuningStep, ...] = field(default=())
     partition: BlockPartition | None = None
 
@@ -339,21 +341,14 @@ def quantize_int8(
     Each coefficient maps to ``clip(round(127 * x / alpha), -128, 127)`` with
     ``alpha`` the largest absolute coefficient, so the extreme entry lands on
     exactly +/-127 and anything below ``alpha / 254`` collapses to zero.
-    Ties round half-to-even.  An all-zero model quantizes to zeros with scale
-    1 and the degenerate flag set.
+    Ties round half-to-even.  An all-zero model quantizes to zeros with
+    scale 1.
     """
-    values = coefficient_values(model)
-    alpha = float(np.abs(values).max()) if values.size else 0.0
-    n = model.n
-    if alpha == 0.0:
-        return QuantizedIsing(
-            linear=np.zeros(n, dtype=np.int8),
-            quadratic=np.zeros((n, n), dtype=np.int8),
-            scale=1.0,
-            degenerate=True,
-            provenance=provenance,
-            partition=model.partition,
-        )
+    alpha = max(
+        (float(np.abs(a).max()) for a in (model.linear, model.quadratic) if a.size),
+        default=0.0,
+    )
+    alpha = alpha or 127.0  # all zeros: scale 1
     lin = np.clip(np.round(127.0 * (model.linear / alpha)), -128, 127)
     quad = np.clip(np.round(127.0 * (model.quadratic / alpha)), -128, 127)
     return QuantizedIsing(
@@ -414,7 +409,7 @@ def quantization_loss_report(
         )
         inter = int((zeroed & crosses).sum())
         intra = total - inter
-    if nonzero.any() and not quantized.degenerate:
+    if nonzero.any():
         recon = img / quantized.scale
         rel = np.abs(src[nonzero] - recon[nonzero]) / np.abs(src[nonzero])
         max_rel = float(rel.max())

@@ -30,12 +30,14 @@ import numpy as np
 from .precision import QuantizedIsing
 from .qubo import BlockPartition, IsingModel, Qubo
 
-__all__ = ["Model", "dump_model", "parse_model", "save_model", "load_model"]
+__all__ = ["ModelFormatError", "dump_model", "parse_model", "save_model", "load_model"]
 
 Model = Union[Qubo, IsingModel, QuantizedIsing]
 
 _MAGIC = "dpoqubo-model"
 _VERSION = 1
+# records that may appear at most once; ``partition`` repeats by design
+_HEADER_RECORDS = ("kind", "n", "offset", "integer", "scale")
 
 
 def _fmt(value: float) -> str:
@@ -100,6 +102,7 @@ def parse_model(text: str) -> Model:
     partition: BlockPartition | None = None
     entries: list[tuple[int, str, list]] = []
     seen_magic = False
+    seen_headers: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -114,6 +117,10 @@ def parse_model(text: str) -> Model:
                 )
             seen_magic = True
             continue
+        if tag in _HEADER_RECORDS:
+            if tag in seen_headers:
+                raise ModelFormatError(lineno, f"repeated {tag!r} record")
+            seen_headers.add(tag)
         try:
             if tag == "kind":
                 (kind,) = args

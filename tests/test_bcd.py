@@ -15,6 +15,12 @@ from dpoqubo.bcd import (
 from dpoqubo.qubo import BlockPartition, Qubo, qubo_energy
 
 
+def with_default_effort(solver_class, **defaults):
+    """A solver whose default effort is ``defaults``; BCD's own requests carry
+    no effort, so a short search is chosen this way."""
+    return type(solver_class.__name__, (solver_class,), defaults)()
+
+
 def tridiagonal_qubo(seed, sizes, scale=1.0, coupling=0.5):
     """Random block tridiagonal model over the given block sizes."""
     rng = np.random.default_rng(seed)
@@ -95,7 +101,7 @@ class TestSolveBlock:
     def test_min_of_runs(self):
         q = tridiagonal_qubo(11, [10], scale=2.0)
         sub = extract_subproblem(q, np.zeros(10, dtype=int), 0)
-        backend = SimulatedAnnealingSolver(sweeps=5)  # weak on purpose
+        backend = with_default_effort(SimulatedAnnealingSolver, sweeps=5)  # weak on purpose
         y = solve_block(sub, backend, BcdConfig(repeats_per_block=3), 40)
         chosen = qubo_energy(sub, y)
         for run in range(3):
@@ -150,7 +156,9 @@ class TestBcdSolve:
     def test_monotone_energy_trace(self):
         q = tridiagonal_qubo(13, [4, 4, 4], scale=2.0)
         result = bcd_solve(
-            q, SimulatedAnnealingSolver(sweeps=10), BcdConfig(global_iters=3, seed=5)
+            q,
+            with_default_effort(SimulatedAnnealingSolver, sweeps=10),
+            BcdConfig(global_iters=3, seed=5),
         )
         energies = [result.trace[0].pre_energy] + [r.post_energy for r in result.trace]
         assert all(a >= b - 1e-12 for a, b in zip(energies, energies[1:]))
@@ -208,7 +216,7 @@ class TestBcdSolve:
 
     def test_deterministic_given_seed(self):
         q = tridiagonal_qubo(31, [4, 4, 4], scale=2.0)
-        backend = TabuSolver(iterations=50)
+        backend = with_default_effort(TabuSolver, iterations=50)
         cfg = BcdConfig(seed=9)
         a = bcd_solve(q, backend, cfg)
         b = bcd_solve(q, backend, cfg)

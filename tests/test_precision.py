@@ -162,7 +162,6 @@ class TestQuantize:
         q = quantize_int8(m)
         assert q.linear.tolist() == [127, -127]
         assert q.scale == pytest.approx(1.0)
-        assert not q.degenerate
 
     def test_weak_coefficient_annihilated(self):
         m = IsingModel(
@@ -180,7 +179,6 @@ class TestQuantize:
     def test_zero_model(self):
         m = IsingModel(linear=np.zeros(3), quadratic=np.zeros((3, 3)))
         q = quantize_int8(m)
-        assert q.degenerate
         assert q.scale == 1.0
         assert np.all(q.linear == 0)
         assert np.all(q.quadratic == 0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,19 @@ class TestIsingRoundtrip:
         assert back.partition.blocks == part.blocks
 
 
+    def test_all_zero_quantized_roundtrip_keeps_every_field(self):
+        part = BlockPartition.from_sizes([2, 1])
+        q = quantize_int8(IsingModel(np.zeros(3), np.zeros((3, 3)), partition=part))
+        back = parse_model(dump_model(q))
+        for f in dataclasses.fields(QuantizedIsing):
+            ours, theirs = getattr(q, f.name), getattr(back, f.name)
+            if isinstance(ours, np.ndarray):
+                assert ours.dtype == theirs.dtype, f.name
+                np.testing.assert_array_equal(ours, theirs, err_msg=f.name)
+            else:
+                assert ours == theirs, f.name
+
+
 class TestValidation:
     def test_missing_header(self):
         with pytest.raises(ModelFormatError, match="header"):
@@ -157,6 +172,18 @@ class TestValidation:
         with pytest.raises(ModelFormatError) as err:
             parse_model(text)
         assert err.value.lineno == 3 + len(records.splitlines())
+
+    @pytest.mark.parametrize(
+        "record", ["kind qubo", "n 3", "offset 1.0", "integer 0", "scale 2.0"]
+    )
+    def test_repeated_header_record_rejected_at_its_line(self, record):
+        text = (
+            "dpoqubo-model 1\nkind ising\nn 2\noffset 0.5\ninteger 0\nscale 1.0\n"
+            f"{record}\nh 0 1.0\n"
+        )
+        with pytest.raises(ModelFormatError, match="repeated") as err:
+            parse_model(text)
+        assert err.value.lineno == 7
 
     def test_integer_range_enforced(self):
         text = "dpoqubo-model 1\nkind ising\nn 1\ninteger 1\nscale 1.0\nh 0 200\n"
