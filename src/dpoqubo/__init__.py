@@ -65,6 +65,7 @@ from .model import (
     Semicovariance,
     Shrinkage,
     ShrinkageDiagnostics,
+    as_allocation,
     config_from_dict,
     config_to_dict,
     covariance_risk,
@@ -89,12 +90,12 @@ from .precision import (
     dynamic_range,
     quantization_loss_report,
     quantize_int8,
-    quantized_energy,
     reduce_dynamic_range,
 )
 from .qubo import (
     BlockPartition,
     IsingModel,
+    Model,
     Qubo,
     ScaleSeparation,
     as_bits,

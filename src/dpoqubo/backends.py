@@ -7,9 +7,10 @@ returns the best assignment it saw together with that assignment's energy
 under the submitted model — so reported energies can always be re-verified
 by re-evaluation.
 
-Models may be ``Qubo``, ``IsingModel``, or ``QuantizedIsing``; the latter two
-are canonicalized to an equivalent QUBO internally (bit convention
-``z = 1 - 2x``), which changes no minimizer and no reported energy.
+Models may be ``Qubo`` or ``IsingModel``, an int8 ``QuantizedIsing``
+included; Ising models are canonicalized to an equivalent QUBO internally
+(bit convention ``z = 1 - 2x``), which changes no minimizer and no reported
+energy.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .precision import QuantizedIsing, quantize_int8, reduce_dynamic_range
-from .qubo import IsingModel, Qubo, ising_to_qubo, qubo_to_ising
+from .qubo import IsingModel, Model, Qubo, ising_to_qubo, qubo_to_ising
 
 __all__ = [
     "SolveRequest",
@@ -35,9 +35,6 @@ __all__ = [
     "make_backend",
     "canonical_qubo",
 ]
-
-AnyModel = Union[Qubo, IsingModel, QuantizedIsing]
-
 
 class BackendError(RuntimeError):
     pass
@@ -52,7 +49,7 @@ class SolveRequest:
     backend's default.
     """
 
-    model: AnyModel
+    model: Model
     seed: int = 0
     effort: int | None = None
 
@@ -73,22 +70,14 @@ class SolveResult:
         object.__setattr__(self, "assignment", bits)
 
 
-def canonical_qubo(model: AnyModel) -> Qubo:
+def canonical_qubo(model: Model) -> Qubo:
     """Any supported model as an energy-equivalent QUBO.
 
     Quantized models convert at face (integer) value, so their energies stay
-    in integer units; float models convert exactly.
+    in integer units.
     """
     if isinstance(model, Qubo):
         return model
-    if isinstance(model, QuantizedIsing):
-        # integer coefficients stay exactly representable as doubles
-        model = IsingModel(
-            linear=model.linear.astype(float),
-            quadratic=model.quadratic.astype(float),
-            offset=0.0,
-            partition=model.partition,
-        )
     if isinstance(model, IsingModel):
         return ising_to_qubo(model)
     raise TypeError(f"unsupported model type {type(model).__name__}")
@@ -262,13 +251,13 @@ class FinitePrecisionAdapter(_Solver):
         self.inner = inner
         self.name = f"int8({inner.name})"
 
-    def quantize(self, model: AnyModel) -> QuantizedIsing:
+    def quantize(self, model: Model) -> QuantizedIsing:
         """The integer model the inner backend would see for ``model``."""
         if isinstance(model, QuantizedIsing):
             return model
         spin_model = qubo_to_ising(canonical_qubo(model))
         tuned = reduce_dynamic_range(spin_model, budget=_TUNING_BUDGET)
-        return quantize_int8(tuned.model, provenance=tuned.steps)
+        return quantize_int8(tuned.model)
 
     def _search(self, q: Qubo, request: SolveRequest):
         model = request.model if isinstance(request.model, QuantizedIsing) else q

@@ -33,6 +33,7 @@ from .model import (
     ObjectiveTerms,
     PortfolioAllocation,
     RiskMatrix,
+    as_allocation,
     decode,
     encode_qubo,
     objective_terms,
@@ -99,12 +100,7 @@ def check_feasibility(
     allocation: PortfolioAllocation | np.ndarray, budget: int
 ) -> FeasibilityCheck:
     """Exact integer test: every interval must invest the budget, no slack."""
-    w = (
-        allocation.weights
-        if isinstance(allocation, PortfolioAllocation)
-        else np.asarray(allocation)
-    )
-    sums = w.sum(axis=1)
+    sums = as_allocation(allocation).invested_per_step()
     bad = tuple(
         (int(t), int(s)) for t, s in enumerate(sums) if int(s) != int(budget)
     )
@@ -122,11 +118,7 @@ def net_mean_return(
     decomposition; risk and budget-penalty terms are solver artifacts and do
     not enter.
     """
-    w = (
-        allocation.weights
-        if isinstance(allocation, PortfolioAllocation)
-        else np.asarray(allocation)
-    ).astype(float)
+    w = as_allocation(allocation).weights.astype(float)
     if w.shape != (config.n_t, config.n_a):
         raise ValueError(f"weights shape {w.shape} != ({config.n_t}, {config.n_a})")
     gross = (w * panel.interval_returns).sum(axis=1)

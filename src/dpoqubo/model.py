@@ -21,6 +21,7 @@ the block coordinate descent solver exploits.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence, Union
@@ -38,6 +39,7 @@ __all__ = [
     "ShrinkageDiagnostics",
     "RiskMatrix",
     "PortfolioAllocation",
+    "as_allocation",
     "ObjectiveTerms",
     "covariance_risk",
     "semicovariance_risk",
@@ -113,11 +115,10 @@ class DpoConfig:
                 f"budget {self.budget} exceeds representable total {max_budget} "
                 f"(n_a * (2^n_r - 1))"
             )
-        for name in ("nu", "lam", "gamma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.rho is not None and self.rho < 0:
-            raise ValueError("rho must be >= 0")
+        for name in ("nu", "lam", "gamma", "rho"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     @property
     def n(self) -> int:
@@ -193,6 +194,14 @@ class PortfolioAllocation:
 
     def invested_per_step(self) -> np.ndarray:
         return self.weights.sum(axis=1)
+
+
+def as_allocation(allocation: PortfolioAllocation | np.ndarray) -> PortfolioAllocation:
+    """Pass raw weights through ``PortfolioAllocation``, so fractional or
+    negative weights raise ``ValueError``."""
+    if isinstance(allocation, PortfolioAllocation):
+        return allocation
+    return PortfolioAllocation(weights=allocation)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +316,7 @@ def objective_terms(
 ) -> ObjectiveTerms:
     """Evaluate the four score components for a given weight matrix."""
     _check_panel(config, panel)
-    w = allocation.weights if isinstance(allocation, PortfolioAllocation) else np.asarray(allocation)
+    w = as_allocation(allocation).weights
     if w.shape != (config.n_t, config.n_a):
         raise ValueError(f"weights shape {w.shape} != ({config.n_t}, {config.n_a})")
     if len(risks) != config.n_t:
@@ -451,6 +460,15 @@ def config_to_dict(config: DpoConfig) -> dict:
     }
 
 
+def _integer(name: str, value) -> int:
+    """A count field taken exactly: an int, or a float with no fraction."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def config_from_dict(obj: dict) -> DpoConfig:
     known = {
         "n_t", "n_a", "n_r", "budget", "nu", "lam", "lambda", "rho", "gamma", "dt", "risk",
@@ -461,7 +479,7 @@ def config_from_dict(obj: dict) -> DpoConfig:
     kwargs = {}
     for key in ("n_t", "n_a", "n_r", "budget", "dt"):
         if key in obj:
-            kwargs[key] = int(obj[key])
+            kwargs[key] = _integer(key, obj[key])
     for key in ("nu", "gamma"):
         if key in obj:
             kwargs[key] = float(obj[key])

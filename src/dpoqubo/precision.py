@@ -19,11 +19,11 @@ Three stages, usable independently:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .qubo import BlockPartition, IsingModel, as_spins, ising_energy
+from .qubo import IsingModel, ising_energy
 
 __all__ = [
     "DynamicRange",
@@ -35,7 +35,6 @@ __all__ = [
     "dynamic_range",
     "reduce_dynamic_range",
     "quantize_int8",
-    "quantized_energy",
     "quantization_loss_report",
 ]
 
@@ -285,57 +284,42 @@ def reduce_dynamic_range(model: IsingModel, budget: int = 100) -> TuningResult:
 # ---------------------------------------------------------------------------
 # int8 quantization
 
-@dataclass(frozen=True)
-class QuantizedIsing:
+@dataclass(frozen=True, kw_only=True)
+class QuantizedIsing(IsingModel):
     """Ising model with int8 coefficients and the scale used to produce them.
 
     ``scale = 127 / alpha`` where ``alpha`` is the source model's largest
     absolute coefficient; dividing integer energies by ``scale`` recovers
-    approximate source-model energies (the source offset is not carried).
-    Coefficients must be integers in -128..127; others raise ``ValueError``.
+    approximate source-model energies (the source offset is not carried, so
+    ``offset`` is 0).  Coefficients must be integers in -128..127 and are
+    stored as read-only int8; others raise ``ValueError``.  Every energy is a
+    small integer, so ``ising_energy`` and ``ising_to_qubo`` treat the model
+    exactly.
     """
 
-    linear: np.ndarray
-    quadratic: np.ndarray
     scale: float
-    provenance: tuple[TuningStep, ...] = field(default=())
-    partition: BlockPartition | None = None
 
     def __post_init__(self) -> None:
-        lin = np.asarray(self.linear)
-        quad = np.asarray(self.quadratic)
-        if lin.ndim != 1 or quad.shape != (lin.size, lin.size):
-            raise ValueError("inconsistent coefficient shapes")
-        for values in (lin, quad):
+        coeffs = [np.asarray(self.linear), np.asarray(self.quadratic)]
+        for values in coeffs:
             if np.any(values != np.round(values)):
                 raise ValueError("coefficients must be integers; got non-integer values")
             if np.any((values < -128) | (values > 127)):
                 raise ValueError("coefficients exceed the signed 8-bit range -128..127")
-        lin = lin.astype(np.int8)
-        quad = quad.astype(np.int8)
-        if not np.array_equal(quad, quad.T) or np.any(np.diag(quad) != 0):
-            raise ValueError("quadratic must be symmetric with zero diagonal")
-        if self.partition is not None and self.partition.n != lin.size:
-            raise ValueError(
-                f"partition covers {self.partition.n} indices, model has {lin.size}"
-            )
+        if self.offset != 0.0:
+            raise ValueError(f"quantized models carry no offset, got {self.offset!r}")
         scale = float(self.scale)
         if not (math.isfinite(scale) and scale > 0.0):
             raise ValueError(f"scale must be finite and > 0, got {scale!r}")
-        lin.setflags(write=False)
-        quad.setflags(write=False)
-        object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "quadratic", quad)
+        super().__post_init__()
+        for name, values in zip(("linear", "quadratic"), coeffs):
+            values = values.astype(np.int8)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
         object.__setattr__(self, "scale", scale)
 
-    @property
-    def n(self) -> int:
-        return self.linear.shape[0]
 
-
-def quantize_int8(
-    model: IsingModel, provenance: tuple[TuningStep, ...] = ()
-) -> QuantizedIsing:
+def quantize_int8(model: IsingModel) -> QuantizedIsing:
     """Scale-round-clip all coefficients into signed 8-bit integers.
 
     Each coefficient maps to ``clip(round(127 * x / alpha), -128, 127)`` with
@@ -355,16 +339,8 @@ def quantize_int8(
         linear=lin.astype(np.int8),
         quadratic=quad.astype(np.int8),
         scale=127.0 / alpha,
-        provenance=provenance,
         partition=model.partition,
     )
-
-
-def quantized_energy(qm: QuantizedIsing, z) -> int:
-    """Integer-unit energy of a spin assignment (pairs counted once)."""
-    spins = as_spins(z, qm.n).astype(np.int64)
-    pair_twice = int(spins @ qm.quadratic.astype(np.int64) @ spins)
-    return int(qm.linear.astype(np.int64) @ spins) + pair_twice // 2
 
 
 @dataclass(frozen=True)

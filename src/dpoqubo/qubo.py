@@ -16,7 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "BlockPartition",
     "Qubo",
     "IsingModel",
+    "Model",
     "ScaleSeparation",
     "as_bits",
     "as_spins",
@@ -188,6 +189,10 @@ class IsingModel:
     @property
     def n(self) -> int:
         return self.linear.shape[0]
+
+
+#: every model type a backend solves and a model file holds
+Model = Union[Qubo, IsingModel]
 
 
 def as_bits(x, n: int | None = None) -> np.ndarray:

@@ -5,9 +5,9 @@ Format (line-oriented, whitespace-separated, ``#`` starts a comment)::
     dpoqubo-model 1
     kind qubo            # or: ising
     n 6
-    offset 1.25          # optional, default 0
+    offset 1.25          # float models only; optional, default 0
     integer 1            # optional flag: coefficients are signed 8-bit ints
-    scale 0.0157480...   # required with integer 1; 127 / (source max |coeff|)
+    scale 0.0157480...   # integer models only, required: 127 / (source max |coeff|)
     partition 0 2        # optional, repeated; half-open contiguous ranges
     partition 2 6
     c 0 0 3.5            # qubo: matrix entry, i <= j (mirrored on load)
@@ -23,16 +23,13 @@ integer flag additionally pins the in-memory dtype to int8 on load.
 from __future__ import annotations
 
 import os
-from typing import Union
 
 import numpy as np
 
 from .precision import QuantizedIsing
-from .qubo import BlockPartition, IsingModel, Qubo
+from .qubo import BlockPartition, IsingModel, Model, Qubo
 
 __all__ = ["ModelFormatError", "dump_model", "parse_model", "save_model", "load_model"]
-
-Model = Union[Qubo, IsingModel, QuantizedIsing]
 
 _MAGIC = "dpoqubo-model"
 _VERSION = 1
@@ -102,7 +99,7 @@ def parse_model(text: str) -> Model:
     partition: BlockPartition | None = None
     entries: list[tuple[int, str, list]] = []
     seen_magic = False
-    seen_headers: set[str] = set()
+    header_lines: dict[str, int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -118,9 +115,9 @@ def parse_model(text: str) -> Model:
             seen_magic = True
             continue
         if tag in _HEADER_RECORDS:
-            if tag in seen_headers:
+            if tag in header_lines:
                 raise ModelFormatError(lineno, f"repeated {tag!r} record")
-            seen_headers.add(tag)
+            header_lines[tag] = lineno
         try:
             if tag == "kind":
                 (kind,) = args
@@ -164,6 +161,12 @@ def parse_model(text: str) -> Model:
         raise ModelFormatError(1, "file must declare kind and n")
     if integer and scale is None:
         raise ModelFormatError(1, "integer models must declare a scale")
+    unused = "offset" if integer else "scale"
+    if unused in header_lines:
+        precision = "integer" if integer else "float"
+        raise ModelFormatError(
+            header_lines[unused], f"{precision} models take no {unused!r} record"
+        )
 
     if partition is not None and partition.n != n:
         raise ModelFormatError(1, f"partition covers {partition.n} of {n} indices")

@@ -15,7 +15,14 @@ from dpoqubo.backends import (
     make_backend,
 )
 from dpoqubo.precision import quantization_loss_report, quantize_int8
-from dpoqubo.qubo import BlockPartition, IsingModel, Qubo, qubo_energy, qubo_to_ising
+from dpoqubo.qubo import (
+    BlockPartition,
+    IsingModel,
+    Qubo,
+    ising_energy,
+    qubo_energy,
+    qubo_to_ising,
+)
 
 
 def random_qubo(seed, n=10, scale=1.0):
@@ -171,11 +178,9 @@ class TestIsingInputs:
         q = random_qubo(11, n=6)
         qm = quantize_int8(qubo_to_ising(q))
         result = ExhaustiveSolver().solve(SolveRequest(model=qm))
-        from dpoqubo.precision import quantized_energy
-
         spins = 1 - 2 * result.assignment.astype(int)
         assert result.reported_energy == pytest.approx(
-            float(quantized_energy(qm, spins)), abs=1e-9
+            ising_energy(qm, spins), abs=1e-9
         )
 
 

@@ -125,6 +125,19 @@ class TestFeasibility:
         res = check_feasibility(np.array([[1, 2], [3, 0]]), 3)
         assert res.feasible
 
+    @pytest.mark.parametrize("weights", [[[7.2, 7.3]], [[16, -1]]], ids=["fractional", "negative"])
+    def test_raw_weights_must_be_nonnegative_integers(self, weights):
+        cfg = tiny_config(n_t=1)
+        panel = random_panel(1, 1, 2)
+        w = np.array(weights)
+        for score in (
+            lambda: check_feasibility(w, 15),
+            lambda: net_mean_return(w, panel, cfg),
+            lambda: objective_terms(cfg, panel, risk_matrices(cfg, panel), w),
+        ):
+            with pytest.raises(ValueError, match="nonnegative integers"):
+                score()
+
 
 class TestNetMeanReturn:
     def test_hand_example(self):

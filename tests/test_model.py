@@ -16,6 +16,7 @@ from dpoqubo.model import (
     PortfolioAllocation,
     Semicovariance,
     Shrinkage,
+    config_from_dict,
     covariance_risk,
     decode,
     encode_qubo,
@@ -75,6 +76,12 @@ class TestConfig:
     def test_negative_rates_rejected(self):
         with pytest.raises(ValueError, match="nu"):
             DpoConfig(nu=-0.1)
+
+    @pytest.mark.parametrize("name", ["nu", "lam", "gamma", "rho"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rates_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            DpoConfig(**{name: value})
 
     def test_bit_index_layout(self):
         cfg = DpoConfig(n_t=2, n_a=3, n_r=2, budget=4)
@@ -404,6 +411,21 @@ class TestConfigFiles:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"bogus": 1}))
         with pytest.raises(ValueError, match="unknown config"):
+            load_config(path)
+
+    @pytest.mark.parametrize("name", ["n_t", "n_a", "n_r", "budget", "dt"])
+    @pytest.mark.parametrize("value", [7.5, True, "7"])
+    def test_counts_taken_exactly_or_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            config_from_dict({name: value})
+
+    def test_integral_float_counts_accepted(self):
+        assert config_from_dict({"budget": 7.0, "n_t": 3.0}) == DpoConfig(budget=7, n_t=3)
+
+    def test_nan_rate_in_file_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"nu": NaN}')
+        with pytest.raises(ValueError, match="nu must be finite"):
             load_config(path)
 
     def test_risk_kind_string_shorthand(self, tmp_path):

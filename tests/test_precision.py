@@ -10,10 +10,9 @@ from dpoqubo.precision import (
     dynamic_range,
     quantization_loss_report,
     quantize_int8,
-    quantized_energy,
     reduce_dynamic_range,
 )
-from dpoqubo.qubo import BlockPartition, IsingModel
+from dpoqubo.qubo import BlockPartition, IsingModel, ising_energy
 
 
 def random_ising(rng, n, scale=1.0):
@@ -216,7 +215,7 @@ class TestQuantize:
                 expected += int(q.linear[i]) * spins[i]
                 for j in range(i + 1, 5):
                     expected += int(q.quadratic[i, j]) * spins[i] * spins[j]
-            assert quantized_energy(q, spins) == expected
+            assert ising_energy(q, spins) == expected
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):

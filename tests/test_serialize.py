@@ -3,6 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from dpoqubo.backends import FinitePrecisionAdapter, TabuSolver
+from dpoqubo.market import compute_returns, load_bundled_prices
+from dpoqubo.model import DpoConfig, encode_qubo
 from dpoqubo.precision import QuantizedIsing, quantize_int8
 from dpoqubo.qubo import BlockPartition, IsingModel, Qubo
 from dpoqubo.serialize import (
@@ -101,15 +104,20 @@ class TestIsingRoundtrip:
 
     def test_all_zero_quantized_roundtrip_keeps_every_field(self):
         part = BlockPartition.from_sizes([2, 1])
-        q = quantize_int8(IsingModel(np.zeros(3), np.zeros((3, 3)), partition=part))
-        back = parse_model(dump_model(q))
-        for f in dataclasses.fields(QuantizedIsing):
-            ours, theirs = getattr(q, f.name), getattr(back, f.name)
-            if isinstance(ours, np.ndarray):
-                assert ours.dtype == theirs.dtype, f.name
-                np.testing.assert_array_equal(ours, theirs, err_msg=f.name)
-            else:
-                assert ours == theirs, f.name
+        all_zero = quantize_int8(IsingModel(np.zeros(3), np.zeros((3, 3)), partition=part))
+        # the device's own input: an encoded QUBO after dynamic-range tuning
+        config = DpoConfig(n_t=2, n_a=6, n_r=4, budget=15, dt=24)
+        panel = compute_returns(load_bundled_prices(), n_t=2, dt=24)
+        tuned = FinitePrecisionAdapter(TabuSolver()).quantize(encode_qubo(config, panel))
+        for q in (all_zero, tuned):
+            back = parse_model(dump_model(q))
+            for f in dataclasses.fields(QuantizedIsing):
+                ours, theirs = getattr(q, f.name), getattr(back, f.name)
+                if isinstance(ours, np.ndarray):
+                    assert ours.dtype == theirs.dtype, f.name
+                    np.testing.assert_array_equal(ours, theirs, err_msg=f.name)
+                else:
+                    assert ours == theirs, f.name
 
 
 class TestValidation:
@@ -184,6 +192,22 @@ class TestValidation:
         with pytest.raises(ModelFormatError, match="repeated") as err:
             parse_model(text)
         assert err.value.lineno == 7
+
+    @pytest.mark.parametrize(
+        "header, record",
+        [
+            ("kind ising\ninteger 1\nscale 1.0", "offset 5.0"),
+            ("kind ising\ninteger 0", "scale 2.0"),
+            ("kind ising", "scale 2.0"),
+            ("kind qubo", "scale 2.0"),
+        ],
+        ids=["integer-offset", "float-scale", "ising-scale", "qubo-scale"],
+    )
+    def test_record_the_kind_does_not_use_rejected_at_its_line(self, header, record):
+        text = f"dpoqubo-model 1\n{header}\nn 1\n{record}\n"
+        with pytest.raises(ModelFormatError, match="take no") as err:
+            parse_model(text)
+        assert err.value.lineno == 3 + header.count("\n") + 1
 
     def test_integer_range_enforced(self):
         text = "dpoqubo-model 1\nkind ising\nn 1\ninteger 1\nscale 1.0\nh 0 200\n"
