@@ -8,12 +8,7 @@ returns inside one interval.
 
 import numpy as np
 
-from dpoqubo import (
-    ReturnPanel,
-    covariance_risk,
-    semicovariance_risk,
-    shrinkage_risk,
-)
+from dpoqubo import Covariance, ReturnPanel, Semicovariance, Shrinkage
 
 rng = np.random.default_rng(4)
 n_a, dt = 3, 20
@@ -26,9 +21,9 @@ panel = ReturnPanel(
     assets=("alpha", "beta", "gamma"),
 )
 
-cov = covariance_risk(panel, 0)
-semi = semicovariance_risk(panel, 0, benchmark=0.0)
-shr = shrinkage_risk(panel, 0)
+cov = Covariance().estimate(panel, 0)
+semi = Semicovariance(benchmark=0.0).estimate(panel, 0)
+shr = Shrinkage().estimate(panel, 0)
 
 np.set_printoptions(precision=6, suppress=True)
 print("sample covariance:")

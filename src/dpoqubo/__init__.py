@@ -68,7 +68,6 @@ from .model import (
     as_allocation,
     config_from_dict,
     config_to_dict,
-    covariance_risk,
     decode,
     encode_qubo,
     load_config,
@@ -76,8 +75,6 @@ from .model import (
     resolved_rho,
     risk_matrices,
     save_config,
-    semicovariance_risk,
-    shrinkage_risk,
 )
 from .planted import PlantedInstance, make_scale_separated_qubo
 from .precision import (

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,7 @@ from .market import (
     save_prices,
 )
 from .model import (
+    _RISK_KINDS,
     DpoConfig,
     _risk_from_json,
     config_from_dict,
@@ -54,8 +55,6 @@ from .qubo import as_bits
 from .serialize import ModelFormatError, load_model, save_model
 
 __all__ = ["main"]
-
-_CONFIG_FIELDS = ("n_t", "n_a", "n_r", "budget", "nu", "lam", "rho", "gamma", "dt")
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
@@ -70,39 +69,34 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--rho", type=float, help="budget penalty weight (default: 2 * max abs return)")
     g.add_argument("--gamma", type=float, help="risk aversion")
     g.add_argument("--dt", type=int, help="trading days per interval")
-    g.add_argument(
-        "--risk", choices=("covariance", "semicovariance", "shrinkage"),
-        help="risk estimator",
-    )
+    g.add_argument("--risk", choices=tuple(_RISK_KINDS), help="risk estimator")
     g.add_argument("--benchmark", type=float, help="semicovariance downside threshold")
     g.add_argument(
-        "--shrinkage-delta", dest="shrinkage_delta", type=float,
-        help="fix the shrinkage intensity instead of estimating it",
+        "--shrinkage-delta", dest="delta_override", type=float,
+        help="fix the shrinkage intensity in [0, 1] instead of estimating it",
     )
 
 
 def _config_overrides(args) -> dict:
-    overrides = {
-        k: getattr(args, k)
-        for k in _CONFIG_FIELDS
-        if getattr(args, k, None) is not None
-    }
-    if getattr(args, "risk", None) is not None:
-        overrides["risk"] = _risk_from_json(
-            {
-                "kind": args.risk,
-                "benchmark": args.benchmark,
-                "delta_override": args.shrinkage_delta,
-            }
-        )
+    """The ``DpoConfig`` fields, and the risk fields, that flags set."""
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    overrides = {f.name: given[f.name] for f in fields(DpoConfig) if f.name in given}
+    risk_fields = {f.name for cls in _RISK_KINDS.values() for f in fields(cls)}
+    risk_args = {k: given[k] for k in risk_fields & given.keys()}
+    if "risk" in overrides:
+        overrides["risk"] = _risk_from_json({"kind": overrides["risk"], **risk_args})
+    elif risk_args:
+        raise ValueError("--benchmark and --shrinkage-delta need --risk")
     return overrides
 
 
-def _resolve_config(args) -> DpoConfig:
+def _resolve_config(args, saved: dict | None = None) -> DpoConfig:
+    """The config of ``--config``, else ``saved`` (a config dict), else the
+    defaults, with the flags that were set laid over it."""
     overrides = _config_overrides(args)
-    if getattr(args, "config", None):
+    if args.config:
         return load_config(args.config, **overrides)
-    return DpoConfig(**overrides)
+    return replace(config_from_dict({} if saved is None else saved), **overrides)
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -214,10 +208,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     solution = json.loads(Path(args.solution).read_text())
-    if "config" in solution and not args.config:
-        config = replace(config_from_dict(solution["config"]), **_config_overrides(args))
-    else:
-        config = _resolve_config(args)
+    config = _resolve_config(args, solution.get("config"))
     panel = _build_panel(args, config, args.seed)
     alloc = decode(np.asarray(solution["assignment"]), config)
     score = score_allocation(alloc, panel, config)

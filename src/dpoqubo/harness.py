@@ -97,13 +97,11 @@ class FeasibilityCheck:
 
 
 def check_feasibility(
-    allocation: PortfolioAllocation | np.ndarray, budget: int
+    allocation: PortfolioAllocation | np.ndarray, budget: float
 ) -> FeasibilityCheck:
-    """Exact integer test: every interval must invest the budget, no slack."""
+    """Exact test: every interval must invest the budget, no slack."""
     sums = as_allocation(allocation).invested_per_step()
-    bad = tuple(
-        (int(t), int(s)) for t, s in enumerate(sums) if int(s) != int(budget)
-    )
+    bad = tuple((int(t), int(s)) for t, s in enumerate(sums) if s != budget)
     return FeasibilityCheck(violations=bad)
 
 

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -41,9 +42,6 @@ __all__ = [
     "PortfolioAllocation",
     "as_allocation",
     "ObjectiveTerms",
-    "covariance_risk",
-    "semicovariance_risk",
-    "shrinkage_risk",
     "risk_matrices",
     "resolved_rho",
     "objective_terms",
@@ -54,84 +52,6 @@ __all__ = [
     "load_config",
     "save_config",
 ]
-
-
-@dataclass(frozen=True)
-class Covariance:
-    """Plain sample covariance of within-interval daily returns."""
-
-
-@dataclass(frozen=True)
-class Semicovariance:
-    """Downside co-movement: only returns below ``benchmark`` contribute."""
-
-    benchmark: float = 0.0
-
-
-@dataclass(frozen=True)
-class Shrinkage:
-    """Sample covariance shrunk toward a scaled identity.
-
-    ``delta_override`` pins the shrinkage intensity instead of estimating it.
-    """
-
-    delta_override: float | None = None
-
-
-RiskModelChoice = Union[Covariance, Semicovariance, Shrinkage]
-
-
-@dataclass(frozen=True)
-class DpoConfig:
-    """Problem dimensions and objective hyperparameters.
-
-    ``rho=None`` means automatic: twice the largest absolute interval return,
-    resolved once a return panel is available, so that violating the budget
-    can never pay for itself through the return term.
-    """
-
-    n_t: int = 22
-    n_a: int = 6
-    n_r: int = 4
-    budget: int = 15
-    nu: float = 0.01
-    lam: float = 1.0
-    rho: float | None = None
-    gamma: float = 1.0
-    dt: int = 24
-    risk: RiskModelChoice = field(default_factory=Covariance)
-
-    def __post_init__(self) -> None:
-        for name in ("n_t", "n_a", "n_r"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.dt < 1:
-            raise ValueError("dt must be >= 1")
-        if self.budget < 0:
-            raise ValueError("budget must be >= 0")
-        max_budget = self.n_a * (2**self.n_r - 1)
-        if self.budget > max_budget:
-            raise ValueError(
-                f"budget {self.budget} exceeds representable total {max_budget} "
-                f"(n_a * (2^n_r - 1))"
-            )
-        for name in ("nu", "lam", "gamma", "rho"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-
-    @property
-    def n(self) -> int:
-        """Number of binary variables."""
-        return self.n_t * self.n_a * self.n_r
-
-    def partition(self) -> BlockPartition:
-        """One block per rebalancing interval."""
-        return BlockPartition.from_sizes([self.n_a * self.n_r] * self.n_t)
-
-    def bit_index(self, t: int, a: int, r: int) -> int:
-        """Flattened variable index of bit ``r`` of weight ``(t, a)``."""
-        return (t * self.n_a + a) * self.n_r + r
 
 
 @dataclass(frozen=True)
@@ -166,6 +86,177 @@ class RiskMatrix:
     @property
     def n_a(self) -> int:
         return self.matrix.shape[0]
+
+
+def _integer(name: str, value) -> int:
+    """A count field taken exactly: an int, or a float with no fraction."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _finite(name: str, value) -> float:
+    """A real field as a float; booleans, strings and non-finite values are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def _rate(name: str, value) -> float:
+    """A finite, nonnegative objective weight."""
+    value = _finite(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# risk estimators
+
+def _interval_daily(panel: ReturnPanel, t: int) -> np.ndarray:
+    if panel.dt < 2:
+        raise ValueError("risk estimation needs dt >= 2 daily observations per interval")
+    return panel.daily_returns[panel.daily_slice(t)]
+
+
+@dataclass(frozen=True)
+class Covariance:
+    """Plain sample covariance of within-interval daily returns."""
+
+    def estimate(self, panel: ReturnPanel, t: int) -> RiskMatrix:
+        """Two-pass sample covariance (1/(dt-1), mean-centered) of interval ``t``."""
+        day = _interval_daily(panel, t)
+        centered = day - day.mean(axis=0)
+        return RiskMatrix(matrix=centered.T @ centered / (panel.dt - 1))
+
+
+@dataclass(frozen=True)
+class Semicovariance:
+    """Downside co-movement: only returns below ``benchmark`` contribute."""
+
+    benchmark: float = 0.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "benchmark", _finite("benchmark", self.benchmark))
+
+    def estimate(self, panel: ReturnPanel, t: int) -> RiskMatrix:
+        """Clip returns above ``benchmark`` to zero, no centering."""
+        day = _interval_daily(panel, t)
+        downside = np.minimum(day - self.benchmark, 0.0)
+        return RiskMatrix(matrix=downside.T @ downside / (panel.dt - 1))
+
+
+@dataclass(frozen=True)
+class Shrinkage:
+    """Sample covariance shrunk toward a scaled identity.
+
+    ``delta_override`` in [0, 1] pins the shrinkage intensity instead of
+    estimating it.
+    """
+
+    delta_override: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.delta_override is not None:
+            delta = _finite("delta_override", self.delta_override)
+            if not 0.0 <= delta <= 1.0:
+                raise ValueError(f"delta_override must lie in [0, 1], got {delta!r}")
+            object.__setattr__(self, "delta_override", delta)
+
+    def estimate(self, panel: ReturnPanel, t: int) -> RiskMatrix:
+        """Interval ``t``'s sample covariance shrunk toward ``(tr/n_a) * I``.
+
+        The intensity balances the distance to the target against the sampling
+        noise of the covariance estimate and is clipped to [0, 1]; a covariance
+        already proportional to the identity gets intensity 0.  The identity
+        target preserves the trace for every intensity.
+        """
+        day = _interval_daily(panel, t)
+        n_a = day.shape[1]
+        cov = Covariance().estimate(panel, t).matrix
+        target = (np.trace(cov) / n_a) * np.eye(n_a)
+        alpha_hat = float(np.linalg.norm(cov - target) ** 2)
+        centered = day - day.mean(axis=0)
+        noise = sum(
+            float(np.linalg.norm(np.outer(y, y) - cov) ** 2) for y in centered
+        ) / panel.dt**2
+        beta_hat = min(alpha_hat, noise)
+        if self.delta_override is not None:
+            delta = self.delta_override
+        elif alpha_hat == 0.0:
+            delta = 0.0
+        else:
+            delta = float(np.clip(beta_hat / alpha_hat, 0.0, 1.0))
+        shrunk = (1.0 - delta) * cov + delta * target
+        return RiskMatrix(
+            matrix=shrunk,
+            shrinkage=ShrinkageDiagnostics(delta=delta, alpha_hat=alpha_hat, beta_hat=beta_hat),
+        )
+
+
+RiskModelChoice = Union[Covariance, Semicovariance, Shrinkage]
+#: the risk estimators by the kind name that config files and ``--risk`` use
+_RISK_KINDS = {"covariance": Covariance, "semicovariance": Semicovariance, "shrinkage": Shrinkage}
+
+
+@dataclass(frozen=True)
+class DpoConfig:
+    """Problem dimensions and objective hyperparameters.
+
+    ``rho=None`` means automatic: twice the largest absolute interval return,
+    resolved once a return panel is available, so that violating the budget
+    can never pay for itself through the return term.
+    """
+
+    n_t: int = 22
+    n_a: int = 6
+    n_r: int = 4
+    budget: int = 15
+    nu: float = 0.01
+    lam: float = 1.0
+    rho: float | None = None
+    gamma: float = 1.0
+    dt: int = 24
+    risk: RiskModelChoice = field(default_factory=Covariance)
+
+    def __post_init__(self) -> None:
+        for name in ("n_t", "n_a", "n_r", "budget", "dt"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("n_t", "n_a", "n_r", "dt"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.budget < 0:
+            raise ValueError("budget must be >= 0")
+        max_budget = self.n_a * (2**self.n_r - 1)
+        if self.budget > max_budget:
+            raise ValueError(
+                f"budget {self.budget} exceeds representable total {max_budget} "
+                f"(n_a * (2^n_r - 1))"
+            )
+        for name in ("nu", "lam", "gamma", "rho"):
+            value = getattr(self, name)
+            if not (name == "rho" and value is None):
+                object.__setattr__(self, name, _rate(name, value))
+        if type(self.risk) not in _RISK_KINDS.values():
+            kinds = " or ".join(_RISK_KINDS)
+            raise ValueError(f"risk must be a {kinds} estimator, got {self.risk!r}")
+
+    @property
+    def n(self) -> int:
+        """Number of binary variables."""
+        return self.n_t * self.n_a * self.n_r
+
+    def partition(self) -> BlockPartition:
+        """One block per rebalancing interval."""
+        return BlockPartition.from_sizes([self.n_a * self.n_r] * self.n_t)
+
+    def bit_index(self, t: int, a: int, r: int) -> int:
+        """Flattened variable index of bit ``r`` of weight ``(t, a)``."""
+        return (t * self.n_a + a) * self.n_r + r
 
 
 @dataclass(frozen=True)
@@ -204,76 +295,9 @@ def as_allocation(allocation: PortfolioAllocation | np.ndarray) -> PortfolioAllo
     return PortfolioAllocation(weights=allocation)
 
 
-# ---------------------------------------------------------------------------
-# risk estimators
-
-def _interval_daily(panel: ReturnPanel, t: int) -> np.ndarray:
-    if panel.dt < 2:
-        raise ValueError("risk estimation needs dt >= 2 daily observations per interval")
-    return panel.daily_returns[panel.daily_slice(t)]
-
-
-def covariance_risk(panel: ReturnPanel, t: int) -> RiskMatrix:
-    """Two-pass sample covariance (1/(dt-1), mean-centered) of interval ``t``."""
-    day = _interval_daily(panel, t)
-    centered = day - day.mean(axis=0)
-    return RiskMatrix(matrix=centered.T @ centered / (panel.dt - 1))
-
-
-def semicovariance_risk(panel: ReturnPanel, t: int, benchmark: float = 0.0) -> RiskMatrix:
-    """Downside semicovariance: clip returns above ``benchmark`` to zero, no centering."""
-    day = _interval_daily(panel, t)
-    downside = np.minimum(day - benchmark, 0.0)
-    return RiskMatrix(matrix=downside.T @ downside / (panel.dt - 1))
-
-
-def shrinkage_risk(
-    panel: ReturnPanel, t: int, delta_override: float | None = None
-) -> RiskMatrix:
-    """Sample covariance shrunk toward ``(tr/n_a) * I``.
-
-    The intensity balances the distance to the target against the sampling
-    noise of the covariance estimate and is clipped to [0, 1]; a covariance
-    already proportional to the identity gets intensity 0.  The identity
-    target preserves the trace for every intensity.
-    """
-    day = _interval_daily(panel, t)
-    n_a = day.shape[1]
-    cov = covariance_risk(panel, t).matrix
-    target = (np.trace(cov) / n_a) * np.eye(n_a)
-    alpha_hat = float(np.linalg.norm(cov - target) ** 2)
-    centered = day - day.mean(axis=0)
-    noise = sum(
-        float(np.linalg.norm(np.outer(y, y) - cov) ** 2) for y in centered
-    ) / panel.dt**2
-    beta_hat = min(alpha_hat, noise)
-    if delta_override is not None:
-        delta = float(np.clip(delta_override, 0.0, 1.0))
-    elif alpha_hat == 0.0:
-        delta = 0.0
-    else:
-        delta = float(np.clip(beta_hat / alpha_hat, 0.0, 1.0))
-    shrunk = (1.0 - delta) * cov + delta * target
-    return RiskMatrix(
-        matrix=shrunk,
-        shrinkage=ShrinkageDiagnostics(delta=delta, alpha_hat=alpha_hat, beta_hat=beta_hat),
-    )
-
-
 def risk_matrices(config: DpoConfig, panel: ReturnPanel) -> list[RiskMatrix]:
     """Per-interval risk estimates per the configured estimator."""
-    choice = config.risk
-    out: list[RiskMatrix] = []
-    for t in range(config.n_t):
-        if isinstance(choice, Covariance):
-            out.append(covariance_risk(panel, t))
-        elif isinstance(choice, Semicovariance):
-            out.append(semicovariance_risk(panel, t, benchmark=choice.benchmark))
-        elif isinstance(choice, Shrinkage):
-            out.append(shrinkage_risk(panel, t, delta_override=choice.delta_override))
-        else:
-            raise TypeError(f"unknown risk model {choice!r}")
-    return out
+    return [config.risk.estimate(panel, t) for t in range(config.n_t)]
 
 
 # ---------------------------------------------------------------------------
@@ -417,80 +441,47 @@ def decode(x, config: DpoConfig) -> PortfolioAllocation:
 # ---------------------------------------------------------------------------
 # config files
 
-def _risk_to_json(choice: RiskModelChoice) -> dict:
-    if isinstance(choice, Covariance):
-        return {"kind": "covariance"}
-    if isinstance(choice, Semicovariance):
-        return {"kind": "semicovariance", "benchmark": choice.benchmark}
-    if isinstance(choice, Shrinkage):
-        out = {"kind": "shrinkage"}
-        if choice.delta_override is not None:
-            out["delta_override"] = choice.delta_override
-        return out
-    raise TypeError(f"unknown risk model {choice!r}")
-
-
-def _risk_from_json(obj) -> RiskModelChoice:
-    if isinstance(obj, str):
-        obj = {"kind": obj}
-    kind = obj.get("kind")
-    if kind == "covariance":
-        return Covariance()
-    if kind == "semicovariance":
-        benchmark = obj.get("benchmark")
-        return Semicovariance(benchmark=0.0 if benchmark is None else float(benchmark))
-    if kind == "shrinkage":
-        override = obj.get("delta_override")
-        return Shrinkage(delta_override=None if override is None else float(override))
-    raise ValueError(f"unknown risk kind {kind!r}")
+def _json_key(name: str) -> str:
+    """The config-file key of a ``DpoConfig`` field."""
+    return "lambda" if name == "lam" else name
 
 
 def config_to_dict(config: DpoConfig) -> dict:
-    return {
-        "n_t": config.n_t,
-        "n_a": config.n_a,
-        "n_r": config.n_r,
-        "budget": config.budget,
-        "nu": config.nu,
-        "lambda": config.lam,
-        "rho": config.rho,
-        "gamma": config.gamma,
-        "dt": config.dt,
-        "risk": _risk_to_json(config.risk),
-    }
+    """The JSON form: one key per field, the risk as its kind and set fields."""
+    out = {_json_key(f.name): getattr(config, f.name) for f in fields(config)}
+    kind = next(k for k, cls in _RISK_KINDS.items() if type(config.risk) is cls)
+    out["risk"] = {"kind": kind, **{k: v for k, v in asdict(config.risk).items() if v is not None}}
+    return out
 
 
-def _integer(name: str, value) -> int:
-    """A count field taken exactly: an int, or a float with no fraction."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
+def _risk_from_json(obj) -> RiskModelChoice:
+    """A risk estimator from its kind name or from ``{"kind": ..., **fields}``."""
+    if isinstance(obj, str):
+        obj = {"kind": obj}
+    if not isinstance(obj, dict):
+        raise ValueError(f"risk must be a kind name or an object with a kind, got {obj!r}")
+    params = dict(obj)
+    kind = params.pop("kind", None)
+    if not isinstance(kind, str) or kind not in _RISK_KINDS:
+        raise ValueError(f"unknown risk kind {kind!r}; expected one of {list(_RISK_KINDS)}")
+    cls = _RISK_KINDS[kind]
+    unknown = set(params) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"risk kind {kind!r} takes no fields {sorted(unknown)}")
+    return cls(**params)
 
 
 def config_from_dict(obj: dict) -> DpoConfig:
-    known = {
-        "n_t", "n_a", "n_r", "budget", "nu", "lam", "lambda", "rho", "gamma", "dt", "risk",
-    }
-    unknown = set(obj) - known
+    """Read the JSON form; every key is optional and falls back to the default."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a config must be a JSON object, got {obj!r}")
+    names = {_json_key(f.name): f.name for f in fields(DpoConfig)}
+    unknown = set(obj) - set(names)
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    kwargs = {}
-    for key in ("n_t", "n_a", "n_r", "budget", "dt"):
-        if key in obj:
-            kwargs[key] = _integer(key, obj[key])
-    for key in ("nu", "gamma"):
-        if key in obj:
-            kwargs[key] = float(obj[key])
-    if "lambda" in obj:
-        kwargs["lam"] = float(obj["lambda"])
-    elif "lam" in obj:
-        kwargs["lam"] = float(obj["lam"])
-    if "rho" in obj and obj["rho"] is not None:
-        kwargs["rho"] = float(obj["rho"])
-    if "risk" in obj:
-        kwargs["risk"] = _risk_from_json(obj["risk"])
+    kwargs = {names[key]: value for key, value in obj.items()}
+    if "risk" in kwargs:
+        kwargs["risk"] = _risk_from_json(kwargs["risk"])
     return DpoConfig(**kwargs)
 
 
@@ -507,8 +498,5 @@ def load_config(path: str | os.PathLike, **overrides) -> DpoConfig:
     Keyword overrides (e.g. from CLI flags) take precedence over the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError("config file must hold a JSON object")
-    cfg = config_from_dict(obj)
+        cfg = config_from_dict(json.load(fh))
     return replace(cfg, **overrides) if overrides else cfg

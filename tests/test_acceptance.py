@@ -24,12 +24,9 @@ from dpoqubo.model import (
     DpoConfig,
     Semicovariance,
     Shrinkage,
-    covariance_risk,
     encode_qubo,
     resolved_rho,
     risk_matrices,
-    semicovariance_risk,
-    shrinkage_risk,
 )
 from dpoqubo.planted import make_scale_separated_qubo
 from dpoqubo.precision import quantize_int8, reduce_dynamic_range
@@ -311,9 +308,9 @@ class TestAcceptance:
             n_a = int(rng.integers(2, 7))
             dt = int(rng.integers(3, 9))
             panel = _panel(rng, 1, n_a, dt, scale=float(rng.uniform(0.002, 0.05)))
-            cov = covariance_risk(panel, 0)
-            semi = semicovariance_risk(panel, 0, benchmark=float(rng.normal(0, 0.005)))
-            shr = shrinkage_risk(panel, 0)
+            cov = Covariance().estimate(panel, 0)
+            semi = Semicovariance(benchmark=float(rng.normal(0, 0.005))).estimate(panel, 0)
+            shr = Shrinkage().estimate(panel, 0)
             for risk in (cov, semi, shr):
                 s = risk.matrix
                 norm = float(np.linalg.norm(s))

@@ -8,7 +8,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from dpoqubo.backends import make_backend  # noqa: E402
-from dpoqubo.bcd import BcdConfig, bcd_solve  # noqa: E402
+from dpoqubo.bcd import BcdConfig, bcd_solve, extract_subproblem, write_back  # noqa: E402
 from dpoqubo.qubo import BlockPartition, Qubo, qubo_energy  # noqa: E402
 
 coefficient = st.floats(-50.0, 50.0, allow_subnormal=False)
@@ -39,3 +39,25 @@ def test_sweep_starts_at_zero_and_never_increases(backend, q, seed):
     # strict local improvement can still round up by an ulp in the global sum
     assert all(b <= a + 1e-9 * (1.0 + abs(a)) for a, b in zip(energies, energies[1:]))
     assert result.energy == qubo_energy(q, result.assignment)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_subproblem_energy_differences_are_global_differences(data):
+    q = data.draw(tridiagonal_qubos())
+    part = q.partition
+    bits = st.integers(0, 1)
+    x = np.array(data.draw(st.lists(bits, min_size=q.n, max_size=q.n)), dtype=np.int8)
+    i = data.draw(st.integers(0, len(part) - 1))
+    size = part.sizes[i]
+    y1, y2 = (
+        np.array(data.draw(st.lists(bits, min_size=size, max_size=size)), dtype=np.int8)
+        for _ in range(2)
+    )
+    sub = extract_subproblem(q, x, i)
+    local = qubo_energy(sub, y1) - qubo_energy(sub, y2)
+    whole = qubo_energy(q, write_back(x, part, i, y1)) - qubo_energy(
+        q, write_back(x, part, i, y2)
+    )
+    scale = np.abs(q.coeffs).sum()
+    assert local == pytest.approx(whole, rel=0, abs=1e-9 * max(scale, 1.0))

@@ -91,6 +91,44 @@ class TestBuild:
         assert code == 0
         assert load_model(out).n == 2 * 4 * 2  # override wins over file
 
+    @pytest.mark.parametrize("flags,risk", [
+        (["--risk", "semicovariance", "--benchmark", -0.002],
+         {"kind": "semicovariance", "benchmark": -0.002}),
+        (["--risk", "semicovariance"], {"kind": "semicovariance", "benchmark": 0.0}),
+        (["--risk", "shrinkage", "--shrinkage-delta", 0.3],
+         {"kind": "shrinkage", "delta_override": 0.3}),
+        (["--risk", "shrinkage"], {"kind": "shrinkage"}),
+    ])
+    def test_risk_flags_reach_the_sidecar(self, tmp_path, prices_csv, flags, risk):
+        out = tmp_path / "m.txt"
+        code = run([
+            "build", "--prices", prices_csv, "--n-t", 2, "--n-a", 4, "--n-r", 2,
+            "--budget", 3, "--dt", 4, *flags, "--out", out,
+        ])
+        assert code == 0
+        meta = json.loads((tmp_path / "m.txt.meta.json").read_text())
+        assert meta["config"]["risk"] == risk
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--benchmark", 0.5], "need --risk"),
+        (["--shrinkage-delta", 0.5], "need --risk"),
+        (["--risk", "covariance", "--benchmark", 0.5], "takes no fields"),
+        (["--risk", "semicovariance", "--benchmark", 0.5, "--shrinkage-delta", 0.3],
+         "takes no fields"),
+        (["--risk", "shrinkage", "--shrinkage-delta", 7], "delta_override must lie in"),
+    ])
+    def test_risk_flag_the_estimator_does_not_take_fails_cleanly(
+        self, tmp_path, prices_csv, capsys, flags, message
+    ):
+        code = run([
+            "build", "--prices", prices_csv, "--n-t", 2, "--n-a", 4, "--n-r", 2,
+            "--budget", 3, "--dt", 4, *flags, "--out", tmp_path / "m.txt",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "m.txt").exists()
+
     def test_synthetic_source_sizes_itself_from_config(self, tmp_path):
         out = tmp_path / "m.txt"
         code = run([
@@ -238,6 +276,23 @@ class TestEvaluate:
         assert code == 0
         report = json.loads((out / "evaluation.json").read_text())
         assert report["feasible"] is False and report["violations"]
+
+    @pytest.mark.parametrize("config,message", [
+        (5, "must be a JSON object"),
+        ({"lam": 0.5}, "unknown config fields"),
+        ({"nu": True}, "nu must be a number"),
+    ])
+    def test_bad_embedded_config_fails_cleanly(
+        self, tmp_path, prices_csv, capsys, config, message
+    ):
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps({"assignment": [0] * 16, "config": config}))
+        code = run([
+            "evaluate", "--solution", sol, "--prices", prices_csv, "--out", tmp_path / "eval",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
     def test_flag_override_on_embedded_config(
         self, tmp_path, prices_csv, model_file

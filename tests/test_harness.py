@@ -121,6 +121,10 @@ class TestFeasibility:
         assert not check_feasibility(np.array([[4]]), 3).feasible
         assert check_feasibility(np.array([[3]]), 3).feasible
 
+    def test_non_integral_budget_is_never_met(self):
+        res = check_feasibility(np.array([[14], [15]]), 14.5)
+        assert res.violations == ((0, 14), (1, 15))
+
     def test_accepts_raw_arrays(self):
         res = check_feasibility(np.array([[1, 2], [3, 0]]), 3)
         assert res.feasible

@@ -17,7 +17,7 @@ from dpoqubo.model import (
     Semicovariance,
     Shrinkage,
     config_from_dict,
-    covariance_risk,
+    config_to_dict,
     decode,
     encode_qubo,
     load_config,
@@ -25,8 +25,6 @@ from dpoqubo.model import (
     resolved_rho,
     risk_matrices,
     save_config,
-    semicovariance_risk,
-    shrinkage_risk,
 )
 from dpoqubo.qubo import qubo_energy, verify_block_tridiagonal
 
@@ -83,6 +81,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             DpoConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["nu", "lam", "gamma", "rho"])
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_rates_must_be_numbers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            DpoConfig(**{name: value})
+
+    def test_unknown_risk_rejected(self):
+        with pytest.raises(ValueError, match="risk must be a covariance or semicovariance or shrinkage"):
+            DpoConfig(risk="covariance")
+
     def test_bit_index_layout(self):
         cfg = DpoConfig(n_t=2, n_a=3, n_r=2, budget=4)
         assert cfg.bit_index(0, 0, 0) == 0
@@ -94,44 +102,52 @@ class TestConfig:
 class TestCovarianceRisk:
     def test_constant_returns_zero_matrix(self):
         panel = panel_from_daily(np.full((4, 3), 0.02), dt=4)
-        assert np.all(covariance_risk(panel, 0).matrix == 0.0)
+        assert np.all(Covariance().estimate(panel, 0).matrix == 0.0)
 
     def test_two_sample_variance_by_hand(self):
         panel = panel_from_daily(np.array([[0.01], [-0.01]]), dt=2)
-        sigma = covariance_risk(panel, 0).matrix
+        sigma = Covariance().estimate(panel, 0).matrix
         assert sigma[0, 0] == pytest.approx(2e-4, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_psd_on_random_data(self, seed):
         panel = random_panel(seed, n_t=3, n_a=5)
         for t in range(3):
-            eigs = np.linalg.eigvalsh(covariance_risk(panel, t).matrix)
+            eigs = np.linalg.eigvalsh(Covariance().estimate(panel, t).matrix)
             assert eigs.min() >= -1e-12
 
     def test_matches_numpy_cov(self):
         panel = random_panel(11, n_t=2, n_a=4, dt=8)
         day = panel.daily_returns[panel.daily_slice(1)]
         np.testing.assert_allclose(
-            covariance_risk(panel, 1).matrix, np.cov(day.T, ddof=1), atol=1e-15
+            Covariance().estimate(panel, 1).matrix, np.cov(day.T, ddof=1), atol=1e-15
         )
 
     def test_needs_two_observations(self):
         panel = panel_from_daily(np.zeros((2, 2)), dt=1)
         with pytest.raises(ValueError, match="dt >= 2"):
-            covariance_risk(panel, 0)
+            Covariance().estimate(panel, 0)
 
 
 class TestSemicovarianceRisk:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "0"])
+    def test_benchmark_must_be_a_finite_number(self, value):
+        with pytest.raises(ValueError, match="benchmark must be"):
+            Semicovariance(benchmark=value)
+
+    def test_negative_benchmark_accepted(self):
+        assert Semicovariance(benchmark=-0.01).benchmark == -0.01
+
     def test_all_above_benchmark_zero(self):
         panel = panel_from_daily(np.full((4, 2), 0.05), dt=4)
-        assert np.all(semicovariance_risk(panel, 0, benchmark=0.0).matrix == 0.0)
+        assert np.all(Semicovariance(benchmark=0.0).estimate(panel, 0).matrix == 0.0)
 
     def test_all_below_benchmark_second_moment(self):
         daily = np.array([[-0.01, -0.02], [-0.03, -0.01], [-0.02, -0.02]])
         panel = panel_from_daily(daily, dt=3)
         expected = daily.T @ daily / 2.0  # no centering, nothing clipped
         np.testing.assert_allclose(
-            semicovariance_risk(panel, 0, benchmark=0.0).matrix, expected, atol=1e-15
+            Semicovariance(benchmark=0.0).estimate(panel, 0).matrix, expected, atol=1e-15
         )
 
     def test_mixed_signs_clipped_gram_oracle(self):
@@ -144,29 +160,34 @@ class TestSemicovarianceRisk:
             for b in range(2):
                 expected[a, b] = sum(clipped[s, a] * clipped[s, b] for s in range(6)) / 5.0
         np.testing.assert_allclose(
-            semicovariance_risk(panel, 0, benchmark=0.001).matrix, expected, atol=1e-15
+            Semicovariance(benchmark=0.001).estimate(panel, 0).matrix, expected, atol=1e-15
         )
 
 
 class TestShrinkageRisk:
+    @pytest.mark.parametrize("value", [7, -0.1, 1.5, float("nan"), True])
+    def test_override_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ValueError, match="delta_override must"):
+            Shrinkage(delta_override=value)
+
     def test_identity_proportional_cov_gets_zero_delta(self):
         # two assets moving identically but independently scaled leaves a
         # diagonal, equal-variance covariance -> already the target
         daily = np.array([[0.01, -0.01], [-0.01, 0.01]])
         panel = panel_from_daily(daily, dt=2)
-        risk = shrinkage_risk(panel, 0)
+        risk = Shrinkage().estimate(panel, 0)
         # cov = [[2e-4, -2e-4], [-2e-4, 2e-4]] is NOT proportional to I here;
         # build a genuinely isotropic case instead
         daily_iso = np.array([[0.01, 0.0], [-0.01, 0.0], [0.0, 0.01], [0.0, -0.01]])
         panel_iso = panel_from_daily(daily_iso, dt=4)
-        risk = shrinkage_risk(panel_iso, 0)
+        risk = Shrinkage().estimate(panel_iso, 0)
         assert risk.shrinkage.delta == 0.0
-        np.testing.assert_allclose(risk.matrix, covariance_risk(panel_iso, 0).matrix)
+        np.testing.assert_allclose(risk.matrix, Covariance().estimate(panel_iso, 0).matrix)
 
     def test_full_override_returns_target(self):
         panel = random_panel(7, n_t=1, n_a=4, dt=10)
-        cov = covariance_risk(panel, 0).matrix
-        risk = shrinkage_risk(panel, 0, delta_override=1.0)
+        cov = Covariance().estimate(panel, 0).matrix
+        risk = Shrinkage(delta_override=1.0).estimate(panel, 0)
         target = (np.trace(cov) / 4) * np.eye(4)
         np.testing.assert_allclose(risk.matrix, target, atol=1e-15)
 
@@ -174,22 +195,22 @@ class TestShrinkageRisk:
     def test_trace_preserved(self, seed):
         panel = random_panel(seed, n_t=2, n_a=5, dt=8)
         for t in range(2):
-            cov_tr = np.trace(covariance_risk(panel, t).matrix)
-            sh_tr = np.trace(shrinkage_risk(panel, t).matrix)
+            cov_tr = np.trace(Covariance().estimate(panel, t).matrix)
+            sh_tr = np.trace(Shrinkage().estimate(panel, t).matrix)
             assert sh_tr == pytest.approx(cov_tr, abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_delta_in_unit_interval(self, seed):
         panel = random_panel(100 + seed, n_t=3, n_a=4)
         for t in range(3):
-            d = shrinkage_risk(panel, t).shrinkage
+            d = Shrinkage().estimate(panel, t).shrinkage
             assert 0.0 <= d.delta <= 1.0
             assert d.beta_hat <= d.alpha_hat or d.alpha_hat == 0.0
 
     def test_shrunk_toward_target(self):
         panel = random_panel(55, n_t=1, n_a=3, dt=4)  # noisy: few samples
-        risk = shrinkage_risk(panel, 0)
-        cov = covariance_risk(panel, 0).matrix
+        risk = Shrinkage().estimate(panel, 0)
+        cov = Covariance().estimate(panel, 0).matrix
         if risk.shrinkage.delta > 0:
             # off-diagonal magnitudes can only shrink under identity targets
             off = ~np.eye(3, dtype=bool)
@@ -413,11 +434,52 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match="unknown config"):
             load_config(path)
 
+    @pytest.mark.parametrize("make", [config_from_dict, lambda d: DpoConfig(**d)])
     @pytest.mark.parametrize("name", ["n_t", "n_a", "n_r", "budget", "dt"])
     @pytest.mark.parametrize("value", [7.5, True, "7"])
-    def test_counts_taken_exactly_or_rejected(self, name, value):
+    def test_counts_taken_exactly_or_rejected(self, make, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            config_from_dict({name: value})
+            make({name: value})
+
+    @pytest.mark.parametrize("key,name", [
+        ("nu", "nu"), ("lambda", "lam"), ("gamma", "gamma"), ("rho", "rho"),
+    ])
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_rates_in_file_must_be_numbers(self, key, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            config_from_dict({key: value})
+
+    def test_lam_key_rejected(self):
+        # the file spelling is "lambda"; "lam" is the field name only
+        with pytest.raises(ValueError, match=r"unknown config fields: \['lam'\]"):
+            config_from_dict({"lam": 0.5, "lambda": 2.0})
+
+    @pytest.mark.parametrize("obj", [5, [1], None, "{}"])
+    def test_config_must_be_an_object(self, obj):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            config_from_dict(obj)
+
+    @pytest.mark.parametrize("risk,message", [
+        (5, "risk must be a kind name"),
+        ({"benchmark": 0.0}, "unknown risk kind None"),
+        ({"kind": "variance"}, "unknown risk kind 'variance'"),
+        ({"kind": ["covariance"]}, "unknown risk kind"),
+        ({"kind": "covariance", "benchmark": 3}, "takes no fields \\['benchmark'\\]"),
+        ({"kind": "semicovariance", "delta_override": 0.5}, "takes no fields"),
+        ({"kind": "semicovariance", "benchmark": float("nan")}, "benchmark must be finite"),
+        ({"kind": "shrinkage", "delta_override": 7}, "delta_override must lie in"),
+    ])
+    def test_bad_risk_rejected(self, risk, message):
+        with pytest.raises(ValueError, match=message):
+            config_from_dict({"risk": risk})
+
+    @pytest.mark.parametrize("risk", [
+        Covariance(), Semicovariance(benchmark=-0.002), Shrinkage(), Shrinkage(delta_override=0.3),
+    ])
+    def test_risk_written_as_kind_and_set_fields(self, risk):
+        written = config_to_dict(DpoConfig(risk=risk))["risk"]
+        assert list(written)[0] == "kind" and None not in written.values()
+        assert config_from_dict({"risk": written}).risk == risk
 
     def test_integral_float_counts_accepted(self):
         assert config_from_dict({"budget": 7.0, "n_t": 3.0}) == DpoConfig(budget=7, n_t=3)

@@ -9,7 +9,13 @@ from hypothesis import strategies as st  # noqa: E402
 
 from dpoqubo.backends import canonical_qubo  # noqa: E402
 from dpoqubo.precision import QuantizedIsing, quantize_int8  # noqa: E402
-from dpoqubo.qubo import IsingModel, ising_energy, qubo_energy  # noqa: E402
+from dpoqubo.qubo import (  # noqa: E402
+    IsingModel,
+    Qubo,
+    ising_energy,
+    qubo_energy,
+    qubo_to_ising,
+)
 
 coefficient = st.floats(-1e3, 1e3, allow_subnormal=False)
 int8 = st.integers(-128, 127)
@@ -19,6 +25,15 @@ def _symmetric(upper: list, n: int) -> np.ndarray:
     m = np.zeros((n, n))
     m[np.triu_indices(n, k=1)] = upper
     return m + m.T
+
+
+@st.composite
+def qubos(draw):
+    n = draw(st.integers(1, 8))
+    upper = draw(st.lists(coefficient, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    m = np.zeros((n, n))
+    m[np.triu_indices(n)] = upper
+    return Qubo(m + np.triu(m, 1).T, offset=draw(coefficient))
 
 
 @st.composite
@@ -44,6 +59,17 @@ def test_integer_model_converts_exactly(data):
     m = data.draw(ising_models(integer=True))
     x = _bits(data.draw, m.n)
     assert qubo_energy(canonical_qubo(m), x) == ising_energy(m, 1 - 2 * x)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_qubo_converts_to_ising_to_rounding(data):
+    q = data.draw(qubos())
+    x = _bits(data.draw, q.n)
+    # relative to the largest energy any assignment could reach
+    size = abs(q.offset) + np.abs(q.coeffs).sum()
+    got = ising_energy(qubo_to_ising(q), 1 - 2 * x)
+    assert got == pytest.approx(qubo_energy(q, x), rel=0, abs=1e-9 * max(size, 1.0))
 
 
 @settings(deadline=None)
