@@ -326,13 +326,15 @@ def quantize_int8(model: IsingModel) -> QuantizedIsing:
     ``alpha`` the largest absolute coefficient, so the extreme entry lands on
     exactly +/-127 and anything below ``alpha / 254`` collapses to zero.
     Ties round half-to-even.  An all-zero model quantizes to zeros with
-    scale 1.
+    scale 1, and so does one whose largest coefficient is so small (below
+    about 7e-307) that ``127 / alpha`` overflows to infinity.
     """
     alpha = max(
         (float(np.abs(a).max()) for a in (model.linear, model.quadratic) if a.size),
         default=0.0,
     )
-    alpha = alpha or 127.0  # all zeros: scale 1
+    if alpha == 0.0 or math.isinf(127.0 / alpha):
+        alpha = 127.0  # every coefficient rounds to zero at scale 1
     lin = np.clip(np.round(127.0 * (model.linear / alpha)), -128, 127)
     quad = np.clip(np.round(127.0 * (model.quadratic / alpha)), -128, 127)
     return QuantizedIsing(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from dpoqubo.backends import make_backend  # noqa: E402
@@ -31,6 +31,12 @@ def tridiagonal_qubos(draw):
 @pytest.mark.parametrize("backend", ["exhaustive", "sa", "tabu", "int8(tabu)"])
 @settings(max_examples=30, deadline=None)
 @given(q=tridiagonal_qubos(), seed=st.integers(0, 2**16))
+# the smallest normal coefficient becomes a subnormal Ising field whose int8
+# scale 127 / h overflows
+@example(
+    q=Qubo(np.diag([0.0, 2.2250738585072014e-308]), partition=BlockPartition.from_sizes([1, 1])),
+    seed=0,
+)
 def test_sweep_starts_at_zero_and_never_increases(backend, q, seed):
     cfg = BcdConfig(global_iters=2, repeats_per_block=2, seed=seed)
     result = bcd_solve(q, make_backend(backend), cfg)

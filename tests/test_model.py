@@ -434,12 +434,17 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match="unknown config"):
             load_config(path)
 
-    @pytest.mark.parametrize("make", [config_from_dict, lambda d: DpoConfig(**d)])
     @pytest.mark.parametrize("name", ["n_t", "n_a", "n_r", "budget", "dt"])
     @pytest.mark.parametrize("value", [7.5, True, "7"])
-    def test_counts_taken_exactly_or_rejected(self, make, name, value):
+    def test_counts_taken_exactly_or_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            make({name: value})
+            config_from_dict({name: value})
+
+    @pytest.mark.parametrize("name", ["n_t", "n_a", "n_r", "budget", "dt"])
+    @pytest.mark.parametrize("value", [7.5, True, "7"])
+    def test_constructor_takes_counts_exactly_or_rejects(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            DpoConfig(**{name: value})
 
     @pytest.mark.parametrize("key,name", [
         ("nu", "nu"), ("lambda", "lam"), ("gamma", "gamma"), ("rho", "rho"),

@@ -182,6 +182,14 @@ class TestQuantize:
         assert np.all(q.linear == 0)
         assert np.all(q.quadratic == 0)
 
+    def test_scale_overflow_quantizes_to_zero(self):
+        # 127 / 5.6e-309 overflows; no finite scale lifts these coefficients
+        m = IsingModel(linear=np.array([5.6e-309, 0.0]), quadratic=np.zeros((2, 2)))
+        q = quantize_int8(m)
+        assert q.scale == 1.0
+        assert np.all(q.linear == 0)
+        assert np.all(q.quadratic == 0)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_range_contract(self, seed):
         rng = np.random.default_rng(seed)

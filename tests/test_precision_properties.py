@@ -1,5 +1,7 @@
 """Property tests of the model conversion and the int8 quantization contract."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -88,8 +90,9 @@ def test_float_model_converts_to_rounding(data):
 def test_quantization_pins_the_extreme_coefficient(m):
     alpha = max(np.abs(m.linear).max(), np.abs(m.quadratic).max())
     q = quantize_int8(m)
-    if alpha == 0.0:
+    if alpha == 0.0 or math.isinf(127.0 / alpha):
         assert q.scale == 1.0
+        assert not q.linear.any() and not q.quadratic.any()
         return
     assert q.scale == 127.0 / alpha
     extreme = np.abs(m.linear) == alpha
