@@ -3,7 +3,10 @@
 Exhaustive enumeration is the ground truth up to 24 variables; simulated
 annealing and tabu search are the scalable options.  Every backend is a
 pure function of (model, seed, effort), so reruns reproduce exactly.
+Results carry no wall time; a caller that wants one times the solve itself.
 """
+
+import time
 
 import numpy as np
 
@@ -15,11 +18,13 @@ q = Qubo.from_dense(rng.normal(size=(n, n)))
 
 for name in ("exhaustive", "sa", "tabu"):
     backend = make_backend(name)
+    start = time.perf_counter()
     res = backend.solve(SolveRequest(q, seed=7))
+    elapsed = time.perf_counter() - start
     again = backend.solve(SolveRequest(q, seed=7))
     assert res.reported_energy == again.reported_energy  # seeded determinism
     print(f"{name:>10}: energy {res.reported_energy:+.6f}  "
-          f"({res.wall_time * 1e3:.1f} ms)")
+          f"({elapsed * 1e3:.1f} ms)")
 
 # effort is the knob that trades time for quality
 print("\nsimulated annealing at increasing effort (sweeps):")

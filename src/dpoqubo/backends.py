@@ -16,7 +16,6 @@ energy.
 from __future__ import annotations
 
 import re
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +61,6 @@ class SolveRequest:
 class SolveResult:
     assignment: np.ndarray
     reported_energy: float
-    wall_time: float
 
     def __post_init__(self) -> None:
         bits = np.array(self.assignment, dtype=np.int8)
@@ -92,19 +90,14 @@ def _flip_deltas(diag: np.ndarray, x: np.ndarray, grad: np.ndarray) -> np.ndarra
 class _Solver:
     """The solve skeleton of every backend: canonicalize the model once, let
     the backend's ``_search(q, request)`` return its best assignment and that
-    assignment's energy without the offset, then add ``q.offset`` and time it."""
+    assignment's energy without the offset, then add ``q.offset``."""
 
     name: str
 
     def solve(self, request: SolveRequest) -> SolveResult:
-        start = time.perf_counter()
         q = canonical_qubo(request.model)
         assignment, energy = self._search(q, request)
-        return SolveResult(
-            assignment=assignment,
-            reported_energy=energy + q.offset,
-            wall_time=time.perf_counter() - start,
-        )
+        return SolveResult(assignment=assignment, reported_energy=energy + q.offset)
 
 
 # enumeration limits: the largest model enumerated, and the number of

@@ -17,7 +17,6 @@ visit.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +125,6 @@ class BcdTraceRecord:
     block: int
     pre_energy: float
     post_energy: float
-    wall_time: float
     seed: int
     accepted: bool
 
@@ -136,7 +134,6 @@ class BcdResult:
     assignment: np.ndarray
     energy: float
     trace: tuple[BcdTraceRecord, ...]
-    wall_time: float
 
     def __post_init__(self) -> None:
         bits = as_bits(self.assignment)
@@ -156,7 +153,6 @@ def bcd_solve(q: Qubo, backend, cfg: BcdConfig | None = None) -> BcdResult:
     cfg = cfg or BcdConfig()
     part = _require_partition(q)
     m = len(part)
-    start = time.perf_counter()
     x = np.zeros(q.n, dtype=np.int8)
     energy = qubo_energy(q, x)
     trace: list[BcdTraceRecord] = []
@@ -164,7 +160,6 @@ def bcd_solve(q: Qubo, backend, cfg: BcdConfig | None = None) -> BcdResult:
         for i in range(m):
             visit = iteration * m + i
             base_seed = cfg.seed + visit * cfg.repeats_per_block
-            t0 = time.perf_counter()
             sub = extract_subproblem(q, x, i)
             sl = part.block_slice(i)
             incumbent_energy = qubo_energy(sub, x[sl])
@@ -183,14 +178,8 @@ def bcd_solve(q: Qubo, backend, cfg: BcdConfig | None = None) -> BcdResult:
                     block=i,
                     pre_energy=pre_energy,
                     post_energy=energy,
-                    wall_time=time.perf_counter() - t0,
                     seed=base_seed,
                     accepted=accepted,
                 )
             )
-    return BcdResult(
-        assignment=x,
-        energy=energy,
-        trace=tuple(trace),
-        wall_time=time.perf_counter() - start,
-    )
+    return BcdResult(assignment=x, energy=energy, trace=tuple(trace))

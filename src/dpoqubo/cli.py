@@ -77,9 +77,15 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _given(args, *names) -> dict:
+    """The flags among ``names`` that were set; the library call they go to
+    supplies its own defaults for the rest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _config_overrides(args) -> dict:
     """The ``DpoConfig`` fields, and the risk fields, that flags set."""
-    given = {k: v for k, v in vars(args).items() if v is not None}
+    given = _given(args, *vars(args))
     overrides = {f.name: given[f.name] for f in fields(DpoConfig) if f.name in given}
     risk_fields = {f.name for cls in _RISK_KINDS.values() for f in fields(cls)}
     risk_args = {k: given[k] for k in risk_fields & given.keys()}
@@ -146,11 +152,7 @@ def _cmd_synth(args) -> int:
         args.seed,
         args.assets,
         args.days,
-        drift=args.drift,
-        volatility=args.volatility,
-        correlation=args.correlation,
-        start_price=args.start_price,
-        start_date=args.start_date,
+        **_given(args, "drift", "volatility", "correlation", "start_price", "start_date"),
     )
     if args.cash:
         table = append_cash_asset(table)
@@ -182,11 +184,7 @@ def _cmd_solve(args) -> int:
         assignment, energy = res.assignment, float(res.reported_energy)
     else:
         q = canonical_qubo(model)
-        cfg = BcdConfig(
-            seed=args.seed,
-            global_iters=args.bcd_iters,
-            repeats_per_block=args.bcd_repeats,
-        )
+        cfg = BcdConfig(seed=args.seed, **_given(args, "global_iters", "repeats_per_block"))
         res = bcd_solve(q, backend, cfg)
         assignment, energy = res.assignment, float(res.energy)
     payload = {
@@ -208,6 +206,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     solution = json.loads(Path(args.solution).read_text())
+    if not isinstance(solution, dict):
+        raise ValueError(f"{args.solution}: a solution file must hold a JSON object")
+    if not isinstance(solution.get("assignment"), list):
+        raise ValueError(f"{args.solution}: the solution has no 'assignment' list")
     config = _resolve_config(args, solution.get("config"))
     panel = _build_panel(args, config, args.seed)
     alloc = decode(np.asarray(solution["assignment"]), config)
@@ -250,7 +252,7 @@ def _cmd_matrix(args) -> int:
     backends = [b.strip() for b in args.backends.split(",") if b.strip()]
     variants = _parse_variants(args.variants)
     reports = run_matrix(
-        panel, config, backends, variants, runs=args.runs, seed=args.seed
+        panel, config, backends, variants, seed=args.seed, **_given(args, "runs")
     )
     emit_report(reports, args.out)
     for r in reports:
@@ -276,11 +278,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--assets", type=int, default=5)
     p.add_argument("--days", type=int, default=529)
-    p.add_argument("--drift", type=float, default=0.0004)
-    p.add_argument("--volatility", type=float, default=0.012)
-    p.add_argument("--correlation", type=float, default=0.25)
-    p.add_argument("--start-price", dest="start_price", type=float, default=100.0)
-    p.add_argument("--start-date", dest="start_date", default="2023-01-02")
+    p.add_argument("--drift", type=float)
+    p.add_argument("--volatility", type=float)
+    p.add_argument("--correlation", type=float)
+    p.add_argument("--start-price", dest="start_price", type=float)
+    p.add_argument("--start-date", dest="start_date")
     p.add_argument("--cash", action=argparse.BooleanOptionalAction, default=True)
     p.set_defaults(func=_cmd_synth)
 
@@ -303,8 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--effort", type=int, help="backend-specific iteration budget (global strategy only)")
-    p.add_argument("--bcd-iters", dest="bcd_iters", type=int, default=3)
-    p.add_argument("--bcd-repeats", dest="bcd_repeats", type=int, default=3)
+    p.add_argument("--bcd-iters", dest="global_iters", type=int)
+    p.add_argument("--bcd-repeats", dest="repeats_per_block", type=int)
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=_cmd_solve)
 
@@ -324,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--variants", default="all",
         help='"all" or comma-separated labels like global-fp,block-int8',
     )
-    p.add_argument("--runs", type=int, default=3, help="independent runs per cell")
+    p.add_argument("--runs", type=int, help="independent runs per cell")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=_cmd_matrix)

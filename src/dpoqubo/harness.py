@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import time
 from dataclasses import KW_ONLY, dataclass
 from pathlib import Path
 from typing import Sequence
@@ -220,7 +221,6 @@ class EvaluationReport:
     total_net_return: float | None = None
     sharpe: float | None = None
     objective: ObjectiveTerms | None = None
-    runtime: float | None = None
     selected_run: int | None = None
     runs: tuple[RunRecord, ...] = ()
     #: per-visit sweep trace of the selected run (block decompositions only)
@@ -234,13 +234,17 @@ class EvaluationReport:
 
 
 def _run_once(q, backend, variant: StrategyVariant, run_seed: int):
-    """Returns (assignment, energy, wall_time, trace) for one seeded solve."""
+    """Returns (assignment, energy, wall_time, trace) for one seeded solve;
+    the one place that reads the wall clock."""
     solver = FinitePrecisionAdapter(backend) if variant.precision == "int8" else backend
+    start = time.perf_counter()
     if variant.decomposition == "global":
         res = solver.solve(SolveRequest(q, seed=run_seed))
-        return res.assignment, float(res.reported_energy), float(res.wall_time), None
-    res = bcd_solve(q, solver, BcdConfig(seed=run_seed))
-    return res.assignment, float(res.energy), float(res.wall_time), res.trace
+        energy, trace = res.reported_energy, None
+    else:
+        res = bcd_solve(q, solver, BcdConfig(seed=run_seed))
+        energy, trace = res.energy, res.trace
+    return res.assignment, float(energy), time.perf_counter() - start, trace
 
 
 def _evaluate_cell(q, backend, variant, config, panel, risks, seed, runs):
@@ -277,7 +281,6 @@ def _evaluate_cell(q, backend, variant, config, panel, risks, seed, runs):
         error=None,
         energy=best.energy,
         allocation=alloc,
-        runtime=best.wall_time,
         selected_run=best.index,
         runs=tuple(records),
         energy_trace=trace,
@@ -305,7 +308,8 @@ def run_matrix(
     ``backends`` entries are base backend names or objects; the int8 wrapping
     is applied internally by the INT8 variants, so pre-wrapped adapters are
     rejected to keep precision an axis of the matrix rather than a property
-    of the backend.
+    of the backend.  Two cells may not share a series file, so a backend
+    name or a variant given twice is rejected too.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
@@ -321,6 +325,16 @@ def run_matrix(
     for v in variants:
         if not isinstance(v, StrategyVariant):
             raise TypeError(f"not a StrategyVariant: {v!r}")
+    writers: dict[str, str] = {}  # series file name -> the cell that writes it
+    for name in map(_backend_name, resolved):
+        for variant in variants:
+            label, series = f"{name}/{variant.label}", _series_name(name, variant)
+            if series in writers:
+                raise ValueError(
+                    f"cells {writers[series]} and {label} would both write {series}; "
+                    "name each backend and each variant once"
+                )
+            writers[series] = label
     risks = risk_matrices(config, panel)
     q = encode_qubo(config, panel, risks)
 
@@ -336,7 +350,7 @@ def run_matrix(
             except Exception as exc:  # noqa: BLE001 - cell isolation is the point
                 reports.append(
                     EvaluationReport(
-                        backend=getattr(backend, "name", repr(backend)),
+                        backend=_backend_name(backend),
                         variant=variant,
                         error=f"{type(exc).__name__}: {exc}",
                         feasible=False,
@@ -350,8 +364,16 @@ def run_matrix(
 # report files
 
 
+def _backend_name(backend) -> str:
+    return getattr(backend, "name", repr(backend))
+
+
 def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "-", text).strip("-")
+
+
+def _series_name(backend: str, variant: StrategyVariant) -> str:
+    return f"series_{_slug(backend)}_{variant.label}.csv"
 
 
 def _cell_summary(report: EvaluationReport) -> dict:
@@ -381,7 +403,7 @@ def _cell_summary(report: EvaluationReport) -> dict:
     ]
     entry.update(_metric_fields(report))
     if report.feasible:
-        entry["series"] = f"series_{_slug(report.backend)}_{report.variant.label}.csv"
+        entry["series"] = _series_name(report.backend, report.variant)
     return entry
 
 
@@ -442,7 +464,7 @@ def emit_report(reports: Sequence[EvaluationReport], out_dir: str | Path) -> lis
             {
                 "backend": r.backend,
                 "variant": r.variant.label,
-                "runtime": r.runtime,
+                "runtime": r.runs[r.selected_run].wall_time if r.runs else None,
                 "run_wall_times": [rec.wall_time for rec in r.runs],
             }
             for r in reports

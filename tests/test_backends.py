@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -262,9 +263,7 @@ class TestRequestValidation:
             SolveRequest(model=q, effort=0)
 
     def test_result_assignment_read_only(self):
-        result = SolveResult(
-            assignment=np.array([0, 1]), reported_energy=0.0, wall_time=0.0
-        )
+        result = SolveResult(assignment=np.array([0, 1]), reported_energy=0.0)
         with pytest.raises(ValueError):
             result.assignment[0] = 1
 
@@ -306,3 +305,12 @@ class TestSolveContract:
         inner = _RecordingBackend()
         FinitePrecisionAdapter(inner).solve(SolveRequest(model=qm, seed=1))
         assert len(inner.models) == 1 and inner.models[0] is qm
+
+
+class TestResultsAreValues:
+    @pytest.mark.parametrize("name", ["exhaustive", "sa", "tabu", "int8(tabu)"])
+    def test_one_request_one_result(self, name):
+        request = SolveRequest(model=random_qubo(71, n=8, scale=2.0), seed=3)
+        a, b = (make_backend(name).solve(request) for _ in range(2))
+        for field in fields(SolveResult):
+            np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name))

@@ -3,7 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from dpoqubo.backends import ExhaustiveSolver, SimulatedAnnealingSolver, SolveRequest, TabuSolver
+from dpoqubo.backends import (
+    ExhaustiveSolver,
+    SimulatedAnnealingSolver,
+    SolveRequest,
+    TabuSolver,
+    make_backend,
+)
 from dpoqubo.bcd import (
     BcdBackendError,
     BcdConfig,
@@ -222,6 +228,14 @@ class TestBcdSolve:
         b = bcd_solve(q, backend, cfg)
         np.testing.assert_array_equal(a.assignment, b.assignment)
         assert a.energy == b.energy
+
+    @pytest.mark.parametrize("name", ["exhaustive", "sa", "tabu", "int8(tabu)"])
+    def test_one_config_one_trace(self, name):
+        q = tridiagonal_qubo(37, [3, 3, 3], scale=2.0)
+        cfg = BcdConfig(global_iters=2, seed=4)
+        a, b = (bcd_solve(q, make_backend(name), cfg) for _ in range(2))
+        assert len(a.trace) == 6
+        assert a.trace == b.trace
 
     def test_backend_failure_attaches_partial_trace(self):
         class FlakyBackend:

@@ -294,6 +294,23 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize("solution,message", [
+        ([1, 2], "must hold a JSON object"),
+        ({"energy": 1}, "no 'assignment' list"),
+        ({"assignment": 5}, "no 'assignment' list"),
+    ])
+    def test_malformed_solution_fails_cleanly(
+        self, tmp_path, prices_csv, capsys, solution, message
+    ):
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps(solution))
+        code = run([
+            "evaluate", "--solution", sol, "--prices", prices_csv, "--out", tmp_path / "eval",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
     def test_flag_override_on_embedded_config(
         self, tmp_path, prices_csv, model_file
     ):
@@ -338,6 +355,13 @@ class TestMatrix:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert [c["variant"] for c in summary["cells"]] == ["global-fp", "block-int8"]
+
+    def test_repeated_backend_fails_cleanly(self, tmp_path, capsys):
+        args = self._ARGS + ["--backends", "sa,sa", "--out", tmp_path / "m"]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "series_sa_global-fp.csv" in err
+        assert not (tmp_path / "m").exists()
 
     def test_bad_variant_label_fails_cleanly(self, tmp_path, capsys):
         code = run(self._ARGS + ["--variants", "sideways-fp", "--out", tmp_path / "m"])

@@ -81,7 +81,6 @@ class ScriptedBackend:
         return SolveResult(
             assignment=x,
             reported_energy=qubo_energy(request.model, x),
-            wall_time=1e-4,
         )
 
 
@@ -296,7 +295,17 @@ class TestRunMatrix:
         assert rep.sharpe is None
         assert rep.objective is None
         assert rep.violations == ((0, 6), (1, 6))
-        assert rep.energy is not None and rep.runtime is not None
+        assert rep.energy is not None
+        assert rep.runs[rep.selected_run].wall_time > 0
+
+    @pytest.mark.parametrize("backends,variants", [
+        (["tabu", "tabu"], [StrategyVariant("global", "fp")]),
+        (["tabu"], [StrategyVariant("global", "fp"), StrategyVariant("global", "fp")]),
+    ])
+    def test_repeated_cell_rejected(self, backends, variants):
+        # the two cells would write one series file, the later over the earlier
+        with pytest.raises(ValueError, match=r"tabu/global-fp would both write series_tabu_global-fp\.csv"):
+            run_matrix(random_panel(13, 2, 2), tiny_config(), backends, variants, runs=1)
 
     def test_backend_exception_isolates_to_its_cells(self):
         cfg = tiny_config()
@@ -419,6 +428,16 @@ class TestEmitReport:
         assert "runtime" not in text
         timings = json.loads((tmp_path / "timings.json").read_text())
         assert all("runtime" in c for c in timings["cells"])
+
+    def test_runtime_is_the_selected_runs_wall_time(self, tmp_path):
+        reports = run_matrix(
+            random_panel(16, 2, 2), tiny_config(), [ExplodingBackend(), "exhaustive"],
+            [StrategyVariant("global", "fp")], seed=0,
+        )
+        emit_report(reports, tmp_path)
+        failed, solved = json.loads((tmp_path / "timings.json").read_text())["cells"]
+        assert failed["runtime"] is None and failed["run_wall_times"] == []
+        assert solved["runtime"] == solved["run_wall_times"][reports[1].selected_run] > 0
 
     def test_summary_and_series_bytes_stable_across_reruns(self, tmp_path):
         emit_report(self._reports(seed=4), tmp_path / "one")
