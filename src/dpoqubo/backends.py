@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .precision import QuantizedIsing, quantize_int8, reduce_dynamic_range
-from .qubo import IsingModel, Model, Qubo, ising_to_qubo, qubo_to_ising
+from .qubo import IsingModel, Model, Qubo, _bit_table, _integer, ising_to_qubo, qubo_to_ising
 
 __all__ = [
     "SolveRequest",
@@ -43,9 +43,10 @@ class BackendError(RuntimeError):
 class SolveRequest:
     """A model plus the reproducibility knobs: seed and countable effort.
 
-    ``effort`` is backend-specific (sweeps for annealing, iterations for tabu
-    search, ignored by enumeration) and is set only here; None means the
-    backend's default.
+    ``seed`` is an integer >= 0.  ``effort`` is an integer >= 1 and
+    backend-specific (sweeps for annealing, iterations for tabu search,
+    ignored by enumeration) and is set only here; None means the backend's
+    default.
     """
 
     model: Model
@@ -53,8 +54,9 @@ class SolveRequest:
     effort: int | None = None
 
     def __post_init__(self) -> None:
-        if self.effort is not None and self.effort <= 0:
-            raise ValueError("effort must be positive")
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
+        if self.effort is not None:
+            object.__setattr__(self, "effort", _integer("effort", self.effort, 1))
 
 
 @dataclass(frozen=True)
@@ -119,12 +121,10 @@ class ExhaustiveSolver(_Solver):
                 f"exhaustive enumeration capped at {_EXHAUSTIVE_CAP} variables, model has {n}"
             )
         total = 1 << n
-        shifts = np.arange(n, dtype=np.uint64)
         best_energy = np.inf
         best_counter = 0
         for lo in range(0, total, _EXHAUSTIVE_CHUNK):
-            counters = np.arange(lo, min(lo + _EXHAUSTIVE_CHUNK, total), dtype=np.uint64)
-            bits = ((counters[:, None] >> shifts) & 1).astype(float)
+            bits = _bit_table(lo, min(lo + _EXHAUSTIVE_CHUNK, total), n).astype(float)
             energies = ((bits @ q.coeffs) * bits).sum(axis=1)
             k = int(np.argmin(energies))
             # ascending counter order makes the first strict improvement the
@@ -132,7 +132,7 @@ class ExhaustiveSolver(_Solver):
             if energies[k] < best_energy:
                 best_energy = float(energies[k])
                 best_counter = lo + k
-        return (best_counter >> np.arange(n)) & 1, best_energy
+        return _bit_table(best_counter, best_counter + 1, n)[0], best_energy
 
 
 # geometric cooling factor applied to the annealing temperature after each sweep
@@ -253,9 +253,8 @@ class FinitePrecisionAdapter(_Solver):
         return quantize_int8(tuned.model)
 
     def _search(self, q: Qubo, request: SolveRequest):
-        model = request.model if isinstance(request.model, QuantizedIsing) else q
         inner_result = self.inner.solve(
-            SolveRequest(model=self.quantize(model), seed=request.seed, effort=request.effort)
+            SolveRequest(self.quantize(request.model), seed=request.seed, effort=request.effort)
         )
         bits = inner_result.assignment.astype(float)
         return inner_result.assignment, float(bits @ q.coeffs @ bits)

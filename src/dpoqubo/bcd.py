@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends import SolveRequest
-from .qubo import BlockPartition, Qubo, _require_partition, as_bits, qubo_energy
+from .qubo import BlockPartition, Qubo, _integer, _require_partition, as_bits, qubo_energy
 
 __all__ = [
     "BcdConfig",
@@ -40,9 +40,10 @@ __all__ = [
 class BcdConfig:
     """Sweep control: J global iterations, I backend runs per block visit.
 
-    ``seed`` anchors the deterministic per-visit seed schedule: block visit
-    number ``v`` (counting across iterations) uses backend seeds
-    ``seed + v*I .. seed + v*I + I - 1``, so no two visits share seeds.
+    J and I are integers >= 1, ``seed`` an integer >= 0.  ``seed`` anchors
+    the deterministic per-visit seed schedule: block visit number ``v``
+    (counting across iterations) uses backend seeds ``seed + v*I .. seed +
+    v*I + I - 1``, so no two visits share seeds.
     """
 
     global_iters: int = 3
@@ -50,10 +51,8 @@ class BcdConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.global_iters < 1:
-            raise ValueError("global_iters must be >= 1")
-        if self.repeats_per_block < 1:
-            raise ValueError("repeats_per_block must be >= 1")
+        for name, minimum in (("global_iters", 1), ("repeats_per_block", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
 
 
 class BcdBackendError(RuntimeError):

@@ -232,18 +232,15 @@ def _cmd_evaluate(args) -> int:
 def _parse_variants(text: str) -> tuple[StrategyVariant, ...]:
     if text == "all":
         return ALL_VARIANTS
-    variants = []
-    for label in text.split(","):
-        label = label.strip()
-        if not label:
-            continue
-        parts = label.split("-", 1)
-        if len(parts) != 2:
+    known = {v.label: v for v in ALL_VARIANTS}
+    labels = [label.strip() for label in text.split(",") if label.strip()]
+    for label in labels:
+        if label not in known:
             raise ValueError(
-                f"bad variant {label!r}; expected <decomposition>-<precision>"
+                f"unknown variant {label!r}; expected all or a comma-separated "
+                f"list of {', '.join(known)}"
             )
-        variants.append(StrategyVariant(parts[0], parts[1]))
-    return tuple(variants)
+    return tuple(known[label] for label in labels)
 
 
 def _cmd_matrix(args) -> int:

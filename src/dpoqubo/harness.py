@@ -34,12 +34,14 @@ from .model import (
     ObjectiveTerms,
     PortfolioAllocation,
     RiskMatrix,
+    _weights_and_turnover,
     as_allocation,
     decode,
     encode_qubo,
     objective_terms,
     risk_matrices,
 )
+from .qubo import _integer
 
 __all__ = [
     "ALL_VARIANTS",
@@ -117,13 +119,9 @@ def net_mean_return(
     decomposition; risk and budget-penalty terms are solver artifacts and do
     not enter.
     """
-    w = as_allocation(allocation).weights.astype(float)
-    if w.shape != (config.n_t, config.n_a):
-        raise ValueError(f"weights shape {w.shape} != ({config.n_t}, {config.n_a})")
+    w, turnover = _weights_and_turnover(config, allocation)
     gross = (w * panel.interval_returns).sum(axis=1)
-    prev = np.vstack([np.zeros(config.n_a), w[:-1]])
-    cost = config.nu * config.lam * ((w - prev) ** 2).sum(axis=1)
-    return gross - cost
+    return gross - config.nu * config.lam * turnover
 
 
 def sharpe_ratio(
@@ -299,8 +297,9 @@ def run_matrix(
 ) -> list[EvaluationReport]:
     """Solve the encoded problem across every backend x variant cell.
 
-    Each cell performs ``runs`` independent solves with distinct base seeds
-    (cell ``k``, run ``r`` uses ``seed + (k*runs + r) * 10_000``) and reports
+    Each cell performs ``runs`` (an integer >= 1) independent solves with
+    distinct base seeds (cell ``k``, run ``r`` uses ``seed + (k*runs + r) *
+    10_000``, where ``seed`` is an integer >= 0) and reports
     the feasible run with the highest total net return; cells with no
     feasible run are reported infeasible, and a cell whose solver raises is
     recorded as an error without stopping the rest of the matrix.
@@ -311,8 +310,8 @@ def run_matrix(
     of the backend.  Two cells may not share a series file, so a backend
     name or a variant given twice is rejected too.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    runs = _integer("runs", runs, 1)
+    seed = _integer("seed", seed, 0)
     resolved = []
     for b in backends:
         obj = make_backend(b) if isinstance(b, str) else b

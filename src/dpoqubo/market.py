@@ -28,12 +28,10 @@ __all__ = [
     "load_prices",
     "parse_prices",
     "save_prices",
-    "normalize_prices",
     "append_cash_asset",
     "daily_log_returns",
     "compute_returns",
     "generate_synthetic",
-    "bundled_prices_path",
     "load_bundled_prices",
 ]
 
@@ -189,17 +187,6 @@ def save_prices(table: PriceTable, path: str | os.PathLike) -> None:
             writer.writerow([date] + [repr(float(v)) for v in row])
 
 
-def normalize_prices(table: PriceTable) -> PriceTable:
-    """Divide every column by its first price so each asset starts at exactly 1.
-
-    Only price ratios enter returns, so this changes nothing downstream;
-    it puts assets with different currency scales on one plot axis.
-    """
-    if not table.dates:
-        raise ValueError("cannot normalize an empty price table")
-    return PriceTable(table.dates, table.assets, table.prices / table.prices[0])
-
-
 def append_cash_asset(table: PriceTable) -> PriceTable:
     """Add a constant-price asset named ``CASH`` (price 1 on every date, log
     return 0)."""
@@ -295,11 +282,8 @@ def generate_synthetic(
     return PriceTable(dates=dates, assets=assets, prices=np.exp(logp))
 
 
-def bundled_prices_path():
-    """Path to the packaged synthetic fixture (6 assets x 529 days)."""
-    return resources.files("dpoqubo").joinpath("data/synthetic_prices.csv")
-
-
 def load_bundled_prices() -> PriceTable:
-    """Load the packaged fixture: five random-walk assets plus constant CASH."""
-    return parse_prices(bundled_prices_path().read_text(encoding="utf-8"))
+    """Load the packaged fixture: five random-walk assets plus constant CASH
+    (6 assets x 529 days)."""
+    fixture = resources.files("dpoqubo").joinpath("data/synthetic_prices.csv")
+    return parse_prices(fixture.read_text(encoding="utf-8"))

@@ -30,7 +30,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .market import ReturnPanel
-from .qubo import BlockPartition, Qubo, as_bits
+from .qubo import BlockPartition, Qubo, _integer, as_bits
 
 __all__ = [
     "Covariance",
@@ -86,15 +86,6 @@ class RiskMatrix:
     @property
     def n_a(self) -> int:
         return self.matrix.shape[0]
-
-
-def _integer(name: str, value) -> int:
-    """A count field taken exactly: an int, or a float with no fraction."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _finite(name: str, value) -> float:
@@ -225,12 +216,8 @@ class DpoConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_t", "n_a", "n_r", "budget", "dt"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        for name in ("n_t", "n_a", "n_r", "dt"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.budget < 0:
-            raise ValueError("budget must be >= 0")
+            minimum = 0 if name == "budget" else 1
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         max_budget = self.n_a * (2**self.n_r - 1)
         if self.budget > max_budget:
             raise ValueError(
@@ -332,6 +319,20 @@ class ObjectiveTerms:
         return self.gross_return - self.risk - self.transaction_cost - self.budget_penalty
 
 
+def _weights_and_turnover(
+    config: DpoConfig, allocation: PortfolioAllocation | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The weights as floats, checked against the config's shape, and each
+    interval's turnover ``sum_a (omega[t,a] - omega[t-1,a])**2`` from an
+    all-cash start.  Turnovers are sums of integer squares, so exact."""
+    w = as_allocation(allocation).weights
+    if w.shape != (config.n_t, config.n_a):
+        raise ValueError(f"weights shape {w.shape} != ({config.n_t}, {config.n_a})")
+    w = w.astype(float)
+    prev = np.vstack([np.zeros(config.n_a), w[:-1]])
+    return w, ((w - prev) ** 2).sum(axis=1)
+
+
 def objective_terms(
     config: DpoConfig,
     panel: ReturnPanel,
@@ -340,19 +341,15 @@ def objective_terms(
 ) -> ObjectiveTerms:
     """Evaluate the four score components for a given weight matrix."""
     _check_panel(config, panel)
-    w = as_allocation(allocation).weights
-    if w.shape != (config.n_t, config.n_a):
-        raise ValueError(f"weights shape {w.shape} != ({config.n_t}, {config.n_a})")
+    w, turnover = _weights_and_turnover(config, allocation)
     if len(risks) != config.n_t:
         raise ValueError(f"need {config.n_t} risk matrices, got {len(risks)}")
-    w = w.astype(float)
     mu = panel.interval_returns
     gross = float((w * mu).sum())
     risk = 0.5 * config.gamma * sum(
         float(w[t] @ risks[t].matrix @ w[t]) for t in range(config.n_t)
     )
-    prev = np.vstack([np.zeros(config.n_a), w[:-1]])
-    transaction = config.nu * config.lam * float(((w - prev) ** 2).sum())
+    transaction = config.nu * config.lam * float(turnover.sum())
     rho = resolved_rho(config, panel)
     budget = rho * float(((w.sum(axis=1) - config.budget) ** 2).sum())
     return ObjectiveTerms(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubo import IsingModel, ising_energy
+from .qubo import IsingModel, _bit_table, ising_energy
 
 __all__ = [
     "DynamicRange",
@@ -109,14 +109,6 @@ _CHECK_SEED = 0
 _CHECK_STARTS = 64
 
 
-def _spin_table(n: int) -> np.ndarray:
-    """All 2^n spin vectors; row c encodes bit i of c as spin 1 - 2*bit."""
-    count = 1 << n
-    counters = np.arange(count, dtype=np.uint32)
-    bits = (counters[:, None] >> np.arange(n)) & 1
-    return (1 - 2 * bits).astype(np.int8)
-
-
 def _all_energies(model: IsingModel, spins: np.ndarray) -> np.ndarray:
     z = spins.astype(float)
     return (
@@ -158,7 +150,8 @@ class _MinimizerCheck:
         self.n = original.n
         self.exhaustive = self.n <= _EXHAUSTIVE_LIMIT
         if self.exhaustive:
-            self._spins = _spin_table(self.n)
+            # all 2^n spin vectors, bit 0 as spin +1 (z = 1 - 2x)
+            self._spins = 1 - 2 * _bit_table(0, 1 << self.n, self.n)
             self._original_argmin = _argmin_rows(_all_energies(original, self._spins))
         else:
             rng = np.random.default_rng(_CHECK_SEED)

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -36,6 +37,18 @@ __all__ = [
     "verify_block_tridiagonal",
     "scale_separation_report",
 ]
+
+
+def _integer(name: str, value, minimum: int) -> int:
+    """A count taken exactly: an int, or a float with no fraction, of at
+    least ``minimum``; booleans and other types are rejected."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -223,6 +236,13 @@ def as_spins(z, n: int | None = None) -> np.ndarray:
     return spins.astype(np.int8)
 
 
+def _bit_table(start: int, stop: int, n: int) -> np.ndarray:
+    """Rows ``start .. stop - 1`` of the table of all 2^n assignments: row
+    ``c`` holds bit ``i`` of ``c`` in column ``i``, as int8."""
+    counters = np.arange(start, stop, dtype=np.uint64)
+    return ((counters[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.int8)
+
+
 def qubo_energy(q: Qubo, x) -> float:
     """Evaluate ``x^T Q x + offset`` in full precision."""
     bits = as_bits(x, q.n).astype(float)
@@ -293,18 +313,14 @@ def verify_block_tridiagonal(q: Qubo) -> tuple[bool, list[tuple[int, int, int, i
     Returns ``(ok, violations)`` where each violation is ``(p, r, i, j)``:
     a nonzero coefficient at matrix entry ``(i, j)`` inside block pair
     ``(p, r)`` with ``|p - r| > 1``.  Only the upper side (``p < r``,
-    ``i < j``) is listed; the mirrored entries are implied by symmetry.
+    ``i < j``) is listed, sorted by ``(p, r, i, j)``; the mirrored entries
+    are implied by symmetry.
     """
-    part = _require_partition(q)
-    violations: list[tuple[int, int, int, int]] = []
-    for p in range(len(part)):
-        for r in range(p + 2, len(part)):
-            sub = q.coeffs[part.block_slice(p), part.block_slice(r)]
-            if np.any(sub != 0.0):
-                p_start = part.blocks[p][0]
-                r_start = part.blocks[r][0]
-                for i, j in zip(*np.nonzero(sub)):
-                    violations.append((p, r, p_start + int(i), r_start + int(j)))
+    block_of = _require_partition(q).block_of()
+    far = (block_of[None, :] - block_of[:, None] > 1) & (q.coeffs != 0.0)
+    violations = sorted(
+        (int(block_of[i]), int(block_of[j]), int(i), int(j)) for i, j in zip(*np.nonzero(far))
+    )
     return (not violations, violations)
 
 

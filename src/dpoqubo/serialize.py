@@ -171,56 +171,43 @@ def parse_model(text: str) -> Model:
     if partition is not None and partition.n != n:
         raise ModelFormatError(1, f"partition covers {partition.n} of {n} indices")
 
-    if kind == "qubo":
-        if integer:
-            raise ModelFormatError(1, "integer flag applies to ising models only")
-        coeffs = np.zeros((n, n))
-        seen: set[tuple[int, int]] = set()
-        for lineno, tag, args in entries:
-            if tag != "c" or len(args) != 3:
-                raise ModelFormatError(lineno, "qubo files hold 'c i j value' records")
-            i, j, v = args[0], args[1], _finite(lineno, args[2])
-            if not (0 <= i <= j < n):
-                raise ModelFormatError(lineno, f"indices ({i}, {j}) must satisfy 0 <= i <= j < n")
-            if (i, j) in seen:
-                raise ModelFormatError(lineno, f"duplicate entry ({i}, {j})")
-            seen.add((i, j))
-            coeffs[i, j] = v
-            coeffs[j, i] = v
-        return Qubo(coeffs, offset=offset, partition=partition)
-
+    if kind == "qubo" and integer:
+        raise ModelFormatError(1, "integer flag applies to ising models only")
+    # each record's form and index rule: a qubo holds its diagonal in 'c'
+    # records, an ising model holds none there and keeps fields in 'h'
+    forms = {"c": ("c i j value", "0 <= i <= j < n")}
+    if kind == "ising":
+        forms = {"h": ("h i value", "0 <= i < n"), "c": ("c i j value", "0 <= i < j < n")}
     linear = np.zeros(n)
-    quadratic = np.zeros((n, n))
-    seen_h: set[int] = set()
-    seen_c: set[tuple[int, int]] = set()
+    matrix = np.zeros((n, n))
+    seen: set[str] = set()
     for lineno, tag, args in entries:
+        if tag not in forms:
+            raise ModelFormatError(lineno, f"{kind} files hold no {tag!r} records")
+        form, rule = forms[tag]
+        if len(args) != len(form.split()) - 1:
+            raise ModelFormatError(lineno, f"expected '{form}'")
+        *index, value = args
+        v = _finite(lineno, value)
+        record = " ".join([tag, *map(str, index)])
+        i, j = index[0], index[-1]
+        if not 0 <= i <= j < n or (tag == "c" and i == j and kind == "ising"):
+            raise ModelFormatError(lineno, f"'{record}' must satisfy {rule}")
+        if record in seen:
+            raise ModelFormatError(lineno, f"duplicate '{record}' record")
+        seen.add(record)
         if tag == "h":
-            if len(args) != 2:
-                raise ModelFormatError(lineno, "'h i value' takes two arguments")
-            i, v = args[0], _finite(lineno, args[1])
-            if not 0 <= i < n:
-                raise ModelFormatError(lineno, f"index {i} out of range")
-            if i in seen_h:
-                raise ModelFormatError(lineno, f"duplicate field entry {i}")
-            seen_h.add(i)
             linear[i] = v
         else:
-            if len(args) != 3:
-                raise ModelFormatError(lineno, "'c i j value' takes three arguments")
-            i, j, v = args[0], args[1], _finite(lineno, args[2])
-            if not (0 <= i < j < n):
-                raise ModelFormatError(lineno, f"coupling ({i}, {j}) must satisfy 0 <= i < j < n")
-            if (i, j) in seen_c:
-                raise ModelFormatError(lineno, f"duplicate coupling ({i}, {j})")
-            seen_c.add((i, j))
-            quadratic[i, j] = v
-            quadratic[j, i] = v
+            matrix[i, j] = matrix[j, i] = v
+    if kind == "qubo":
+        return Qubo(matrix, offset=offset, partition=partition)
     if integer:
         try:
-            return QuantizedIsing(linear, quadratic, scale=scale, partition=partition)
+            return QuantizedIsing(linear, matrix, scale=scale, partition=partition)
         except ValueError as exc:
             raise ModelFormatError(1, str(exc)) from exc
-    return IsingModel(linear=linear, quadratic=quadratic, offset=offset, partition=partition)
+    return IsingModel(linear=linear, quadratic=matrix, offset=offset, partition=partition)
 
 
 def save_model(model: Model, path: str | os.PathLike) -> None:

@@ -262,6 +262,24 @@ class TestRequestValidation:
         with pytest.raises(ValueError, match="effort"):
             SolveRequest(model=q, effort=0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("effort", 2.5, "effort must be an integer"),
+            ("effort", True, "effort must be an integer"),
+            ("seed", 0.5, "seed must be an integer"),
+            ("seed", -3, "seed must be >= 0"),
+        ],
+    )
+    def test_counts_taken_exactly_or_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SolveRequest(model=random_qubo(0, n=3), **{field: value})
+
+    def test_integral_float_effort_taken_as_int(self):
+        request = SolveRequest(model=random_qubo(0, n=3), seed=2.0, effort=5.0)
+        assert (request.seed, request.effort) == (2, 5)
+        assert type(request.seed) is int and type(request.effort) is int
+
     def test_result_assignment_read_only(self):
         result = SolveResult(assignment=np.array([0, 1]), reported_energy=0.0)
         with pytest.raises(ValueError):

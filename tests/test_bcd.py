@@ -151,6 +151,28 @@ class TestWriteBack:
         assert x.tolist() == [0, 0]
 
 
+class TestBcdConfig:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("global_iters", 2.5, "global_iters must be an integer"),
+            ("global_iters", 0, "global_iters must be >= 1"),
+            ("repeats_per_block", True, "repeats_per_block must be an integer"),
+            ("repeats_per_block", 0, "repeats_per_block must be >= 1"),
+            ("seed", -5, "seed must be >= 0"),
+            ("seed", "1", "seed must be an integer"),
+        ],
+    )
+    def test_counts_taken_exactly_or_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            BcdConfig(**{field: value})
+
+    def test_integral_floats_taken_as_ints(self):
+        cfg = BcdConfig(global_iters=2.0, repeats_per_block=1.0, seed=3.0)
+        values = (cfg.global_iters, cfg.repeats_per_block, cfg.seed)
+        assert values == (2, 1, 3) and all(type(v) is int for v in values)
+
+
 class TestBcdSolve:
     def test_diagonal_model_one_sweep_optimal(self):
         diag = np.array([-1.0, 3.0, -2.0, 0.5, -4.0, 1.0])

@@ -368,6 +368,24 @@ class TestMatrix:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_variant_label_lists_the_valid_ones(self, tmp_path, capsys):
+        code = run(self._ARGS + ["--variants", "global-fp,block-fp16", "--out", tmp_path / "m"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'block-fp16'" in err
+        assert "global-fp, global-int8, block-fp, block-int8" in err
+
+    def test_negative_seed_fails_before_any_cell(self, tmp_path, capsys):
+        code = run([
+            "matrix", "--bundled", "--n-t", 2, "--n-a", 6, "--n-r", 2,
+            "--budget", 3, "--dt", 24, "--backends", "tabu", "--runs", 1,
+            "--variants", "global-fp", "--seed", -1, "--out", tmp_path / "m",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed must be >= 0" in err
+        assert not (tmp_path / "m").exists()
+
     def test_bundled_fixture_runs_small_config(self, tmp_path):
         out = tmp_path / "mat"
         code = run([

@@ -236,6 +236,21 @@ class TestRunMatrix:
         panel = random_panel(7, 2, 2)
         assert run_matrix(panel, cfg, ["exhaustive"], []) == []
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"runs": 2.5}, "runs must be an integer"),
+            ({"runs": True}, "runs must be an integer"),
+            ({"seed": 0.5}, "seed must be an integer"),
+            ({"seed": -1}, "seed must be >= 0"),
+        ],
+    )
+    def test_bad_runs_or_seed_rejected_before_any_cell(self, kwargs, message):
+        cfg = tiny_config()
+        panel = random_panel(7, 2, 2)
+        with pytest.raises(ValueError, match=message):
+            run_matrix(panel, cfg, ["exhaustive"], ALL_VARIANTS, **kwargs)
+
     def test_three_distinct_base_seeds_per_cell(self):
         cfg = tiny_config()
         panel = random_panel(8, 2, 2)

@@ -11,7 +11,6 @@ from dpoqubo.market import (
     daily_log_returns,
     generate_synthetic,
     load_bundled_prices,
-    normalize_prices,
     parse_prices,
     save_prices,
 )
@@ -109,34 +108,6 @@ class TestParsing:
         assert back.assets == table.assets
         assert back.dates == table.dates
         assert np.array_equal(back.prices, table.prices)
-
-
-class TestNormalize:
-    def test_first_price_becomes_one(self):
-        t = normalize_prices(make_table([2.0, 4.0, 8.0]))
-        assert t.prices[:, 0].tolist() == [1.0, 2.0, 4.0]
-
-    def test_constant_series(self):
-        t = normalize_prices(make_table([5.0, 5.0, 5.0]))
-        assert t.prices[:, 0].tolist() == [1.0, 1.0, 1.0]
-
-    def test_each_column_divided_by_its_own_first_price(self):
-        t = PriceTable(("d1", "d2"), ("a", "b"), [[2.0, 10.0], [4.0, 5.0]])
-        assert normalize_prices(t).prices.tolist() == [[1.0, 1.0], [2.0, 0.5]]
-
-    def test_returns_unchanged(self):
-        rng = np.random.default_rng(12)
-        t = make_table(np.exp(rng.normal(size=30).cumsum()) * 42.0)
-        np.testing.assert_allclose(
-            daily_log_returns(normalize_prices(t)),
-            daily_log_returns(t),
-            rtol=0,
-            atol=1e-12,
-        )
-
-    def test_empty_series_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            normalize_prices(PriceTable((), ("X",), np.empty((0, 1))))
 
 
 class TestCashAsset:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from dpoqubo.market import (
+    PriceTable,
     ReturnPanel,
     compute_returns,
     generate_synthetic,
-    normalize_prices,
 )
 from dpoqubo.model import (
     Covariance,
@@ -375,9 +375,9 @@ class TestEncodeQubo:
         table = generate_synthetic(seed=4, n_a=3, days=13)
         cfg = DpoConfig(n_t=3, n_a=3, n_r=2, budget=4, dt=4)
         q_raw = encode_qubo(cfg, compute_returns(table, 3, 4))
-        q_norm = encode_qubo(
-            cfg, compute_returns(normalize_prices(table), 3, 4)
-        )
+        # each column divided by its first price: every asset starts at 1
+        normalized = PriceTable(table.dates, table.assets, table.prices / table.prices[0])
+        q_norm = encode_qubo(cfg, compute_returns(normalized, 3, 4))
         np.testing.assert_allclose(q_raw.coeffs, q_norm.coeffs, rtol=0, atol=1e-10)
         assert q_raw.offset == pytest.approx(q_norm.offset, abs=1e-10)
 

@@ -242,6 +242,18 @@ class TestBlockStructure:
         assert not ok
         assert violations == [(0, 2, 1, 5)]
 
+    def test_violations_sorted_by_block_pair_not_by_row(self):
+        # row 0 couples the distant block 3 and the later row 1 the nearer
+        # block 2: row-major order would list (0, 3) first
+        part = BlockPartition.from_sizes([2, 2, 2, 2])
+        m = np.zeros((8, 8))
+        m[0, 7] = m[7, 0] = 1.0
+        m[1, 4] = m[4, 1] = 2.0
+        m[2, 6] = m[6, 2] = 3.0
+        ok, violations = verify_block_tridiagonal(Qubo(m, partition=part))
+        assert not ok
+        assert violations == [(0, 2, 1, 4), (0, 3, 0, 7), (1, 3, 2, 6)]
+
     def test_requires_partition(self):
         with pytest.raises(ValueError, match="partition"):
             verify_block_tridiagonal(Qubo(np.zeros((2, 2))))

@@ -209,6 +209,34 @@ class TestValidation:
             parse_model(text)
         assert err.value.lineno == 3 + header.count("\n") + 1
 
+    @pytest.mark.parametrize(
+        "kind, records",
+        [
+            ("qubo", "h 0 1.0"),
+            ("qubo", "c 0 1"),
+            ("ising", "h 0"),
+            ("ising", "h 0 1 2.0"),
+            ("ising", "c 0 1"),
+            ("ising", "c 0 1 2 3.0"),
+            ("ising", "h 2 1.0"),
+            ("ising", "h -1 1.0"),
+            ("ising", "h 1 1.0\nh 1 2.0"),
+            ("ising", "c 0 1 1.0\nc 0 1 2.0"),
+            ("ising", "c 1 1 1.0"),
+        ],
+        ids=[
+            "qubo-field", "qubo-c-arity", "h-arity-short", "h-arity-long",
+            "c-arity-short", "c-arity-long", "field-index-high", "field-index-negative",
+            "repeated-field", "repeated-coupling", "ising-diagonal-coupling",
+        ],
+    )
+    def test_bad_coefficient_record_rejected_at_its_line(self, kind, records):
+        text = f"dpoqubo-model 1\nkind {kind}\nn 2\n{records}\n"
+        with pytest.raises(ModelFormatError) as err:
+            parse_model(text)
+        assert err.value.lineno == 3 + len(records.splitlines())
+        assert str(err.value).startswith(f"line {err.value.lineno}: ")
+
     def test_integer_range_enforced(self):
         text = "dpoqubo-model 1\nkind ising\nn 1\ninteger 1\nscale 1.0\nh 0 200\n"
         with pytest.raises(ModelFormatError, match="8-bit"):
