@@ -6,6 +6,7 @@ same model file carries float or quantized-integer coefficients.
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ config = DpoConfig(n_t=2, n_a=3, n_r=2, budget=3, dt=6, nu=0.02)
 save_config(config, workdir / "config.json")
 assert load_config(workdir / "config.json") == config
 print("config.json round-trips; overrides:",
-      load_config(workdir / "config.json", budget=4).budget)
+      replace(load_config(workdir / "config.json"), budget=4).budget)
 
 # --- models ----------------------------------------------------------------
 panel = compute_returns(back, config.n_t, config.dt)

@@ -253,8 +253,11 @@ class FinitePrecisionAdapter(_Solver):
         return quantize_int8(tuned.model)
 
     def _search(self, q: Qubo, request: SolveRequest):
+        # a float model is quantized from its canonical QUBO ``q``, which
+        # the skeleton has already converted
+        model = request.model if isinstance(request.model, QuantizedIsing) else q
         inner_result = self.inner.solve(
-            SolveRequest(self.quantize(request.model), seed=request.seed, effort=request.effort)
+            SolveRequest(self.quantize(model), seed=request.seed, effort=request.effort)
         )
         bits = inner_result.assignment.astype(float)
         return inner_result.assignment, float(bits @ q.coeffs @ bits)
@@ -269,12 +272,14 @@ _BASE_BACKENDS = {
 
 def make_backend(name: str):
     """Build a backend from its name: ``exhaustive | sa | tabu``, each
-    optionally wrapped as ``int8(<name>)``."""
+    optionally wrapped once as ``int8(<name>)``."""
     name = name.strip()
     wrapped = re.fullmatch(r"int8\((.+)\)", name)
-    if wrapped:
-        return FinitePrecisionAdapter(make_backend(wrapped.group(1)))
-    if name in _BASE_BACKENDS:
-        return _BASE_BACKENDS[name]()
-    known = " | ".join([*_BASE_BACKENDS, "int8(<name>)"])
-    raise ValueError(f"unknown backend {name!r}; expected {known}")
+    base = wrapped.group(1).strip() if wrapped else name
+    if base not in _BASE_BACKENDS:
+        raise ValueError(
+            f"unknown backend {name!r}; expected {' | '.join(_BASE_BACKENDS)}, "
+            "optionally wrapped once as int8(<name>)"
+        )
+    backend = _BASE_BACKENDS[base]()
+    return FinitePrecisionAdapter(backend) if wrapped else backend

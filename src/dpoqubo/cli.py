@@ -7,9 +7,12 @@ saved solution against a dataset, and ``matrix`` runs the full strategy
 cross (whole-model vs block sweeps, float64 vs int8) and writes report
 files.
 
-Every random choice is controlled by ``--seed``.  ``build`` writes a
-``<model>.meta.json`` sidecar holding the config; ``solve`` copies it into
-the solution file so ``evaluate`` can run without repeating the flags.
+``build``, ``evaluate`` and ``matrix`` read prices from ``--prices FILE`` or
+``--bundled``; synthetic prices come from ``synth``.  ``synth --seed`` seeds
+the data, and ``solve --seed`` and ``matrix --seed`` seed the solvers.
+``build`` writes a ``<model>.meta.json`` sidecar holding the config;
+``solve`` copies it into the solution file so ``evaluate`` can run without
+repeating the flags.
 """
 
 from __future__ import annotations
@@ -99,28 +102,19 @@ def _config_overrides(args) -> dict:
 def _resolve_config(args, saved: dict | None = None) -> DpoConfig:
     """The config of ``--config``, else ``saved`` (a config dict), else the
     defaults, with the flags that were set laid over it."""
-    overrides = _config_overrides(args)
     if args.config:
-        return load_config(args.config, **overrides)
-    return replace(config_from_dict({} if saved is None else saved), **overrides)
+        base = load_config(args.config)
+    else:
+        base = config_from_dict({} if saved is None else saved)
+    return replace(base, **_config_overrides(args))
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("dataset")
     src = g.add_mutually_exclusive_group(required=True)
-    src.add_argument("--prices", metavar="FILE", help="closing-price table")
-    src.add_argument(
-        "--synthetic", action="store_true",
-        help="generate prices on the fly (seeded by --seed)",
-    )
+    src.add_argument("--prices", metavar="FILE", help="closing-price table, e.g. from synth")
     src.add_argument(
         "--bundled", action="store_true", help="use the packaged price fixture"
-    )
-    g.add_argument("--assets", type=int, default=5, help="synthetic assets before cash")
-    g.add_argument("--days", type=int, help="synthetic days (default: n_t * dt + 1)")
-    g.add_argument(
-        "--cash", action=argparse.BooleanOptionalAction, default=True,
-        help="append a constant-price cash asset to synthetic data",
     )
     g.add_argument(
         "--trim", choices=("tail", "head"), default="tail",
@@ -128,18 +122,8 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_table(args, config: DpoConfig, seed: int):
-    if args.prices:
-        return load_prices(args.prices)
-    if args.bundled:
-        return load_bundled_prices()
-    days = args.days if args.days is not None else config.n_t * config.dt + 1
-    table = generate_synthetic(seed, args.assets, days)
-    return append_cash_asset(table) if args.cash else table
-
-
-def _build_panel(args, config: DpoConfig, seed: int):
-    table = _load_table(args, config, seed)
+def _build_panel(args, config: DpoConfig):
+    table = load_prices(args.prices) if args.prices else load_bundled_prices()
     return compute_returns(table, config.n_t, config.dt, trim=args.trim)
 
 
@@ -163,7 +147,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_build(args) -> int:
     config = _resolve_config(args)
-    panel = _build_panel(args, config, args.seed)
+    panel = _build_panel(args, config)
     q = encode_qubo(config, panel)
     save_model(q, args.out)
     meta = {"config": config_to_dict(config)}
@@ -211,7 +195,7 @@ def _cmd_evaluate(args) -> int:
     if not isinstance(solution.get("assignment"), list):
         raise ValueError(f"{args.solution}: the solution has no 'assignment' list")
     config = _resolve_config(args, solution.get("config"))
-    panel = _build_panel(args, config, args.seed)
+    panel = _build_panel(args, config)
     alloc = decode(np.asarray(solution["assignment"]), config)
     score = score_allocation(alloc, panel, config)
     out = Path(args.out)
@@ -245,7 +229,7 @@ def _parse_variants(text: str) -> tuple[StrategyVariant, ...]:
 
 def _cmd_matrix(args) -> int:
     config = _resolve_config(args)
-    panel = _build_panel(args, config, args.seed)
+    panel = _build_panel(args, config)
     backends = [b.strip() for b in args.backends.split(",") if b.strip()]
     variants = _parse_variants(args.variants)
     reports = run_matrix(
@@ -286,7 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="encode prices + config into a model file")
     _add_dataset_args(p)
     _add_config_args(p)
-    p.add_argument("--seed", type=int, default=0, help="synthetic data seed")
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=_cmd_build)
 
@@ -311,7 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solution", required=True, metavar="FILE")
     _add_dataset_args(p)
     _add_config_args(p)
-    p.add_argument("--seed", type=int, default=0, help="synthetic data seed")
     p.add_argument("--out", required=True, metavar="DIR")
     p.set_defaults(func=_cmd_evaluate)
 

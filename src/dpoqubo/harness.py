@@ -20,7 +20,7 @@ import json
 import math
 import re
 import time
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -197,9 +197,10 @@ class RunRecord:
     wall_time: float
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    """Outcome of one backend x variant cell.
+@dataclass(frozen=True, kw_only=True)
+class EvaluationReport(AllocationScore):
+    """Outcome of one backend x variant cell: the score of its selected
+    run plus the solve fields.
 
     For infeasible or failed cells the performance fields (``net_returns``,
     ``total_net_return``, ``sharpe``, ``objective``) are all ``None`` — an
@@ -210,15 +211,8 @@ class EvaluationReport:
     backend: str
     variant: StrategyVariant
     error: str | None
-    feasible: bool
-    _: KW_ONLY
     energy: float | None = None
     allocation: PortfolioAllocation | None = None
-    violations: tuple[tuple[int, int], ...] = ()
-    net_returns: np.ndarray | None = None
-    total_net_return: float | None = None
-    sharpe: float | None = None
-    objective: ObjectiveTerms | None = None
     selected_run: int | None = None
     runs: tuple[RunRecord, ...] = ()
     #: per-visit sweep trace of the selected run (block decompositions only)
@@ -282,7 +276,7 @@ def _evaluate_cell(q, backend, variant, config, panel, risks, seed, runs):
         selected_run=best.index,
         runs=tuple(records),
         energy_trace=trace,
-        **vars(score),  # the score's fields are the report's metric fields
+        **vars(score),
     )
 
 
@@ -304,11 +298,12 @@ def run_matrix(
     feasible run are reported infeasible, and a cell whose solver raises is
     recorded as an error without stopping the rest of the matrix.
 
-    ``backends`` entries are base backend names or objects; the int8 wrapping
-    is applied internally by the INT8 variants, so pre-wrapped adapters are
-    rejected to keep precision an axis of the matrix rather than a property
-    of the backend.  Two cells may not share a series file, so a backend
-    name or a variant given twice is rejected too.
+    ``backends`` entries are base backend names or objects with a string
+    ``name``; the int8 wrapping is applied internally by the INT8 variants,
+    so pre-wrapped adapters are rejected to keep precision an axis of the
+    matrix rather than a property of the backend.  Two cells may not share
+    a series file, so a backend name or a variant given twice is rejected
+    too.
     """
     runs = _integer("runs", runs, 1)
     seed = _integer("seed", seed, 0)
@@ -319,15 +314,18 @@ def run_matrix(
             raise ValueError(
                 "pass base backends; int8 wrapping is chosen by the variant axis"
             )
+        if not isinstance(getattr(obj, "name", None), str):
+            raise TypeError(f"backend {obj!r} has no string name")
         resolved.append(obj)
     variants = tuple(variants)
     for v in variants:
         if not isinstance(v, StrategyVariant):
             raise TypeError(f"not a StrategyVariant: {v!r}")
     writers: dict[str, str] = {}  # series file name -> the cell that writes it
-    for name in map(_backend_name, resolved):
+    for backend in resolved:
         for variant in variants:
-            label, series = f"{name}/{variant.label}", _series_name(name, variant)
+            label = f"{backend.name}/{variant.label}"
+            series = _series_name(backend.name, variant)
             if series in writers:
                 raise ValueError(
                     f"cells {writers[series]} and {label} would both write {series}; "
@@ -349,7 +347,7 @@ def run_matrix(
             except Exception as exc:  # noqa: BLE001 - cell isolation is the point
                 reports.append(
                     EvaluationReport(
-                        backend=_backend_name(backend),
+                        backend=backend.name,
                         variant=variant,
                         error=f"{type(exc).__name__}: {exc}",
                         feasible=False,
@@ -361,10 +359,6 @@ def run_matrix(
 
 # ---------------------------------------------------------------------------
 # report files
-
-
-def _backend_name(backend) -> str:
-    return getattr(backend, "name", repr(backend))
 
 
 def _slug(text: str) -> str:
@@ -406,7 +400,7 @@ def _cell_summary(report: EvaluationReport) -> dict:
     return entry
 
 
-def _metric_fields(score: AllocationScore | EvaluationReport) -> dict:
+def _metric_fields(score: AllocationScore) -> dict:
     """JSON metric fields of a scored allocation: the violations when it is
     infeasible, else the total net return, the ratio (``zero_risk`` in its
     place when it is undefined) and the objective terms.  ``summary.json``

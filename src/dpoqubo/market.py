@@ -22,6 +22,8 @@ from importlib import resources
 
 import numpy as np
 
+from .qubo import _integer
+
 __all__ = [
     "PriceTable",
     "ReturnPanel",
@@ -90,11 +92,10 @@ class ReturnPanel:
             raise ValueError("return matrices must be 2-D")
         if mu.shape[1] != mud.shape[1]:
             raise ValueError("interval and daily matrices disagree on asset count")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if mud.shape[0] != mu.shape[0] * self.dt:
+        dt = _integer("dt", self.dt, 1)
+        if mud.shape[0] != mu.shape[0] * dt:
             raise ValueError(
-                f"daily rows {mud.shape[0]} != n_t*dt = {mu.shape[0]}*{self.dt}"
+                f"daily rows {mud.shape[0]} != n_t*dt = {mu.shape[0]}*{dt}"
             )
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(mud))):
             raise ValueError("returns contain non-finite entries")
@@ -104,7 +105,7 @@ class ReturnPanel:
         mud.setflags(write=False)
         object.__setattr__(self, "interval_returns", mu)
         object.__setattr__(self, "daily_returns", mud)
-        object.__setattr__(self, "dt", int(self.dt))
+        object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "assets", tuple(str(a) for a in self.assets))
 
     @property
@@ -212,8 +213,8 @@ def compute_returns(
     ``t``'s return compares the boundary prices at daily indices ``t*dt``
     and ``(t+1)*dt``, which telescopes to the sum of its daily returns.
     """
-    if n_t <= 0 or dt <= 0:
-        raise ValueError("n_t and dt must be positive")
+    n_t = _integer("n_t", n_t, 1)
+    dt = _integer("dt", dt, 1)
     if trim not in ("tail", "head"):
         raise ValueError(f"trim must be 'tail' or 'head', got {trim!r}")
     need = n_t * dt + 1
@@ -252,8 +253,9 @@ def generate_synthetic(
     ``volatility`` (scalars or length-``n_a`` vectors) and a common pairwise
     ``correlation``.  Zero volatility degenerates to the pure drift path.
     """
-    if n_a <= 0 or days <= 0:
-        raise ValueError("n_a and days must be positive")
+    seed = _integer("seed", seed, 0)
+    n_a = _integer("n_a", n_a, 1)
+    days = _integer("days", days, 1)
     mu = np.broadcast_to(np.asarray(drift, dtype=float), (n_a,)).copy()
     sigma = np.broadcast_to(np.asarray(volatility, dtype=float), (n_a,)).copy()
     if np.any(sigma < 0.0):

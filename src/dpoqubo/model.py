@@ -24,7 +24,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence, Union
 
 import numpy as np
@@ -489,11 +489,7 @@ def save_config(config: DpoConfig, path: str | os.PathLike) -> None:
         fh.write("\n")
 
 
-def load_config(path: str | os.PathLike, **overrides) -> DpoConfig:
-    """Read a JSON config; every field is optional and falls back to defaults.
-
-    Keyword overrides (e.g. from CLI flags) take precedence over the file.
-    """
+def load_config(path: str | os.PathLike) -> DpoConfig:
+    """Read a JSON config; every field is optional and falls back to defaults."""
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = config_from_dict(json.load(fh))
-    return replace(cfg, **overrides) if overrides else cfg
+        return config_from_dict(json.load(fh))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence, Union
 
 import numpy as np
@@ -63,7 +64,10 @@ class BlockPartition:
     blocks: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        blocks = tuple((int(a), int(b)) for a, b in self.blocks)
+        blocks = tuple(
+            (_integer(f"block {k} start", a, 0), _integer(f"block {k} stop", b, 0))
+            for k, (a, b) in enumerate(self.blocks)
+        )
         if not blocks:
             raise ValueError("partition needs at least one block")
         expected_start = 0
@@ -81,8 +85,9 @@ class BlockPartition:
     @classmethod
     def from_sizes(cls, sizes: Sequence[int]) -> "BlockPartition":
         """Build a partition from consecutive block sizes."""
-        bounds = np.concatenate([[0], np.cumsum([int(s) for s in sizes])])
-        return cls(tuple((int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])))
+        sizes = [_integer(f"block {k} size", s, 1) for k, s in enumerate(sizes)]
+        bounds = list(accumulate(sizes, initial=0))
+        return cls(tuple(zip(bounds, bounds[1:])))
 
     @property
     def n(self) -> int:

@@ -244,9 +244,11 @@ class TestBackendNames:
         assert isinstance(backend.inner, SimulatedAnnealingSolver)
         assert backend.name == "int8(sa)"
 
-    def test_nested_wrap_parses(self):
-        backend = make_backend("int8(int8(tabu))")
-        assert backend.name == "int8(int8(tabu))"
+    @pytest.mark.parametrize("name", ["int8(int8(tabu))", "int8()", "int8(quantum)"])
+    def test_only_a_base_name_wraps(self, name):
+        expected = r"expected exhaustive \| sa \| tabu, optionally wrapped once"
+        with pytest.raises(ValueError, match=expected):
+            make_backend(name)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -317,6 +319,29 @@ class TestSolveContract:
         result = backend.solve(SolveRequest(model=model, seed=4))
         expected = qubo_energy(canonical_qubo(model), result.assignment)
         assert result.reported_energy == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("kind, conversions", [("qubo", 1), ("ising", 2), ("quantized", 2)])
+    def test_adapter_converts_to_qubo_once_per_model(self, monkeypatch, kind, conversions):
+        # the solve skeleton converts the submitted model and the inner
+        # backend converts the quantized one; quantizing reuses the
+        # skeleton's QUBO
+        import dpoqubo.backends as backends_mod
+
+        convert, calls = backends_mod.ising_to_qubo, []
+        monkeypatch.setattr(
+            backends_mod, "ising_to_qubo", lambda m: calls.append(m) or convert(m)
+        )
+        model = _model_of_kind(kind, random_qubo(63, n=6, scale=2.0))
+        make_backend("int8(exhaustive)").solve(SolveRequest(model=model, seed=1))
+        assert len(calls) == conversions
+
+    def test_adapter_quantizes_an_ising_model_as_its_qubo(self):
+        spin = qubo_to_ising(random_qubo(64, n=7, scale=4.0))
+        adapter = FinitePrecisionAdapter(ExhaustiveSolver())
+        a, b = adapter.quantize(spin), adapter.quantize(canonical_qubo(spin))
+        np.testing.assert_array_equal(a.linear, b.linear)
+        np.testing.assert_array_equal(a.quadratic, b.quadratic)
+        assert a.scale == b.scale
 
     def test_adapter_hands_quantized_model_to_inner_unchanged(self):
         qm = quantize_int8(qubo_to_ising(random_qubo(62, n=6)))

@@ -1,6 +1,12 @@
 """End-to-end tests for the command line, driving main() in process."""
 
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,15 +135,25 @@ class TestBuild:
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "m.txt").exists()
 
-    def test_synthetic_source_sizes_itself_from_config(self, tmp_path):
-        out = tmp_path / "m.txt"
-        code = run([
-            "build", "--synthetic", "--assets", 3, "--seed", 7,
-            "--n-t", 2, "--n-a", 4, "--n-r", 2, "--budget", 3, "--dt", 5,
-            "--out", out,
-        ])
-        assert code == 0
-        assert load_model(out).n == 16
+    @pytest.mark.parametrize("command, flag", [
+        *((command, flag) for command in ("build", "evaluate", "matrix") for flag in (
+            ["--synthetic"], ["--assets", 3], ["--days", 9], ["--cash"], ["--no-cash"],
+        )),
+        ("build", ["--seed", 7]),
+        ("evaluate", ["--seed", 7]),
+    ], ids=lambda value: value if isinstance(value, str) else value[0])
+    def test_prices_come_only_from_a_file_or_the_bundle(
+        self, tmp_path, prices_csv, capsys, command, flag
+    ):
+        # synthetic prices come from the synth command alone
+        args = [command, "--prices", prices_csv, *flag, "--out", tmp_path / "out"]
+        if command == "evaluate":
+            args += ["--solution", tmp_path / "sol.json"]
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSolve:
@@ -328,48 +344,54 @@ class TestEvaluate:
 
 
 class TestMatrix:
-    _ARGS = [
-        "matrix", "--synthetic", "--assets", 2, "--no-cash",
-        "--n-t", 2, "--n-a", 2, "--n-r", 2, "--budget", 3, "--dt", 4,
-        "--backends", "sa", "--runs", 2, "--seed", 1,
-    ]
+    @pytest.fixture()
+    def args(self, tmp_path):
+        prices = tmp_path / "two_assets.csv"
+        assert run([
+            "synth", "--out", prices, "--seed", 1, "--assets", 2, "--days", 9, "--no-cash",
+        ]) == 0
+        return [
+            "matrix", "--prices", prices,
+            "--n-t", 2, "--n-a", 2, "--n-r", 2, "--budget", 3, "--dt", 4,
+            "--backends", "sa", "--runs", 2, "--seed", 1,
+        ]
 
-    def test_writes_report_files(self, tmp_path):
+    def test_writes_report_files(self, tmp_path, args):
         out = tmp_path / "mat"
-        assert run(self._ARGS + ["--out", out]) == 0
+        assert run(args + ["--out", out]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert len(summary["cells"]) == 4
         assert (out / "timings.json").exists()
 
-    def test_reruns_byte_identical_summaries(self, tmp_path):
+    def test_reruns_byte_identical_summaries(self, tmp_path, args):
         one, two = tmp_path / "one", tmp_path / "two"
-        assert run(self._ARGS + ["--out", one]) == 0
-        assert run(self._ARGS + ["--out", two]) == 0
+        assert run(args + ["--out", one]) == 0
+        assert run(args + ["--out", two]) == 0
         assert (one / "summary.json").read_bytes() == (two / "summary.json").read_bytes()
         for p in sorted(one.glob("series_*.csv")):
             assert p.read_bytes() == (two / p.name).read_bytes()
 
-    def test_variant_subset(self, tmp_path):
+    def test_variant_subset(self, tmp_path, args):
         out = tmp_path / "mat"
-        code = run(self._ARGS + ["--variants", "global-fp,block-int8", "--out", out])
+        code = run(args + ["--variants", "global-fp,block-int8", "--out", out])
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert [c["variant"] for c in summary["cells"]] == ["global-fp", "block-int8"]
 
-    def test_repeated_backend_fails_cleanly(self, tmp_path, capsys):
-        args = self._ARGS + ["--backends", "sa,sa", "--out", tmp_path / "m"]
+    def test_repeated_backend_fails_cleanly(self, tmp_path, args, capsys):
+        args = args + ["--backends", "sa,sa", "--out", tmp_path / "m"]
         assert run(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "series_sa_global-fp.csv" in err
         assert not (tmp_path / "m").exists()
 
-    def test_bad_variant_label_fails_cleanly(self, tmp_path, capsys):
-        code = run(self._ARGS + ["--variants", "sideways-fp", "--out", tmp_path / "m"])
+    def test_bad_variant_label_fails_cleanly(self, tmp_path, args, capsys):
+        code = run(args + ["--variants", "sideways-fp", "--out", tmp_path / "m"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_bad_variant_label_lists_the_valid_ones(self, tmp_path, capsys):
-        code = run(self._ARGS + ["--variants", "global-fp,block-fp16", "--out", tmp_path / "m"])
+    def test_bad_variant_label_lists_the_valid_ones(self, tmp_path, args, capsys):
+        code = run(args + ["--variants", "global-fp,block-fp16", "--out", tmp_path / "m"])
         assert code == 1
         err = capsys.readouterr().err
         assert "'block-fp16'" in err
@@ -396,3 +418,34 @@ class TestMatrix:
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["cells"][0]["backend"] == "tabu"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _readme_shell_commands():
+    """The commands of the README's shell quick start, continuation lines
+    joined, each split into arguments."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"Or from the shell:\n\n```sh\n(.*?)```", text, re.S).group(1)
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line]
+
+
+class TestReadme:
+    def test_shell_quick_start_runs(self, tmp_path):
+        commands = _readme_shell_commands()
+        assert [c[:2] for c in commands] == [
+            ["dpoqubo", "synth"], ["dpoqubo", "build"], ["dpoqubo", "solve"],
+            ["dpoqubo", "evaluate"], ["dpoqubo", "matrix"],
+        ]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        for command in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dpoqubo.cli", *command[1:]],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, (command, proc.stderr)
+        assert (tmp_path / "matrix_report" / "summary.json").exists()

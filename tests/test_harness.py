@@ -343,6 +343,18 @@ class TestRunMatrix:
         with pytest.raises(ValueError, match="base backends"):
             run_matrix(panel, cfg, ["int8(exhaustive)"])
 
+    @pytest.mark.parametrize("name", [None, 7])
+    def test_backend_without_string_name_rejected_before_any_cell(self, name):
+        class Nameless:
+            def solve(self, request):
+                raise AssertionError("no cell may run")
+
+        backend = Nameless()
+        if name is not None:
+            backend.name = name
+        with pytest.raises(TypeError, match="has no string name"):
+            run_matrix(random_panel(13, 2, 2), tiny_config(), ["exhaustive", backend])
+
     def test_runs_must_be_positive(self):
         cfg = tiny_config()
         panel = random_panel(13, 2, 2)

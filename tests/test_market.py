@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,21 @@ class TestComputeReturns:
                 block.sum(axis=0), panel.interval_returns[t], rtol=0, atol=1e-12
             )
 
+    @pytest.mark.parametrize("n_t, dt, message", [
+        (2.5, 24, "n_t must be an integer, got 2.5"),
+        (2, 24.5, "dt must be an integer, got 24.5"),
+        (True, 24, "n_t must be an integer, got True"),
+        (2, 0, "dt must be >= 1, got 0"),
+        (0, 24, "n_t must be >= 1, got 0"),
+    ])
+    def test_counts_taken_exactly(self, n_t, dt, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            compute_returns(load_bundled_prices(), n_t, dt)
+
+    def test_integral_float_counts_accepted(self):
+        panel = compute_returns(load_bundled_prices(), 2.0, 24.0)
+        assert panel.interval_returns.shape == (2, 6) and type(panel.dt) is int
+
     def test_insufficient_history(self):
         s = make_table([1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="insufficient"):
@@ -204,6 +220,24 @@ class TestSynthetic:
             daily_log_returns(t), np.full((4, 1), 0.01), rtol=0, atol=1e-12
         )
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"n_a": 2.5}, "n_a must be an integer, got 2.5"),
+        ({"n_a": 0}, "n_a must be >= 1, got 0"),
+        ({"days": 0}, "days must be >= 1, got 0"),
+        ({"days": False}, "days must be an integer, got False"),
+    ])
+    def test_counts_taken_exactly(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_synthetic(**{"seed": 0, "n_a": 2, "days": 5, **kwargs})
+
+    def test_integral_float_seed_is_that_seed(self):
+        a = generate_synthetic(seed=3.0, n_a=2, days=6.0)
+        b = generate_synthetic(seed=3, n_a=2, days=6)
+        np.testing.assert_array_equal(a.prices, b.prices)
+
     def test_negative_volatility_rejected(self):
         with pytest.raises(ValueError, match="volatility"):
             generate_synthetic(seed=0, n_a=2, days=10, volatility=-0.1)
@@ -242,6 +276,20 @@ class TestReturnPanelValidation:
                 interval_returns=np.zeros((2, 1)),
                 daily_returns=np.zeros((5, 1)),
                 dt=2,
+                assets=("a",),
+            )
+
+    @pytest.mark.parametrize("dt, message", [
+        (2.5, "dt must be an integer, got 2.5"),
+        (True, "dt must be an integer, got True"),
+        (0, "dt must be >= 1, got 0"),
+    ])
+    def test_dt_taken_exactly(self, dt, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ReturnPanel(
+                interval_returns=np.zeros((1, 1)),
+                daily_returns=np.zeros((2, 1)),
+                dt=dt,
                 assets=("a",),
             )
 

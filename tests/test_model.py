@@ -421,13 +421,6 @@ class TestConfigFiles:
         save_config(DpoConfig(), path)
         assert load_config(path).rho is None
 
-    def test_overrides_beat_file(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"gamma": 1.0, "nu": 0.3}))
-        cfg = load_config(path, gamma=4.0)
-        assert cfg.gamma == 4.0
-        assert cfg.nu == 0.3
-
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"bogus": 1}))

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,31 @@ class TestBlockPartition:
     def test_rejects_nonzero_start(self):
         with pytest.raises(ValueError):
             BlockPartition(((1, 3),))
+
+    @pytest.mark.parametrize("blocks, message", [
+        (((0, 2.7), (2.7, 5)), "block 0 stop must be an integer, got 2.7"),
+        (((0, True),), "block 0 stop must be an integer, got True"),
+        (((0, "2"),), "block 0 stop must be an integer"),
+        (((-1, 2),), "block 0 start must be >= 0"),
+    ])
+    def test_bounds_taken_exactly(self, blocks, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BlockPartition(blocks)
+
+    @pytest.mark.parametrize("sizes, message", [
+        ([2.5, 2.5], "block 0 size must be an integer, got 2.5"),
+        ([True, 2], "block 0 size must be an integer, got True"),
+        ([2, 0], "block 1 size must be >= 1, got 0"),
+    ])
+    def test_sizes_taken_exactly(self, sizes, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BlockPartition.from_sizes(sizes)
+
+    def test_integral_floats_and_numpy_ints_accepted(self):
+        part = BlockPartition.from_sizes([2.0, np.int64(3)])
+        assert part.blocks == ((0, 2), (2, 5))
+        assert all(type(v) is int for block in part.blocks for v in block)
+        assert BlockPartition(((np.int32(0), 2.0),)).blocks == ((0, 2),)
 
 
 class TestQuboContainer:
