@@ -16,6 +16,7 @@ energy.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,12 +82,6 @@ def canonical_qubo(model: Model) -> Qubo:
     if isinstance(model, IsingModel):
         return ising_to_qubo(model)
     raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
-def _flip_deltas(diag: np.ndarray, x: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Energy change of flipping each bit, given grad = Q @ x."""
-    sign = 1.0 - 2.0 * x
-    return sign * (diag + 2.0 * (grad - diag * x))
 
 
 class _Solver:
@@ -156,29 +151,37 @@ class SimulatedAnnealingSolver(_Solver):
         rng = np.random.default_rng(request.seed)
         sweeps = request.effort or self.sweeps
         coeffs = q.coeffs
-        diag = np.diag(coeffs)
         max_abs = float(np.abs(coeffs).max()) if n else 0.0
 
-        x = rng.integers(0, 2, size=n).astype(float)
-        grad = coeffs @ x
-        energy = float(x @ grad)
+        start = rng.integers(0, 2, size=n).astype(float)
+        grad = coeffs @ start
+        energy = float(start @ grad)
+        # the proposal loop runs on Python floats, which round exactly as
+        # numpy's float64 scalars do; the Metropolis test keeps np.exp, whose
+        # last bit math.exp need not match.  Row i is column i of the
+        # symmetric matrix, so a flip adds or subtracts one contiguous row
+        x, diag = start.tolist(), np.diag(coeffs).tolist()
         best_energy, best_x = energy, x.copy()
 
         temperature = max(n * max_abs, 1e-12)
         for _ in range(sweeps):
-            indices = rng.integers(0, n, size=n)
-            accepts = rng.random(size=n)
+            indices = rng.integers(0, n, size=n).tolist()
+            accepts = rng.random(size=n).tolist()
             for i, u in zip(indices, accepts):
-                sign = 1.0 - 2.0 * x[i]
-                delta = sign * (diag[i] + 2.0 * (grad[i] - diag[i] * x[i]))
+                x_i, d_i = x[i], diag[i]
+                sign = 1.0 - 2.0 * x_i
+                delta = sign * (d_i + 2.0 * (grad.item(i) - d_i * x_i))
                 if delta <= 0.0 or u < np.exp(-delta / temperature):
-                    x[i] += sign
-                    grad += sign * coeffs[:, i]
+                    x[i] = x_i + sign
+                    if sign > 0.0:
+                        grad += coeffs[i]
+                    else:
+                        grad -= coeffs[i]
                     energy += delta
                     if energy < best_energy:
                         best_energy, best_x = energy, x.copy()
             temperature *= _SA_COOLING
-        return best_x, best_energy
+        return np.array(best_x), best_energy
 
 
 class TabuSolver(_Solver):
@@ -189,6 +192,13 @@ class TabuSolver(_Solver):
     unless undoing it would beat the best energy seen (aspiration).  The
     tenure is ``max(7, n // 10)``.  A request's ``effort`` sets the number of
     iterations; ``iterations = None`` means the default, ``100 * n``.
+
+    The move is found without building an admissibility mask.  If the
+    unmasked argmin (lowest delta, lowest index) is admissible, it is the
+    move.  If it is tabu and does not aspirate, no tabu bit aspirates,
+    because ``energy + delta`` is monotone in ``delta``; the move is then the
+    argmin over the non-tabu bits, or the unmasked argmin when every bit is
+    tabu.  Both cases pick the bit a full mask would pick.
     """
 
     name = "tabu"
@@ -202,27 +212,60 @@ class TabuSolver(_Solver):
         coeffs = q.coeffs
         diag = np.diag(coeffs)
 
-        x = rng.integers(0, 2, size=n).astype(float)
-        grad = coeffs @ x
-        energy = float(x @ grad)
+        start = rng.integers(0, 2, size=n).astype(float)
+        grad = coeffs @ start
+        energy = float(start @ grad)
+        if n == 0:
+            return start, energy
+        # flip deltas are sign * (diag + 2 * (grad - diag * x)), evaluated in
+        # that order into one buffer; sign = 1 - 2x and diag * x change in
+        # one element per flip, and row i of the symmetric matrix is column i
+        x, diag_list = start.tolist(), diag.tolist()
         best_energy, best_x = energy, x.copy()
-        expires = np.zeros(n, dtype=np.int64)  # iteration at which tabu ends
-
+        sign = 1.0 - 2.0 * start
+        diag_x = diag * start
+        deltas, masked = np.empty(n), np.empty(n)
+        # max(deltas, floor) is deltas with every tabu bit raised to +inf
+        floor = np.full(n, -np.inf)
+        expires = [0] * n  # iteration at which tabu ends
+        recent: deque[int] = deque(maxlen=tenure + 1)  # bits flipped lately, oldest first
+        n_tabu = 0
         for it in range(iterations):
-            deltas = _flip_deltas(diag, x, grad)
-            admissible = (expires <= it) | (energy + deltas < best_energy - 1e-12)
-            if not admissible.any():
-                admissible[:] = True  # fully tabu: fall back to the plain best move
-            masked = np.where(admissible, deltas, np.inf)
-            i = int(np.argmin(masked))
-            sign = 1.0 - 2.0 * x[i]
-            x[i] += sign
-            grad += sign * coeffs[:, i]
-            energy += float(deltas[i])
+            if it > tenure:
+                b = recent[0]  # flipped in iteration it - tenure - 1
+                if expires[b] == it:
+                    floor[b] = -np.inf
+                    n_tabu -= 1
+            np.subtract(grad, diag_x, out=deltas)
+            deltas *= 2.0
+            deltas += diag
+            deltas *= sign
+            i = int(deltas.argmin())
+            delta = deltas.item(i)
+            if expires[i] > it and not energy + delta < best_energy - 1e-12 and n_tabu < n:
+                # no tabu bit aspirates, since energy + delta is monotone in
+                # delta: take the best non-tabu bit, if there is one
+                np.maximum(deltas, floor, out=masked)
+                i = int(masked.argmin())
+                delta = deltas.item(i)
+            x_i = x[i]
+            s = 1.0 - 2.0 * x_i
+            x[i] = x_i + s
+            if s > 0.0:
+                grad += coeffs[i]
+            else:
+                grad -= coeffs[i]
+            energy += delta
+            sign[i] = -s
+            diag_x[i] = diag_list[i] * x[i]
+            if expires[i] <= it:
+                floor[i] = np.inf
+                n_tabu += 1
             expires[i] = it + 1 + tenure
+            recent.append(i)
             if energy < best_energy:
                 best_energy, best_x = energy, x.copy()
-        return best_x, best_energy
+        return np.array(best_x), best_energy
 
 
 # accepted dynamic-range tuning steps allowed per quantization
@@ -238,19 +281,29 @@ class FinitePrecisionAdapter(_Solver):
     precision, so quantization error shows up in solution quality, never in
     bookkeeping.  A submitted ``QuantizedIsing`` reaches the wrapped backend
     unchanged.
+
+    An adapter tunes and quantizes a given model object once: it keeps the
+    last model it quantized, with its integer image, and reuses that image
+    while the same object comes back.  Models are immutable, and the kept
+    reference stops the object's id from being recycled, so the reuse is
+    exact.  Block coordinate descent submits one subproblem object for all
+    repeats of a visit, so a visit tunes once, not once per repeat.
     """
 
     def __init__(self, inner) -> None:
         self.inner = inner
         self.name = f"int8({inner.name})"
+        self._last: tuple[Model, QuantizedIsing] | None = None
 
     def quantize(self, model: Model) -> QuantizedIsing:
         """The integer model the inner backend would see for ``model``."""
         if isinstance(model, QuantizedIsing):
             return model
-        spin_model = qubo_to_ising(canonical_qubo(model))
-        tuned = reduce_dynamic_range(spin_model, budget=_TUNING_BUDGET)
-        return quantize_int8(tuned.model)
+        if self._last is None or self._last[0] is not model:
+            spin_model = qubo_to_ising(canonical_qubo(model))
+            tuned = reduce_dynamic_range(spin_model, budget=_TUNING_BUDGET)
+            self._last = (model, quantize_int8(tuned.model))
+        return self._last[1]
 
     def _search(self, q: Qubo, request: SolveRequest):
         # a float model is quantized from its canonical QUBO ``q``, which

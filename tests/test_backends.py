@@ -219,6 +219,26 @@ class TestFinitePrecisionAdapter:
         assert result.assignment.tolist() == [0, 0, 0, 0]
         assert result.reported_energy == 0.0
 
+    def test_each_model_object_quantized_once(self, monkeypatch):
+        import dpoqubo.backends as backends_mod
+
+        tune, calls = backends_mod.reduce_dynamic_range, []
+        monkeypatch.setattr(
+            backends_mod,
+            "reduce_dynamic_range",
+            lambda m, **kw: calls.append(m) or tune(m, **kw),
+        )
+        q = random_qubo(34, n=6, scale=3.0)
+        twin = Qubo(q.coeffs)  # equal to q, but another object
+        inner = _RecordingBackend()
+        adapter = FinitePrecisionAdapter(inner)
+        for seed, model in enumerate((q, q, twin, twin)):
+            adapter.solve(SolveRequest(model=model, seed=seed))
+        assert len(calls) == 2
+        first, again, other, other_again = inner.models
+        assert again is first and other_again is other and other is not first
+        np.testing.assert_array_equal(other.quadratic, first.quadratic)
+
     def test_passthrough_for_already_quantized(self):
         q = random_qubo(33, n=5)
         qm = quantize_int8(qubo_to_ising(q))

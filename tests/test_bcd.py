@@ -3,8 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+import dpoqubo.backends as backends_mod
 from dpoqubo.backends import (
     ExhaustiveSolver,
+    FinitePrecisionAdapter,
     SimulatedAnnealingSolver,
     SolveRequest,
     TabuSolver,
@@ -18,6 +20,8 @@ from dpoqubo.bcd import (
     solve_block,
     write_back,
 )
+from dpoqubo.market import compute_returns, load_bundled_prices
+from dpoqubo.model import DpoConfig, encode_qubo
 from dpoqubo.qubo import BlockPartition, Qubo, qubo_energy
 
 
@@ -282,3 +286,50 @@ class TestBcdSolve:
         q = tridiagonal_qubo(6, [3, 3])
         result = bcd_solve(q, ExhaustiveSolver(), BcdConfig())
         assert result.trace[0].pre_energy == qubo_energy(q, np.zeros(6, dtype=int))
+
+
+def count_tuning_and_quantizing(monkeypatch) -> dict:
+    """Count the adapter's calls to the tuner and the quantizer."""
+    counts = {}
+    for name in ("reduce_dynamic_range", "quantize_int8"):
+        counts[name] = 0
+        original = getattr(backends_mod, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(backends_mod, name, counted)
+    return counts
+
+
+class _QuantizeEveryRepeat(FinitePrecisionAdapter):
+    """An adapter that never reuses a quantized model."""
+
+    def quantize(self, model):
+        return FinitePrecisionAdapter(self.inner).quantize(model)
+
+
+class TestOneQuantizationPerVisit:
+    @pytest.fixture(scope="class")
+    def model(self):
+        # the release gate's 48-bit model: 2 blocks of 24 bits
+        config = DpoConfig(n_t=2)
+        return encode_qubo(config, compute_returns(load_bundled_prices(), config.n_t, config.dt))
+
+    def test_each_visit_tunes_and_quantizes_once(self, model, monkeypatch):
+        counts = count_tuning_and_quantizing(monkeypatch)
+        result = bcd_solve(model, make_backend("int8(tabu)"), BcdConfig(repeats_per_block=3))
+        visits = len(result.trace)
+        assert visits == 6
+        assert counts == {"reduce_dynamic_range": visits, "quantize_int8": visits}
+
+    def test_same_result_as_quantizing_every_repeat(self, model, monkeypatch):
+        cfg = BcdConfig(repeats_per_block=3)
+        shared = bcd_solve(model, make_backend("int8(tabu)"), cfg)
+        counts = count_tuning_and_quantizing(monkeypatch)
+        fresh = bcd_solve(model, _QuantizeEveryRepeat(TabuSolver()), cfg)
+        assert counts["quantize_int8"] == 3 * len(fresh.trace)
+        np.testing.assert_array_equal(shared.assignment, fresh.assignment)
+        assert shared.energy == fresh.energy
+        assert shared.trace == fresh.trace

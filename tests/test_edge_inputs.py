@@ -49,3 +49,15 @@ def test_every_backend_solves_tiny_models(name, n, kind):
     result = make_backend(name).solve(SolveRequest(model, seed=3))
     assert result.assignment.shape == (n,)
     assert result.reported_energy == qubo_energy(canonical_qubo(model), result.assignment)
+
+
+@pytest.mark.parametrize("kind", ["qubo", "ising"])
+@pytest.mark.parametrize("name", _BACKENDS)
+def test_every_backend_solves_an_empty_model_at_given_effort(name, kind):
+    if kind == "qubo":
+        model = Qubo(np.zeros((0, 0)))
+    else:
+        model = IsingModel(np.zeros(0), np.zeros((0, 0)))
+    result = make_backend(name).solve(SolveRequest(model, seed=3, effort=5))
+    assert result.assignment.shape == (0,)
+    assert result.reported_energy == 0.0

@@ -1,0 +1,173 @@
+"""The tabu and annealing solvers against reference copies of their plain
+loops: the same assignment and the bit-identical energy on every case.
+
+The reference functions below evaluate each step with whole-vector numpy
+operations: a full flip-delta vector, a full admissibility mask and a strided
+column update per tabu iteration, and numpy scalars throughout the annealing
+proposal loop.  The solvers take shortcuts around that work; these tests pin
+that the shortcuts change no float operation and no random draw.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from dpoqubo.backends import SolveRequest, canonical_qubo, make_backend  # noqa: E402
+from dpoqubo.bcd import extract_subproblem  # noqa: E402
+from dpoqubo.market import compute_returns, load_bundled_prices  # noqa: E402
+from dpoqubo.model import DpoConfig, encode_qubo  # noqa: E402
+from dpoqubo.qubo import Qubo  # noqa: E402
+
+_SA_COOLING = 0.97
+
+
+def _flip_deltas(diag: np.ndarray, x: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Energy change of flipping each bit, given grad = Q @ x."""
+    sign = 1.0 - 2.0 * x
+    return sign * (diag + 2.0 * (grad - diag * x))
+
+
+def reference_sa(q: Qubo, request: SolveRequest):
+    n = q.n
+    rng = np.random.default_rng(request.seed)
+    sweeps = request.effort or 200
+    coeffs = q.coeffs
+    diag = np.diag(coeffs)
+    max_abs = float(np.abs(coeffs).max()) if n else 0.0
+
+    x = rng.integers(0, 2, size=n).astype(float)
+    grad = coeffs @ x
+    energy = float(x @ grad)
+    best_energy, best_x = energy, x.copy()
+
+    temperature = max(n * max_abs, 1e-12)
+    for _ in range(sweeps):
+        indices = rng.integers(0, n, size=n)
+        accepts = rng.random(size=n)
+        for i, u in zip(indices, accepts):
+            sign = 1.0 - 2.0 * x[i]
+            delta = sign * (diag[i] + 2.0 * (grad[i] - diag[i] * x[i]))
+            if delta <= 0.0 or u < np.exp(-delta / temperature):
+                x[i] += sign
+                grad += sign * coeffs[:, i]
+                energy += delta
+                if energy < best_energy:
+                    best_energy, best_x = energy, x.copy()
+        temperature *= _SA_COOLING
+    return best_x, best_energy
+
+
+def reference_tabu(q: Qubo, request: SolveRequest):
+    n = q.n
+    rng = np.random.default_rng(request.seed)
+    iterations = request.effort or 100 * n
+    tenure = max(7, n // 10)
+    coeffs = q.coeffs
+    diag = np.diag(coeffs)
+
+    x = rng.integers(0, 2, size=n).astype(float)
+    grad = coeffs @ x
+    energy = float(x @ grad)
+    best_energy, best_x = energy, x.copy()
+    expires = np.zeros(n, dtype=np.int64)  # iteration at which tabu ends
+
+    for it in range(iterations):
+        deltas = _flip_deltas(diag, x, grad)
+        admissible = (expires <= it) | (energy + deltas < best_energy - 1e-12)
+        if not admissible.any():
+            admissible[:] = True  # fully tabu: fall back to the plain best move
+        masked = np.where(admissible, deltas, np.inf)
+        i = int(np.argmin(masked))
+        sign = 1.0 - 2.0 * x[i]
+        x[i] += sign
+        grad += sign * coeffs[:, i]
+        energy += float(deltas[i])
+        expires[i] = it + 1 + tenure
+        if energy < best_energy:
+            best_energy, best_x = energy, x.copy()
+    return best_x, best_energy
+
+
+_REFERENCES = {"sa": reference_sa, "tabu": reference_tabu}
+
+
+def assert_matches_reference(name, model, seed, effort):
+    request = SolveRequest(model, seed=seed, effort=effort)
+    result = make_backend(name).solve(request)
+    q = canonical_qubo(model)
+    bits, energy = _REFERENCES[name](q, request)
+    assert np.array_equal(result.assignment, bits.astype(np.int8))
+    assert result.reported_energy == energy + q.offset
+
+
+def seeded_model(seed, n, kind):
+    """A symmetric model: normal floats, or integers in -3..3, which tie
+    heavily."""
+    rng = np.random.default_rng(seed)
+    if kind == "float":
+        m = rng.normal(size=(n, n))
+    else:
+        m = rng.integers(-3, 4, size=(n, n)).astype(float)
+    return Qubo(m + m.T, offset=float(rng.normal()))
+
+
+@pytest.mark.parametrize("n", range(31))
+@pytest.mark.parametrize("name", ["sa", "tabu"])
+def test_seeded_models(name, n):
+    # tenure is 7 up to n = 79, so for n <= 7 every bit can be tabu at once
+    for kind in ("float", "int"):
+        model = seeded_model(1000 + n, n, kind)
+        for seed, effort in ((n, None), (n + 1, 37)):
+            if effort is not None and n == 0:
+                continue  # the reference cannot search an empty model
+            assert_matches_reference(name, model, seed, effort)
+
+
+@st.composite
+def symmetric_models(draw):
+    n = draw(st.integers(0, 10))
+    if draw(st.booleans()):
+        entry = st.floats(-50.0, 50.0, allow_nan=False, allow_subnormal=False)
+    else:
+        entry = st.integers(-2, 2).map(float)
+    upper = np.zeros((n, n))
+    iu = np.triu_indices(n)
+    upper[iu] = draw(st.lists(entry, min_size=iu[0].size, max_size=iu[0].size))
+    return Qubo(upper + np.triu(upper, 1).T)
+
+
+@pytest.mark.parametrize("name", ["sa", "tabu"])
+@settings(max_examples=60, deadline=None)
+@given(
+    model=symmetric_models(),
+    seed=st.integers(0, 2**16),
+    effort=st.one_of(st.none(), st.integers(1, 80)),
+)
+def test_drawn_models(name, model, seed, effort):
+    if effort is not None and model.n == 0:
+        effort = None  # the reference cannot search an empty model
+    assert_matches_reference(name, model, seed, effort)
+
+
+@pytest.fixture(scope="module")
+def paper_block():
+    """A 24-bit zero-context block of the default configuration's model on
+    the bundled prices."""
+    config = DpoConfig()
+    panel = compute_returns(load_bundled_prices(), config.n_t, config.dt)
+    q = encode_qubo(config, panel)
+    return extract_subproblem(q, np.zeros(q.n, dtype=np.int8), 5)
+
+
+@pytest.mark.parametrize("precision", ["fp", "int8"])
+@pytest.mark.parametrize("name", ["sa", "tabu"])
+def test_paper_block(paper_block, name, precision):
+    assert paper_block.n == 24
+    model = paper_block
+    if precision == "int8":
+        model = make_backend(f"int8({name})").quantize(paper_block)
+    for seed in (0, 7):
+        assert_matches_reference(name, model, seed, None)
