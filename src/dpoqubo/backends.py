@@ -87,14 +87,26 @@ def canonical_qubo(model: Model) -> Qubo:
 class _Solver:
     """The solve skeleton of every backend: canonicalize the model once, let
     the backend's ``_search(q, request)`` return its best assignment and that
-    assignment's energy without the offset, then add ``q.offset``."""
+    assignment's energy without the offset, then add ``q.offset``.  A model
+    with no variables has the empty assignment, and ``_search`` never sees
+    it."""
 
     name: str
 
     def solve(self, request: SolveRequest) -> SolveResult:
         q = canonical_qubo(request.model)
+        if q.n == 0:
+            return SolveResult(assignment=np.zeros(0), reported_energy=q.offset)
         assignment, energy = self._search(q, request)
         return SolveResult(assignment=assignment, reported_energy=energy + q.offset)
+
+
+def _random_start(q: Qubo, rng: np.random.Generator):
+    """A uniformly random assignment, its gradient ``Q x`` and its energy
+    ``x' Q x`` without the offset: the start of both stochastic searches."""
+    start = rng.integers(0, 2, size=q.n).astype(float)
+    grad = q.coeffs @ start
+    return start, grad, float(start @ grad)
 
 
 # enumeration limits: the largest model enumerated, and the number of
@@ -151,11 +163,9 @@ class SimulatedAnnealingSolver(_Solver):
         rng = np.random.default_rng(request.seed)
         sweeps = request.effort or self.sweeps
         coeffs = q.coeffs
-        max_abs = float(np.abs(coeffs).max()) if n else 0.0
+        max_abs = float(np.abs(coeffs).max())
 
-        start = rng.integers(0, 2, size=n).astype(float)
-        grad = coeffs @ start
-        energy = float(start @ grad)
+        start, grad, energy = _random_start(q, rng)
         # the proposal loop runs on Python floats, which round exactly as
         # numpy's float64 scalars do; the Metropolis test keeps np.exp, whose
         # last bit math.exp need not match.  Row i is column i of the
@@ -212,11 +222,7 @@ class TabuSolver(_Solver):
         coeffs = q.coeffs
         diag = np.diag(coeffs)
 
-        start = rng.integers(0, 2, size=n).astype(float)
-        grad = coeffs @ start
-        energy = float(start @ grad)
-        if n == 0:
-            return start, energy
+        start, grad, energy = _random_start(q, rng)
         # flip deltas are sign * (diag + 2 * (grad - diag * x)), evaluated in
         # that order into one buffer; sign = 1 - 2x and diag * x change in
         # one element per flip, and row i of the symmetric matrix is column i
@@ -268,10 +274,6 @@ class TabuSolver(_Solver):
         return np.array(best_x), best_energy
 
 
-# accepted dynamic-range tuning steps allowed per quantization
-_TUNING_BUDGET = 100
-
-
 class FinitePrecisionAdapter(_Solver):
     """Emulate a device restricted to signed 8-bit coefficients.
 
@@ -301,7 +303,7 @@ class FinitePrecisionAdapter(_Solver):
             return model
         if self._last is None or self._last[0] is not model:
             spin_model = qubo_to_ising(canonical_qubo(model))
-            tuned = reduce_dynamic_range(spin_model, budget=_TUNING_BUDGET)
+            tuned = reduce_dynamic_range(spin_model)
             self._last = (model, quantize_int8(tuned.model))
         return self._last[1]
 

@@ -89,10 +89,12 @@ def extract_subproblem(q: Qubo, x, i: int) -> Qubo:
     return Qubo(q.coeffs[sl, sl] + np.diag(induced))
 
 
-def solve_block(sub: Qubo, backend, cfg: BcdConfig, base_seed: int) -> np.ndarray:
+def solve_block(
+    sub: Qubo, backend, cfg: BcdConfig, base_seed: int
+) -> tuple[np.ndarray, float]:
     """Best of ``I`` backend runs on the block, seeded ``base_seed ..
     base_seed + I - 1``, judged by full-precision local energy (ties keep
-    the earliest run)."""
+    the earliest run); returns that run's bits and local energy."""
     best_energy = np.inf
     best: np.ndarray | None = None
     for run in range(cfg.repeats_per_block):
@@ -102,7 +104,7 @@ def solve_block(sub: Qubo, backend, cfg: BcdConfig, base_seed: int) -> np.ndarra
         if energy < best_energy:
             best_energy, best = energy, candidate
     assert best is not None
-    return best
+    return best, best_energy
 
 
 def write_back(x, partition: BlockPartition, i: int, block_solution) -> np.ndarray:
@@ -163,11 +165,11 @@ def bcd_solve(q: Qubo, backend, cfg: BcdConfig | None = None) -> BcdResult:
             sl = part.block_slice(i)
             incumbent_energy = qubo_energy(sub, x[sl])
             try:
-                candidate = solve_block(sub, backend, cfg, base_seed)
+                candidate, candidate_energy = solve_block(sub, backend, cfg, base_seed)
             except Exception as exc:
                 raise BcdBackendError(i, str(exc), tuple(trace)) from exc
             pre_energy = energy
-            accepted = qubo_energy(sub, candidate) < incumbent_energy
+            accepted = candidate_energy < incumbent_energy
             if accepted:
                 x = write_back(x, part, i, candidate)
                 energy = qubo_energy(q, x)

@@ -116,15 +116,11 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     src.add_argument(
         "--bundled", action="store_true", help="use the packaged price fixture"
     )
-    g.add_argument(
-        "--trim", choices=("tail", "head"), default="tail",
-        help="which end of the series to drop when it overfills the horizon",
-    )
 
 
 def _build_panel(args, config: DpoConfig):
     table = load_prices(args.prices) if args.prices else load_bundled_prices()
-    return compute_returns(table, config.n_t, config.dt, trim=args.trim)
+    return compute_returns(table, config.n_t, config.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +214,8 @@ def _parse_variants(text: str) -> tuple[StrategyVariant, ...]:
         return ALL_VARIANTS
     known = {v.label: v for v in ALL_VARIANTS}
     labels = [label.strip() for label in text.split(",") if label.strip()]
+    if not labels:
+        raise ValueError("--variants names no variant")
     for label in labels:
         if label not in known:
             raise ValueError(
@@ -229,9 +227,11 @@ def _parse_variants(text: str) -> tuple[StrategyVariant, ...]:
 
 def _cmd_matrix(args) -> int:
     config = _resolve_config(args)
-    panel = _build_panel(args, config)
     backends = [b.strip() for b in args.backends.split(",") if b.strip()]
+    if not backends:
+        raise ValueError("--backends names no backend")
     variants = _parse_variants(args.variants)
+    panel = _build_panel(args, config)
     reports = run_matrix(
         panel, config, backends, variants, seed=args.seed, **_given(args, "runs")
     )

@@ -215,8 +215,6 @@ class EvaluationReport(AllocationScore):
     allocation: PortfolioAllocation | None = None
     selected_run: int | None = None
     runs: tuple[RunRecord, ...] = ()
-    #: per-visit sweep trace of the selected run (block decompositions only)
-    energy_trace: tuple | None = None
 
     @property
     def status(self) -> str:
@@ -226,17 +224,17 @@ class EvaluationReport(AllocationScore):
 
 
 def _run_once(q, backend, variant: StrategyVariant, run_seed: int):
-    """Returns (assignment, energy, wall_time, trace) for one seeded solve;
-    the one place that reads the wall clock."""
+    """Returns (assignment, energy, wall_time) for one seeded solve; the one
+    place that reads the wall clock."""
     solver = FinitePrecisionAdapter(backend) if variant.precision == "int8" else backend
     start = time.perf_counter()
     if variant.decomposition == "global":
         res = solver.solve(SolveRequest(q, seed=run_seed))
-        energy, trace = res.reported_energy, None
+        energy = res.reported_energy
     else:
         res = bcd_solve(q, solver, BcdConfig(seed=run_seed))
-        energy, trace = res.energy, res.trace
-    return res.assignment, float(energy), time.perf_counter() - start, trace
+        energy = res.energy
+    return res.assignment, float(energy), time.perf_counter() - start
 
 
 def _evaluate_cell(q, backend, variant, config, panel, risks, seed, runs):
@@ -244,7 +242,7 @@ def _evaluate_cell(q, backend, variant, config, panel, risks, seed, runs):
     solutions = []
     for r in range(runs):
         run_seed = seed + r * _SEED_STRIDE
-        assignment, energy, wall, trace = _run_once(q, backend, variant, run_seed)
+        assignment, energy, wall = _run_once(q, backend, variant, run_seed)
         alloc = decode(assignment, config)
         score = score_allocation(alloc, panel, config, risks)
         records.append(
@@ -257,7 +255,7 @@ def _evaluate_cell(q, backend, variant, config, panel, risks, seed, runs):
                 wall_time=wall,
             )
         )
-        solutions.append((alloc, score, trace))
+        solutions.append((alloc, score))
 
     feasible_runs = [rec for rec in records if rec.feasible]
     if feasible_runs:
@@ -266,7 +264,7 @@ def _evaluate_cell(q, backend, variant, config, panel, risks, seed, runs):
     else:
         # nothing feasible: surface the lowest-energy attempt for diagnostics
         best = min(records, key=lambda rec: rec.energy)
-    alloc, score, trace = solutions[best.index]
+    alloc, score = solutions[best.index]
     return EvaluationReport(
         backend=backend.name,
         variant=variant,
@@ -275,7 +273,6 @@ def _evaluate_cell(q, backend, variant, config, panel, risks, seed, runs):
         allocation=alloc,
         selected_run=best.index,
         runs=tuple(records),
-        energy_trace=trace,
         **vars(score),
     )
 

@@ -200,31 +200,23 @@ def daily_log_returns(table: PriceTable) -> np.ndarray:
     return np.diff(np.log(table.prices), axis=0)
 
 
-def compute_returns(
-    table: PriceTable,
-    n_t: int,
-    dt: int,
-    trim: str = "tail",
-) -> ReturnPanel:
+def compute_returns(table: PriceTable, n_t: int, dt: int) -> ReturnPanel:
     """Build interval and daily log returns on an ``n_t`` x ``dt`` grid.
 
-    Needs ``n_t * dt + 1`` prices; longer histories are trimmed per ``trim``
-    ("tail" keeps the earliest window, "head" keeps the latest).  Interval
-    ``t``'s return compares the boundary prices at daily indices ``t*dt``
-    and ``(t+1)*dt``, which telescopes to the sum of its daily returns.
+    Needs ``n_t * dt + 1`` prices; a longer history keeps its earliest
+    ``n_t * dt + 1`` days.  Interval ``t``'s return compares the boundary
+    prices at daily indices ``t*dt`` and ``(t+1)*dt``, which telescopes to
+    the sum of its daily returns.
     """
     n_t = _integer("n_t", n_t, 1)
     dt = _integer("dt", dt, 1)
-    if trim not in ("tail", "head"):
-        raise ValueError(f"trim must be 'tail' or 'head', got {trim!r}")
     need = n_t * dt + 1
     have = len(table.dates)
     if have < need:
         raise ValueError(
             f"insufficient history: {have} prices, need n_t*dt+1 = {need}"
         )
-    lo, hi = (0, need) if trim == "tail" else (have - need, have)
-    logp = np.log(table.prices[lo:hi])
+    logp = np.log(table.prices[:need])
     daily = np.diff(logp, axis=0)
     boundaries = logp[:: dt]
     interval = np.diff(boundaries, axis=0)

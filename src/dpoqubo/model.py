@@ -298,6 +298,15 @@ def _check_panel(config: DpoConfig, panel: ReturnPanel) -> None:
         )
 
 
+def _check_risks(config: DpoConfig, risks: Sequence[RiskMatrix]) -> None:
+    """One ``n_a`` x ``n_a`` risk matrix per interval."""
+    if len(risks) != config.n_t:
+        raise ValueError(f"need {config.n_t} risk matrices, got {len(risks)}")
+    for t, r in enumerate(risks):
+        if r.n_a != config.n_a:
+            raise ValueError(f"risk matrix {t} is {r.n_a}x{r.n_a}, expected {config.n_a}")
+
+
 def resolved_rho(config: DpoConfig, panel: ReturnPanel) -> float:
     """Budget penalty weight: configured value, or 2 * max |interval return|."""
     if config.rho is not None:
@@ -342,8 +351,7 @@ def objective_terms(
     """Evaluate the four score components for a given weight matrix."""
     _check_panel(config, panel)
     w, turnover = _weights_and_turnover(config, allocation)
-    if len(risks) != config.n_t:
-        raise ValueError(f"need {config.n_t} risk matrices, got {len(risks)}")
+    _check_risks(config, risks)
     mu = panel.interval_returns
     gross = float((w * mu).sum())
     risk = 0.5 * config.gamma * sum(
@@ -417,11 +425,7 @@ def encode_qubo(
     _check_panel(config, panel)
     if risks is None:
         risks = risk_matrices(config, panel)
-    if len(risks) != config.n_t:
-        raise ValueError(f"need {config.n_t} risk matrices, got {len(risks)}")
-    for t, r in enumerate(risks):
-        if r.n_a != config.n_a:
-            raise ValueError(f"risk matrix {t} is {r.n_a}x{r.n_a}, expected {config.n_a}")
+    _check_risks(config, risks)
     rho = resolved_rho(config, panel)
     m, c = _weight_space_form(config, panel.interval_returns, risks, [rho] * config.n_t)
     return _bit_expand(config, m, c, const=rho * config.budget**2 * config.n_t)

@@ -111,12 +111,18 @@ class BlockPartition:
         return slice(start, stop)
 
 
-def _frozen_matrix(m, name: str) -> np.ndarray:
+def _frozen_matrix(m, name: str, partition: BlockPartition | None) -> np.ndarray:
+    """``m`` as a read-only float copy, checked to be square, finite, exactly
+    symmetric and, when a partition is given, as wide as it."""
     out = np.array(m, dtype=float)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise ValueError(f"{name} must be a square 2-D matrix, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{name} contains non-finite entries")
+    if not np.array_equal(out, out.T):
+        raise ValueError(f"{name} must be exactly symmetric")
+    if partition is not None and partition.n != out.shape[0]:
+        raise ValueError(f"partition covers {partition.n} indices, {name} has {out.shape[0]}")
     out.setflags(write=False)
     return out
 
@@ -134,16 +140,7 @@ class Qubo:
     partition: BlockPartition | None = None
 
     def __post_init__(self) -> None:
-        c = _frozen_matrix(self.coeffs, "coeffs")
-        if not np.array_equal(c, c.T):
-            raise ValueError(
-                "coefficient matrix must be exactly symmetric; "
-                "use Qubo.from_dense to symmetrise arbitrary input"
-            )
-        if self.partition is not None and self.partition.n != c.shape[0]:
-            raise ValueError(
-                f"partition covers {self.partition.n} indices, matrix has {c.shape[0]}"
-            )
+        c = _frozen_matrix(self.coeffs, "coeffs", self.partition)
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "offset", float(self.offset))
 
@@ -186,19 +183,13 @@ class IsingModel:
             raise ValueError(f"linear must be a 1-D vector, got shape {h.shape}")
         if not np.all(np.isfinite(h)):
             raise ValueError("linear contains non-finite entries")
-        j = _frozen_matrix(self.quadratic, "quadratic")
+        j = _frozen_matrix(self.quadratic, "quadratic", self.partition)
         if j.shape[0] != h.shape[0]:
             raise ValueError(
                 f"linear has {h.shape[0]} entries, quadratic is {j.shape[0]}x{j.shape[1]}"
             )
-        if not np.array_equal(j, j.T):
-            raise ValueError("quadratic coupling matrix must be exactly symmetric")
         if np.any(np.diag(j) != 0.0):
             raise ValueError("quadratic coupling matrix must have a zero diagonal")
-        if self.partition is not None and self.partition.n != h.shape[0]:
-            raise ValueError(
-                f"partition covers {self.partition.n} indices, model has {h.shape[0]}"
-            )
         h.setflags(write=False)
         object.__setattr__(self, "linear", h)
         object.__setattr__(self, "quadratic", j)

@@ -126,8 +126,8 @@ def parse_model(text: str) -> Model:
             elif tag == "n":
                 (v,) = args
                 n = int(v)
-                if n <= 0:
-                    raise ModelFormatError(lineno, "n must be a positive integer")
+                if n < 0:
+                    raise ModelFormatError(lineno, "n must be a nonnegative integer")
             elif tag == "offset":
                 (v,) = args
                 offset = _finite(lineno, v)

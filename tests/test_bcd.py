@@ -94,7 +94,7 @@ class TestSolveBlock:
         q = tridiagonal_qubo(5, [4, 4])
         x = np.zeros(8, dtype=int)
         sub = extract_subproblem(q, x, 0)
-        y = solve_block(sub, ExhaustiveSolver(), BcdConfig(repeats_per_block=1), 0)
+        y, _ = solve_block(sub, ExhaustiveSolver(), BcdConfig(repeats_per_block=1), 0)
         best = min(
             itertools.product([0, 1], repeat=4),
             key=lambda b: qubo_energy(sub, np.array(b)),
@@ -105,17 +105,17 @@ class TestSolveBlock:
         part = BlockPartition.from_sizes([2])
         q = Qubo(np.diag([-1.0, 2.0]), partition=part)
         sub = extract_subproblem(q, np.zeros(2, dtype=int), 0)
-        y = solve_block(sub, ExhaustiveSolver(), BcdConfig(), 0)
+        y, _ = solve_block(sub, ExhaustiveSolver(), BcdConfig(), 0)
         assert y.tolist() == [1, 0]
 
     def test_min_of_runs(self):
         q = tridiagonal_qubo(11, [10], scale=2.0)
         sub = extract_subproblem(q, np.zeros(10, dtype=int), 0)
         backend = with_default_effort(SimulatedAnnealingSolver, sweeps=5)  # weak on purpose
-        y = solve_block(sub, backend, BcdConfig(repeats_per_block=3), 40)
+        y, _ = solve_block(sub, backend, BcdConfig(repeats_per_block=3), 40)
         chosen = qubo_energy(sub, y)
         for run in range(3):
-            single = solve_block(sub, backend, BcdConfig(repeats_per_block=1), 40 + run)
+            single, _ = solve_block(sub, backend, BcdConfig(repeats_per_block=1), 40 + run)
             assert chosen <= qubo_energy(sub, single) + 1e-12
 
 
@@ -227,7 +227,7 @@ class TestBcdSolve:
         for i in range(len(q.partition)):
             sub = extract_subproblem(q, opt, i)
             sl = q.partition.block_slice(i)
-            y = solve_block(sub, ExhaustiveSolver(), BcdConfig(), 0)
+            y, _ = solve_block(sub, ExhaustiveSolver(), BcdConfig(), 0)
             # the acceptance rule keeps opt unless a candidate is strictly lower
             assert not qubo_energy(sub, y) < qubo_energy(sub, opt[sl])
 

@@ -397,6 +397,13 @@ class TestMatrix:
         assert "'block-fp16'" in err
         assert "global-fp, global-int8, block-fp, block-int8" in err
 
+    @pytest.mark.parametrize("flag", ["--backends", "--variants"])
+    def test_empty_selection_fails_cleanly(self, tmp_path, args, capsys, flag):
+        assert run(args + [flag, ",", "--out", tmp_path / "m"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
+        assert not (tmp_path / "m").exists()
+
     def test_negative_seed_fails_before_any_cell(self, tmp_path, capsys):
         code = run([
             "matrix", "--bundled", "--n-t", 2, "--n-a", 6, "--n-r", 2,
@@ -431,6 +438,21 @@ def _readme_shell_commands():
     return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line]
 
 
+def _readme_python_quick_start():
+    """The code of the README's first ``python`` block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.search(r"```python\n(.*?)```", text, re.S).group(1)
+
+
+def _src_env():
+    """The environment with this checkout's ``src`` first on the import path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 class TestReadme:
     def test_shell_quick_start_runs(self, tmp_path):
         commands = _readme_shell_commands()
@@ -438,14 +460,18 @@ class TestReadme:
             ["dpoqubo", "synth"], ["dpoqubo", "build"], ["dpoqubo", "solve"],
             ["dpoqubo", "evaluate"], ["dpoqubo", "matrix"],
         ]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-        )
         for command in commands:
             proc = subprocess.run(
                 [sys.executable, "-m", "dpoqubo.cli", *command[1:]],
-                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+                cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=300,
             )
             assert proc.returncode == 0, (command, proc.stderr)
         assert (tmp_path / "matrix_report" / "summary.json").exists()
+
+    def test_python_quick_start_runs(self, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", _readme_python_quick_start()],
+            cwd=tmp_path, env=_src_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "summary.json").exists()

@@ -19,7 +19,7 @@ from dpoqubo.harness import (
     run_matrix,
     sharpe_ratio,
 )
-from dpoqubo.market import ReturnPanel
+from dpoqubo.market import ReturnPanel, compute_returns, load_bundled_prices
 from dpoqubo.model import (
     Covariance,
     DpoConfig,
@@ -361,19 +361,6 @@ class TestRunMatrix:
         with pytest.raises(ValueError):
             run_matrix(panel, cfg, ["exhaustive"], runs=0)
 
-    def test_block_cells_carry_sweep_trace(self):
-        cfg = tiny_config()
-        panel = random_panel(14, 2, 2)
-        glob, block = run_matrix(
-            panel, cfg, ["exhaustive"],
-            [StrategyVariant("global", "fp"), StrategyVariant("block", "fp")],
-            seed=2,
-        )
-        assert glob.energy_trace is None
-        assert block.energy_trace is not None and len(block.energy_trace) > 0
-        posts = [rec.post_energy for rec in block.energy_trace]
-        assert posts == sorted(posts, reverse=True)
-
     def test_block_energy_never_beats_exhaustive_global(self):
         cfg = tiny_config()
         panel = random_panel(14, 2, 2)
@@ -412,8 +399,9 @@ class TestRunMatrix:
 
 
 class TestGoldenFixture:
-    """Frozen regression values: deterministic whole-model tabu solve on the
-    packaged fixture at the 48-variable scale, recorded at first build."""
+    """Frozen regression values on the packaged fixture at the 48-variable
+    scale: a whole-model tabu solve, and every cell of the sa/tabu matrix
+    with one run per cell."""
 
     def test_bundled_size_s_tabu_solution(self):
         from dpoqubo.backends import SolveRequest, TabuSolver
@@ -431,6 +419,37 @@ class TestGoldenFixture:
         assert res.reported_energy == pytest.approx(-1.3225612452955176, rel=1e-12)
         sharpe = sharpe_ratio(alloc, panel, risks, cfg)
         assert sharpe == pytest.approx(21.197975502871056, rel=1e-12)
+
+    # (backend, variant, status, weights, energy) of every cell of the
+    # 48-bit gate matrix; each cell has one run, so run 0 is selected
+    GATE_CELLS = [
+        ("sa", "global-fp", "infeasible",
+         [[4, 0, 6, 4, 0, 0], [6, 1, 5, 1, 0, 2]], -1.135858482568139),
+        ("sa", "global-int8", "infeasible",
+         [[4, 6, 2, 1, 0, 2], [1, 1, 9, 1, 1, 0]], 0.999405206145255),
+        ("sa", "block-fp", "feasible",
+         [[5, 0, 6, 3, 0, 1], [6, 0, 7, 1, 0, 1]], -1.6205489417650227),
+        ("sa", "block-int8", "infeasible",
+         [[9, 1, 1, 1, 1, 1], [9, 1, 1, 1, 1, 1]], -0.5238279753960029),
+        ("tabu", "global-fp", "feasible",
+         [[3, 1, 3, 3, 4, 1], [3, 2, 6, 1, 3, 0]], -1.2499317578271985),
+        ("tabu", "global-int8", "infeasible",
+         [[2, 2, 2, 2, 2, 2], [2, 2, 10, 2, 0, 0]], 1.8726475447490571),
+        ("tabu", "block-fp", "feasible",
+         [[6, 0, 5, 3, 1, 0], [5, 1, 6, 3, 0, 0]], -1.6454537356318184),
+        ("tabu", "block-int8", "infeasible",
+         [[5, 1, 5, 1, 1, 1], [9, 1, 1, 1, 1, 1]], -0.4380090982765523),
+    ]
+
+    def test_bundled_gate_matrix_cells(self):
+        panel = compute_returns(load_bundled_prices(), 2, 24)
+        reports = run_matrix(panel, DpoConfig(n_t=2), ["sa", "tabu"], runs=1, seed=0)
+        assert len(reports) == len(self.GATE_CELLS)
+        for report, (backend, variant, status, weights, energy) in zip(reports, self.GATE_CELLS):
+            cell = (report.backend, report.variant.label, report.status, report.selected_run)
+            assert cell == (backend, variant, status, 0)
+            assert report.allocation.weights.tolist() == weights, cell
+            assert report.energy == pytest.approx(energy, rel=1e-12), cell
 
 
 class TestEmitReport:

@@ -175,22 +175,11 @@ class TestComputeReturns:
     def test_tail_trim_keeps_earliest_window(self):
         prices = [1.0, 2.0, 4.0, 8.0, 16.0]
         s = make_table(prices)
-        panel = compute_returns(s, n_t=2, dt=1, trim="tail")
+        panel = compute_returns(s, n_t=2, dt=1)
         np.testing.assert_allclose(panel.interval_returns[:, 0], [math.log(2)] * 2)
-        head = compute_returns(s, n_t=2, dt=1, trim="head")
-        # same ratios here, but the window starts two days later
-        assert head.interval_returns.shape == (2, 1)
-
-    def test_head_trim_uses_latest_window(self):
-        s = make_table([1.0, 1.0, 1.0, 2.0, 4.0])
-        head = compute_returns(s, n_t=2, dt=1, trim="head")
-        np.testing.assert_allclose(head.interval_returns[:, 0], [math.log(2)] * 2)
-        tail = compute_returns(s, n_t=2, dt=1, trim="tail")
+        # the two late moves fall outside the first n_t*dt + 1 days
+        tail = compute_returns(make_table([1.0, 1.0, 1.0, 2.0, 4.0]), n_t=2, dt=1)
         np.testing.assert_allclose(tail.interval_returns[:, 0], [0.0, 0.0])
-
-    def test_bad_trim_rejected(self):
-        with pytest.raises(ValueError, match="trim"):
-            compute_returns(make_table([1.0, 2.0]), n_t=1, dt=1, trim="middle")
 
     def test_daily_slices_tile_horizon(self):
         table = generate_synthetic(seed=3, n_a=2, days=25)

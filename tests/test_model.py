@@ -14,6 +14,7 @@ from dpoqubo.model import (
     Covariance,
     DpoConfig,
     PortfolioAllocation,
+    RiskMatrix,
     Semicovariance,
     Shrinkage,
     config_from_dict,
@@ -280,6 +281,12 @@ class TestObjectiveTerms:
         cfg, panel, risks = self._setup()
         with pytest.raises(ValueError, match="shape"):
             objective_terms(cfg, panel, risks, np.zeros((2, 2)))
+
+    def test_missized_risk_names_its_interval(self):
+        cfg, panel, risks = self._setup()
+        risks[1] = RiskMatrix(np.eye(3))
+        with pytest.raises(ValueError, match="risk matrix 1 is 3x3, expected 2"):
+            objective_terms(cfg, panel, risks, np.zeros((3, 2)))
 
 
 class TestRhoDefault:

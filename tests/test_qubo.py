@@ -107,8 +107,11 @@ class TestQuboContainer:
             q.coeffs[0, 0] = 1.0
 
     def test_partition_size_must_match(self):
+        part = BlockPartition.from_sizes([2, 2])
         with pytest.raises(ValueError, match="partition"):
-            Qubo(np.zeros((3, 3)), partition=BlockPartition.from_sizes([2, 2]))
+            Qubo(np.zeros((3, 3)), partition=part)
+        with pytest.raises(ValueError, match="partition"):
+            IsingModel(np.zeros(3), np.zeros((3, 3)), partition=part)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):

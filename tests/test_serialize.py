@@ -120,6 +120,28 @@ class TestIsingRoundtrip:
                     assert ours == theirs, f.name
 
 
+class TestEmptyModels:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            Qubo(np.zeros((0, 0)), offset=1.5),
+            IsingModel(np.zeros(0), np.zeros((0, 0)), offset=-2.0),
+            quantize_int8(IsingModel(np.zeros(0), np.zeros((0, 0)))),
+        ],
+        ids=["qubo", "ising", "quantized"],
+    )
+    def test_roundtrip(self, model):
+        text = dump_model(model)
+        assert "\nn 0\n" in text
+        back = parse_model(text)
+        assert type(back) is type(model) and back.n == 0
+        assert dump_model(back) == text
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ModelFormatError, match="line 3: n must be"):
+            parse_model("dpoqubo-model 1\nkind qubo\nn -1\n")
+
+
 class TestValidation:
     def test_missing_header(self):
         with pytest.raises(ModelFormatError, match="header"):
