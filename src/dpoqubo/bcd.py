@@ -79,11 +79,8 @@ def extract_subproblem(q: Qubo, x, i: int) -> Qubo:
     contribute to ``h``.  Differences of ``qubo_energy(sub, y)`` across
     candidate block vectors ``y`` equal global energy differences exactly.
     """
-    part = _require_partition(q)
-    if not 0 <= i < len(part):
-        raise IndexError(f"block index {i} out of range (m={len(part)})")
+    sl = _require_partition(q).block_slice(i)
     masked = as_bits(x, q.n).astype(float)
-    sl = part.block_slice(i)
     masked[sl] = 0.0
     induced = 2.0 * (q.coeffs[sl, :] @ masked)
     return Qubo(q.coeffs[sl, sl] + np.diag(induced))
@@ -112,8 +109,7 @@ def write_back(x, partition: BlockPartition, i: int, block_solution) -> np.ndarr
     ``block_solution`` inside it."""
     bits = as_bits(x, partition.n).copy()
     sl = partition.block_slice(i)
-    sol = as_bits(block_solution, sl.stop - sl.start)
-    bits[sl] = sol
+    bits[sl] = as_bits(block_solution, sl.stop - sl.start)
     return bits
 
 

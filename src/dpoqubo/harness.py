@@ -223,12 +223,11 @@ class EvaluationReport(AllocationScore):
         return "feasible" if self.feasible else "infeasible"
 
 
-def _run_once(q, backend, variant: StrategyVariant, run_seed: int):
+def _run_once(q, solver, decomposition: str, run_seed: int):
     """Returns (assignment, energy, wall_time) for one seeded solve; the one
     place that reads the wall clock."""
-    solver = FinitePrecisionAdapter(backend) if variant.precision == "int8" else backend
     start = time.perf_counter()
-    if variant.decomposition == "global":
+    if decomposition == "global":
         res = solver.solve(SolveRequest(q, seed=run_seed))
         energy = res.reported_energy
     else:
@@ -238,11 +237,13 @@ def _run_once(q, backend, variant: StrategyVariant, run_seed: int):
 
 
 def _evaluate_cell(q, backend, variant, config, panel, risks, seed, runs):
+    # one solver per cell, so an int8 cell tunes a model once, not once per run
+    solver = FinitePrecisionAdapter(backend) if variant.precision == "int8" else backend
     records = []
     solutions = []
     for r in range(runs):
         run_seed = seed + r * _SEED_STRIDE
-        assignment, energy, wall = _run_once(q, backend, variant, run_seed)
+        assignment, energy, wall = _run_once(q, solver, variant.decomposition, run_seed)
         alloc = decode(assignment, config)
         score = score_allocation(alloc, panel, config, risks)
         records.append(

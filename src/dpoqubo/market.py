@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .qubo import _integer
+from .qubo import _finite, _integer
 
 __all__ = [
     "PriceTable",
@@ -31,7 +31,6 @@ __all__ = [
     "parse_prices",
     "save_prices",
     "append_cash_asset",
-    "daily_log_returns",
     "compute_returns",
     "generate_synthetic",
     "load_bundled_prices",
@@ -112,10 +111,6 @@ class ReturnPanel:
     def n_t(self) -> int:
         return self.interval_returns.shape[0]
 
-    @property
-    def n_a(self) -> int:
-        return self.interval_returns.shape[1]
-
     def daily_slice(self, t: int) -> slice:
         """Daily index range owned by interval ``t``."""
         if not 0 <= t < self.n_t:
@@ -195,11 +190,6 @@ def append_cash_asset(table: PriceTable) -> PriceTable:
     return PriceTable(table.dates, table.assets + ("CASH",), prices)
 
 
-def daily_log_returns(table: PriceTable) -> np.ndarray:
-    """log(P_{s+1} / P_s) for every consecutive day pair, one column per asset."""
-    return np.diff(np.log(table.prices), axis=0)
-
-
 def compute_returns(table: PriceTable, n_t: int, dt: int) -> ReturnPanel:
     """Build interval and daily log returns on an ``n_t`` x ``dt`` grid.
 
@@ -228,6 +218,17 @@ def compute_returns(table: PriceTable, n_t: int, dt: int) -> ReturnPanel:
     )
 
 
+def _per_asset(name: str, value, n_a: int) -> np.ndarray:
+    """One real number, or ``n_a`` of them, as ``n_a`` finite floats;
+    booleans and strings are rejected."""
+    out = np.asarray(value)
+    if out.dtype.kind not in "iuf" or out.ndim > 1 or out.size not in (1, n_a):
+        raise ValueError(f"{name} must be a number or {n_a} numbers, got {value!r}")
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return np.broadcast_to(out.astype(float), (n_a,)).copy()
+
+
 def generate_synthetic(
     seed: int,
     n_a: int,
@@ -242,20 +243,22 @@ def generate_synthetic(
     """Correlated geometric random walk prices, deterministic per seed.
 
     Daily log returns are jointly normal with per-asset ``drift`` and
-    ``volatility`` (scalars or length-``n_a`` vectors) and a common pairwise
-    ``correlation``.  Zero volatility degenerates to the pure drift path.
+    ``volatility`` (finite scalars or length-``n_a`` vectors) and a common
+    pairwise ``correlation`` (a finite number).  Zero volatility degenerates
+    to the pure drift path.
     """
     seed = _integer("seed", seed, 0)
     n_a = _integer("n_a", n_a, 1)
     days = _integer("days", days, 1)
-    mu = np.broadcast_to(np.asarray(drift, dtype=float), (n_a,)).copy()
-    sigma = np.broadcast_to(np.asarray(volatility, dtype=float), (n_a,)).copy()
+    mu = _per_asset("drift", drift, n_a)
+    sigma = _per_asset("volatility", volatility, n_a)
     if np.any(sigma < 0.0):
         raise ValueError("volatility must be nonnegative")
+    correlation = _finite("correlation", correlation)
     lo = -1.0 / (n_a - 1) if n_a > 1 else -1.0
     if not lo <= correlation <= 1.0:
         raise ValueError(f"correlation must lie in [{lo:.3f}, 1]")
-    p0 = np.broadcast_to(np.asarray(start_price, dtype=float), (n_a,))
+    p0 = _per_asset("start_price", start_price, n_a)
     if np.any(p0 <= 0.0):
         raise ValueError("start_price must be positive")
 

@@ -21,8 +21,6 @@ the block coordinate descent solver exploits.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence, Union
@@ -30,7 +28,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .market import ReturnPanel
-from .qubo import BlockPartition, Qubo, _integer, as_bits
+from .qubo import BlockPartition, Qubo, _finite, _integer, as_bits
 
 __all__ = [
     "Covariance",
@@ -86,15 +84,6 @@ class RiskMatrix:
     @property
     def n_a(self) -> int:
         return self.matrix.shape[0]
-
-
-def _finite(name: str, value) -> float:
-    """A real field as a float; booleans, strings and non-finite values are rejected."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return float(value)
 
 
 def _rate(name: str, value) -> float:
@@ -261,14 +250,6 @@ class PortfolioAllocation:
         w = w.astype(np.int64)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-    @property
-    def n_t(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def n_a(self) -> int:
-        return self.weights.shape[1]
 
     def invested_per_step(self) -> np.ndarray:
         return self.weights.sum(axis=1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DpoConfig, PortfolioAllocation, _bit_expand, _weight_space_form, decode
-from .qubo import Qubo
+from .qubo import Qubo, _finite, _integer
 
 __all__ = ["PlantedInstance", "make_scale_separated_qubo"]
 
@@ -61,12 +61,17 @@ def make_scale_separated_qubo(
     blocks couple through a turnover penalty of ``1e-3 * rho``, orders of
     magnitude below the last block's budget scale.  With the defaults the
     inter/intra coefficient ratio is far below 1/255, the int8 cliff for
-    whole-model quantization.
+    whole-model quantization.  ``seed`` is an integer >= 0, ``rho`` a finite
+    number > 0 and ``growth`` a finite number > 1.
     """
-    if n_t < 2:
-        raise ValueError("need at least two intervals to have inter-block structure")
+    seed = _integer("seed", seed, 0)
+    rho, growth = _finite("rho", rho), _finite("growth", growth)
+    if rho <= 0.0:
+        raise ValueError(f"rho must be > 0, got {rho!r}")
     if growth <= 1.0:
         raise ValueError("growth must exceed 1 to separate the block scales")
+    if n_t < 2:
+        raise ValueError("need at least two intervals to have inter-block structure")
     representable = n_a * (2**n_r - 1)
     if representable % 2:
         raise ValueError("n_a * (2^n_r - 1) must be even so the budget can sit at half")

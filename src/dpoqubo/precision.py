@@ -19,11 +19,11 @@ Three stages, usable independently:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qubo import IsingModel, _bit_table, ising_energy
+from .qubo import IsingModel, _bit_table, _integer, ising_energy
 
 __all__ = [
     "DynamicRange",
@@ -180,12 +180,6 @@ def _linear_entries_with_value(model: IsingModel, value: float) -> list[int]:
     return np.flatnonzero(model.linear == value).tolist()
 
 
-def _with_linear(model: IsingModel, index: int, new_value: float) -> IsingModel:
-    linear = np.array(model.linear, dtype=float)
-    linear[index] = new_value
-    return IsingModel(linear=linear, quadratic=model.quadratic, offset=model.offset)
-
-
 def _shrink_extreme_moves(model: IsingModel, values: np.ndarray):
     """Shrink the largest-magnitude field entry to the runner-up magnitude."""
     mags = np.unique(np.abs(values))
@@ -230,15 +224,16 @@ def _widen_gap_moves(model: IsingModel, values: np.ndarray):
 def reduce_dynamic_range(model: IsingModel, budget: int = 100) -> TuningResult:
     """Lower a model's coefficient dynamic range by single-entry tuning.
 
-    Up to ``budget`` accepted steps are applied.  Each step rewrites one
-    *field* coefficient toward zero — either shrinking the extreme-magnitude
-    entry to the runner-up magnitude, or widening the tightest value gap to
-    the second-tightest — and is kept only when the dynamic range strictly
-    decreases and the ground-state check against the *input* model passes.
-    With no admissible move the input is returned unchanged.
+    Up to ``budget`` (an integer >= 0) accepted steps are applied.  Each
+    step rewrites one *field* coefficient toward zero — either shrinking the
+    extreme-magnitude entry to the runner-up magnitude, or widening the
+    tightest value gap to the second-tightest — and is kept only when the
+    dynamic range strictly decreases and the ground-state check against the
+    *input* model passes.  A tuned model is a copy of the input with new
+    fields, so it keeps the input's type, offset and partition.  With no
+    admissible move the input is returned unchanged.
     """
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
+    budget = _integer("budget", budget, 0)
     check = _MinimizerCheck(model) if budget else None
     current = model
     steps: list[TuningStep] = []
@@ -251,8 +246,10 @@ def reduce_dynamic_range(model: IsingModel, budget: int = 100) -> TuningResult:
         for kind, index, new_value in list(_shrink_extreme_moves(current, values)) + list(
             _widen_gap_moves(current, values)
         ):
-            old_value = float(current.linear[index])
-            candidate = _with_linear(current, index, new_value)
+            linear = current.linear.astype(float)
+            old_value = float(linear[index])
+            linear[index] = new_value
+            candidate = replace(current, linear=linear)
             after = dynamic_range(coefficient_values(candidate))
             if after.bits >= before.bits:
                 continue

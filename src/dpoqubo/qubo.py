@@ -15,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from itertools import accumulate
@@ -50,6 +51,15 @@ def _integer(name: str, value, minimum: int) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _finite(name: str, value) -> float:
+    """A real field as a float; booleans, strings and non-finite values are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -106,7 +116,10 @@ class BlockPartition:
         return np.repeat(np.arange(len(self.blocks)), self.sizes)
 
     def block_slice(self, k: int) -> slice:
-        """Slice selecting block ``k``'s indices."""
+        """Slice selecting block ``k``'s indices; ``k`` outside ``0..m-1``
+        raises ``IndexError``."""
+        if not 0 <= k < len(self.blocks):
+            raise IndexError(f"block index {k} out of range (m={len(self.blocks)})")
         start, stop = self.blocks[k]
         return slice(start, stop)
 

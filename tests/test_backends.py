@@ -377,3 +377,8 @@ class TestResultsAreValues:
         a, b = (make_backend(name).solve(request) for _ in range(2))
         for field in fields(SolveResult):
             np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name))
+
+
+def test_canonical_qubo_rejects_a_non_model():
+    with pytest.raises(TypeError, match="unsupported model type ndarray"):
+        canonical_qubo(np.zeros((2, 2)))

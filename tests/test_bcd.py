@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,12 @@ class TestExtractSubproblem:
         with pytest.raises(IndexError):
             extract_subproblem(q, np.zeros(4, dtype=int), 2)
 
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_index_outside_partition_names_it(self, index):
+        q = tridiagonal_qubo(0, [2, 2])
+        with pytest.raises(IndexError, match=re.escape(f"block index {index} out of range (m=2)")):
+            extract_subproblem(q, np.zeros(4, dtype=int), index)
+
     def test_requires_partition(self):
         q = Qubo(np.zeros((4, 4)))
         with pytest.raises(ValueError, match="partition"):
@@ -153,6 +160,13 @@ class TestWriteBack:
         x = np.array([0, 0])
         write_back(x, part, 0, [1, 1])
         assert x.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_index_outside_partition_names_it(self, index):
+        # -1 must not wrap around to the last block
+        part = BlockPartition.from_sizes([2, 2])
+        with pytest.raises(IndexError, match=re.escape(f"block index {index} out of range (m=2)")):
+            write_back(np.zeros(4, dtype=int), part, index, [1, 1])
 
 
 class TestBcdConfig:
@@ -323,6 +337,10 @@ class TestOneQuantizationPerVisit:
         visits = len(result.trace)
         assert visits == 6
         assert counts == {"reduce_dynamic_range": visits, "quantize_int8": visits}
+
+    def test_quantized_model_keeps_the_partition(self, model):
+        # tuning accepts a step on this model, and a tuned model keeps it
+        assert FinitePrecisionAdapter(TabuSolver()).quantize(model).partition == model.partition
 
     def test_same_result_as_quantizing_every_repeat(self, model, monkeypatch):
         cfg = BcdConfig(repeats_per_block=3)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import dpoqubo.backends as backends_mod
 from dpoqubo.backends import (
     ExhaustiveSolver,
     FinitePrecisionAdapter,
@@ -562,3 +563,26 @@ class TestEmitReport:
             }
             assert len(cell["runs"]) == 3
             assert "sharpe" in cell or cell.get("zero_risk") is True
+
+
+class TestOneAdapterPerCell:
+    def test_multi_run_int8_cell_tunes_once(self, monkeypatch):
+        calls = []
+        original = backends_mod.reduce_dynamic_range
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(backends_mod, "reduce_dynamic_range", counted)
+        config = DpoConfig(n_t=2)
+        panel = compute_returns(load_bundled_prices(), config.n_t, config.dt)
+        (report,) = run_matrix(
+            panel, config, ["tabu"], [StrategyVariant("global", "int8")], runs=3
+        )
+        assert len(report.runs) == 3
+        assert len(calls) == 1
+
+    def test_non_variant_rejected(self):
+        with pytest.raises(TypeError, match="not a StrategyVariant: 'global-fp'"):
+            run_matrix(random_panel(7, 2, 2), tiny_config(), ["exhaustive"], ["global-fp"])

@@ -9,7 +9,6 @@ from dpoqubo.market import (
     ReturnPanel,
     append_cash_asset,
     compute_returns,
-    daily_log_returns,
     generate_synthetic,
     load_bundled_prices,
     parse_prices,
@@ -206,7 +205,7 @@ class TestSynthetic:
     def test_zero_volatility_pure_drift(self):
         t = generate_synthetic(seed=9, n_a=1, days=5, drift=0.01, volatility=0.0)
         np.testing.assert_allclose(
-            daily_log_returns(t), np.full((4, 1), 0.01), rtol=0, atol=1e-12
+            np.diff(np.log(t.prices), axis=0), np.full((4, 1), 0.01), rtol=0, atol=1e-12
         )
 
     @pytest.mark.parametrize("kwargs, message", [
@@ -235,12 +234,29 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="correlation"):
             generate_synthetic(seed=0, n_a=2, days=10, correlation=1.5)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"drift": math.nan}, "drift must be finite, got nan"),
+        ({"drift": [0.1, 0.2, 0.3]}, "drift must be a number or 2 numbers, got [0.1, 0.2, 0.3]"),
+        ({"drift": "0.5"}, "drift must be a number or 2 numbers, got '0.5'"),
+        ({"volatility": True}, "volatility must be a number or 2 numbers, got True"),
+        ({"volatility": math.inf}, "volatility must be finite, got inf"),
+        ({"start_price": math.nan}, "start_price must be finite, got nan"),
+        ({"start_price": [1.0, math.inf]}, "start_price must be finite, got [1.0, inf]"),
+        ({"start_price": 0.0}, "start_price must be positive"),
+        ({"correlation": "0.5"}, "correlation must be a number, got '0.5'"),
+        ({"correlation": math.nan}, "correlation must be finite, got nan"),
+    ])
+    def test_bad_parameter_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_synthetic(seed=0, n_a=2, days=10, **kwargs)
+
     def test_sample_correlation_matches_target(self):
         target = 0.4
         table = generate_synthetic(
             seed=123, n_a=3, days=10_000, volatility=0.02, correlation=target
         )
-        corr = np.corrcoef(daily_log_returns(table).T)
+        corr = np.corrcoef(np.diff(np.log(table.prices), axis=0).T)
         off = corr[np.triu_indices(3, 1)]
         assert np.all(np.abs(off - target) < 0.1)
 
@@ -290,3 +306,33 @@ class TestReturnPanelValidation:
                 dt=2,
                 assets=("a",),
             )
+
+
+class TestUnreachedChecks:
+    @pytest.mark.parametrize("text, message", [
+        ("", "price file is empty"),
+        ("day,a\n2023-01-01,1\n", "header must be 'date,asset1,asset2,...'"),
+    ])
+    def test_bad_price_text(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_prices(text)
+
+    def test_blank_rows_skipped(self):
+        table = parse_prices("date,a\n2023-01-01,1\n\n , \n2023-01-02,2\n")
+        assert table.dates == ("2023-01-01", "2023-01-02")
+
+    @pytest.mark.parametrize("interval, daily, assets, message", [
+        (np.zeros(1), np.zeros((2, 1)), ("a",), "return matrices must be 2-D"),
+        (np.zeros((1, 2)), np.zeros((2, 1)), ("a", "b"),
+         "interval and daily matrices disagree on asset count"),
+        (np.zeros((1, 1)), np.zeros((2, 1)), ("a", "b"), "asset label count mismatch"),
+    ], ids=["1d", "asset-count", "labels"])
+    def test_bad_panel(self, interval, daily, assets, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ReturnPanel(interval_returns=interval, daily_returns=daily, dt=2, assets=assets)
+
+    @pytest.mark.parametrize("t", [-1, 2])
+    def test_daily_slice_out_of_range(self, t):
+        panel = compute_returns(make_table([1.0, 1.1, 1.2, 1.3, 1.4]), n_t=2, dt=2)
+        with pytest.raises(IndexError, match=f"interval {t} out of range"):
+            panel.daily_slice(t)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dpoqubo.model import (
     RiskMatrix,
     Semicovariance,
     Shrinkage,
+    ShrinkageDiagnostics,
     config_from_dict,
     config_to_dict,
     decode,
@@ -499,3 +501,24 @@ class TestConfigFiles:
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"risk": "shrinkage"}))
         assert load_config(path).risk == Shrinkage()
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: RiskMatrix(np.zeros((2, 3))), "risk matrix must be square"),
+        (lambda: RiskMatrix([[1.0, 0.5], [0.0, 1.0]]), "risk matrix must be symmetric"),
+        (lambda: RiskMatrix([[1.0, 2.0], [2.0, 1.0]]), "risk matrix not PSD (min eigenvalue -1)"),
+        (lambda: RiskMatrix(np.eye(2), ShrinkageDiagnostics(1.5, 0.0, 0.0)),
+         "shrinkage intensity must lie in [0, 1]"),
+        (lambda: PortfolioAllocation(np.zeros(3)), "weights must be an n_t x n_a matrix"),
+    ], ids=["non-square", "asymmetric", "not-psd", "shrinkage-delta", "1d-allocation"])
+    def test_rejected_with_a_message(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+
+    def test_wrong_number_of_risk_matrices(self):
+        cfg = DpoConfig(n_t=3, n_a=2, n_r=2, budget=3, dt=6)
+        panel = random_panel(0, n_t=3, n_a=2)
+        risks = risk_matrices(cfg, panel)
+        with pytest.raises(ValueError, match="need 3 risk matrices, got 2"):
+            encode_qubo(cfg, panel, risks[:2])

@@ -1,5 +1,7 @@
 """Tests for the scale-separated planted instances."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,21 @@ class TestConstruction:
     def test_flat_growth_rejected(self):
         with pytest.raises(ValueError):
             make_scale_separated_qubo(0, growth=1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": 2.5}, "seed must be an integer, got 2.5"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"rho": -1}, "rho must be > 0, got -1.0"),
+        ({"rho": float("nan")}, "rho must be finite, got nan"),
+        ({"growth": float("nan")}, "growth must be finite, got nan"),
+        ({"growth": float("inf")}, "growth must be finite, got inf"),
+        ({"growth": "20"}, "growth must be a number, got '20'"),
+    ])
+    def test_bad_argument_named(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_scale_separated_qubo(**{"seed": 0, **kwargs})
 
     def test_seed_determinism(self):
         a = make_scale_separated_qubo(11)

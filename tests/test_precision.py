@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,16 @@ class TestTuning:
         after = dynamic_range(coefficient_values(out.model)).bits
         assert after <= before
 
+    @pytest.mark.parametrize("budget, message", [
+        (2.5, "budget must be an integer, got 2.5"),
+        (True, "budget must be an integer, got True"),
+        (-1, "budget must be >= 0, got -1"),
+    ])
+    def test_budget_taken_exactly(self, budget, message):
+        m = IsingModel(np.array([10.0, 0.001]), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            reduce_dynamic_range(m, budget=budget)
+
 
 class TestQuantize:
     def test_extremes_map_to_127(self):
@@ -285,3 +296,51 @@ class TestLossReport:
         report = quantization_loss_report(m, quantize_int8(m))
         assert report.zeroed_intra is None
         assert report.zeroed_inter is None
+
+
+class TestTunedModelKeepsItsInput:
+    def test_partition_and_offset_kept(self):
+        part = BlockPartition.from_sizes([1, 1])
+        m = IsingModel(np.array([10.0, 0.001]), np.zeros((2, 2)), offset=1.5, partition=part)
+        out = reduce_dynamic_range(m, budget=1)
+        assert len(out.steps) == 1
+        assert out.model.partition == part
+        assert out.model.offset == 1.5
+
+    def test_quantized_model_stays_quantized(self):
+        m = random_ising(np.random.default_rng(3), 6)
+        qm = quantize_int8(
+            IsingModel(m.linear, m.quadratic, partition=BlockPartition.from_sizes([3, 3]))
+        )
+        out = reduce_dynamic_range(qm)
+        assert out.steps
+        assert isinstance(out.model, QuantizedIsing)
+        assert out.model.scale == qm.scale
+        assert out.model.partition == qm.partition
+
+    def test_one_magnitude_model_has_no_move(self):
+        m = IsingModel(np.array([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert reduce_dynamic_range(m).steps == ()
+
+
+class TestQuantizedInputChecks:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"offset": 1.0}, "quantized models carry no offset, got 1.0"),
+        ({"scale": math.inf}, "scale must be finite and > 0, got inf"),
+        ({"scale": 0.0}, "scale must be finite and > 0, got 0.0"),
+    ])
+    def test_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            QuantizedIsing(**{"linear": [1, 0], "quadratic": np.zeros((2, 2)), "scale": 1.0, **kwargs})
+
+    def test_loss_report_size_mismatch(self):
+        m = IsingModel(np.ones(2), np.zeros((2, 2)))
+        other = quantize_int8(IsingModel(np.ones(3), np.zeros((3, 3))))
+        with pytest.raises(ValueError, match="model and quantized sizes differ"):
+            quantization_loss_report(m, other)
+
+    def test_loss_report_of_all_zero_source(self):
+        m = IsingModel(np.zeros(2), np.zeros((2, 2)))
+        report = quantization_loss_report(m, quantize_int8(m))
+        assert report.zeroed_total == 0
+        assert report.max_relative_error == 0.0

@@ -300,3 +300,38 @@ class TestBlockStructure:
         report = scale_separation_report(q)
         assert report.max_inter == 0.0
         assert report.ratio == 0.0
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: BlockPartition(()), "partition needs at least one block"),
+        (lambda: Qubo(np.zeros((2, 3))), "coeffs must be a square 2-D matrix, got shape (2, 3)"),
+        (lambda: IsingModel(np.zeros((2, 2)), np.zeros((2, 2))),
+         "linear must be a 1-D vector, got shape (2, 2)"),
+        (lambda: IsingModel([np.nan, 0.0], np.zeros((2, 2))), "linear contains non-finite entries"),
+        (lambda: as_bits(np.zeros((2, 2))), "assignment must be 1-D, got shape (2, 2)"),
+        (lambda: as_spins(np.ones((2, 2))), "spin vector must be 1-D, got shape (2, 2)"),
+        (lambda: as_spins([1, -1], 3), "spin vector has length 2, expected 3"),
+        (lambda: qubo_energies(Qubo(np.zeros((2, 2))), np.zeros((3, 3))),
+         "batch must have shape (m, 2), got (3, 3)"),
+        (lambda: qubo_energies(Qubo(np.zeros((2, 2))), np.zeros(2)),
+         "batch must have shape (m, 2), got (2,)"),
+    ], ids=[
+        "empty-partition", "non-square", "2d-linear", "non-finite-linear", "2d-assignment",
+        "2d-spins", "spin-length", "batch-width", "1d-batch",
+    ])
+    def test_rejected_with_a_message(self, build, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_block_index_outside_partition(self, index):
+        with pytest.raises(IndexError, match=re.escape(f"block index {index} out of range (m=2)")):
+            BlockPartition.from_sizes([2, 3]).block_slice(index)
+
+    def test_scale_separation_with_only_cross_block_coefficients(self):
+        part = BlockPartition.from_sizes([1, 1])
+        report = scale_separation_report(Qubo([[0.0, 1.0], [1.0, 0.0]], partition=part))
+        assert report.max_intra == 0.0
+        assert report.max_inter == 1.0
+        assert report.ratio == float("inf")

@@ -299,3 +299,30 @@ class TestRepresentationStability:
     def test_dump_is_deterministic(self):
         q = random_qubo(8, partition=BlockPartition.from_sizes([2, 2, 2]))
         assert dump_model(q) == dump_model(q)
+
+
+class TestUnreachedChecks:
+    @pytest.mark.parametrize("text, message", [
+        ("dpoqubo-model 1\nkind foo\nn 2\n", "line 2: unknown kind 'foo'"),
+        ("dpoqubo-model 1\nkind ising\nn 1\ninteger 2\nscale 1.0\n",
+         "line 4: integer flag must be 0 or 1"),
+        ("", "line 1: missing file header"),
+        ("# only a comment\n", "line 1: missing file header"),
+        ("dpoqubo-model 1\nn 2\n", "line 1: file must declare kind and n"),
+        ("dpoqubo-model 1\nkind qubo\n", "line 1: file must declare kind and n"),
+        ("dpoqubo-model 1\nkind qubo\nn 1\ninteger 1\nscale 1.0\n",
+         "line 1: integer flag applies to ising models only"),
+        ("dpoqubo-model 1\nkind qubo\nn 1\nc 0 0 abc\n",
+         "line 4: expected a finite number, got 'abc'"),
+    ], ids=[
+        "unknown-kind", "integer-2", "empty", "comment-only", "no-kind", "no-n",
+        "integer-qubo", "non-numeric-coefficient",
+    ])
+    def test_rejected_with_its_line(self, text, message):
+        with pytest.raises(ModelFormatError) as err:
+            parse_model(text)
+        assert str(err.value) == message
+
+    def test_dump_of_a_non_model(self):
+        with pytest.raises(TypeError, match="cannot serialize dict"):
+            dump_model({})
