@@ -61,10 +61,14 @@ def make_scale_separated_qubo(
     blocks couple through a turnover penalty of ``1e-3 * rho``, orders of
     magnitude below the last block's budget scale.  With the defaults the
     inter/intra coefficient ratio is far below 1/255, the int8 cliff for
-    whole-model quantization.  ``seed`` is an integer >= 0, ``rho`` a finite
-    number > 0 and ``growth`` a finite number > 1.
+    whole-model quantization.  ``seed`` is an integer >= 0, ``n_t`` an
+    integer >= 2, ``n_a`` and ``n_r`` integers >= 1, ``rho`` a finite number
+    > 0 and ``growth`` a finite number > 1.
     """
     seed = _integer("seed", seed, 0)
+    # n_t of 0 or 1 reaches the interval check below
+    n_t = _integer("n_t", n_t, 0)
+    n_a, n_r = _integer("n_a", n_a, 1), _integer("n_r", n_r, 1)
     rho, growth = _finite("rho", rho), _finite("growth", growth)
     if rho <= 0.0:
         raise ValueError(f"rho must be > 0, got {rho!r}")

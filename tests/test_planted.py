@@ -104,6 +104,9 @@ class TestConstruction:
         ({"growth": float("nan")}, "growth must be finite, got nan"),
         ({"growth": float("inf")}, "growth must be finite, got inf"),
         ({"growth": "20"}, "growth must be a number, got '20'"),
+        ({"n_t": "3"}, "n_t must be an integer, got '3'"),
+        ({"n_r": "2"}, "n_r must be an integer, got '2'"),
+        ({"n_a": 2.5}, "n_a must be an integer, got 2.5"),
     ])
     def test_bad_argument_named(self, kwargs, message):
         with pytest.raises(ValueError, match=re.escape(message)):

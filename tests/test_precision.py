@@ -7,6 +7,7 @@ import pytest
 
 from dpoqubo.precision import (
     QuantizedIsing,
+    _MinimizerCheck,
     coefficient_values,
     dynamic_range,
     quantization_loss_report,
@@ -151,6 +152,44 @@ class TestTuning:
         before = dynamic_range(coefficient_values(m)).bits
         after = dynamic_range(coefficient_values(out.model)).bits
         assert after <= before
+
+    @staticmethod
+    def star_model(neighbours):
+        """13 spins: spin 0 has field 10 and couples with -2 to each of the
+        first ``neighbours`` (at most 4) others; every other spin has field
+        -3.  The ground state has spin 0 down and the rest up.  The first
+        tuning move shrinks field 10 to 3, after which the ground state has
+        every spin up once spin 0 has 2 or more neighbours."""
+        n = 13
+        j = np.zeros((n, n))
+        j[0, 1:neighbours + 1] = j[1:neighbours + 1, 0] = -2.0
+        h = np.full(n, -3.0)
+        h[0] = 10.0
+        return IsingModel(linear=h, quadratic=j)
+
+    def test_sampled_check_accepts_a_safe_move(self):
+        m = self.star_model(1)
+        assert not _MinimizerCheck(m).exhaustive
+        out = reduce_dynamic_range(m, budget=1)
+        assert [(s.entry, s.old_value, s.new_value, s.kind) for s in out.steps] == [
+            (("h", 0), 10.0, 3.0, "shrink-extreme")
+        ]
+        down, up = np.array([-1] + [1] * 12), np.ones(13)
+        assert ising_energy(out.model, down) < ising_energy(out.model, up)
+
+    def test_sampled_check_rejects_a_move_that_loses_the_ground_state(self):
+        m = self.star_model(4)
+        assert not _MinimizerCheck(m).exhaustive
+        # the move would lower the dynamic range, but spin 0 would go up
+        shrunk = IsingModel(np.where(m.linear == 10.0, 3.0, m.linear), m.quadratic)
+        bits = [dynamic_range(coefficient_values(x)).bits for x in (m, shrunk)]
+        assert bits[1] < bits[0]
+        down, up = np.array([-1] + [1] * 12), np.ones(13)
+        assert ising_energy(m, down) < ising_energy(m, up)
+        assert ising_energy(shrunk, up) < ising_energy(shrunk, down)
+        out = reduce_dynamic_range(m)
+        assert out.steps == ()
+        np.testing.assert_array_equal(out.model.linear, m.linear)
 
     @pytest.mark.parametrize("budget, message", [
         (2.5, "budget must be an integer, got 2.5"),
