@@ -9,12 +9,10 @@ Three stages, usable independently:
 2. :func:`reduce_dynamic_range` performs conservative single-entry tuning:
    one field coefficient at a time is nudged toward zero, and the step is
    kept only when the dynamic range strictly drops *and* the model's set of
-   ground states still contains a ground state of the original model
-   (checked exhaustively for small models, by multistart local search
-   agreement otherwise: the seeded starts descend together as one batched
-   greedy descent with incremental local-field updates, which can end
-   differently from one start at a time only where two flip deltas tie to
-   within float rounding).
+   ground states still contains a ground state of the original model.  One
+   descent check decides this: greedy descents on both models start from
+   every spin vector up to 12 spins, which makes the check exact, and from
+   64 seeded random vectors above, where it is a multistart agreement test.
 3. :func:`quantize_int8` maps coefficients to integers in [-128, 127] via
    scale-round-clip with the maximum absolute coefficient pinned to 127.
 """
@@ -26,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .qubo import IsingModel, _bit_table, _integer, ising_energy
+from .qubo import IsingModel, _bit_table, _integer
 
 __all__ = [
     "DynamicRange",
@@ -41,10 +39,20 @@ __all__ = [
     "quantization_loss_report",
 ]
 
+def _require_ising(model) -> None:
+    """Every stage here reads a spin model's fields; name any other type."""
+    if not isinstance(model, IsingModel):
+        raise TypeError(
+            f"unsupported model type {type(model).__name__}: expected an IsingModel"
+            " (convert a Qubo with qubo_to_ising)"
+        )
+
+
 def coefficient_values(model) -> np.ndarray:
     """Every free coefficient of an Ising model as one flat array: the fields
     in index order, then the couplings ``(i, j)`` with ``i < j`` in row order.
     Each unordered pair appears once."""
+    _require_ising(model)
     iu = np.triu_indices(model.n, k=1)
     return np.concatenate([model.linear, model.quadratic[iu]])
 
@@ -71,9 +79,13 @@ def dynamic_range(values) -> DynamicRange:
 
     Differences are taken between *distinct* values, so the largest is the
     range and the smallest is the tightest gap between adjacent sorted
-    values; zero values participate, zero differences never occur.
+    values; zero values participate, zero differences never occur.  A
+    non-finite value raises ``ValueError``.
     """
-    distinct = np.unique(np.asarray(values, dtype=float))
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values contain non-finite entries")
+    distinct = np.unique(values)
     if distinct.size < 2:
         return DynamicRange(bits=0.0, largest_diff=0.0, smallest_diff=0.0)
     largest = float(distinct[-1] - distinct[0])
@@ -106,19 +118,17 @@ class TuningResult:
 # ---------------------------------------------------------------------------
 # ground-state bookkeeping used by the tuning accept test
 
+# models up to this many spins start the check from every spin vector;
+# larger ones from the seeded random starts below
 _EXHAUSTIVE_LIMIT = 12
-# seed and number of the random starts of the sampled check for larger models
 _CHECK_SEED = 0
 _CHECK_STARTS = 64
 
 
 def _all_energies(model: IsingModel, spins: np.ndarray) -> np.ndarray:
     z = spins.astype(float)
-    return (
-        model.offset
-        + z @ model.linear
-        + 0.5 * np.einsum("ij,jk,ik->i", z, model.quadratic, z)
-    )
+    pair = np.einsum("ij,ij->i", z @ model.quadratic, z)
+    return model.offset + z @ model.linear + 0.5 * pair
 
 
 def _argmin_rows(energies: np.ndarray) -> frozenset[int]:
@@ -160,37 +170,33 @@ def _greedy_descents(model: IsingModel, starts: np.ndarray) -> np.ndarray:
 class _MinimizerCheck:
     """Accept test: does a candidate model keep a ground state of the original?
 
-    Small models are settled exhaustively.  Larger models fall back to a
-    sampled agreement test: the same seeded starts descend greedily on both
-    models, together as one batched descent with incremental field updates
-    (see :func:`_greedy_descents`), and the candidate passes when one of its
-    best-found states is also a best-found state of the original.
+    The same starts descend on both models as one batched greedy descent
+    (:func:`_greedy_descents`), and the candidate passes when one of its best
+    end states is also a best end state of the original.  Up to
+    ``_EXHAUSTIVE_LIMIT`` spins every spin vector is a start and the check is
+    exact: no flip lowers a ground state's energy by more than ``1e-12``, so
+    each ground state ends where it starts and the lowest end-state energy is
+    the global minimum.  The best end states are then the enumerated ground
+    states less any that lie within the ``1e-9`` relative tolerance yet still
+    have a downhill flip; such a state descends into the set.  Larger models
+    start from ``_CHECK_STARTS`` seeded random vectors.
     """
 
     def __init__(self, original: IsingModel) -> None:
-        self.n = original.n
-        self.exhaustive = self.n <= _EXHAUSTIVE_LIMIT
-        if self.exhaustive:
-            # all 2^n spin vectors, bit 0 as spin +1 (z = 1 - 2x)
-            self._spins = 1 - 2 * _bit_table(0, 1 << self.n, self.n)
-            self._original_argmin = _argmin_rows(_all_energies(original, self._spins))
+        n = original.n
+        if n <= _EXHAUSTIVE_LIMIT:
+            bits = _bit_table(0, 1 << n, n)
         else:
-            rng = np.random.default_rng(_CHECK_SEED)
-            self._starts = (
-                1 - 2 * rng.integers(0, 2, size=(_CHECK_STARTS, self.n))
-            ).astype(np.int8)
-            self._original_best = self._best_states(original)
+            bits = np.random.default_rng(_CHECK_SEED).integers(0, 2, size=(_CHECK_STARTS, n))
+        self._starts = (1 - 2 * bits).astype(np.int8)  # bit 0 as spin +1
+        self._original_best = self._best_states(original)
 
     def _best_states(self, model: IsingModel) -> set[bytes]:
         """The lowest-energy end states of the multistart descents on ``model``."""
         states = _greedy_descents(model, self._starts)
-        energies = np.array([ising_energy(model, s) for s in states])
-        return {states[i].tobytes() for i in _argmin_rows(energies)}
+        return {states[i].tobytes() for i in _argmin_rows(_all_energies(model, states))}
 
     def passes(self, candidate: IsingModel) -> bool:
-        if self.exhaustive:
-            argmin = _argmin_rows(_all_energies(candidate, self._spins))
-            return bool(argmin & self._original_argmin)
         return not self._best_states(candidate).isdisjoint(self._original_best)
 
 
@@ -254,8 +260,11 @@ def reduce_dynamic_range(model: IsingModel, budget: int = 100) -> TuningResult:
     fields, so it keeps the input's type, offset and partition.  With no
     admissible move the input is returned unchanged.
     """
+    _require_ising(model)
     budget = _integer("budget", budget, 0)
-    check = _MinimizerCheck(model) if budget else None
+    # built at the first move that passes the range test, so never for a
+    # model too small to have one
+    check: _MinimizerCheck | None = None
     current = model
     steps: list[TuningStep] = []
     while len(steps) < budget:
@@ -274,6 +283,8 @@ def reduce_dynamic_range(model: IsingModel, budget: int = 100) -> TuningResult:
             after = dynamic_range(coefficient_values(candidate))
             if after.bits >= before.bits:
                 continue
+            if check is None:
+                check = _MinimizerCheck(model)
             if not check.passes(candidate):
                 continue
             accepted = TuningStep(
@@ -340,6 +351,7 @@ def quantize_int8(model: IsingModel) -> QuantizedIsing:
     scale 1, and so does one whose largest coefficient is so small (below
     about 7e-307) that ``127 / alpha`` overflows to infinity.
     """
+    _require_ising(model)
     alpha = max(
         (float(np.abs(a).max()) for a in (model.linear, model.quadratic) if a.size),
         default=0.0,
@@ -379,6 +391,7 @@ def quantization_loss_report(
 
     The intra/inter split uses the partition carried by either model.
     """
+    _require_ising(model)
     if model.n != quantized.n:
         raise ValueError("model and quantized sizes differ")
     partition = quantized.partition or model.partition

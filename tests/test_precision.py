@@ -14,7 +14,7 @@ from dpoqubo.precision import (
     quantize_int8,
     reduce_dynamic_range,
 )
-from dpoqubo.qubo import BlockPartition, IsingModel, ising_energy
+from dpoqubo.qubo import BlockPartition, IsingModel, Qubo, ising_energy, qubo_to_ising
 
 
 def random_ising(rng, n, scale=1.0):
@@ -68,6 +68,11 @@ class TestDynamicRange:
 
     def test_duplicates_collapse(self):
         assert dynamic_range([1.0, 1.0, 2.0]).bits == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="values contain non-finite entries"):
+            dynamic_range([1.0, bad])
 
     def test_accepts_coefficient_values(self):
         m = IsingModel(
@@ -169,7 +174,7 @@ class TestTuning:
 
     def test_sampled_check_accepts_a_safe_move(self):
         m = self.star_model(1)
-        assert not _MinimizerCheck(m).exhaustive
+        assert len(_MinimizerCheck(m)._starts) == 64
         out = reduce_dynamic_range(m, budget=1)
         assert [(s.entry, s.old_value, s.new_value, s.kind) for s in out.steps] == [
             (("h", 0), 10.0, 3.0, "shrink-extreme")
@@ -179,7 +184,7 @@ class TestTuning:
 
     def test_sampled_check_rejects_a_move_that_loses_the_ground_state(self):
         m = self.star_model(4)
-        assert not _MinimizerCheck(m).exhaustive
+        assert len(_MinimizerCheck(m)._starts) == 64
         # the move would lower the dynamic range, but spin 0 would go up
         shrunk = IsingModel(np.where(m.linear == 10.0, 3.0, m.linear), m.quadratic)
         bits = [dynamic_range(coefficient_values(x)).bits for x in (m, shrunk)]
@@ -360,6 +365,30 @@ class TestTunedModelKeepsItsInput:
     def test_one_magnitude_model_has_no_move(self):
         m = IsingModel(np.array([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert reduce_dynamic_range(m).steps == ()
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_model_without_a_move_returned_unchanged(self, n):
+        # one coefficient value at most, so no move and no ground-state check
+        m = IsingModel(np.full(n, 2.0), np.zeros((n, n)), offset=1.5)
+        out = reduce_dynamic_range(m)
+        assert out.steps == ()
+        assert out.model is m
+
+
+QUBO = Qubo(np.array([[1.0, -2.0], [-2.0, 3.0]]))
+
+
+@pytest.mark.parametrize("stage", [
+    reduce_dynamic_range,
+    quantize_int8,
+    coefficient_values,
+    lambda q: quantization_loss_report(q, quantize_int8(qubo_to_ising(q))),
+], ids=["reduce_dynamic_range", "quantize_int8", "coefficient_values", "quantization_loss_report"])
+def test_qubo_named_as_the_wrong_model_type(stage):
+    # every stage reads an Ising model's fields
+    message = "unsupported model type Qubo: expected an IsingModel (convert a Qubo with qubo_to_ising)"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        stage(QUBO)
 
 
 class TestQuantizedInputChecks:

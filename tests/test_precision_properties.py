@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from dpoqubo.backends import canonical_qubo  # noqa: E402
@@ -87,8 +87,11 @@ def test_float_model_converts_to_rounding(data):
 
 @settings(deadline=None)
 @given(ising_models(integer=False))
+# so small a coefficient that 127 / alpha overflows
+@example(IsingModel(linear=np.array([2.2250738585072014e-308]), quadratic=np.zeros((1, 1))))
 def test_quantization_pins_the_extreme_coefficient(m):
-    alpha = max(np.abs(m.linear).max(), np.abs(m.quadratic).max())
+    # a Python float, as in quantize_int8: a numpy float's overflow warns
+    alpha = float(max(np.abs(m.linear).max(), np.abs(m.quadratic).max()))
     q = quantize_int8(m)
     if alpha == 0.0 or math.isinf(127.0 / alpha):
         assert q.scale == 1.0

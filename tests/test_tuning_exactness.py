@@ -1,12 +1,18 @@
-"""The tuning accept test's batched descent against a reference copy of the
-one-start-at-a-time descent it replaced.
+"""The tuning accept test against reference copies of the code it replaced.
 
-The reference recomputes the whole local field ``linear + quadratic @ z``
-for every flip of every start.  The batched descent computes the fields once
-and updates them per flip, which sums the same floats in another order: on
+Above 12 spins the reference is the one-start-at-a-time descent, which
+recomputes the whole local field ``linear + quadratic @ z`` for every flip of
+every start and scores each end state with ``ising_energy``.  The batched
+descent computes the fields once and updates them per flip, and scores all
+end states at once, which sums the same floats in another order: on
 integer-valued models every sum is exact and the end states must be equal,
 on float models the best-state sets must be, and on the models the int8
 adapter tunes in the benchmark workloads the tuning results must be.
+
+Up to 12 spins the reference is the former enumeration branch, which took
+the ground states of both models over all 2^n spin vectors; the descents
+from every spin vector must reach the same accept decisions and the same
+tuning results.
 """
 
 import dataclasses
@@ -19,8 +25,13 @@ from dpoqubo.backends import canonical_qubo
 from dpoqubo.bcd import extract_subproblem
 from dpoqubo.market import compute_returns, load_bundled_prices
 from dpoqubo.model import DpoConfig, encode_qubo
-from dpoqubo.precision import _argmin_rows, _greedy_descents, _MinimizerCheck, reduce_dynamic_range
-from dpoqubo.qubo import IsingModel, ising_energy, qubo_to_ising
+from dpoqubo.precision import (
+    _argmin_rows,
+    _greedy_descents,
+    _MinimizerCheck,
+    reduce_dynamic_range,
+)
+from dpoqubo.qubo import IsingModel, _bit_table, ising_energy, qubo_to_ising
 
 
 def _greedy_descent(model: IsingModel, z0: np.ndarray) -> np.ndarray:
@@ -73,7 +84,7 @@ def test_integer_models_same_end_states(seed):
 def test_float_models_same_best_states(seed):
     model = seeded_model(seed, "float")
     check = _MinimizerCheck(model)
-    assert not check.exhaustive
+    assert len(check._starts) == 64
     assert check._best_states(model) == _best_states(check, model)
 
 
@@ -106,3 +117,88 @@ def test_adapter_models_same_tuning(monkeypatch, make, n):
         dataclasses.astuple(s) for s in expected.steps
     ]
     assert np.array_equal(result.model.linear, expected.model.linear)
+
+
+def _enumerated_energies(model: IsingModel, spins: np.ndarray) -> np.ndarray:
+    z = spins.astype(float)
+    return (
+        model.offset
+        + z @ model.linear
+        + 0.5 * np.einsum("ij,jk,ik->i", z, model.quadratic, z)
+    )
+
+
+class _EnumerationCheck:
+    """The former accept test for models of at most 12 spins: the candidate
+    passes when its enumerated ground states meet the original's."""
+
+    def __init__(self, original: IsingModel) -> None:
+        self.n = original.n
+        # all 2^n spin vectors, bit 0 as spin +1 (z = 1 - 2x)
+        self._spins = 1 - 2 * _bit_table(0, 1 << self.n, self.n)
+        self._original_argmin = _argmin_rows(_enumerated_energies(original, self._spins))
+
+    def passes(self, candidate: IsingModel) -> bool:
+        argmin = _argmin_rows(_enumerated_energies(candidate, self._spins))
+        return bool(argmin & self._original_argmin)
+
+
+KINDS = ["float", "int", "eighths"]
+
+
+def small_model(seed, n, kind):
+    """A model of ``n`` spins: normal floats, integers in -3..3, or eighths
+    in -2..2; the last two tie many energies exactly."""
+    rng = np.random.default_rng([seed, n])
+    if kind == "float":
+        h, m = rng.normal(size=n), rng.normal(size=(n, n))
+    else:
+        top = 3 if kind == "int" else 16
+        h = rng.integers(-top, top + 1, size=n).astype(float)
+        m = rng.integers(-top, top + 1, size=(n, n)).astype(float)
+        if kind == "eighths":
+            h, m = h / 8, m / 8
+    j = np.triu(m, 1)
+    return IsingModel(linear=h, quadratic=j + j.T, offset=float(rng.normal()))
+
+
+def field_candidates(model, rng):
+    """The model with one field moved: to zero, to its negation, or to a
+    fresh value from the model's own coefficients."""
+    values = np.concatenate([model.linear, model.quadratic[np.triu_indices(model.n, 1)]])
+    for i in range(model.n):
+        for new in (0.0, -model.linear[i], rng.choice(values)):
+            linear = model.linear.copy()
+            linear[i] = new
+            yield dataclasses.replace(model, linear=linear)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("kind", KINDS)
+def test_small_models_same_decisions(kind, n):
+    decisions = []
+    for seed in range(3):
+        model = small_model(seed, n, kind)
+        check, reference = _MinimizerCheck(model), _EnumerationCheck(model)
+        assert len(check._starts) == 1 << n
+        for candidate in field_candidates(model, np.random.default_rng(seed)):
+            decision = check.passes(candidate)
+            assert decision == reference.passes(candidate)
+            decisions.append(decision)
+    # both outcomes are exercised
+    assert len(set(decisions)) == 2
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("kind", KINDS)
+def test_small_models_same_tuning(monkeypatch, kind, n):
+    for seed in range(10):
+        model = small_model(seed, n, kind)
+        result = reduce_dynamic_range(model, budget=50)
+        with monkeypatch.context() as patch:
+            patch.setattr(precision, "_MinimizerCheck", _EnumerationCheck)
+            expected = reduce_dynamic_range(model, budget=50)
+        assert [dataclasses.astuple(s) for s in result.steps] == [
+            dataclasses.astuple(s) for s in expected.steps
+        ]
+        assert np.array_equal(result.model.linear, expected.model.linear)
