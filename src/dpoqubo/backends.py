@@ -45,9 +45,10 @@ class SolveRequest:
     """A model plus the reproducibility knobs: seed and countable effort.
 
     ``seed`` is an integer >= 0.  ``effort`` is an integer >= 1 and
-    backend-specific (sweeps for annealing, iterations for tabu search,
-    ignored by enumeration) and is set only here; None means the backend's
-    default.
+    backend-specific (sweeps for annealing, the most iterations tabu search
+    runs, ignored by enumeration) and is set only here; None means the
+    backend's default.  Tabu search stops early only where running on could
+    not change its result.
     """
 
     model: Model
@@ -194,14 +195,32 @@ class SimulatedAnnealingSolver(_Solver):
         return np.array(best_x), best_energy
 
 
+def _tabu_state(best_energy, x, grad, expires, it):
+    """Everything the rest of a tabu search depends on at the top of
+    iteration ``it``: the best energy, the assignment, its gradient, and each
+    bit's remaining tenure."""
+    return best_energy, x.copy(), grad.tolist(), [max(e - it, 0) for e in expires]
+
+
 class TabuSolver(_Solver):
     """Steepest single-flip search with a fixed-tenure tabu list.
 
     Every iteration flips the lowest-delta admissible bit (ties to the lowest
     index), even uphill; a flipped bit stays tabu for ``tenure`` iterations
     unless undoing it would beat the best energy seen (aspiration).  The
-    tenure is ``max(7, n // 10)``.  A request's ``effort`` sets the number of
-    iterations; ``iterations = None`` means the default, ``100 * n``.
+    tenure is ``max(7, n // 10)``.  A request's ``effort`` sets the most
+    iterations run; ``iterations = None`` means the default, ``100 * n``.
+
+    The search stops at the first exact repeat of its state at the top of an
+    iteration: the assignment, its gradient, the energy, the best energy and
+    each bit's remaining tenure.  The next iteration depends on nothing else
+    (the queue of recent flips only ever frees the bit whose tenure ends), so
+    from a repeat on the search retraces the same cycle for good; the best
+    energy is equal at both ends, so no step of the cycle improves on it, and
+    the returned assignment and energy are bit for bit those of the full run.
+    Repeats are found with Brent's cycle detection: one marked state,
+    re-marked at iterations 1, 2, 4, 8, ..., so a search that never repeats
+    pays one float comparison per iteration.
 
     The move is found without building an admissibility mask.  If the
     unmasked argmin (lowest delta, lowest index) is admissible, it is the
@@ -236,12 +255,21 @@ class TabuSolver(_Solver):
         expires = [0] * n  # iteration at which tabu ends
         recent: deque[int] = deque(maxlen=tenure + 1)  # bits flipped lately, oldest first
         n_tabu = 0
+        # Brent's cycle detection: the search state at the top of iteration
+        # mark_at // 2, re-marked at iterations 1, 2, 4, 8, ...; the NaN
+        # energy of the missing first mark equals no energy
+        mark_at, mark_energy, mark = 1, np.nan, None
         for it in range(iterations):
             if it > tenure:
                 b = recent[0]  # flipped in iteration it - tenure - 1
                 if expires[b] == it:
                     floor[b] = -np.inf
                     n_tabu -= 1
+            if energy == mark_energy and mark == _tabu_state(best_energy, x, grad, expires, it):
+                break  # from here the search only retraces the cycle since the mark
+            if it == mark_at:
+                mark_at, mark_energy = 2 * it, energy
+                mark = _tabu_state(best_energy, x, grad, expires, it)
             np.subtract(grad, diag_x, out=deltas)
             deltas *= 2.0
             deltas += diag

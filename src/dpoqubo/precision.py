@@ -392,6 +392,11 @@ def quantization_loss_report(
     The intra/inter split uses the partition carried by either model.
     """
     _require_ising(model)
+    if not isinstance(quantized, QuantizedIsing):
+        raise TypeError(
+            f"quantized must be a QuantizedIsing, got {type(quantized).__name__}"
+            " (quantize an IsingModel with quantize_int8)"
+        )
     if model.n != quantized.n:
         raise ValueError("model and quantized sizes differ")
     partition = quantized.partition or model.partition

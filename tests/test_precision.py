@@ -407,6 +407,19 @@ class TestQuantizedInputChecks:
         with pytest.raises(ValueError, match="model and quantized sizes differ"):
             quantization_loss_report(m, other)
 
+    @pytest.mark.parametrize("quantized", [
+        IsingModel(np.ones(2), np.zeros((2, 2))),
+        Qubo(np.eye(2)),
+    ], ids=["IsingModel", "Qubo"])
+    def test_loss_report_needs_a_quantized_image(self, quantized):
+        m = IsingModel(np.ones(2), np.zeros((2, 2)))
+        message = (
+            f"quantized must be a QuantizedIsing, got {type(quantized).__name__}"
+            " (quantize an IsingModel with quantize_int8)"
+        )
+        with pytest.raises(TypeError, match=re.escape(message)):
+            quantization_loss_report(m, quantized)
+
     def test_loss_report_of_all_zero_source(self):
         m = IsingModel(np.zeros(2), np.zeros((2, 2)))
         report = quantization_loss_report(m, quantize_int8(m))

@@ -5,8 +5,12 @@ The reference functions below evaluate each step with whole-vector numpy
 operations: a full flip-delta vector, a full admissibility mask and a strided
 column update per tabu iteration, and numpy scalars throughout the annealing
 proposal loop.  The solvers take shortcuts around that work; these tests pin
-that the shortcuts change no float operation and no random draw.
+that the shortcuts change no float operation and no random draw.  The
+reference tabu search also runs every requested iteration, where the solver
+stops at the first exact repeat of its search state.
 """
+
+from collections import deque
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from dpoqubo import backends  # noqa: E402
 from dpoqubo.backends import SolveRequest, canonical_qubo, make_backend  # noqa: E402
 from dpoqubo.bcd import extract_subproblem  # noqa: E402
 from dpoqubo.market import compute_returns, load_bundled_prices  # noqa: E402
@@ -152,22 +157,61 @@ def test_drawn_models(name, model, seed, effort):
     assert_matches_reference(name, model, seed, effort)
 
 
+@pytest.mark.parametrize("n", [12, 30])
+def test_tie_heavy_models_at_long_effort(n):
+    # integer energies repeat exactly, so tabu's cycle stop fires mid-run
+    model = seeded_model(2000 + n, n, "int")
+    for seed in range(3):
+        assert_matches_reference("tabu", model, seed, 20 * 100 * n)
+
+
+def bundled_model(config):
+    panel = compute_returns(load_bundled_prices(), config.n_t, config.dt)
+    return encode_qubo(config, panel)
+
+
 @pytest.fixture(scope="module")
 def paper_block():
     """A 24-bit zero-context block of the default configuration's model on
     the bundled prices."""
-    config = DpoConfig()
-    panel = compute_returns(load_bundled_prices(), config.n_t, config.dt)
-    q = encode_qubo(config, panel)
+    q = bundled_model(DpoConfig())
     return extract_subproblem(q, np.zeros(q.n, dtype=np.int8), 5)
+
+
+def at_precision(model, precision):
+    """The model itself, or the int8 image the adapter hands its solver."""
+    return make_backend("int8(tabu)").quantize(model) if precision == "int8" else model
 
 
 @pytest.mark.parametrize("precision", ["fp", "int8"])
 @pytest.mark.parametrize("name", ["sa", "tabu"])
 def test_paper_block(paper_block, name, precision):
     assert paper_block.n == 24
-    model = paper_block
-    if precision == "int8":
-        model = make_backend(f"int8({name})").quantize(paper_block)
-    for seed in (0, 7):
+    model = at_precision(paper_block, precision)
+    seeds = range(8) if name == "tabu" else (0, 7)
+    for seed in seeds:
         assert_matches_reference(name, model, seed, None)
+
+
+def test_tabu_stops_at_a_repeated_state(paper_block, monkeypatch):
+    # the search appends to its recent-flips deque once per iteration
+    flips = []
+
+    class CountingDeque(deque):
+        def append(self, bit):
+            flips.append(bit)
+            super().append(bit)
+
+    monkeypatch.setattr(backends, "deque", CountingDeque)
+    model = at_precision(paper_block, "int8")
+    make_backend("tabu").solve(SolveRequest(model, seed=0))
+    assert 0 < len(flips) < 100 * paper_block.n // 4
+
+
+@pytest.mark.parametrize("precision", ["fp", "int8"])
+def test_two_interval_model(precision):
+    q = bundled_model(DpoConfig(n_t=2))
+    assert q.n == 48
+    model = at_precision(q, precision)
+    for seed in range(3):
+        assert_matches_reference("tabu", model, seed, None)
