@@ -35,7 +35,7 @@ for rec in result.trace:
     print(f"  iter {rec.iteration} block {rec.block}: "
           f"{rec.pre_energy:+.6f} -> {rec.post_energy:+.6f}  [{mark}]")
 
-print(f"\nfinal energy {result.energy:+.6f}")
+print(f"\nfinal energy {result.reported_energy:+.6f}")
 alloc = decode(result.assignment, config)
 print("invested per interval:", alloc.invested_per_step(),
       f"(budget {config.budget})")

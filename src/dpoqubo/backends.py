@@ -4,8 +4,9 @@ pipeline in software.
 
 Every backend is a deterministic function of ``(model, seed, effort)`` and
 returns the best assignment it saw together with that assignment's energy
-under the submitted model — so reported energies can always be re-verified
-by re-evaluation.
+under the submitted model, evaluated once in full precision by the shared
+solve skeleton — so a reported energy is exactly the re-evaluation of its
+assignment.
 
 Models may be ``Qubo`` or ``IsingModel``, an int8 ``QuantizedIsing``
 included; Ising models are canonicalized to an equivalent QUBO internally
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .precision import QuantizedIsing, quantize_int8, reduce_dynamic_range
-from .qubo import IsingModel, Model, Qubo, _bit_table, _integer, ising_to_qubo, qubo_to_ising
+from .qubo import IsingModel, Model, Qubo, _bit_table, _integer, as_bits, ising_to_qubo
+from .qubo import qubo_energy, qubo_to_ising
 
 __all__ = [
     "SolveRequest",
@@ -63,11 +65,14 @@ class SolveRequest:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A read-only binary assignment and its energy under the submitted
+    model; an assignment that is not a 1-D vector of 0/1 is rejected."""
+
     assignment: np.ndarray
     reported_energy: float
 
     def __post_init__(self) -> None:
-        bits = np.array(self.assignment, dtype=np.int8)
+        bits = as_bits(self.assignment)
         bits.setflags(write=False)
         object.__setattr__(self, "assignment", bits)
 
@@ -87,19 +92,18 @@ def canonical_qubo(model: Model) -> Qubo:
 
 class _Solver:
     """The solve skeleton of every backend: canonicalize the model once, let
-    the backend's ``_search(q, request)`` return its best assignment and that
-    assignment's energy without the offset, then add ``q.offset``.  A model
-    with no variables has the empty assignment, and ``_search`` never sees
-    it."""
+    the backend's ``_search(q, request)`` return its best assignment, and
+    score that assignment with ``qubo_energy`` in full precision.  The
+    running energies a search keeps steer it but are never reported, so
+    their rounding cannot reach a result.  A model with no variables has the
+    empty assignment, and ``_search`` never sees it."""
 
     name: str
 
     def solve(self, request: SolveRequest) -> SolveResult:
         q = canonical_qubo(request.model)
-        if q.n == 0:
-            return SolveResult(assignment=np.zeros(0), reported_energy=q.offset)
-        assignment, energy = self._search(q, request)
-        return SolveResult(assignment=assignment, reported_energy=energy + q.offset)
+        assignment = self._search(q, request) if q.n else np.zeros(0)
+        return SolveResult(assignment=assignment, reported_energy=qubo_energy(q, assignment))
 
 
 def _random_start(q: Qubo, rng: np.random.Generator):
@@ -140,7 +144,7 @@ class ExhaustiveSolver(_Solver):
             if energies[k] < best_energy:
                 best_energy = float(energies[k])
                 best_counter = lo + k
-        return _bit_table(best_counter, best_counter + 1, n)[0], best_energy
+        return _bit_table(best_counter, best_counter + 1, n)[0]
 
 
 # geometric cooling factor applied to the annealing temperature after each sweep
@@ -192,7 +196,7 @@ class SimulatedAnnealingSolver(_Solver):
                     if energy < best_energy:
                         best_energy, best_x = energy, x.copy()
             temperature *= _SA_COOLING
-        return np.array(best_x), best_energy
+        return np.array(best_x)
 
 
 def _tabu_state(best_energy, x, grad, expires, it):
@@ -299,18 +303,18 @@ class TabuSolver(_Solver):
             recent.append(i)
             if energy < best_energy:
                 best_energy, best_x = energy, x.copy()
-        return np.array(best_x), best_energy
+        return np.array(best_x)
 
 
 class FinitePrecisionAdapter(_Solver):
     """Emulate a device restricted to signed 8-bit coefficients.
 
     The submitted QUBO goes through spin conversion, dynamic-range tuning,
-    and int8 quantization; the wrapped backend then solves the integer model.
-    The returned energy is re-scored on the *submitted* model in full
-    precision, so quantization error shows up in solution quality, never in
-    bookkeeping.  A submitted ``QuantizedIsing`` reaches the wrapped backend
-    unchanged.
+    and int8 quantization; the wrapped backend then solves the integer model
+    and the adapter returns its assignment, which the solve skeleton scores
+    on the *submitted* model like any other, so quantization error shows up
+    in solution quality, never in bookkeeping.  A submitted
+    ``QuantizedIsing`` reaches the wrapped backend unchanged.
 
     An adapter tunes and quantizes a given model object once: it keeps the
     last model it quantized, with its integer image, and reuses that image
@@ -339,11 +343,9 @@ class FinitePrecisionAdapter(_Solver):
         # a float model is quantized from its canonical QUBO ``q``, which
         # the skeleton has already converted
         model = request.model if isinstance(request.model, QuantizedIsing) else q
-        inner_result = self.inner.solve(
+        return self.inner.solve(
             SolveRequest(self.quantize(model), seed=request.seed, effort=request.effort)
-        )
-        bits = inner_result.assignment.astype(float)
-        return inner_result.assignment, float(bits @ q.coeffs @ bits)
+        ).assignment
 
 
 _BASE_BACKENDS = {

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import SolveRequest
+from .backends import SolveRequest, SolveResult
 from .qubo import BlockPartition, Qubo, _integer, _require_partition, as_bits, qubo_energy
 
 __all__ = [
@@ -127,15 +127,10 @@ class BcdTraceRecord:
 
 
 @dataclass(frozen=True)
-class BcdResult:
-    assignment: np.ndarray
-    energy: float
-    trace: tuple[BcdTraceRecord, ...]
+class BcdResult(SolveResult):
+    """A solve result that also carries the sweep's energy trace."""
 
-    def __post_init__(self) -> None:
-        bits = as_bits(self.assignment)
-        bits.setflags(write=False)
-        object.__setattr__(self, "assignment", bits)
+    trace: tuple[BcdTraceRecord, ...]
 
 
 def bcd_solve(q: Qubo, backend, cfg: BcdConfig | None = None) -> BcdResult:
@@ -179,4 +174,4 @@ def bcd_solve(q: Qubo, backend, cfg: BcdConfig | None = None) -> BcdResult:
                     accepted=accepted,
                 )
             )
-    return BcdResult(assignment=x, energy=energy, trace=tuple(trace))
+    return BcdResult(assignment=x, reported_energy=energy, trace=tuple(trace))

@@ -54,7 +54,6 @@ from .model import (
     encode_qubo,
     load_config,
 )
-from .qubo import as_bits
 from .serialize import ModelFormatError, load_model, save_model
 
 __all__ = ["main"]
@@ -158,17 +157,14 @@ def _cmd_solve(args) -> int:
     model = load_model(args.model)
     backend = make_backend(args.backend)
     if args.strategy == "global":
-        res = backend.solve(
-            SolveRequest(model, seed=args.seed, effort=args.effort)
-        )
-        assignment, energy = res.assignment, float(res.reported_energy)
+        res = backend.solve(SolveRequest(model, seed=args.seed, effort=args.effort))
     else:
         q = canonical_qubo(model)
         cfg = BcdConfig(seed=args.seed, **_given(args, "global_iters", "repeats_per_block"))
         res = bcd_solve(q, backend, cfg)
-        assignment, energy = res.assignment, float(res.energy)
+    energy = float(res.reported_energy)
     payload = {
-        "assignment": [int(b) for b in as_bits(assignment)],
+        "assignment": res.assignment.tolist(),
         "energy": energy,
         "backend": args.backend,
         "strategy": args.strategy,

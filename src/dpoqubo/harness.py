@@ -229,11 +229,9 @@ def _run_once(q, solver, decomposition: str, run_seed: int):
     start = time.perf_counter()
     if decomposition == "global":
         res = solver.solve(SolveRequest(q, seed=run_seed))
-        energy = res.reported_energy
     else:
         res = bcd_solve(q, solver, BcdConfig(seed=run_seed))
-        energy = res.energy
-    return res.assignment, float(energy), time.perf_counter() - start
+    return res.assignment, float(res.reported_energy), time.perf_counter() - start
 
 
 def _evaluate_cell(q, backend, variant, config, panel, risks, seed, runs):

@@ -252,14 +252,25 @@ def _bit_table(start: int, stop: int, n: int) -> np.ndarray:
     return ((counters[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.int8)
 
 
+def _require_qubo(q) -> None:
+    """Every QUBO operation reads the coefficient matrix; name any other type."""
+    if not isinstance(q, Qubo):
+        raise TypeError(
+            f"unsupported model type {type(q).__name__}: expected a Qubo"
+            " (convert an IsingModel with ising_to_qubo)"
+        )
+
+
 def qubo_energy(q: Qubo, x) -> float:
     """Evaluate ``x^T Q x + offset`` in full precision."""
+    _require_qubo(q)
     bits = as_bits(x, q.n).astype(float)
     return float(bits @ q.coeffs @ bits) + q.offset
 
 
 def qubo_energies(q: Qubo, batch) -> np.ndarray:
     """Evaluate a batch of assignments (rows of ``batch``) at once."""
+    _require_qubo(q)
     xs = np.asarray(batch, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != q.n:
         raise ValueError(f"batch must have shape (m, {q.n}), got {xs.shape}")
@@ -311,6 +322,7 @@ def ising_to_qubo(m: IsingModel) -> Qubo:
 
 
 def _require_partition(q: Qubo) -> BlockPartition:
+    _require_qubo(q)
     if q.partition is None:
         raise ValueError("operation requires a block partition on the model")
     return q.partition

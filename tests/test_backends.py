@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -15,6 +16,9 @@ from dpoqubo.backends import (
     canonical_qubo,
     make_backend,
 )
+from dpoqubo.bcd import BcdResult
+from dpoqubo.market import compute_returns, load_bundled_prices
+from dpoqubo.model import DpoConfig, encode_qubo
 from dpoqubo.precision import quantization_loss_report, quantize_int8
 from dpoqubo.qubo import (
     BlockPartition,
@@ -307,6 +311,16 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             result.assignment[0] = 1
 
+    @pytest.mark.parametrize("assignment, message", [
+        ([0.5, 2.0, 1.0], "assignment entries must all be 0 or 1"),
+        ([[0, 1], [1, 0]], "assignment must be 1-D, got shape (2, 2)"),
+    ], ids=["non-binary", "2-D"])
+    @pytest.mark.parametrize("result_type", [SolveResult, BcdResult])
+    def test_result_rejects_a_non_assignment(self, result_type, assignment, message):
+        trace = {"trace": ()} if result_type is BcdResult else {}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            result_type(assignment=np.array(assignment), reported_energy=0.0, **trace)
+
 
 class _RecordingBackend:
     """Exact inner backend that remembers every model it was handed."""
@@ -337,8 +351,16 @@ class TestSolveContract:
         model = _model_of_kind(kind, random_qubo(61, n=8, scale=3.0))
         backend = make_backend(f"int8({name})" if wrapped else name)
         result = backend.solve(SolveRequest(model=model, seed=4))
-        expected = qubo_energy(canonical_qubo(model), result.assignment)
-        assert result.reported_energy == pytest.approx(expected, rel=1e-9)
+        assert result.reported_energy == qubo_energy(canonical_qubo(model), result.assignment)
+
+    @pytest.mark.parametrize("name", ["sa", "tabu"])
+    def test_bundled_model_reported_energy_is_exact(self, name):
+        # a search's running energy drifts by rounding on the 48-bit
+        # bundled model; only the assignment's own energy is reported
+        config = DpoConfig(n_t=2)
+        q = encode_qubo(config, compute_returns(load_bundled_prices(), config.n_t, config.dt))
+        result = make_backend(name).solve(SolveRequest(model=q, seed=0))
+        assert result.reported_energy == qubo_energy(q, result.assignment)
 
     @pytest.mark.parametrize("kind, conversions", [("qubo", 1), ("ising", 2), ("quantized", 2)])
     def test_adapter_converts_to_qubo_once_per_model(self, monkeypatch, kind, conversions):

@@ -425,7 +425,7 @@ class TestGoldenFixture:
     # 48-bit gate matrix; each cell has one run, so run 0 is selected
     GATE_CELLS = [
         ("sa", "global-fp", "infeasible",
-         [[4, 0, 6, 4, 0, 0], [6, 1, 5, 1, 0, 2]], -1.135858482568139),
+         [[4, 0, 6, 4, 0, 0], [6, 1, 5, 1, 0, 2]], -1.1358584825666895),
         ("sa", "global-int8", "infeasible",
          [[4, 6, 2, 1, 0, 2], [1, 1, 9, 1, 1, 0]], 0.999405206145255),
         ("sa", "block-fp", "feasible",
@@ -433,7 +433,7 @@ class TestGoldenFixture:
         ("sa", "block-int8", "infeasible",
          [[9, 1, 1, 1, 1, 1], [9, 1, 1, 1, 1, 1]], -0.5238279753960029),
         ("tabu", "global-fp", "feasible",
-         [[3, 1, 3, 3, 4, 1], [3, 2, 6, 1, 3, 0]], -1.2499317578271985),
+         [[3, 1, 3, 3, 4, 1], [3, 2, 6, 1, 3, 0]], -1.2499317578272127),
         ("tabu", "global-int8", "infeasible",
          [[2, 2, 2, 2, 2, 2], [2, 2, 10, 2, 0, 0]], 1.8726475447490571),
         ("tabu", "block-fp", "feasible",

@@ -4,14 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from dpoqubo.backends import canonical_qubo  # noqa: E402
-from dpoqubo.precision import QuantizedIsing, quantize_int8  # noqa: E402
-from dpoqubo.qubo import (  # noqa: E402
+from dpoqubo.backends import canonical_qubo
+from dpoqubo.precision import QuantizedIsing, quantize_int8
+from dpoqubo.qubo import (
     IsingModel,
     Qubo,
     ising_energy,

@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 
+from dpoqubo.backends import ExhaustiveSolver
+from dpoqubo.bcd import bcd_solve, extract_subproblem
 from dpoqubo.qubo import (
     BlockPartition,
     IsingModel,
@@ -335,3 +337,30 @@ class TestInputChecks:
         assert report.max_intra == 0.0
         assert report.max_inter == 1.0
         assert report.ratio == float("inf")
+
+
+SPINS = IsingModel(
+    np.array([1.0, -1.0]), np.array([[0.0, 0.5], [0.5, 0.0]]),
+    partition=BlockPartition.from_sizes([1, 1]),
+)
+
+
+@pytest.mark.parametrize("operation", [
+    lambda m: qubo_energy(m, [0, 1]),
+    lambda m: qubo_energies(m, np.zeros((1, 2))),
+    lambda m: extract_subproblem(m, [0, 1], 0),
+    lambda m: bcd_solve(m, ExhaustiveSolver()),
+    verify_block_tridiagonal,
+    scale_separation_report,
+], ids=[
+    "qubo_energy", "qubo_energies", "extract_subproblem", "bcd_solve",
+    "verify_block_tridiagonal", "scale_separation_report",
+])
+def test_ising_model_named_as_the_wrong_model_type(operation):
+    # every operation reads a QUBO's coefficient matrix
+    message = (
+        "unsupported model type IsingModel: expected a Qubo"
+        " (convert an IsingModel with ising_to_qubo)"
+    )
+    with pytest.raises(TypeError, match=re.escape(message)):
+        operation(SPINS)

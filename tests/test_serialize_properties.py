@@ -1,15 +1,12 @@
 """Property tests of the model file round trip for every model type."""
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from dpoqubo.precision import QuantizedIsing  # noqa: E402
-from dpoqubo.qubo import BlockPartition, IsingModel, Qubo  # noqa: E402
-from dpoqubo.serialize import dump_model, parse_model  # noqa: E402
+from dpoqubo.precision import QuantizedIsing
+from dpoqubo.qubo import BlockPartition, IsingModel, Qubo
+from dpoqubo.serialize import dump_model, parse_model
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 int8 = st.integers(-128, 127)
