@@ -18,7 +18,6 @@ panel = ReturnPanel(
     interval_returns=daily.sum(axis=0, keepdims=True),
     daily_returns=daily,
     dt=dt,
-    assets=("alpha", "beta", "gamma"),
 )
 
 cov = Covariance().estimate(panel, 0)

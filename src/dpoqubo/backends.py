@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -309,19 +309,20 @@ class TabuSolver(_Solver):
 class FinitePrecisionAdapter(_Solver):
     """Emulate a device restricted to signed 8-bit coefficients.
 
-    The submitted QUBO goes through spin conversion, dynamic-range tuning,
+    The submitted model goes through spin conversion, dynamic-range tuning,
     and int8 quantization; the wrapped backend then solves the integer model
     and the adapter returns its assignment, which the solve skeleton scores
     on the *submitted* model like any other, so quantization error shows up
     in solution quality, never in bookkeeping.  A submitted
     ``QuantizedIsing`` reaches the wrapped backend unchanged.
 
-    An adapter tunes and quantizes a given model object once: it keeps the
-    last model it quantized, with its integer image, and reuses that image
-    while the same object comes back.  Models are immutable, and the kept
-    reference stops the object's id from being recycled, so the reuse is
-    exact.  Block coordinate descent submits one subproblem object for all
-    repeats of a visit, so a visit tunes once, not once per repeat.
+    An adapter builds one integer model per submitted object, whatever its
+    type: it keeps the last object it quantized, with its integer image, and
+    reuses that image while the same object comes back.  Models are
+    immutable, and the kept reference stops the object's id from being
+    recycled, so the reuse is exact.  Block coordinate descent submits one
+    subproblem object for all repeats of a visit, so a visit tunes once, not
+    once per repeat.
     """
 
     def __init__(self, inner) -> None:
@@ -334,18 +335,12 @@ class FinitePrecisionAdapter(_Solver):
         if isinstance(model, QuantizedIsing):
             return model
         if self._last is None or self._last[0] is not model:
-            spin_model = qubo_to_ising(canonical_qubo(model))
-            tuned = reduce_dynamic_range(spin_model)
+            tuned = reduce_dynamic_range(qubo_to_ising(canonical_qubo(model)))
             self._last = (model, quantize_int8(tuned.model))
         return self._last[1]
 
     def _search(self, q: Qubo, request: SolveRequest):
-        # a float model is quantized from its canonical QUBO ``q``, which
-        # the skeleton has already converted
-        model = request.model if isinstance(request.model, QuantizedIsing) else q
-        return self.inner.solve(
-            SolveRequest(self.quantize(model), seed=request.seed, effort=request.effort)
-        ).assignment
+        return self.inner.solve(replace(request, model=self.quantize(request.model))).assignment
 
 
 _BASE_BACKENDS = {
@@ -358,6 +353,8 @@ _BASE_BACKENDS = {
 def make_backend(name: str):
     """Build a backend from its name: ``exhaustive | sa | tabu``, each
     optionally wrapped once as ``int8(<name>)``."""
+    if not isinstance(name, str):
+        raise TypeError(f"name must be a backend name string, got {name!r}")
     name = name.strip()
     wrapped = re.fullmatch(r"int8\((.+)\)", name)
     base = wrapped.group(1).strip() if wrapped else name

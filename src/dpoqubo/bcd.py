@@ -97,6 +97,9 @@ def solve_block(
     for run in range(cfg.repeats_per_block):
         result = backend.solve(SolveRequest(model=sub, seed=base_seed + run))
         candidate = as_bits(result.assignment, sub.n)
+        # the package's backends report exactly this energy, but a backend
+        # from outside may report any number; scoring here is what keeps the
+        # accept test, and so the energy trace, honest for every backend
         energy = qubo_energy(sub, candidate)
         if energy < best_energy:
             best_energy, best = energy, candidate
@@ -107,7 +110,7 @@ def solve_block(
 def write_back(x, partition: BlockPartition, i: int, block_solution) -> np.ndarray:
     """New assignment equal to ``x`` outside block ``i`` and to
     ``block_solution`` inside it."""
-    bits = as_bits(x, partition.n).copy()
+    bits = as_bits(x, partition.n)
     sl = partition.block_slice(i)
     bits[sl] = as_bits(block_solution, sl.stop - sl.start)
     return bits
@@ -142,7 +145,10 @@ def bcd_solve(q: Qubo, backend, cfg: BcdConfig | None = None) -> BcdResult:
     so the energy trace never increases and a global minimizer is a fixed
     point under an exact block backend.
     """
-    cfg = cfg or BcdConfig()
+    if cfg is None:
+        cfg = BcdConfig()
+    elif not isinstance(cfg, BcdConfig):
+        raise TypeError(f"cfg must be a BcdConfig or None, got {cfg!r}")
     part = _require_partition(q)
     m = len(part)
     x = np.zeros(q.n, dtype=np.int8)

@@ -82,7 +82,6 @@ class ReturnPanel:
     interval_returns: np.ndarray
     daily_returns: np.ndarray
     dt: int
-    assets: tuple[str, ...]
 
     def __post_init__(self) -> None:
         mu = np.array(self.interval_returns, dtype=float)
@@ -98,14 +97,11 @@ class ReturnPanel:
             )
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(mud))):
             raise ValueError("returns contain non-finite entries")
-        if len(self.assets) != mu.shape[1]:
-            raise ValueError("asset label count mismatch")
         mu.setflags(write=False)
         mud.setflags(write=False)
         object.__setattr__(self, "interval_returns", mu)
         object.__setattr__(self, "daily_returns", mud)
         object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "assets", tuple(str(a) for a in self.assets))
 
     @property
     def n_t(self) -> int:
@@ -210,12 +206,7 @@ def compute_returns(table: PriceTable, n_t: int, dt: int) -> ReturnPanel:
     daily = np.diff(logp, axis=0)
     boundaries = logp[:: dt]
     interval = np.diff(boundaries, axis=0)
-    return ReturnPanel(
-        interval_returns=interval,
-        daily_returns=daily,
-        dt=dt,
-        assets=table.assets,
-    )
+    return ReturnPanel(interval_returns=interval, daily_returns=daily, dt=dt)
 
 
 def _per_asset(name: str, value, n_a: int) -> np.ndarray:

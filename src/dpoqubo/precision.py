@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -259,47 +260,48 @@ def reduce_dynamic_range(model: IsingModel, budget: int = 100) -> TuningResult:
     *input* model passes.  A tuned model is a copy of the input with new
     fields, so it keeps the input's type, offset and partition.  With no
     admissible move the input is returned unchanged.
+
+    Only fields move, so the couplings are read once per call, and a
+    candidate model is built only for a move whose range drops: the one the
+    ground-state check tests.  The check is built at the first such move.
     """
     _require_ising(model)
     budget = _integer("budget", budget, 0)
-    # built at the first move that passes the range test, so never for a
-    # model too small to have one
+    couplings = model.quadratic[np.triu_indices(model.n, k=1)]
     check: _MinimizerCheck | None = None
     current = model
     steps: list[TuningStep] = []
     while len(steps) < budget:
-        values = coefficient_values(current)
+        values = np.concatenate([current.linear, couplings])
         before = dynamic_range(values)
         if before.degenerate:
             break
-        accepted: TuningStep | None = None
-        for kind, index, new_value in list(_shrink_extreme_moves(current, values)) + list(
-            _widen_gap_moves(current, values)
-        ):
+        moves = chain(_shrink_extreme_moves(current, values), _widen_gap_moves(current, values))
+        for kind, index, new_value in moves:
             linear = current.linear.astype(float)
-            old_value = float(linear[index])
             linear[index] = new_value
-            candidate = replace(current, linear=linear)
-            after = dynamic_range(coefficient_values(candidate))
+            after = dynamic_range(np.concatenate([linear, couplings]))
             if after.bits >= before.bits:
                 continue
+            candidate = replace(current, linear=linear)
             if check is None:
                 check = _MinimizerCheck(model)
             if not check.passes(candidate):
                 continue
-            accepted = TuningStep(
-                entry=("h", index),
-                old_value=old_value,
-                new_value=new_value,
-                bits_before=before.bits,
-                bits_after=after.bits,
-                kind=kind,
+            steps.append(
+                TuningStep(
+                    entry=("h", index),
+                    old_value=float(current.linear[index]),
+                    new_value=new_value,
+                    bits_before=before.bits,
+                    bits_after=after.bits,
+                    kind=kind,
+                )
             )
             current = candidate
             break
-        if accepted is None:
+        else:
             break
-        steps.append(accepted)
     return TuningResult(model=current, steps=tuple(steps))
 
 

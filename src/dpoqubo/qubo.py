@@ -155,7 +155,7 @@ class Qubo:
     def __post_init__(self) -> None:
         c = _frozen_matrix(self.coeffs, "coeffs", self.partition)
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", _finite("offset", self.offset))
 
     @classmethod
     def from_dense(
@@ -206,7 +206,7 @@ class IsingModel:
         h.setflags(write=False)
         object.__setattr__(self, "linear", h)
         object.__setattr__(self, "quadratic", j)
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "offset", _finite("offset", self.offset))
 
     @property
     def n(self) -> int:

@@ -50,12 +50,7 @@ def _report(num, name, ok, detail):
 def _panel(rng, n_t, n_a, dt, scale=0.01):
     daily = rng.normal(0.0, scale, size=(n_t * dt, n_a))
     interval = daily.reshape(n_t, dt, -1).sum(axis=1)
-    return ReturnPanel(
-        interval_returns=interval,
-        daily_returns=daily,
-        dt=dt,
-        assets=tuple(f"a{k}" for k in range(n_a)),
-    )
+    return ReturnPanel(interval_returns=interval, daily_returns=daily, dt=dt)
 
 
 def _random_block_tridiagonal(rng):

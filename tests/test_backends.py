@@ -281,6 +281,12 @@ class TestBackendNames:
     def test_whitespace_tolerated(self):
         assert make_backend("  tabu ").name == "tabu"
 
+    @pytest.mark.parametrize("name", [None, 3])
+    def test_non_string_name_rejected(self, name):
+        message = f"name must be a backend name string, got {name!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            make_backend(name)
+
 
 class TestRequestValidation:
     def test_effort_must_be_positive(self):
@@ -364,9 +370,10 @@ class TestSolveContract:
 
     @pytest.mark.parametrize("kind, conversions", [("qubo", 1), ("ising", 2), ("quantized", 2)])
     def test_adapter_converts_to_qubo_once_per_model(self, monkeypatch, kind, conversions):
-        # the solve skeleton converts the submitted model and the inner
-        # backend converts the quantized one; quantizing reuses the
-        # skeleton's QUBO
+        # every solve: the skeleton converts the submitted model and the
+        # inner backend the quantized one; the first solve of a float Ising
+        # model also converts it once more to tune it, and a repeat of the
+        # same object reuses its integer model
         import dpoqubo.backends as backends_mod
 
         convert, calls = backends_mod.ising_to_qubo, []
@@ -374,8 +381,43 @@ class TestSolveContract:
             backends_mod, "ising_to_qubo", lambda m: calls.append(m) or convert(m)
         )
         model = _model_of_kind(kind, random_qubo(63, n=6, scale=2.0))
-        make_backend("int8(exhaustive)").solve(SolveRequest(model=model, seed=1))
-        assert len(calls) == conversions
+        adapter = make_backend("int8(exhaustive)")
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            adapter.solve(SolveRequest(model=model, seed=1))
+            counts.append(len(calls))
+        assert counts == [conversions + (kind == "ising"), conversions]
+
+    def test_adapter_tunes_one_ising_model_once(self, monkeypatch):
+        import dpoqubo.backends as backends_mod
+
+        tune, calls = backends_mod.reduce_dynamic_range, []
+        monkeypatch.setattr(
+            backends_mod, "reduce_dynamic_range", lambda m: calls.append(m) or tune(m)
+        )
+        spin = qubo_to_ising(random_qubo(65, n=6, scale=2.0))
+        adapter = FinitePrecisionAdapter(ExhaustiveSolver())
+        for seed in range(3):
+            adapter.solve(SolveRequest(model=spin, seed=seed))
+        assert len(calls) == 1
+
+    def test_adapter_passes_seed_and_effort_to_inner(self):
+        requests = []
+
+        class Inner:
+            name = "inner"
+
+            def solve(self, request):
+                requests.append(request)
+                return ExhaustiveSolver().solve(request)
+
+        q = random_qubo(66, n=5)
+        adapter = FinitePrecisionAdapter(Inner())
+        adapter.solve(SolveRequest(model=q, seed=7, effort=11))
+        (inner,) = requests
+        assert (inner.seed, inner.effort) == (7, 11)
+        assert inner.model is adapter.quantize(q)
 
     def test_adapter_quantizes_an_ising_model_as_its_qubo(self):
         spin = qubo_to_ising(random_qubo(64, n=7, scale=4.0))

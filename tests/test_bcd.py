@@ -1,5 +1,6 @@
 import itertools
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -295,6 +296,33 @@ class TestBcdSolve:
             bcd_solve(q, FlakyBackend(), BcdConfig(repeats_per_block=2))
         assert err.value.block_index == 2
         assert len(err.value.partial_trace) == 2
+
+    @pytest.mark.parametrize("cfg", [{}, 0, [], 5], ids=["dict", "zero", "list", "five"])
+    def test_config_must_be_a_bcd_config(self, cfg):
+        q = tridiagonal_qubo(6, [2, 2])
+        message = f"cfg must be a BcdConfig or None, got {cfg!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            bcd_solve(q, ExhaustiveSolver(), cfg)
+
+    def test_backend_reporting_any_energy_cannot_raise_the_trace(self):
+        # a backend from outside the package may report a wrong energy;
+        # bcd_solve judges candidates by their true local energy instead
+        class Boastful:
+            name = "boastful"
+
+            def solve(self, request):
+                rng = np.random.default_rng(request.seed)
+                bits = rng.integers(0, 2, size=request.model.n)
+                return SimpleNamespace(assignment=bits, reported_energy=-np.inf)
+
+        q = tridiagonal_qubo(41, [3, 3, 3], scale=2.0)
+        result = bcd_solve(q, Boastful(), BcdConfig(global_iters=4, repeats_per_block=2))
+        energies = [result.trace[0].pre_energy] + [r.post_energy for r in result.trace]
+        assert all(a >= b for a, b in zip(energies, energies[1:]))
+        accepted = [r for r in result.trace if r.accepted]
+        assert accepted and len(accepted) < len(result.trace)
+        assert all(r.post_energy < r.pre_energy for r in accepted)
+        assert result.reported_energy == qubo_energy(q, result.assignment)
 
     def test_starts_from_all_zeros(self):
         q = tridiagonal_qubo(6, [3, 3])

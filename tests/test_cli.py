@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dpoqubo.backends import canonical_qubo, make_backend
+from dpoqubo.bcd import BcdConfig, bcd_solve
 from dpoqubo.cli import main
 from dpoqubo.market import load_prices
 from dpoqubo.qubo import BlockPartition, Qubo, qubo_energy
@@ -64,6 +66,27 @@ class TestSynth:
         run(["synth", "--out", a, "--seed", 1, "--assets", 2, "--days", 12])
         run(["synth", "--out", b, "--seed", 2, "--assets", 2, "--days", 12])
         assert a.read_bytes() != b.read_bytes()
+
+
+    def test_pure_drift_path_from_its_start(self, tmp_path):
+        out = tmp_path / "drift.csv"
+        code = run([
+            "synth", "--out", out, "--seed", 4, "--assets", 2, "--days", 6, "--no-cash",
+            "--volatility", 0, "--drift", 0.01, "--start-price", 50,
+            "--start-date", "2024-03-01",
+        ])
+        assert code == 0
+        table = load_prices(out)
+        assert table.dates[0] == "2024-03-01"
+        np.testing.assert_allclose(table.prices[0], 50.0, rtol=1e-12)
+        np.testing.assert_allclose(np.diff(np.log(table.prices), axis=0), 0.01, rtol=1e-9)
+
+    def test_correlation_out_of_range_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        code = run(["synth", "--out", out, "--assets", 3, "--days", 5, "--correlation", 2])
+        assert code == 1
+        assert "correlation" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBuild:
@@ -178,6 +201,32 @@ class TestSolve:
         ])
         assert code == 0
         assert json.loads(out.read_text())["strategy"] == "block"
+
+    def test_bcd_flags_set_the_sweep(self, tmp_path, model_file):
+        out = tmp_path / "sol.json"
+        code = run([
+            "solve", "--model", model_file, "--backend", "sa", "--strategy", "block",
+            "--seed", 3, "--bcd-iters", 2, "--bcd-repeats", 1, "--out", out,
+        ])
+        assert code == 0
+        expected = bcd_solve(
+            canonical_qubo(load_model(model_file)),
+            make_backend("sa"),
+            BcdConfig(global_iters=2, repeats_per_block=1, seed=3),
+        )
+        sol = json.loads(out.read_text())
+        assert sol["energy"] == expected.reported_energy
+        assert sol["assignment"] == expected.assignment.tolist()
+
+    def test_zero_bcd_iterations_fail_cleanly(self, tmp_path, model_file, capsys):
+        out = tmp_path / "sol.json"
+        code = run([
+            "solve", "--model", model_file, "--strategy", "block",
+            "--bcd-iters", 0, "--out", out,
+        ])
+        assert code == 1
+        assert "global_iters" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_int8_wrapped_backend_name(self, tmp_path, model_file):
         out = tmp_path / "sol.json"

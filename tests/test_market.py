@@ -281,7 +281,6 @@ class TestReturnPanelValidation:
                 interval_returns=np.zeros((2, 1)),
                 daily_returns=np.zeros((5, 1)),
                 dt=2,
-                assets=("a",),
             )
 
     @pytest.mark.parametrize("dt, message", [
@@ -295,7 +294,6 @@ class TestReturnPanelValidation:
                 interval_returns=np.zeros((1, 1)),
                 daily_returns=np.zeros((2, 1)),
                 dt=dt,
-                assets=("a",),
             )
 
     def test_non_finite_rejected(self):
@@ -304,7 +302,6 @@ class TestReturnPanelValidation:
                 interval_returns=np.array([[np.inf]]),
                 daily_returns=np.zeros((2, 1)),
                 dt=2,
-                assets=("a",),
             )
 
 
@@ -321,15 +318,13 @@ class TestUnreachedChecks:
         table = parse_prices("date,a\n2023-01-01,1\n\n , \n2023-01-02,2\n")
         assert table.dates == ("2023-01-01", "2023-01-02")
 
-    @pytest.mark.parametrize("interval, daily, assets, message", [
-        (np.zeros(1), np.zeros((2, 1)), ("a",), "return matrices must be 2-D"),
-        (np.zeros((1, 2)), np.zeros((2, 1)), ("a", "b"),
-         "interval and daily matrices disagree on asset count"),
-        (np.zeros((1, 1)), np.zeros((2, 1)), ("a", "b"), "asset label count mismatch"),
-    ], ids=["1d", "asset-count", "labels"])
-    def test_bad_panel(self, interval, daily, assets, message):
+    @pytest.mark.parametrize("interval, daily, message", [
+        (np.zeros(1), np.zeros((2, 1)), "return matrices must be 2-D"),
+        (np.zeros((1, 2)), np.zeros((2, 1)), "interval and daily matrices disagree on asset count"),
+    ], ids=["1d", "asset-count"])
+    def test_bad_panel(self, interval, daily, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            ReturnPanel(interval_returns=interval, daily_returns=daily, dt=2, assets=assets)
+            ReturnPanel(interval_returns=interval, daily_returns=daily, dt=2)
 
     @pytest.mark.parametrize("t", [-1, 2])
     def test_daily_slice_out_of_range(self, t):

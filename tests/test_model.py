@@ -37,12 +37,7 @@ def panel_from_daily(daily, dt):
     daily = np.asarray(daily, dtype=float)
     n_t = daily.shape[0] // dt
     interval = daily.reshape(n_t, dt, -1).sum(axis=1)
-    return ReturnPanel(
-        interval_returns=interval,
-        daily_returns=daily,
-        dt=dt,
-        assets=tuple(f"a{k}" for k in range(daily.shape[1])),
-    )
+    return ReturnPanel(interval_returns=interval, daily_returns=daily, dt=dt)
 
 
 def random_panel(seed, n_t, n_a, dt=6, scale=0.01):

@@ -326,6 +326,20 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=re.escape(message)):
             build()
 
+    @pytest.mark.parametrize("offset, message", [
+        (float("nan"), "offset must be finite, got nan"),
+        (float("inf"), "offset must be finite, got inf"),
+        ("2.5", "offset must be a number, got '2.5'"),
+        (True, "offset must be a number, got True"),
+    ], ids=["nan", "inf", "string", "bool"])
+    @pytest.mark.parametrize("build", [
+        lambda offset: Qubo(np.eye(2), offset=offset),
+        lambda offset: IsingModel(np.zeros(2), np.zeros((2, 2)), offset=offset),
+    ], ids=["qubo", "ising"])
+    def test_offset_taken_as_a_finite_number(self, build, offset, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(offset)
+
     @pytest.mark.parametrize("index", [-1, 2])
     def test_block_index_outside_partition(self, index):
         with pytest.raises(IndexError, match=re.escape(f"block index {index} out of range (m=2)")):

@@ -99,13 +99,16 @@ def _paper_block():
     return extract_subproblem(q, np.zeros(q.n, dtype=np.int8), 5)
 
 
-@pytest.mark.parametrize("make, n", [
+# the spin models the int8 adapter tunes, on the bundled prices
+adapter_models = pytest.mark.parametrize("make, n", [
     (lambda: _bundled_model(22), 528),
     (lambda: _bundled_model(2), 48),
     (_paper_block, 24),
 ], ids=["default", "gate", "paper-block"])
+
+
+@adapter_models
 def test_adapter_models_same_tuning(monkeypatch, make, n):
-    # the spin model the int8 adapter tunes, on the bundled prices
     model = qubo_to_ising(canonical_qubo(make()))
     assert model.n == n
     result = reduce_dynamic_range(model)
@@ -117,6 +120,70 @@ def test_adapter_models_same_tuning(monkeypatch, make, n):
         dataclasses.astuple(s) for s in expected.steps
     ]
     assert np.array_equal(result.model.linear, expected.model.linear)
+
+
+def _reference_tuning(model: IsingModel, budget: int = 100) -> precision.TuningResult:
+    """The tuning loop that built a full candidate model for every move of
+    both generators, materialized up front, before measuring its range."""
+    check, current, steps = None, model, []
+    while len(steps) < budget:
+        values = precision.coefficient_values(current)
+        before = precision.dynamic_range(values)
+        if before.degenerate:
+            break
+        accepted = None
+        for kind, index, new_value in list(precision._shrink_extreme_moves(current, values)) + list(
+            precision._widen_gap_moves(current, values)
+        ):
+            linear = current.linear.astype(float)
+            old_value = float(linear[index])
+            linear[index] = new_value
+            candidate = dataclasses.replace(current, linear=linear)
+            after = precision.dynamic_range(precision.coefficient_values(candidate))
+            if after.bits >= before.bits:
+                continue
+            if check is None:
+                check = _MinimizerCheck(model)
+            if not check.passes(candidate):
+                continue
+            accepted = precision.TuningStep(
+                ("h", index), old_value, new_value, before.bits, after.bits, kind
+            )
+            current = candidate
+            break
+        if accepted is None:
+            break
+        steps.append(accepted)
+    return precision.TuningResult(model=current, steps=tuple(steps))
+
+
+@adapter_models
+def test_adapter_models_build_only_checked_candidates(monkeypatch, make, n):
+    model = qubo_to_ising(canonical_qubo(make()))
+    assert model.n == n
+    expected = _reference_tuning(model)
+    counts = {"built": 0, "checked": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(precision, "replace", counting("built", precision.replace))
+    monkeypatch.setattr(
+        _MinimizerCheck, "passes", counting("checked", _MinimizerCheck.passes)
+    )
+    result = reduce_dynamic_range(model)
+    assert counts["checked"] >= 1
+    assert counts["built"] == counts["checked"]
+    assert result.steps == expected.steps
+    assert type(result.model) is type(expected.model)
+    assert np.array_equal(result.model.linear, expected.model.linear)
+    assert np.array_equal(result.model.quadratic, expected.model.quadratic)
+    assert (result.model.offset, result.model.partition) == (
+        expected.model.offset, expected.model.partition
+    )
 
 
 def _enumerated_energies(model: IsingModel, spins: np.ndarray) -> np.ndarray:
