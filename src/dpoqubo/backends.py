@@ -149,6 +149,66 @@ class ExhaustiveSolver(_Solver):
 
 # geometric cooling factor applied to the annealing temperature after each sweep
 _SA_COOLING = 0.97
+# annealing proposals decoded per bulk draw of raw generator words; the
+# decode's temporaries stay near 100 KB, which at 4096 raised peak RSS
+_SA_DRAW_CHUNK = 2048
+_LOW_HALF = np.uint64(0xFFFFFFFF)
+
+
+def _sweep_draws(rng: np.random.Generator, high: int, count: int, sweeps: int):
+    """Yield ``sweeps`` pairs of lists, each pair exactly
+    ``rng.integers(0, high, size=count).tolist()`` then
+    ``rng.random(size=count).tolist()``, and leave ``rng`` in the state those
+    calls would leave it in; ``high`` is below 2**32.
+
+    The values are decoded from one ``random_raw`` call per chunk of about
+    ``_SA_DRAW_CHUNK`` proposals.  numpy draws an integer below 2**32 with
+    Lemire's bounded sampler (ACM TOMACS 29(1), 2019): the index is
+    ``(u * high) >> 32`` for a 32-bit half ``u``, taking the low half of a
+    64-bit word first and keeping the high half in the bit generator's state
+    (``has_uint32``, ``uinteger``) for the next integer draw; a double is
+    ``(w >> 11) * 2**-53`` of one whole word and leaves that half alone.  So
+    with ``c0`` a half carried in, integer word ``j`` of a chunk sits at raw
+    position ``j + count * ((c0 + 2j) // count)`` and every other word is a
+    double, in order.  A draw that hit the sampler's rejection branch
+    (``(u * high) mod 2**32 < 2**32 mod high``) used another half, and
+    ``integers(0, 1)`` draws nothing: such a chunk, and every chunk when
+    ``high < 2``, is replayed call by call from the state saved before it.
+    """
+    bitgen = rng.bit_generator
+    per_chunk = max(1, _SA_DRAW_CHUNK // count)
+    threshold = (1 << 32) % high
+    for first in range(0, sweeps, per_chunk):
+        chunk = min(per_chunk, sweeps - first)
+        saved = bitgen.state
+        if high >= 2:
+            carry = saved["has_uint32"]
+            total = chunk * count
+            n_int = (total - carry + 1) // 2  # integer words drawn afresh
+            raw = bitgen.random_raw(n_int + total)
+            j = np.arange(n_int)
+            at = j + count * ((carry + 2 * j) // count)
+            is_double = np.ones(raw.size, dtype=bool)
+            is_double[at] = False
+            words = raw[at]
+            halves = np.empty(carry + 2 * n_int, dtype=np.uint64)
+            halves[:carry] = saved["uinteger"]
+            halves[carry::2] = words & _LOW_HALF
+            halves[carry + 1 :: 2] = words >> np.uint64(32)
+            scaled = halves[:total] * np.uint64(high)
+            if not ((scaled & _LOW_HALF) < threshold).any():
+                state = bitgen.state
+                state["has_uint32"] = carry + 2 * n_int - total
+                state["uinteger"] = int(halves[-1]) if n_int else saved["uinteger"]
+                bitgen.state = state
+                indices = (scaled >> np.uint64(32)).reshape(chunk, count)
+                accepts = (raw[is_double] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+                for sweep_indices, sweep_accepts in zip(indices, accepts.reshape(chunk, count)):
+                    yield sweep_indices.tolist(), sweep_accepts.tolist()
+                continue
+            bitgen.state = saved
+        for _ in range(chunk):
+            yield rng.integers(0, high, size=count).tolist(), rng.random(size=count).tolist()
 
 
 class SimulatedAnnealingSolver(_Solver):
@@ -158,6 +218,13 @@ class SimulatedAnnealingSolver(_Solver):
     ``t0 * 0.97**sweep``; the best assignment ever visited is returned.
     ``t0`` is ``n * max|Q|``, matched to the scale of single-flip energy
     changes.  A request's ``effort`` sets the number of sweeps, 200 by default.
+
+    A sweep's proposals are ``rng.integers(0, n, size=n)`` and its accept
+    draws ``rng.random(size=n)``, but they are decoded in chunks of about
+    2048 proposals from the generator's raw 64-bit words (``_sweep_draws``),
+    one numpy call per chunk instead of two per sweep; the values and the
+    generator's state are identical to the per-sweep calls, which the tests
+    pin against numpy itself.
     """
 
     name = "sa"
@@ -175,23 +242,22 @@ class SimulatedAnnealingSolver(_Solver):
         # numpy's float64 scalars do; the Metropolis test keeps np.exp, whose
         # last bit math.exp need not match.  Row i is column i of the
         # symmetric matrix, so a flip adds or subtracts one contiguous row
-        x, diag = start.tolist(), np.diag(coeffs).tolist()
+        x, diag, rows = start.tolist(), np.diag(coeffs).tolist(), list(coeffs)
+        grad_at, exp = grad.item, np.exp
         best_energy, best_x = energy, x.copy()
 
         temperature = max(n * max_abs, 1e-12)
-        for _ in range(sweeps):
-            indices = rng.integers(0, n, size=n).tolist()
-            accepts = rng.random(size=n).tolist()
+        for indices, accepts in _sweep_draws(rng, n, n, sweeps):
             for i, u in zip(indices, accepts):
                 x_i, d_i = x[i], diag[i]
                 sign = 1.0 - 2.0 * x_i
-                delta = sign * (d_i + 2.0 * (grad.item(i) - d_i * x_i))
-                if delta <= 0.0 or u < np.exp(-delta / temperature):
+                delta = sign * (d_i + 2.0 * (grad_at(i) - d_i * x_i))
+                if delta <= 0.0 or u < exp(-delta / temperature):
                     x[i] = x_i + sign
                     if sign > 0.0:
-                        grad += coeffs[i]
+                        grad += rows[i]
                     else:
-                        grad -= coeffs[i]
+                        grad -= rows[i]
                     energy += delta
                     if energy < best_energy:
                         best_energy, best_x = energy, x.copy()
@@ -199,11 +265,11 @@ class SimulatedAnnealingSolver(_Solver):
         return np.array(best_x)
 
 
-def _tabu_state(best_energy, x, grad, expires, it):
+def _tabu_state(best_energy, x, g2, expires, it):
     """Everything the rest of a tabu search depends on at the top of
-    iteration ``it``: the best energy, the assignment, its gradient, and each
-    bit's remaining tenure."""
-    return best_energy, x.copy(), grad.tolist(), [max(e - it, 0) for e in expires]
+    iteration ``it``: the best energy, the assignment, its doubled gradient
+    (equal exactly when the gradient is), and each bit's remaining tenure."""
+    return best_energy, x.copy(), g2.tolist(), [max(e - it, 0) for e in expires]
 
 
 class TabuSolver(_Solver):
@@ -232,6 +298,14 @@ class TabuSolver(_Solver):
     because ``energy + delta`` is monotone in ``delta``; the move is then the
     argmin over the non-tabu bits, or the unmasked argmin when every bit is
     tabu.  Both cases pick the bit a full mask would pick.
+
+    The flip deltas ``sign * (diag + 2 * (grad - diag * x))`` are evaluated
+    as ``sign * (diag + (g2 - dx2))`` from a carried doubled gradient
+    ``g2 = 2 * grad`` and ``dx2 = 2 * diag * x``, one ufunc call fewer per
+    iteration.  The floats are the same: doubling is exact and commutes with
+    rounding short of overflow, so ``g2 - dx2`` is twice the rounded
+    ``grad - diag * x``, and ``g2 += 2 * row`` twice the rounded
+    ``grad + row``; a sum or difference whose result is subnormal is exact.
     """
 
     name = "tabu"
@@ -246,14 +320,18 @@ class TabuSolver(_Solver):
         diag = np.diag(coeffs)
 
         start, grad, energy = _random_start(q, rng)
-        # flip deltas are sign * (diag + 2 * (grad - diag * x)), evaluated in
-        # that order into one buffer; sign = 1 - 2x and diag * x change in
-        # one element per flip, and row i of the symmetric matrix is column i
-        x, diag_list = start.tolist(), diag.tolist()
+        # flip deltas are sign * (diag + (g2 - dx2)), evaluated in that order
+        # into one buffer; sign = 1 - 2x and dx2 = 2 * diag * x change in one
+        # element per flip, and row i of the symmetric matrix is column i
+        x, diag2 = start.tolist(), (2.0 * diag).tolist()
+        rows2 = list(2.0 * coeffs)
         best_energy, best_x = energy, x.copy()
         sign = 1.0 - 2.0 * start
-        diag_x = diag * start
+        g2 = 2.0 * grad
+        dx2 = 2.0 * diag * start
         deltas, masked = np.empty(n), np.empty(n)
+        subtract, maximum = np.subtract, np.maximum
+        argmin, delta_at, masked_argmin = deltas.argmin, deltas.item, masked.argmin
         # max(deltas, floor) is deltas with every tabu bit raised to +inf
         floor = np.full(n, -np.inf)
         expires = [0] * n  # iteration at which tabu ends
@@ -269,33 +347,32 @@ class TabuSolver(_Solver):
                 if expires[b] == it:
                     floor[b] = -np.inf
                     n_tabu -= 1
-            if energy == mark_energy and mark == _tabu_state(best_energy, x, grad, expires, it):
+            if energy == mark_energy and mark == _tabu_state(best_energy, x, g2, expires, it):
                 break  # from here the search only retraces the cycle since the mark
             if it == mark_at:
                 mark_at, mark_energy = 2 * it, energy
-                mark = _tabu_state(best_energy, x, grad, expires, it)
-            np.subtract(grad, diag_x, out=deltas)
-            deltas *= 2.0
+                mark = _tabu_state(best_energy, x, g2, expires, it)
+            subtract(g2, dx2, out=deltas)
             deltas += diag
             deltas *= sign
-            i = int(deltas.argmin())
-            delta = deltas.item(i)
+            i = int(argmin())
+            delta = delta_at(i)
             if expires[i] > it and not energy + delta < best_energy - 1e-12 and n_tabu < n:
                 # no tabu bit aspirates, since energy + delta is monotone in
                 # delta: take the best non-tabu bit, if there is one
-                np.maximum(deltas, floor, out=masked)
-                i = int(masked.argmin())
-                delta = deltas.item(i)
+                maximum(deltas, floor, out=masked)
+                i = int(masked_argmin())
+                delta = delta_at(i)
             x_i = x[i]
             s = 1.0 - 2.0 * x_i
             x[i] = x_i + s
             if s > 0.0:
-                grad += coeffs[i]
+                g2 += rows2[i]
             else:
-                grad -= coeffs[i]
+                g2 -= rows2[i]
             energy += delta
             sign[i] = -s
-            diag_x[i] = diag_list[i] * x[i]
+            dx2[i] = diag2[i] * x[i]
             if expires[i] <= it:
                 floor[i] = np.inf
                 n_tabu += 1

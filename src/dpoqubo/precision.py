@@ -267,7 +267,9 @@ def reduce_dynamic_range(model: IsingModel, budget: int = 100) -> TuningResult:
     """
     _require_ising(model)
     budget = _integer("budget", budget, 0)
-    couplings = model.quadratic[np.triu_indices(model.n, k=1)]
+    # read as float, so a QuantizedIsing's int8 -128 keeps its magnitude
+    # under np.abs and its gaps under np.diff
+    couplings = model.quadratic[np.triu_indices(model.n, k=1)].astype(float)
     check: _MinimizerCheck | None = None
     current = model
     steps: list[TuningStep] = []

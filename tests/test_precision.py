@@ -115,6 +115,16 @@ class TestTuning:
         # sign pattern of the unique ground state is preserved
         assert brute_force_argmin(out.model) & brute_force_argmin(m)
 
+    def test_int8_minus_128_shrinks_like_its_float_twin(self):
+        # int8 np.abs wraps -128 to -128, which hid the extreme field
+        j = np.zeros((3, 3))
+        j[1, 2] = j[2, 1] = 1.0
+        quantized = QuantizedIsing(linear=[-128, 5, 3], quadratic=j, scale=1.0)
+        twin = IsingModel(linear=[-128.0, 5.0, 3.0], quadratic=j)
+        step = reduce_dynamic_range(quantized, budget=1).steps[0]
+        assert step == reduce_dynamic_range(twin, budget=1).steps[0]
+        assert (step.entry, step.old_value, step.new_value) == (("h", 0), -128.0, -5.0)
+
     def test_all_equal_couplings_unmoved(self):
         j = np.full((3, 3), 2.0)
         np.fill_diagonal(j, 0.0)

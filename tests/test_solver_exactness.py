@@ -8,7 +8,11 @@ column update per tabu iteration, and numpy scalars throughout the annealing
 proposal loop.  The solvers take shortcuts around that work; these tests pin
 that the shortcuts change no float operation and no random draw.  The
 reference tabu search also runs every requested iteration, where the solver
-stops at the first exact repeat of its search state.
+stops at the first exact repeat of its search state, and the reference
+annealer draws each sweep's proposals with ``rng.integers`` and
+``rng.random``, where the solver decodes them in bulk from the generator's
+raw 64-bit words; the draw tests below also pin that decoder against
+numpy's own calls directly.
 """
 
 from collections import deque
@@ -214,3 +218,76 @@ def test_two_interval_model(precision):
     model = at_precision(q, precision)
     for seed in range(3):
         assert_matches_reference("tabu", model, seed, None)
+
+
+class CountingGenerator:
+    """A numpy Generator that counts its ``integers`` calls."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.integer_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def integers(self, *args, **kwargs):
+        self.integer_calls += 1
+        return self._rng.integers(*args, **kwargs)
+
+
+def per_sweep_draws(rng, high, count, sweeps):
+    return [
+        (rng.integers(0, high, size=count).tolist(), rng.random(size=count).tolist())
+        for _ in range(sweeps)
+    ]
+
+
+def assert_draws_match(seed, high, count, sweeps, start=0):
+    """The bulk draws equal per-sweep calls on a twin generator, after a
+    ``_random_start``-like draw of ``start`` bits, and leave the same state."""
+    bulk = CountingGenerator(np.random.default_rng(seed))
+    calls = np.random.default_rng(seed)
+    for rng in (bulk, calls):
+        rng.integers(0, 2, size=start)
+    assert list(backends._sweep_draws(bulk, high, count, sweeps)) == per_sweep_draws(
+        calls, high, count, sweeps
+    )
+    assert bulk.bit_generator.state == calls.bit_generator.state
+    assert bulk.random() == calls.random()
+    return bulk.integer_calls - 1  # integer calls the draws replayed
+
+
+@pytest.mark.parametrize("start", [0, 5])  # an odd start leaves a half-word carried
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 24, 48, 528])
+def test_sweep_draws_match_per_sweep_calls(n, start):
+    # 200 sweeps span 3 chunks at n = 24, 5 at 48 and 67 at 528
+    replays = assert_draws_match(n, n, n, 200, start)
+    assert replays == (200 if n < 2 else 0)
+
+
+def test_sweep_draws_carry_a_half_word_across_chunks():
+    # an odd n flips the carried half every sweep; 3000 sweeps are 11 chunks
+    assert backends._SA_DRAW_CHUNK // 7 < 1500
+    assert assert_draws_match(11, 7, 7, 3000, start=3) == 0
+
+
+def test_sweep_draws_replay_rejected_chunks(monkeypatch):
+    # below 3 * 2**30 Lemire's sampler rejects a quarter of the 32-bit draws,
+    # so some 4-draw chunks reject and replay while the rest decode
+    monkeypatch.setattr(backends, "_SA_DRAW_CHUNK", 4)
+    replays = assert_draws_match(5, 3 * 2**30, 1, 400, start=1)
+    assert 0 < replays < 400
+
+
+def test_sa_draws_once_per_solve(paper_block, monkeypatch):
+    default_rng, made = np.random.default_rng, []
+
+    def counting_rng(seed):
+        made.append(CountingGenerator(default_rng(seed)))
+        return made[-1]
+
+    expected = make_backend("sa").solve(SolveRequest(paper_block, seed=3))
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    result = make_backend("sa").solve(SolveRequest(paper_block, seed=3))
+    assert [rng.integer_calls for rng in made] == [1]  # the random start only
+    assert np.array_equal(result.assignment, expected.assignment)
