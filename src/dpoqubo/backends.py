@@ -235,7 +235,7 @@ class SimulatedAnnealingSolver(_Solver):
         rng = np.random.default_rng(request.seed)
         sweeps = request.effort or self.sweeps
         coeffs = q.coeffs
-        max_abs = float(np.abs(coeffs).max())
+        max_abs = float(max(coeffs.max(), -coeffs.min()))  # max|Q| without an n x n temporary
 
         start, grad, energy = _random_start(q, rng)
         # the proposal loop runs on Python floats, which round exactly as
@@ -265,11 +265,112 @@ class SimulatedAnnealingSolver(_Solver):
         return np.array(best_x)
 
 
-def _tabu_state(best_energy, x, g2, expires, it):
-    """Everything the rest of a tabu search depends on at the top of
-    iteration ``it``: the best energy, the assignment, its doubled gradient
-    (equal exactly when the gradient is), and each bit's remaining tenure."""
-    return best_energy, x.copy(), g2.tolist(), [max(e - it, 0) for e in expires]
+# elements per tabu replay buffer: a batch of replayed iterations holds at
+# most this many gradients or flip deltas, and a cycle is replayed only if a
+# batch holds one period; each doubling of it raised the gate matrix's peak
+# RSS by about 0.1 MB and saved little time
+_TABU_REPLAY_CHUNK = 1 << 12
+
+
+def _bitmask(bits: np.ndarray) -> int:
+    """A boolean vector as an integer whose bit ``i`` is element ``i``."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _tabu_pattern(flips, x: np.ndarray, tenures: np.ndarray, tenure: int):
+    """One period of a hypothesized tabu cycle as bool tables.
+
+    The period flips the bits ``flips`` in order, starting at the top of an
+    iteration with assignment ``x`` (bool) and remaining tenures
+    ``tenures``.  Returns the flips as an array, then per iteration of the
+    period the assignment and the tabu mask at its top: a bit is tabu while
+    tenure left from before the period lasts, and for ``tenure`` iterations
+    after each of its flips.
+    """
+    moves = np.asarray(flips)
+    period = moves.size
+    onehot = np.zeros((period, x.size), dtype=bool)
+    onehot[np.arange(period), moves] = True
+    xs = np.empty_like(onehot)
+    xs[0] = x
+    np.logical_xor.accumulate(onehot[:-1], axis=0, out=xs[1:])
+    xs[1:] ^= x
+    tabu = tenures > np.arange(period)[:, None]
+    for back in range(1, min(tenure, period - 1) + 1):
+        tabu[np.arange(back, period), moves[: period - back]] = True
+    return moves, xs, tabu
+
+
+def _tabu_replay(moves, xs, tabu, g2, energy, best_energy, diag, diag2, rows2, limit):
+    """Replay a tabu cycle for at most ``limit`` iterations, in batches of
+    whole periods, from the state at the top of its first iteration.
+
+    ``moves``, ``xs`` and ``tabu`` come from ``_tabu_pattern``.  Every batch
+    recomputes the iterations' gradients, flip deltas, energies and best
+    energies with the scalar loop's float operations, and re-takes each
+    iteration's decision.  The replay ends at the first iteration whose
+    decision is not the pattern's flip, at the first period boundary whose
+    float state equals the one a period earlier (``stop``), or after
+    ``limit`` iterations.  Returns ``(rows, energy, best_energy, best_row,
+    stop)``: the iterations replayed, the energies at the top of the next
+    one, and the period row of the assignment after the last strict
+    improvement (None if none); ``g2`` is left at the gradient there.
+    """
+    period, n = xs.shape
+    at = np.arange(period)
+    signed_rows = rows2[moves]
+    signed_rows *= (1.0 - 2.0 * xs[at, moves])[:, None]
+    dx2 = diag2 * xs
+    sign = 1.0 - 2.0 * xs
+    floor = np.where(tabu, np.inf, -np.inf)
+    not_all_tabu = tabu.sum(axis=1) < n
+    per_batch = (_TABU_REPLAY_CHUNK // n - 1) // period
+    rows, best_row, stop = 0, None, False
+    while rows < limit and not stop:
+        reps = min(per_batch, -(-(limit - rows) // period))
+        size = reps * period
+        grads = np.empty((size + 1, n))
+        grads[0] = g2
+        grads[1:].reshape(reps, period, n)[...] = signed_rows
+        np.add.accumulate(grads, axis=0, out=grads)
+        deltas = np.subtract(grads[:-1].reshape(reps, period, n), dx2)
+        deltas += diag
+        deltas *= sign
+        deltas = deltas.reshape(size, n)
+        step, phase = np.arange(size), np.tile(at, reps)
+        planned = moves[phase]
+        first = deltas.argmin(axis=1)
+        first_delta = deltas[step, first]
+        energies = np.empty(size + 1)
+        energies[0] = energy
+        energies[1:] = deltas[step, planned]
+        np.add.accumulate(energies, out=energies)
+        best = energies.copy()
+        best[0] = best_energy
+        np.minimum.accumulate(best, out=best)
+        np.maximum(deltas.reshape(reps, period, n), floor, out=deltas.reshape(reps, period, n))
+        masked = tabu[phase, first] & not_all_tabu[phase]
+        masked &= ~(energies[:-1] + first_delta < best[:-1] - 1e-12)
+        taken = np.where(masked, deltas.argmin(axis=1), first)
+        wrong = np.flatnonzero(taken != planned)
+        done = min(int(wrong[0]) if wrong.size else size, limit - rows)
+        ends, starts = slice(period, None, period), slice(None, -1, period)
+        repeats = np.flatnonzero(
+            (grads[ends] == grads[starts]).all(axis=1)
+            & (energies[ends] == energies[starts])
+            & (best[ends] == best[starts])
+        )
+        if repeats.size and (repeats[0] + 1) * period <= done:
+            done, stop = (int(repeats[0]) + 1) * period, True
+        improved = np.flatnonzero(energies[1 : done + 1] < best[:done])
+        if improved.size:
+            best_row = int(improved[-1] + 1) % period
+        g2[...] = grads[done]
+        energy, best_energy = float(energies[done]), float(best[done])
+        rows += done
+        if done < size:
+            break
+    return rows, energy, best_energy, best_row, stop
 
 
 class TabuSolver(_Solver):
@@ -280,17 +381,6 @@ class TabuSolver(_Solver):
     unless undoing it would beat the best energy seen (aspiration).  The
     tenure is ``max(7, n // 10)``.  A request's ``effort`` sets the most
     iterations run; ``iterations = None`` means the default, ``100 * n``.
-
-    The search stops at the first exact repeat of its state at the top of an
-    iteration: the assignment, its gradient, the energy, the best energy and
-    each bit's remaining tenure.  The next iteration depends on nothing else
-    (the queue of recent flips only ever frees the bit whose tenure ends), so
-    from a repeat on the search retraces the same cycle for good; the best
-    energy is equal at both ends, so no step of the cycle improves on it, and
-    the returned assignment and energy are bit for bit those of the full run.
-    Repeats are found with Brent's cycle detection: one marked state,
-    re-marked at iterations 1, 2, 4, 8, ..., so a search that never repeats
-    pays one float comparison per iteration.
 
     The move is found without building an admissibility mask.  If the
     unmasked argmin (lowest delta, lowest index) is admissible, it is the
@@ -306,6 +396,44 @@ class TabuSolver(_Solver):
     rounding short of overflow, so ``g2 - dx2`` is twice the rounded
     ``grad - diag * x``, and ``g2 += 2 * row`` twice the rounded
     ``grad + row``; a sum or difference whose result is subnormal is exact.
+
+    Cycles are found with Brent's cycle detection on the discrete state at
+    the top of an iteration: the assignment and each bit's remaining tenure.
+    One state is marked, re-marked at iterations 1, 2, 4, 8, ..., and
+    compared first by an integer bitmask of the assignment, so a search that
+    never repeats pays one integer comparison per iteration.  The next
+    iteration depends on nothing but that state and the floats (the
+    gradient, the energy and the best energy; the queue of recent flips only
+    ever frees the bit whose tenure ends).  So a repeat whose floats are
+    equal too retraces the same cycle for good, with no step improving on a
+    best energy that is equal at both ends, and the search stops there.
+
+    On float models the floats drift by ulps around a cycle, so the
+    discrete repeat comes without the float one.  The flips since the mark
+    are then replayed as a hypothesis, many iterations per numpy call
+    (``_tabu_replay``), and every float and decision is recomputed exactly:
+
+    - the gradients are ``np.add.accumulate`` down the rows
+      ``[g2; ±rows2[flip]]``, which rounds as ``g2 += row`` does, and
+      ``a - b == a + (-b)`` exactly;
+    - the deltas are the same three ufunc calls on ``(rows, n)`` arrays,
+      with the sign and ``dx2`` rows built as ``1 - 2x`` and ``diag2 * x``,
+      which keeps the signed zeros;
+    - the energies are a 1-D ``add.accumulate`` of the flips' deltas, the
+      best energy a running minimum (equal in value to the strict-improvement
+      rule), and the best assignment the one after the last strict
+      improvement;
+    - each decision is re-taken as above: the row's argmin, the aspiration
+      test ``energy + delta < best - 1e-12``, the period's tabu mask, the
+      all-tabu test and the masked argmin via ``maximum(deltas, floor)``.
+
+    At the first iteration whose decision is not the pattern's flip, the
+    iterations before it are kept, the plain loop resumes there and Brent's
+    detection restarts.  A period boundary whose float state equals the one
+    a period earlier stops the search, as above.  So the returned
+    assignment is bit for bit that of the full run.  A replay batch holds at
+    most ``_TABU_REPLAY_CHUNK`` deltas, and a period longer than one batch is
+    left to the plain loop.
     """
 
     name = "tabu"
@@ -323,12 +451,13 @@ class TabuSolver(_Solver):
         # flip deltas are sign * (diag + (g2 - dx2)), evaluated in that order
         # into one buffer; sign = 1 - 2x and dx2 = 2 * diag * x change in one
         # element per flip, and row i of the symmetric matrix is column i
-        x, diag2 = start.tolist(), (2.0 * diag).tolist()
-        rows2 = list(2.0 * coeffs)
+        x, diag2 = start.tolist(), 2.0 * diag
+        rows2 = 2.0 * coeffs
+        diag2_at, row2_at = diag2.tolist(), list(rows2)
         best_energy, best_x = energy, x.copy()
         sign = 1.0 - 2.0 * start
         g2 = 2.0 * grad
-        dx2 = 2.0 * diag * start
+        dx2 = diag2 * start
         deltas, masked = np.empty(n), np.empty(n)
         subtract, maximum = np.subtract, np.maximum
         argmin, delta_at, masked_argmin = deltas.argmin, deltas.item, masked.argmin
@@ -337,49 +466,100 @@ class TabuSolver(_Solver):
         expires = [0] * n  # iteration at which tabu ends
         recent: deque[int] = deque(maxlen=tenure + 1)  # bits flipped lately, oldest first
         n_tabu = 0
-        # Brent's cycle detection: the search state at the top of iteration
-        # mark_at // 2, re-marked at iterations 1, 2, 4, 8, ...; the NaN
-        # energy of the missing first mark equals no energy
-        mark_at, mark_energy, mark = 1, np.nan, None
-        for it in range(iterations):
-            if it > tenure:
-                b = recent[0]  # flipped in iteration it - tenure - 1
-                if expires[b] == it:
-                    floor[b] = -np.inf
-                    n_tabu -= 1
-            if energy == mark_energy and mark == _tabu_state(best_energy, x, g2, expires, it):
-                break  # from here the search only retraces the cycle since the mark
-            if it == mark_at:
-                mark_at, mark_energy = 2 * it, energy
-                mark = _tabu_state(best_energy, x, g2, expires, it)
-            subtract(g2, dx2, out=deltas)
-            deltas += diag
-            deltas *= sign
-            i = int(argmin())
-            delta = delta_at(i)
-            if expires[i] > it and not energy + delta < best_energy - 1e-12 and n_tabu < n:
-                # no tabu bit aspirates, since energy + delta is monotone in
-                # delta: take the best non-tabu bit, if there is one
-                maximum(deltas, floor, out=masked)
-                i = int(masked_argmin())
+        bits = _bitmask(start > 0.0)
+        # Brent's cycle detection: the state marked at the top of an
+        # iteration is re-marked at mark_at, and each re-mark doubles the
+        # span to the next; no assignment has the bitmask -1, so a cleared
+        # mark matches nothing
+        mark_at, span, mark_bits = 1, 1, -1
+        longest = _TABU_REPLAY_CHUNK // n - 1  # the longest cycle a replay batch holds
+        cycle: list[int] = []  # the first bits flipped since the mark, at most longest
+        cycle_append = cycle.append
+        it = 0
+        while it < iterations:
+            for it in range(it, iterations):
+                if it > tenure:
+                    b = recent[0]  # flipped in iteration it - tenure - 1
+                    if expires[b] == it:
+                        floor[b] = -np.inf
+                        n_tabu -= 1
+                if bits == mark_bits:
+                    tenures = [max(e - it, 0) for e in expires]
+                    if tenures == mark_tenures:
+                        if (energy, best_energy) == mark_floats and g2.tolist() == mark_g2:
+                            return np.array(best_x)  # only the cycle since the mark is left
+                        break  # replay the cycle since the mark
+                if it == mark_at:
+                    mark_it, mark_at, span, mark_bits = it, it + span, 2 * span, bits
+                    mark_tenures = [max(e - it, 0) for e in expires]
+                    mark_floats, mark_g2 = (energy, best_energy), g2.tolist()
+                    cycle.clear()
+                subtract(g2, dx2, out=deltas)
+                deltas += diag
+                deltas *= sign
+                i = int(argmin())
                 delta = delta_at(i)
-            x_i = x[i]
-            s = 1.0 - 2.0 * x_i
-            x[i] = x_i + s
-            if s > 0.0:
-                g2 += rows2[i]
+                if expires[i] > it and not energy + delta < best_energy - 1e-12 and n_tabu < n:
+                    # no tabu bit aspirates, since energy + delta is monotone in
+                    # delta: take the best non-tabu bit, if there is one
+                    maximum(deltas, floor, out=masked)
+                    i = int(masked_argmin())
+                    delta = delta_at(i)
+                x_i = x[i]
+                s = 1.0 - 2.0 * x_i
+                x[i] = x_i + s
+                if s > 0.0:
+                    g2 += row2_at[i]
+                else:
+                    g2 -= row2_at[i]
+                energy += delta
+                sign[i] = -s
+                dx2[i] = diag2_at[i] * x[i]
+                if expires[i] <= it:
+                    floor[i] = np.inf
+                    n_tabu += 1
+                expires[i] = it + 1 + tenure
+                recent.append(i)
+                if len(cycle) < longest:
+                    cycle_append(i)
+                bits ^= 1 << i
+                if energy < best_energy:
+                    best_energy, best_x = energy, x.copy()
             else:
-                g2 -= rows2[i]
-            energy += delta
-            sign[i] = -s
-            dx2[i] = diag2[i] * x[i]
-            if expires[i] <= it:
-                floor[i] = np.inf
-                n_tabu += 1
-            expires[i] = it + 1 + tenure
-            recent.append(i)
-            if energy < best_energy:
-                best_energy, best_x = energy, x.copy()
+                break  # every iteration ran
+            # a period longer than one batch is left to the plain loop, and
+            # Brent's detection goes on at its current span
+            period, mark_bits = it - mark_it, -1
+            if period <= longest:
+                moves, xs, tabu = _tabu_pattern(
+                    cycle, np.array(x, dtype=bool), np.array(tenures), tenure
+                )
+                rows, energy, best_energy, best_row, stop = _tabu_replay(
+                    moves, xs, tabu, g2, energy, best_energy, diag, diag2, rows2,
+                    iterations - it,
+                )
+                if best_row is not None:
+                    best_x = xs[best_row].astype(float).tolist()
+                if stop:
+                    break
+                # the discrete state at the top of the first iteration not
+                # replayed, after its expiry step
+                phase = rows % period
+                x = xs[phase].astype(float).tolist()
+                bits = _bitmask(xs[phase])
+                sign[...] = 1.0 - 2.0 * xs[phase]
+                dx2[...] = diag2 * xs[phase]
+                floor[...] = np.where(tabu[phase], np.inf, -np.inf)
+                n_tabu = int(tabu[phase].sum())
+                replayed = moves[np.arange(max(0, rows - tenure - 1), rows) % period].tolist()
+                recent.extend(replayed)
+                for k, b in enumerate(replayed[-tenure:], start=max(0, rows - tenure)):
+                    expires[b] = it + k + 1 + tenure
+                it += rows
+                mark_at, span = it, 1  # Brent's detection restarts here
+            # the loop resumes past its expiry step, so tenures that have
+            # ended are zeroed and the step, run again, frees nothing twice
+            expires = [e if e > it else 0 for e in expires]
         return np.array(best_x)
 
 

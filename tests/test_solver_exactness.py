@@ -7,15 +7,20 @@ operations: a full flip-delta vector, a full admissibility mask and a strided
 column update per tabu iteration, and numpy scalars throughout the annealing
 proposal loop.  The solvers take shortcuts around that work; these tests pin
 that the shortcuts change no float operation and no random draw.  The
-reference tabu search also runs every requested iteration, where the solver
-stops at the first exact repeat of its search state, and the reference
-annealer draws each sweep's proposals with ``rng.integers`` and
-``rng.random``, where the solver decodes them in bulk from the generator's
-raw 64-bit words; the draw tests below also pin that decoder against
-numpy's own calls directly.
+reference tabu search also runs every requested iteration one at a time,
+where the solver stops at the first exact repeat of its search state and
+replays a repeat of its discrete state (assignment and tenures) in bulk
+numpy passes, many iterations per call; and the reference annealer draws
+each sweep's proposals with ``rng.integers`` and ``rng.random``, where the
+solver decodes them in bulk from the generator's raw 64-bit words.  The
+draw tests below also pin that decoder against numpy's own calls directly,
+and the tabu tests check that the replay engages and that a replay whose
+pattern is wrong hands back to the plain loop.
 """
 
 from collections import deque
+from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -68,7 +73,10 @@ def reference_sa(q: Qubo, request: SolveRequest):
     return best_x, best_energy
 
 
-def reference_tabu(q: Qubo, request: SolveRequest):
+def reference_tabu(q: Qubo, request: SolveRequest, trace=None):
+    """The plain tabu loop; ``trace``, if given, gets ``(flip, energy,
+    best_energy, best_x)`` at the top of every iteration and, with flip
+    None, after the last."""
     n = q.n
     rng = np.random.default_rng(request.seed)
     iterations = request.effort or 100 * n
@@ -89,6 +97,8 @@ def reference_tabu(q: Qubo, request: SolveRequest):
             admissible[:] = True  # fully tabu: fall back to the plain best move
         masked = np.where(admissible, deltas, np.inf)
         i = int(np.argmin(masked))
+        if trace is not None:
+            trace.append((i, energy, best_energy, best_x))
         sign = 1.0 - 2.0 * x[i]
         x[i] += sign
         grad += sign * coeffs[:, i]
@@ -96,17 +106,19 @@ def reference_tabu(q: Qubo, request: SolveRequest):
         expires[i] = it + 1 + tenure
         if energy < best_energy:
             best_energy, best_x = energy, x.copy()
+    if trace is not None:
+        trace.append((None, energy, best_energy, best_x))
     return best_x, best_energy
 
 
 _REFERENCES = {"sa": reference_sa, "tabu": reference_tabu}
 
 
-def assert_matches_reference(name, model, seed, effort):
+def assert_matches_reference(name, model, seed, effort, **reference_options):
     request = SolveRequest(model, seed=seed, effort=effort)
     result = make_backend(name).solve(request)
     q = canonical_qubo(model)
-    bits, _ = _REFERENCES[name](q, request)
+    bits, _ = _REFERENCES[name](q, request, **reference_options)
     assert np.array_equal(result.assignment, bits.astype(np.int8))
     assert result.reported_energy == qubo_energy(q, bits)
 
@@ -135,9 +147,9 @@ def test_seeded_models(name, n):
 
 
 @st.composite
-def symmetric_models(draw):
-    n = draw(st.integers(0, 10))
-    if draw(st.booleans()):
+def symmetric_models(draw, max_n=10, floats_only=False):
+    n = draw(st.integers(0, max_n))
+    if floats_only or draw(st.booleans()):
         entry = st.floats(-50.0, 50.0, allow_nan=False, allow_subnormal=False)
     else:
         entry = st.integers(-2, 2).map(float)
@@ -168,6 +180,85 @@ def test_tie_heavy_models_at_long_effort(n):
         assert_matches_reference("tabu", model, seed, 20 * 100 * n)
 
 
+@contextmanager
+def logging_tabu():
+    """What tabu searches run inside the block: ``plain`` counts the
+    iterations of the plain loop, which appends to the recent-flips deque
+    once per iteration, and ``replays`` lists each cycle replay's flips,
+    iteration limit, result and best assignment (a replay extends the
+    deque)."""
+    log = SimpleNamespace(plain=0, replays=[])
+    replay = backends._tabu_replay
+
+    class CountingDeque(deque):
+        def append(self, bit):
+            log.plain += 1
+            super().append(bit)
+
+    def logging_replay(moves, xs, tabu, *args):
+        result = replay(moves, xs, tabu, *args)
+        best_row = result[3]
+        best_x = None if best_row is None else xs[best_row].astype(float)
+        log.replays.append((moves.tolist(), args[-1], result, best_x))
+        return result
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(backends, "deque", CountingDeque)
+        monkeypatch.setattr(backends, "_tabu_replay", logging_replay)
+        yield log
+
+
+@pytest.fixture
+def tabu_log():
+    with logging_tabu() as log:
+        yield log
+
+
+def replayed(log):
+    return sum(result[0] for _, _, result, _ in log.replays)
+
+
+def assert_tabu_follows_reference(model, seed, effort, log):
+    """The solver's result is the reference's, and so is every replay it
+    made: a replay hands back exactly where the reference leaves the
+    replayed flips, stops early only at a boundary of a cycle the reference
+    never leaves, and leaves the reference's energies and best assignment."""
+    del log.replays[:]
+    trace = []
+    assert_matches_reference("tabu", model, seed, effort, trace=trace)
+    for moves, limit, (rows, energy, best_energy, _, stop), best_x in log.replays:
+        first = len(trace) - 1 - limit
+        period = len(moves)
+        flips = (flip for flip, *_ in trace[first:-1])
+        follows = next((k for k, flip in enumerate(flips) if flip != moves[k % period]), limit)
+        assert rows == follows or (stop and follows == limit and rows % period == 0)
+        _, energy_at, best_at, best_x_at = trace[first + rows]
+        assert (energy, best_energy) == (energy_at, best_at)
+        if best_x is not None:
+            assert np.array_equal(best_x, best_x_at)
+
+
+@pytest.mark.parametrize("n", [12, 24, 30, 48])
+def test_float_models_at_long_effort(n, tabu_log):
+    # float energies drift around a cycle, so tabu replays it in bulk
+    model = seeded_model(2000 + n, n, "float")
+    for seed in range(3):
+        assert_tabu_follows_reference(model, seed, 20 * 100 * n, tabu_log)
+    assert replayed(tabu_log) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model=symmetric_models(max_n=24, floats_only=True),
+    seed=st.integers(0, 2**16),
+    effort=st.integers(1, 2000),
+)
+def test_drawn_float_models_at_long_effort(model, seed, effort):
+    if model.n:
+        with logging_tabu() as log:
+            assert_tabu_follows_reference(model, seed, effort, log)
+
+
 def bundled_model(config):
     panel = compute_returns(load_bundled_prices(), config.n_t, config.dt)
     return encode_qubo(config, panel)
@@ -196,19 +287,68 @@ def test_paper_block(paper_block, name, precision):
         assert_matches_reference(name, model, seed, None)
 
 
-def test_tabu_stops_at_a_repeated_state(paper_block, monkeypatch):
-    # the search appends to its recent-flips deque once per iteration
-    flips = []
-
-    class CountingDeque(deque):
-        def append(self, bit):
-            flips.append(bit)
-            super().append(bit)
-
-    monkeypatch.setattr(backends, "deque", CountingDeque)
+def test_tabu_stops_at_a_repeated_state(paper_block, tabu_log):
     model = at_precision(paper_block, "int8")
     make_backend("tabu").solve(SolveRequest(model, seed=0))
-    assert 0 < len(flips) < 100 * paper_block.n // 4
+    assert 0 < tabu_log.plain + replayed(tabu_log) < 100 * paper_block.n // 4
+
+
+def test_tabu_replays_float_cycles(paper_block, tabu_log):
+    # seed 0 stops at an exact repeat after 80 iterations; seeds 2 and 3
+    # repeat only discretely and replay the rest of their 2400 iterations
+    for seed in range(4):
+        plain = tabu_log.plain
+        assert_tabu_follows_reference(paper_block, seed, None, tabu_log)
+        assert 0 < tabu_log.plain - plain < 100 * paper_block.n // 10
+    assert replayed(tabu_log) > 0
+
+
+def test_tabu_replay_hands_back_at_a_wrong_flip(paper_block, tabu_log, monkeypatch):
+    # the first replay's pattern flips a wrong bit midway: the iterations
+    # before it are kept, and the plain loop runs on from there until it
+    # finds the cycle again
+    pattern, plain_at_call = backends._tabu_pattern, []
+
+    def corrupted(flips, x, tenures, tenure):
+        plain_at_call.append(tabu_log.plain)
+        flips = list(flips)
+        if len(plain_at_call) == 1:
+            k = len(flips) // 2
+            flips[k] = (flips[k] + 1) % x.size
+        return pattern(flips, x, tenures, tenure)
+
+    monkeypatch.setattr(backends, "_tabu_pattern", corrupted)
+    assert_tabu_follows_reference(paper_block, 2, None, tabu_log)
+    (moves, _, (rows, *_), _), *_ = tabu_log.replays
+    assert rows == len(moves) // 2
+    assert len(plain_at_call) >= 2 and plain_at_call[1] > plain_at_call[0]
+
+
+def test_tabu_replay_stops_at_an_exact_repeat(paper_block):
+    # integer energies repeat exactly, so a replay started where the int8
+    # block's discrete state first repeats stops after one period
+    q = canonical_qubo(at_precision(paper_block, "int8"))
+    tenure = max(7, q.n // 10)
+    trace = []
+    reference_tabu(q, SolveRequest(q, seed=0, effort=400), trace)
+    x = np.random.default_rng(0).integers(0, 2, size=q.n).astype(bool)
+    expires, seen = np.zeros(q.n, dtype=np.int64), {}
+    for it, (flip, *_) in enumerate(trace):
+        state = (x.tobytes(), np.maximum(expires - it, 0).tobytes())
+        if state in seen:
+            break
+        seen[state] = it
+        x[flip] = not x[flip]
+        expires[flip] = it + 1 + tenure
+    flips = [flip for flip, *_ in trace[seen[state] : it]]
+    _, energy, best_energy, _ = trace[it]
+    moves, xs, tabu = backends._tabu_pattern(flips, x, np.maximum(expires - it, 0), tenure)
+    diag = np.diag(q.coeffs)
+    g2 = 2.0 * (q.coeffs @ x)
+    result = backends._tabu_replay(
+        moves, xs, tabu, g2, energy, best_energy, diag, 2.0 * diag, 2.0 * q.coeffs, 400 - it
+    )
+    assert result == (len(flips), energy, best_energy, None, True)
 
 
 @pytest.mark.parametrize("precision", ["fp", "int8"])
