@@ -302,19 +302,19 @@ def _tabu_pattern(flips, x: np.ndarray, tenures: np.ndarray, tenure: int):
 
 
 def _tabu_replay(moves, xs, tabu, g2, energy, best_energy, diag, diag2, rows2, limit):
-    """Replay a tabu cycle for at most ``limit`` iterations, in batches of
-    whole periods, from the state at the top of its first iteration.
+    """Replay a tabu cycle in batches of whole periods, from the state at the
+    top of its first iteration.
 
     ``moves``, ``xs`` and ``tabu`` come from ``_tabu_pattern``.  Every batch
     recomputes the iterations' gradients, flip deltas, energies and best
     energies with the scalar loop's float operations, and re-takes each
-    iteration's decision.  The replay ends at the first iteration whose
-    decision is not the pattern's flip, at the first period boundary whose
-    float state equals the one a period earlier (``stop``), or after
-    ``limit`` iterations.  Returns ``(rows, energy, best_energy, best_row,
-    stop)``: the iterations replayed, the energies at the top of the next
-    one, and the period row of the assignment after the last strict
-    improvement (None if none); ``g2`` is left at the gradient there.
+    iteration's decision.  The replay keeps the whole periods before the
+    first iteration whose decision is not the pattern's flip, or runs to
+    ``limit`` iterations if no decision differs before then.  Returns
+    ``(rows, energy, best_energy, best_row)``: the iterations replayed, the
+    energies at the top of the next one, and the period row of the
+    assignment after the last strict improvement (None if none); ``g2`` is
+    left at the gradient there.
     """
     period, n = xs.shape
     at = np.arange(period)
@@ -325,8 +325,8 @@ def _tabu_replay(moves, xs, tabu, g2, energy, best_energy, diag, diag2, rows2, l
     floor = np.where(tabu, np.inf, -np.inf)
     not_all_tabu = tabu.sum(axis=1) < n
     per_batch = (_TABU_REPLAY_CHUNK // n - 1) // period
-    rows, best_row, stop = 0, None, False
-    while rows < limit and not stop:
+    rows, best_row = 0, None
+    while rows < limit:
         reps = min(per_batch, -(-(limit - rows) // period))
         size = reps * period
         grads = np.empty((size + 1, n))
@@ -352,25 +352,19 @@ def _tabu_replay(moves, xs, tabu, g2, energy, best_energy, diag, diag2, rows2, l
         masked = tabu[phase, first] & not_all_tabu[phase]
         masked &= ~(energies[:-1] + first_delta < best[:-1] - 1e-12)
         taken = np.where(masked, deltas.argmin(axis=1), first)
-        wrong = np.flatnonzero(taken != planned)
-        done = min(int(wrong[0]) if wrong.size else size, limit - rows)
-        ends, starts = slice(period, None, period), slice(None, -1, period)
-        repeats = np.flatnonzero(
-            (grads[ends] == grads[starts]).all(axis=1)
-            & (energies[ends] == energies[starts])
-            & (best[ends] == best[starts])
-        )
-        if repeats.size and (repeats[0] + 1) * period <= done:
-            done, stop = (int(repeats[0]) + 1) * period, True
+        done = min(size, limit - rows)
+        wrong = np.flatnonzero(taken[:done] != planned[:done])
+        if wrong.size:
+            done = int(wrong[0]) // period * period
         improved = np.flatnonzero(energies[1 : done + 1] < best[:done])
         if improved.size:
             best_row = int(improved[-1] + 1) % period
         g2[...] = grads[done]
         energy, best_energy = float(energies[done]), float(best[done])
         rows += done
-        if done < size:
+        if wrong.size:
             break
-    return rows, energy, best_energy, best_row, stop
+    return rows, energy, best_energy, best_row
 
 
 class TabuSolver(_Solver):
@@ -427,10 +421,15 @@ class TabuSolver(_Solver):
       test ``energy + delta < best - 1e-12``, the period's tabu mask, the
       all-tabu test and the masked argmin via ``maximum(deltas, floor)``.
 
-    At the first iteration whose decision is not the pattern's flip, the
-    iterations before it are kept, the plain loop resumes there and Brent's
-    detection restarts.  A period boundary whose float state equals the one
-    a period earlier stops the search, as above.  So the returned
+    The replay keeps the whole periods before the first iteration whose
+    decision is not the pattern's flip, or runs to the iteration limit.
+    Whole periods bring the assignment and the tenures back to where the
+    replay started, so the plain loop resumes with only the floats, the best
+    assignment and the iterations at which tenures end moved on, and Brent's
+    detection restarts.  The queue of recent flips needs no update: the bit
+    whose tenure ends j iterations after the replay is the one whose tenure
+    ended j iterations after its start, which the queue already names.  The
+    exact repeat above stays the only early stop, and the returned
     assignment is bit for bit that of the full run.  A replay batch holds at
     most ``_TABU_REPLAY_CHUNK`` deltas, and a period longer than one batch is
     left to the plain loop.
@@ -529,49 +528,39 @@ class TabuSolver(_Solver):
                 break  # every iteration ran
             # a period longer than one batch is left to the plain loop, and
             # Brent's detection goes on at its current span
-            period, mark_bits = it - mark_it, -1
+            period, mark_bits, rows = it - mark_it, -1, 0
             if period <= longest:
                 moves, xs, tabu = _tabu_pattern(
                     cycle, np.array(x, dtype=bool), np.array(tenures), tenure
                 )
-                rows, energy, best_energy, best_row, stop = _tabu_replay(
+                rows, energy, best_energy, best_row = _tabu_replay(
                     moves, xs, tabu, g2, energy, best_energy, diag, diag2, rows2,
                     iterations - it,
                 )
                 if best_row is not None:
                     best_x = xs[best_row].astype(float).tolist()
-                if stop:
-                    break
-                # the discrete state at the top of the first iteration not
-                # replayed, after its expiry step
-                phase = rows % period
-                x = xs[phase].astype(float).tolist()
-                bits = _bitmask(xs[phase])
-                sign[...] = 1.0 - 2.0 * xs[phase]
-                dx2[...] = diag2 * xs[phase]
-                floor[...] = np.where(tabu[phase], np.inf, -np.inf)
-                n_tabu = int(tabu[phase].sum())
-                replayed = moves[np.arange(max(0, rows - tenure - 1), rows) % period].tolist()
-                recent.extend(replayed)
-                for k, b in enumerate(replayed[-tenure:], start=max(0, rows - tenure)):
-                    expires[b] = it + k + 1 + tenure
-                it += rows
-                mark_at, span = it, 1  # Brent's detection restarts here
-            # the loop resumes past its expiry step, so tenures that have
-            # ended are zeroed and the step, run again, frees nothing twice
-            expires = [e if e > it else 0 for e in expires]
+                mark_at, span = it + rows, 1  # Brent's detection restarts there
+            # short of the limit, whole periods leave the assignment and the
+            # tenures as they were, so only the tenures' ends move on; the
+            # loop resumes past its expiry step, so tenures that have ended
+            # are zeroed and the step, run again, frees nothing twice
+            expires = [e + rows if e > it else 0 for e in expires]
+            it += rows
         return np.array(best_x)
 
 
 class FinitePrecisionAdapter(_Solver):
     """Emulate a device restricted to signed 8-bit coefficients.
 
-    The submitted model goes through spin conversion, dynamic-range tuning,
+    A submitted ``Qubo`` is converted to spins once, and a spin model is
+    taken as submitted, with no round trip through a QUBO, whose rounding
+    would move its fields.  The spin model goes through dynamic-range tuning
     and int8 quantization; the wrapped backend then solves the integer model
     and the adapter returns its assignment, which the solve skeleton scores
     on the *submitted* model like any other, so quantization error shows up
     in solution quality, never in bookkeeping.  A submitted
-    ``QuantizedIsing`` reaches the wrapped backend unchanged.
+    ``QuantizedIsing`` reaches the wrapped backend unchanged, and any other
+    type raises ``TypeError``.
 
     An adapter builds one integer model per submitted object, whatever its
     type: it keeps the last object it quantized, with its integer image, and
@@ -592,8 +581,8 @@ class FinitePrecisionAdapter(_Solver):
         if isinstance(model, QuantizedIsing):
             return model
         if self._last is None or self._last[0] is not model:
-            tuned = reduce_dynamic_range(qubo_to_ising(canonical_qubo(model)))
-            self._last = (model, quantize_int8(tuned.model))
+            spins = qubo_to_ising(model) if isinstance(model, Qubo) else model
+            self._last = (model, quantize_int8(reduce_dynamic_range(spins).model))
         return self._last[1]
 
     def _search(self, q: Qubo, request: SolveRequest):

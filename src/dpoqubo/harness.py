@@ -34,6 +34,7 @@ from .model import (
     ObjectiveTerms,
     PortfolioAllocation,
     RiskMatrix,
+    _check_panel,
     _weights_and_turnover,
     as_allocation,
     decode,
@@ -119,6 +120,7 @@ def net_mean_return(
     decomposition; risk and budget-penalty terms are solver artifacts and do
     not enter.
     """
+    _check_panel(config, panel)
     w, turnover = _weights_and_turnover(config, allocation)
     gross = (w * panel.interval_returns).sum(axis=1)
     return gross - config.nu * config.lam * turnover

@@ -265,6 +265,7 @@ def as_allocation(allocation: PortfolioAllocation | np.ndarray) -> PortfolioAllo
 
 def risk_matrices(config: DpoConfig, panel: ReturnPanel) -> list[RiskMatrix]:
     """Per-interval risk estimates per the configured estimator."""
+    _check_panel(config, panel)
     return [config.risk.estimate(panel, t) for t in range(config.n_t)]
 
 
@@ -272,10 +273,16 @@ def risk_matrices(config: DpoConfig, panel: ReturnPanel) -> list[RiskMatrix]:
 # objective and encoding
 
 def _check_panel(config: DpoConfig, panel: ReturnPanel) -> None:
+    """The panel has the config's ``n_t`` intervals of ``n_a`` assets and
+    ``dt`` days."""
     if panel.interval_returns.shape != (config.n_t, config.n_a):
         raise ValueError(
             f"panel provides {panel.interval_returns.shape} interval returns, "
-            f"config expects ({config.n_t}, {config.n_a})"
+            f"config expects (n_t, n_a) = ({config.n_t}, {config.n_a})"
+        )
+    if panel.dt != config.dt:
+        raise ValueError(
+            f"panel has {panel.dt}-day intervals, config expects dt = {config.dt}"
         )
 
 

@@ -47,7 +47,7 @@ def random_panel(seed, n_t, n_a, dt=6, scale=0.01):
 def tiny_config(**kw):
     base = dict(
         n_t=2, n_a=2, n_r=2, budget=3, nu=0.01, lam=1.0,
-        rho=1.0, gamma=1.0, dt=4, risk=Covariance(),
+        rho=1.0, gamma=1.0, dt=6, risk=Covariance(),
     )
     base.update(kw)
     return DpoConfig(**base)

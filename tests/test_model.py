@@ -10,7 +10,9 @@ from dpoqubo.market import (
     ReturnPanel,
     compute_returns,
     generate_synthetic,
+    load_bundled_prices,
 )
+from dpoqubo.harness import net_mean_return
 from dpoqubo.model import (
     Covariance,
     DpoConfig,
@@ -510,6 +512,25 @@ class TestInputChecks:
     def test_rejected_with_a_message(self, build, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             build()
+
+    @pytest.mark.parametrize("config_kw, n_t, dt, name", [
+        ({}, 2, 24, "n_t"),
+        ({"n_a": 5}, 22, 24, "n_a"),
+        ({}, 22, 10, "dt"),
+    ], ids=["n_t", "n_a", "dt"])
+    @pytest.mark.parametrize("call", ["encode_qubo", "risk_matrices", "net_mean_return"])
+    def test_panel_must_match_the_config(self, call, config_kw, n_t, dt, name):
+        config = DpoConfig(**config_kw)
+        panel = compute_returns(load_bundled_prices(), n_t, dt)
+        calls = {
+            "encode_qubo": lambda: encode_qubo(config, panel),
+            "risk_matrices": lambda: risk_matrices(config, panel),
+            "net_mean_return": lambda: net_mean_return(
+                np.zeros((config.n_t, config.n_a), dtype=int), panel, config
+            ),
+        }
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            calls[call]()
 
     def test_wrong_number_of_risk_matrices(self):
         cfg = DpoConfig(n_t=3, n_a=2, n_r=2, budget=3, dt=6)

@@ -5,6 +5,9 @@ import re
 import numpy as np
 import pytest
 
+from dpoqubo.backends import make_backend
+from dpoqubo.market import ReturnPanel
+from dpoqubo.model import DpoConfig, encode_qubo
 from dpoqubo.precision import (
     QuantizedIsing,
     _MinimizerCheck,
@@ -435,3 +438,32 @@ class TestQuantizedInputChecks:
         report = quantization_loss_report(m, quantize_int8(m))
         assert report.zeroed_total == 0
         assert report.max_relative_error == 0.0
+
+
+def test_int8_image_misses_the_budget_at_the_default_encoding():
+    # the penalty-only block of one interval at the default 6 x 4 encoding:
+    # its QUBO coefficients run from rho to 176 rho, so no 8-bit scale holds
+    # them exactly, and the adapter's spin-domain image has its lowest
+    # energy at an invested sum of 14, not the budget's 15
+    config = DpoConfig(n_t=1, n_a=6, n_r=4, budget=15, nu=0, gamma=0, rho=1, dt=2)
+    q = encode_qubo(config, ReturnPanel(np.zeros((1, 6)), np.zeros((2, 6)), dt=2))
+    assert np.abs(q.coeffs[q.coeffs != 0]).min() == 1.0 and np.abs(q.coeffs).max() == 176.0
+    image = make_backend("int8(tabu)").quantize(q)
+    h, j = image.linear.astype(float), image.quadratic.astype(float)
+    # every coefficient depends on the bit positions only, not on the assets,
+    # so an energy depends only on how many assets set each bit
+    distinct = ~np.eye(24, dtype=bool).reshape(6, 4, 6, 4)
+    for matrix in (q.coeffs, j):
+        blocks = matrix.reshape(6, 4, 6, 4)
+        assert np.all((blocks == blocks[0, :, 1, :][None, :, None, :]) | ~distinct)
+    assert np.all(h.reshape(6, 4) == h[:4])
+    counts = np.array(list(itertools.product(range(7), repeat=4)))
+    x = (np.arange(6)[None, :, None] < counts[:, None, :]).reshape(-1, 24).astype(float)
+    sums = counts @ (2 ** np.arange(4))
+    exact = ((x @ q.coeffs) * x).sum(axis=1)
+    z = 1.0 - 2.0 * x
+    spin = z @ h + 0.5 * ((z @ j) * z).sum(axis=1)
+    assert sums[np.argmin(exact)] == 15
+    assert sums[np.argmin(spin)] == 14
+    lowest = [spin[sums == s].min() for s in range(12, 19)]
+    assert lowest == [-576.0, -580.0, -588.0, -574.0, -578.0, -572.0, -576.0]

@@ -185,8 +185,7 @@ def logging_tabu():
     """What tabu searches run inside the block: ``plain`` counts the
     iterations of the plain loop, which appends to the recent-flips deque
     once per iteration, and ``replays`` lists each cycle replay's flips,
-    iteration limit, result and best assignment (a replay extends the
-    deque)."""
+    iteration limit, result and best assignment."""
     log = SimpleNamespace(plain=0, replays=[])
     replay = backends._tabu_replay
 
@@ -220,18 +219,19 @@ def replayed(log):
 
 def assert_tabu_follows_reference(model, seed, effort, log):
     """The solver's result is the reference's, and so is every replay it
-    made: a replay hands back exactly where the reference leaves the
-    replayed flips, stops early only at a boundary of a cycle the reference
-    never leaves, and leaves the reference's energies and best assignment."""
+    made: a replay ends at the last period boundary before the reference
+    leaves the replayed flips, or at its iteration limit if the reference
+    never leaves them, and leaves the reference's energies and best
+    assignment."""
     del log.replays[:]
     trace = []
     assert_matches_reference("tabu", model, seed, effort, trace=trace)
-    for moves, limit, (rows, energy, best_energy, _, stop), best_x in log.replays:
+    for moves, limit, (rows, energy, best_energy, _), best_x in log.replays:
         first = len(trace) - 1 - limit
         period = len(moves)
         flips = (flip for flip, *_ in trace[first:-1])
         follows = next((k for k, flip in enumerate(flips) if flip != moves[k % period]), limit)
-        assert rows == follows or (stop and follows == limit and rows % period == 0)
+        assert rows == (limit if follows == limit else follows - follows % period)
         _, energy_at, best_at, best_x_at = trace[first + rows]
         assert (energy, best_energy) == (energy_at, best_at)
         if best_x is not None:
@@ -304,9 +304,9 @@ def test_tabu_replays_float_cycles(paper_block, tabu_log):
 
 
 def test_tabu_replay_hands_back_at_a_wrong_flip(paper_block, tabu_log, monkeypatch):
-    # the first replay's pattern flips a wrong bit midway: the iterations
-    # before it are kept, and the plain loop runs on from there until it
-    # finds the cycle again
+    # the first replay's pattern flips a wrong bit midway through its first
+    # period: no iteration is kept, and the plain loop runs on from the
+    # replay's start until it finds the cycle again
     pattern, plain_at_call = backends._tabu_pattern, []
 
     def corrupted(flips, x, tenures, tenure):
@@ -319,36 +319,83 @@ def test_tabu_replay_hands_back_at_a_wrong_flip(paper_block, tabu_log, monkeypat
 
     monkeypatch.setattr(backends, "_tabu_pattern", corrupted)
     assert_tabu_follows_reference(paper_block, 2, None, tabu_log)
-    (moves, _, (rows, *_), _), *_ = tabu_log.replays
-    assert rows == len(moves) // 2
+    (_, _, (rows, *_), _), *_ = tabu_log.replays
+    assert rows == 0
     assert len(plain_at_call) >= 2 and plain_at_call[1] > plain_at_call[0]
 
 
-def test_tabu_replay_stops_at_an_exact_repeat(paper_block):
-    # integer energies repeat exactly, so a replay started where the int8
-    # block's discrete state first repeats stops after one period
-    q = canonical_qubo(at_precision(paper_block, "int8"))
+def first_repeat(q, seed, effort):
+    """The reference's trace, the iterations at whose tops its discrete
+    state (assignment and tenures) is first seen again and first seen, and
+    that state with the running gradient at the first sighting."""
     tenure = max(7, q.n // 10)
     trace = []
-    reference_tabu(q, SolveRequest(q, seed=0, effort=400), trace)
-    x = np.random.default_rng(0).integers(0, 2, size=q.n).astype(bool)
+    reference_tabu(q, SolveRequest(q, seed=seed, effort=effort), trace)
+    x = np.random.default_rng(seed).integers(0, 2, size=q.n).astype(float)
+    grad = q.coeffs @ x
     expires, seen = np.zeros(q.n, dtype=np.int64), {}
     for it, (flip, *_) in enumerate(trace):
-        state = (x.tobytes(), np.maximum(expires - it, 0).tobytes())
+        tenures = np.maximum(expires - it, 0)
+        state = (x.tobytes(), tenures.tobytes())
         if state in seen:
-            break
-        seen[state] = it
-        x[flip] = not x[flip]
+            return trace, it, seen[state]
+        seen[state] = it, x.astype(bool), tenures, grad.copy()
+        sign = 1.0 - 2.0 * x[flip]
+        x[flip] += sign
+        grad += sign * q.coeffs[:, flip]
         expires[flip] = it + 1 + tenure
-    flips = [flip for flip, *_ in trace[seen[state] : it]]
-    _, energy, best_energy, _ = trace[it]
-    moves, xs, tabu = backends._tabu_pattern(flips, x, np.maximum(expires - it, 0), tenure)
-    diag = np.diag(q.coeffs)
-    g2 = 2.0 * (q.coeffs @ x)
-    result = backends._tabu_replay(
-        moves, xs, tabu, g2, energy, best_energy, diag, 2.0 * diag, 2.0 * q.coeffs, 400 - it
+
+
+def replay_from(q, trace, start, end, limit, corrupt_row=None):
+    """Replay the reference's flips from iteration ``start[0]`` up to
+    ``end`` as a cycle, from its state ``start``; ``corrupt_row`` marks that
+    row's flip tabu in the pattern."""
+    _, x, tenures, grad = start
+    moves, xs, tabu = backends._tabu_pattern(
+        [flip for flip, *_ in trace[start[0] : end]], x, tenures, max(7, q.n // 10)
     )
-    assert result == (len(flips), energy, best_energy, None, True)
+    if corrupt_row is not None:
+        tabu[corrupt_row, moves[corrupt_row]] = True
+    _, energy, best_energy, _ = trace[start[0]]
+    diag = np.diag(q.coeffs)
+    result = backends._tabu_replay(
+        moves, xs, tabu, 2.0 * grad, energy, best_energy, diag, 2.0 * diag, 2.0 * q.coeffs, limit
+    )
+    return result, xs
+
+
+def test_tabu_replay_hands_back_in_a_later_period(paper_block):
+    # seed 11's first cycle improves on the best energy in its first period
+    # with its steepest move, which aspirates there and nowhere after; marked
+    # tabu in the pattern, it is refused in the second period, and the
+    # replay keeps the first, whose floats and best assignment are the
+    # reference's
+    trace, repeat, start = first_repeat(paper_block, 11, 400)
+    mark = start[0]
+    period = repeat - mark
+    improving = [
+        k for k in range(period) if trace[mark + k + 1][1] < trace[mark + k][2] - 1e-12
+    ]
+    assert improving
+    (rows, *_), _ = replay_from(paper_block, trace, start, repeat, 400 - mark)
+    assert rows == 400 - mark  # uncorrupted, the replay runs to its limit
+    result, xs = replay_from(paper_block, trace, start, repeat, 400 - mark, improving[0])
+    rows, energy, best_energy, best_row = result
+    _, energy_at, best_at, best_x_at = trace[mark + period]
+    assert (rows, energy, best_energy) == (period, energy_at, best_at)
+    assert np.array_equal(xs[best_row], best_x_at)
+
+
+def test_tabu_replay_runs_an_exact_cycle_to_its_limit(paper_block):
+    # integer energies repeat exactly, so a replay of the int8 block's first
+    # cycle never leaves it: it runs to its limit, ending with the
+    # reference's floats, and improves on nothing
+    q = canonical_qubo(at_precision(paper_block, "int8"))
+    trace, repeat, start = first_repeat(q, 0, 400)
+    limit = 400 - start[0]
+    result, _ = replay_from(q, trace, start, repeat, limit)
+    _, energy, best_energy, _ = trace[-1]
+    assert result == (limit, energy, best_energy, None)
 
 
 @pytest.mark.parametrize("precision", ["fp", "int8"])
