@@ -16,6 +16,7 @@ energy.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import deque
 from dataclasses import dataclass, replace
@@ -203,12 +204,19 @@ def _sweep_draws(rng: np.random.Generator, high: int, count: int, sweeps: int):
                 bitgen.state = state
                 indices = (scaled >> np.uint64(32)).reshape(chunk, count)
                 accepts = (raw[is_double] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
-                for sweep_indices, sweep_accepts in zip(indices, accepts.reshape(chunk, count)):
-                    yield sweep_indices.tolist(), sweep_accepts.tolist()
+                yield from zip(indices.tolist(), accepts.reshape(chunk, count).tolist())
                 continue
             bitgen.state = saved
         for _ in range(chunk):
             yield rng.integers(0, high, size=count).tolist(), rng.random(size=count).tolist()
+
+
+# the annealer's Metropolis band: an accept draw below _EXP_BELOW or above
+# _EXP_ABOVE times math.exp, with math.exp above _EXP_FLOOR to accept, is
+# decided without np.exp (see SimulatedAnnealingSolver)
+_EXP_BELOW = 1.0 - 2.0**-30
+_EXP_ABOVE = 1.0 + 2.0**-30
+_EXP_FLOOR = 1e-300
 
 
 class SimulatedAnnealingSolver(_Solver):
@@ -225,6 +233,25 @@ class SimulatedAnnealingSolver(_Solver):
     one numpy call per chunk instead of two per sweep; the values and the
     generator's state are identical to the per-sweep calls, which the tests
     pin against numpy itself.
+
+    The Metropolis test accepts an uphill move when its draw ``u`` is below
+    ``np.exp(z)``, ``z = -delta / T``, but rarely calls it.  ``m =
+    math.exp(z)`` decides first: accept when ``u < m * (1 - 2**-30)`` and
+    ``m > 1e-300``, reject when ``u > m * (1 + 2**-30)``, and ask
+    ``np.exp(z)`` only in between.  Both exps are within a few ulps of
+    ``e**z`` while that is a normal number, far inside the band's relative
+    width of 2**-30, so a decision the band makes is the one ``np.exp``
+    would make.  The ``1e-300`` floor keeps accepts out of the subnormal
+    range, where that relative bound fails; a reject there needs a nonzero
+    ``u``, which is at least 2**-53, far above anything either exp returns
+    there.  On an overflowed model a delta can be NaN, or infinite at an
+    infinite temperature, which makes ``z`` NaN; a NaN fails every
+    comparison, so it reaches ``np.exp`` and is rejected, as before.  The
+    flip delta is ``d + 2g`` for a bit at 0 and ``-(d + 2(g - d))`` for a bit
+    at 1 (``d`` the diagonal entry, ``g`` the gradient entry): the float
+    operations of ``sign * (d + 2(g - d x))`` without the multiplies by
+    ``sign`` and ``x``, which can change only the sign of a zero delta, and
+    a zero delta is accepted either way.
     """
 
     name = "sa"
@@ -239,28 +266,38 @@ class SimulatedAnnealingSolver(_Solver):
 
         start, grad, energy = _random_start(q, rng)
         # the proposal loop runs on Python floats, which round exactly as
-        # numpy's float64 scalars do; the Metropolis test keeps np.exp, whose
-        # last bit math.exp need not match.  Row i is column i of the
-        # symmetric matrix, so a flip adds or subtracts one contiguous row
+        # numpy's float64 scalars do; the memoryview reads the gradient's
+        # doubles as floats and follows its in-place updates.  Row i is
+        # column i of the symmetric matrix, so a flip adds or subtracts one
+        # contiguous row
         x, diag, rows = start.tolist(), np.diag(coeffs).tolist(), list(coeffs)
-        grad_at, exp = grad.item, np.exp
+        g = memoryview(grad)
+        exp, band_exp = np.exp, math.exp
+        below, above, floor = _EXP_BELOW, _EXP_ABOVE, _EXP_FLOOR
         best_energy, best_x = energy, x.copy()
 
         temperature = max(n * max_abs, 1e-12)
         for indices, accepts in _sweep_draws(rng, n, n, sweeps):
             for i, u in zip(indices, accepts):
-                x_i, d_i = x[i], diag[i]
-                sign = 1.0 - 2.0 * x_i
-                delta = sign * (d_i + 2.0 * (grad_at(i) - d_i * x_i))
-                if delta <= 0.0 or u < exp(-delta / temperature):
-                    x[i] = x_i + sign
-                    if sign > 0.0:
-                        grad += rows[i]
-                    else:
-                        grad -= rows[i]
-                    energy += delta
-                    if energy < best_energy:
-                        best_energy, best_x = energy, x.copy()
+                d, x_i = diag[i], x[i]
+                if x_i:
+                    delta = -(d + 2.0 * (g[i] - d))
+                else:
+                    delta = d + 2.0 * g[i]
+                if not delta <= 0.0:  # uphill, or NaN
+                    z = -delta / temperature
+                    m = band_exp(z)
+                    if u > m * above or not (u < m * below and m > floor or u < exp(z)):
+                        continue
+                if x_i:
+                    x[i] = 0.0
+                    grad -= rows[i]
+                else:
+                    x[i] = 1.0
+                    grad += rows[i]
+                energy += delta
+                if energy < best_energy:
+                    best_energy, best_x = energy, x.copy()
             temperature *= _SA_COOLING
         return np.array(best_x)
 
@@ -580,6 +617,11 @@ class FinitePrecisionAdapter(_Solver):
         """The integer model the inner backend would see for ``model``."""
         if isinstance(model, QuantizedIsing):
             return model
+        if not isinstance(model, (Qubo, IsingModel)):
+            raise TypeError(
+                f"unsupported model type {type(model).__name__}: expected a Qubo,"
+                " an IsingModel or a QuantizedIsing"
+            )
         if self._last is None or self._last[0] is not model:
             spins = qubo_to_ising(model) if isinstance(model, Qubo) else model
             self._last = (model, quantize_int8(reduce_dynamic_range(spins).model))

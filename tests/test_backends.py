@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -131,6 +132,23 @@ class TestSimulatedAnnealing:
             for s in range(30)
         ]
         assert np.median(doubled) <= np.median(default) + 1e-12
+
+    def test_search_allocates_no_matrix(self):
+        # the gradient moves by row views of the coefficients, so the traced
+        # peak is the draws' chunk buffers (0.29 MB), not an n x n copy
+        # (2.2 MB at 528 bits); 10 sweeps span 4 chunks of draws
+        config = DpoConfig()
+        q = encode_qubo(config, compute_returns(load_bundled_prices(), config.n_t, config.dt))
+        request = SolveRequest(model=q, seed=0, effort=10)
+        solver = SimulatedAnnealingSolver()
+        solver._search(q, request)
+        tracemalloc.start()
+        try:
+            solver._search(q, request)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_effort_overrides_sweeps(self):
         q = random_qubo(1, n=8)
@@ -451,8 +469,10 @@ class TestSolveContract:
         assert image.scale == expected.scale
 
     def test_adapter_rejects_a_non_model(self):
-        with pytest.raises(TypeError, match="unsupported model type ndarray"):
+        with pytest.raises(TypeError, match="unsupported model type ndarray") as raised:
             FinitePrecisionAdapter(ExhaustiveSolver()).quantize(np.zeros((2, 2)))
+        # the adapter takes every model type, a Qubo too
+        assert all(name in str(raised.value) for name in ("Qubo", "IsingModel", "QuantizedIsing"))
 
     def test_adapter_hands_quantized_model_to_inner_unchanged(self):
         qm = quantize_int8(qubo_to_ising(random_qubo(62, n=6)))

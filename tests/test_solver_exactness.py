@@ -15,9 +15,14 @@ each sweep's proposals with ``rng.integers`` and ``rng.random``, where the
 solver decodes them in bulk from the generator's raw 64-bit words.  The
 draw tests below also pin that decoder against numpy's own calls directly,
 and the tabu tests check that the replay engages and that a replay whose
-pattern is wrong hands back to the plain loop.
+pattern is wrong hands back to the plain loop.  The reference annealer calls
+``np.exp`` for every uphill move, where the solver decides most of them with
+``math.exp`` and a band around it; the band tests empty the band, perturb
+``math.exp`` and overflow the model, and each must still match the
+reference.
 """
 
+import math
 from collections import deque
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -478,3 +483,96 @@ def test_sa_draws_once_per_solve(paper_block, monkeypatch):
     result = make_backend("sa").solve(SolveRequest(paper_block, seed=3))
     assert [rng.integer_calls for rng in made] == [1]  # the random start only
     assert np.array_equal(result.assignment, expected.assignment)
+
+
+def assert_sa_follows_reference(model, seed, effort, exp_calls):
+    """The annealer returns the reference's assignment and energy, a NaN
+    energy included; returns the np.exp calls the solver and then the
+    reference made."""
+    request = SolveRequest(model, seed=seed, effort=effort)
+    del exp_calls[:]
+    result = make_backend("sa").solve(request)
+    solver_calls = len(exp_calls)
+    q = canonical_qubo(model)
+    bits, _ = reference_sa(q, request)
+    assert np.array_equal(result.assignment, bits.astype(np.int8))
+    assert np.array_equal(result.reported_energy, qubo_energy(q, bits), equal_nan=True)
+    return solver_calls, len(exp_calls) - solver_calls
+
+
+@pytest.fixture
+def exp_calls(monkeypatch):
+    """A list that grows by one on every np.exp call."""
+    calls, exp = [], np.exp
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    return calls
+
+
+@pytest.fixture
+def no_band(monkeypatch):
+    """The Metropolis band decides nothing: every uphill or NaN delta goes
+    to np.exp."""
+    monkeypatch.setattr(backends, "_EXP_BELOW", 0.0)
+    monkeypatch.setattr(backends, "_EXP_ABOVE", np.inf)
+
+
+def band_test_models(paper_block):
+    """The seeded models of ``test_seeded_models``, with its seeds and
+    efforts, then the paper block and its int8 image at seeds 0 and 7."""
+    for n in range(1, 31):
+        for kind in ("float", "int"):
+            model = seeded_model(1000 + n, n, kind)
+            yield from ((model, n, None), (model, n + 1, 37))
+    for precision in ("fp", "int8"):
+        model = at_precision(paper_block, precision)
+        yield from ((model, 0, None), (model, 7, None))
+
+
+def test_sa_without_the_band(paper_block, exp_calls, no_band):
+    # one np.exp call per proposal the reference sends to np.exp
+    for model, seed, effort in band_test_models(paper_block):
+        solver, reference = assert_sa_follows_reference(model, seed, effort, exp_calls)
+        assert solver == reference
+    assert reference > 0
+
+
+@pytest.mark.parametrize("error", [2.0**-35, -(2.0**-35)], ids=["above", "below"])
+def test_sa_with_an_inexact_math_exp(paper_block, monkeypatch, error):
+    # math.exp a relative 2**-35 off, far more than a libm's few ulps, still
+    # decides nothing np.exp would decide otherwise
+    exact = math.exp
+    monkeypatch.setattr(backends, "math", SimpleNamespace(exp=lambda z: exact(z) * (1.0 + error)))
+    for model, seed, effort in band_test_models(paper_block):
+        assert_matches_reference("sa", model, seed, effort)
+
+
+def overflowing_model(seed, n=6):
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.choice([-1e308, 1e308], size=(n, n)))
+    return Qubo(upper + np.triu(upper, 1).T)
+
+
+@pytest.mark.parametrize("band", [True, False], ids=["band", "no-band"])
+def test_sa_on_overflowing_models(band, exp_calls, request):
+    # t0 = 6 * 1e308 overflows to inf, so z = -delta / t0 is -0.0 for a
+    # finite delta and NaN for an infinite one, and accepting that NaN moves
+    # the result.  A start whose matrix-vector product sums inf - inf has
+    # NaN gradient entries, so NaN deltas, but also a NaN energy, which
+    # keeps the start as the best assignment whatever is accepted; only the
+    # np.exp count without the band shows a NaN delta that skipped np.exp
+    if not band:
+        request.getfixturevalue("no_band")
+    with np.errstate(all="ignore"):
+        for seed in range(40):
+            calls = assert_sa_follows_reference(overflowing_model(seed), seed, None, exp_calls)
+            assert band or calls[0] == calls[1]
+
+
+def test_sa_decides_the_paper_block_without_np_exp(paper_block, exp_calls):
+    solver, reference = assert_sa_follows_reference(paper_block, 0, None, exp_calls)
+    assert (solver, reference) == (0, 2998)
