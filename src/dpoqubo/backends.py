@@ -115,6 +115,31 @@ def _random_start(q: Qubo, rng: np.random.Generator):
     return start, grad, float(start @ grad)
 
 
+def _row_spans(coeffs: np.ndarray):
+    """Each row's nonzero column span ``[lo, hi)`` as two integer arrays:
+    the first column and one past the last column whose coefficient is not
+    zero (-0.0 is zero), widened to include the row's own index, so an
+    all-zero row ``i`` gets ``[i, i + 1)``.  The spans come from the
+    coefficients themselves, not from a block partition, so they also
+    narrow the couplings that quantization zeroes."""
+    n = coeffs.shape[0]
+    nonzero = coeffs != 0.0
+    nonzero.flat[:: n + 1] = True
+    return nonzero.argmax(axis=1), n - nonzero[:, ::-1].argmax(axis=1)
+
+
+def _span_views(lo, hi, matrix: np.ndarray, *vectors: np.ndarray) -> list:
+    """Per row ``i`` of ``matrix``, a tuple of that row and then each of
+    ``vectors``, all cut to columns ``[lo[i], hi[i])``.  A span over every
+    column takes the row whole and the vectors themselves, so a dense model
+    builds no vector views."""
+    n = matrix.shape[1]
+    return [
+        (row, *vectors) if h - l == n else (row[l:h], *(v[l:h] for v in vectors))
+        for row, l, h in zip(matrix, lo.tolist(), hi.tolist())
+    ]
+
+
 # enumeration limits: the largest model enumerated, and the number of
 # assignments scored per vectorized chunk
 _EXHAUSTIVE_CAP = 24
@@ -252,6 +277,17 @@ class SimulatedAnnealingSolver(_Solver):
     operations of ``sign * (d + 2(g - d x))`` without the multiplies by
     ``sign`` and ``x``, which can change only the sign of a zero delta, and
     a zero delta is accepted either way.
+
+    An accepted flip of bit ``i`` adds or subtracts row ``i`` only on its
+    nonzero column span ``[lo_i, hi_i)``, found once per solve from the
+    coefficients (``_row_spans``); the DPO model couples only adjacent time
+    intervals, so at 528 bits a span is about a tenth of the row.  A skipped
+    entry would add ``±0.0``, which leaves every gradient entry's value as it
+    is and can change at most the sign of a zero.  That sign reaches only
+    the sign of a zero delta or a zero energy, which no comparison reads, and
+    the returned assignment is scored afresh, so the result is bit for bit
+    that of full-row updates.  A dense row's span is the whole row, and the
+    flip then updates the whole gradient as before.
     """
 
     name = "sa"
@@ -268,9 +304,10 @@ class SimulatedAnnealingSolver(_Solver):
         # the proposal loop runs on Python floats, which round exactly as
         # numpy's float64 scalars do; the memoryview reads the gradient's
         # doubles as floats and follows its in-place updates.  Row i is
-        # column i of the symmetric matrix, so a flip adds or subtracts one
-        # contiguous row
-        x, diag, rows = start.tolist(), np.diag(coeffs).tolist(), list(coeffs)
+        # column i of the symmetric matrix, so a flip adds or subtracts the
+        # nonzero span of one contiguous row
+        x, diag = start.tolist(), np.diag(coeffs).tolist()
+        span_views = _span_views(*_row_spans(coeffs), coeffs, grad)
         g = memoryview(grad)
         exp, band_exp = np.exp, math.exp
         below, above, floor = _EXP_BELOW, _EXP_ABOVE, _EXP_FLOOR
@@ -289,12 +326,13 @@ class SimulatedAnnealingSolver(_Solver):
                     m = band_exp(z)
                     if u > m * above or not (u < m * below and m > floor or u < exp(z)):
                         continue
+                row, grad_span = span_views[i]
                 if x_i:
                     x[i] = 0.0
-                    grad -= rows[i]
+                    grad_span -= row
                 else:
                     x[i] = 1.0
-                    grad += rows[i]
+                    grad_span += row
                 energy += delta
                 if energy < best_energy:
                     best_energy, best_x = energy, x.copy()
@@ -305,7 +343,10 @@ class SimulatedAnnealingSolver(_Solver):
 # elements per tabu replay buffer: a batch of replayed iterations holds at
 # most this many gradients or flip deltas, and a cycle is replayed only if a
 # batch holds one period; each doubling of it raised the gate matrix's peak
-# RSS by about 0.1 MB and saved little time
+# RSS by about 0.1 MB and saved little time.  The 528-bit model's cycles (108
+# or 432 iterations) stay in the plain loop: whole periods of them need
+# 1 << 18, which raised the paper-scale global matrix's peak RSS by about
+# 8 MB (15%) to save about 5% of its time
 _TABU_REPLAY_CHUNK = 1 << 12
 
 
@@ -428,6 +469,20 @@ class TabuSolver(_Solver):
     ``grad - diag * x``, and ``g2 += 2 * row`` twice the rounded
     ``grad + row``; a sum or difference whose result is subnormal is exact.
 
+    A flip of bit ``i`` touches only row ``i``'s nonzero column span
+    ``[lo_i, hi_i)``, found once per solve from the coefficients and widened
+    to include ``i`` (``_row_spans``): ``g2 ±= row2`` runs on the span, and
+    the three delta ufuncs recompute the deltas only there, since ``sign``
+    and ``dx2`` change only at ``i``.  The whole delta vector is computed
+    where the plain loop starts or resumes after a replay.  A skipped entry
+    would add ``±0.0``, which leaves its value as it is and can change at
+    most the sign of a zero gradient entry, and through it the sign of a
+    zero delta or energy.  No comparison, argmin, ``maximum``, aspiration
+    test or cycle check ``==`` reads that sign, and the returned assignment
+    is scored afresh, so the result is bit for bit that of full-vector
+    updates.  A dense row's span is the whole vector, and the iteration then
+    updates whole vectors as before.
+
     Cycles are found with Brent's cycle detection on the discrete state at
     the top of an iteration: the assignment and each bit's remaining tenure.
     One state is marked, re-marked at iterations 1, 2, 4, 8, ..., and
@@ -489,12 +544,16 @@ class TabuSolver(_Solver):
         # element per flip, and row i of the symmetric matrix is column i
         x, diag2 = start.tolist(), 2.0 * diag
         rows2 = 2.0 * coeffs
-        diag2_at, row2_at = diag2.tolist(), list(rows2)
+        diag2_at = diag2.tolist()
         best_energy, best_x = energy, x.copy()
         sign = 1.0 - 2.0 * start
         g2 = 2.0 * grad
         dx2 = diag2 * start
         deltas, masked = np.empty(n), np.empty(n)
+        # a flip of bit i moves g2 on row i's nonzero span and its own delta
+        # through sign and dx2, so its deltas are recomputed on that span,
+        # which includes i
+        span_views = _span_views(*_row_spans(coeffs), rows2, g2, dx2, diag, sign, deltas)
         subtract, maximum = np.subtract, np.maximum
         argmin, delta_at, masked_argmin = deltas.argmin, deltas.item, masked.argmin
         # max(deltas, floor) is deltas with every tabu bit raised to +inf
@@ -513,6 +572,11 @@ class TabuSolver(_Solver):
         cycle_append = cycle.append
         it = 0
         while it < iterations:
+            # the whole delta vector where the plain loop starts or resumes;
+            # each iteration then leaves it up to date for the next
+            subtract(g2, dx2, out=deltas)
+            deltas += diag
+            deltas *= sign
             for it in range(it, iterations):
                 if it > tenure:
                     b = recent[0]  # flipped in iteration it - tenure - 1
@@ -530,9 +594,6 @@ class TabuSolver(_Solver):
                     mark_tenures = [max(e - it, 0) for e in expires]
                     mark_floats, mark_g2 = (energy, best_energy), g2.tolist()
                     cycle.clear()
-                subtract(g2, dx2, out=deltas)
-                deltas += diag
-                deltas *= sign
                 i = int(argmin())
                 delta = delta_at(i)
                 if expires[i] > it and not energy + delta < best_energy - 1e-12 and n_tabu < n:
@@ -544,13 +605,17 @@ class TabuSolver(_Solver):
                 x_i = x[i]
                 s = 1.0 - 2.0 * x_i
                 x[i] = x_i + s
+                row2, g2_span, dx2_span, diag_span, sign_span, deltas_span = span_views[i]
                 if s > 0.0:
-                    g2 += row2_at[i]
+                    g2_span += row2
                 else:
-                    g2 -= row2_at[i]
+                    g2_span -= row2
                 energy += delta
                 sign[i] = -s
                 dx2[i] = diag2_at[i] * x[i]
+                subtract(g2_span, dx2_span, out=deltas_span)
+                deltas_span += diag_span
+                deltas_span *= sign_span
                 if expires[i] <= it:
                     floor[i] = np.inf
                     n_tabu += 1

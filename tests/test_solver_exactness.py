@@ -19,7 +19,11 @@ pattern is wrong hands back to the plain loop.  The reference annealer calls
 ``np.exp`` for every uphill move, where the solver decides most of them with
 ``math.exp`` and a band around it; the band tests empty the band, perturb
 ``math.exp`` and overflow the model, and each must still match the
-reference.
+reference.  Both solvers also update only a flipped row's nonzero span, where
+the references update whole vectors; the banded-model tests put -0.0
+entries, an all-zero row, a zero diagonal entry and a span away from its
+row's own index in its way, and the span tests check that it engages at the
+paper's scale and takes whole vectors on a dense model.
 """
 
 import math
@@ -410,6 +414,109 @@ def test_two_interval_model(precision):
     model = at_precision(q, precision)
     for seed in range(3):
         assert_matches_reference("tabu", model, seed, None)
+
+
+def banded_model(seed, blocks, width, kind):
+    """A block-tridiagonal model of ``blocks`` blocks of ``width`` bits, as
+    the DPO QUBO couples only adjacent time intervals: the entries of
+    ``seeded_model``, -0.0 off the band, one all-zero row and column, one
+    zero diagonal entry, and one row whose nonzeros lie in the next block
+    only, away from its own index."""
+    n = blocks * width
+    rng = np.random.default_rng(seed)
+    seeded = seeded_model(seed, n, kind)
+    m = seeded.coeffs.copy()
+    block = np.arange(n) // width
+    m[np.abs(block[:, None] - block) > 1] = -0.0
+    zero, flat, away = rng.choice(n - width, size=3, replace=False)
+    m[zero, :] = m[:, zero] = 0.0
+    m[flat, flat] = 0.0
+    m[away, block <= block[away]] = m[block <= block[away], away] = 0.0
+    return Qubo(m, offset=seeded.offset)
+
+
+@pytest.mark.parametrize("blocks", [3, 4, 6])
+@pytest.mark.parametrize("name", ["sa", "tabu"])
+def test_banded_models(name, blocks):
+    # a flip updates only its row's nonzero span, which is narrower than
+    # the model from 3 blocks on; the float and the tie-heavy integer
+    # entries must both give the reference's full-row result
+    for width in range(2, 7):
+        for kind in ("float", "int"):
+            model = banded_model(100 * blocks + width, blocks, width, kind)
+            lo, hi = backends._row_spans(model.coeffs)
+            assert (hi - lo).min() < model.n
+            for seed, effort in ((width, None), (width + 1, 37)):
+                assert_matches_reference(name, model, seed, effort)
+
+
+@pytest.fixture(scope="module")
+def paper_models():
+    """The default configuration's 528-bit model on the bundled prices and
+    its int8 image, by precision."""
+    q = bundled_model(DpoConfig())
+    return {"fp": q, "int8": at_precision(q, "int8")}
+
+
+@pytest.mark.parametrize("precision", ["fp", "int8"])
+@pytest.mark.parametrize("name, effort", [("sa", 8), ("tabu", 1500)])
+def test_paper_model_at_reduced_effort(paper_models, name, effort, precision):
+    # request seed 20000 is the paper-scale benchmark's fp tabu solve at its seed 0
+    for seed in (0, 20000):
+        assert_matches_reference(name, paper_models[precision], seed, effort)
+
+
+def test_banded_float_model_at_long_effort(tabu_log):
+    # seeds 1 and 2 leave a replayed cycle at a differing decision 3 and 6
+    # times, and each time the span loop resumes from a whole delta vector
+    model = banded_model(14, 5, 6, "float")
+    handed_back = 0
+    for seed in range(3):
+        assert_tabu_follows_reference(model, seed, 200 * model.n, tabu_log)
+        handed_back += sum(rows < limit for _, limit, (rows, *_), _ in tabu_log.replays)
+    assert handed_back == 9
+
+
+@contextmanager
+def recording_span_views():
+    """A list that gets, per solve, the span views it builds: per row, the
+    flipped row's span and then the vectors a flip updates, cut to it."""
+    built, span_views = [], backends._span_views
+
+    def recording(*args):
+        built.append(span_views(*args))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(backends, "_span_views", recording)
+        yield built
+
+
+@pytest.mark.parametrize("precision", ["fp", "int8"])
+def test_paper_model_flips_update_row_spans(paper_models, precision):
+    # the default model couples adjacent intervals only, so no span is wider
+    # than three 24-bit interval blocks (52 columns at most on the float
+    # model, 49 on its int8 image), not the 528 of a full-length update
+    q = canonical_qubo(paper_models[precision])
+    with recording_span_views() as built:
+        for name in ("sa", "tabu"):
+            make_backend(name).solve(SolveRequest(q, seed=0, effort=1))
+    assert [len(views) for views in built] == [q.n, q.n]
+    assert max(v.size for views in built for span in views for v in span) <= 3 * 24
+
+
+@pytest.mark.parametrize("name", ["sa", "tabu"])
+def test_dense_rows_update_whole_vectors(name):
+    # a span over every column takes the row whole and builds no views of
+    # the vectors: every row shares the same whole vectors
+    model = seeded_model(3, 20, "float")
+    with recording_span_views() as built:
+        make_backend(name).solve(SolveRequest(model, seed=0, effort=5))
+    (views,) = built
+    assert all(span[0].size == model.n for span in views)
+    whole = views[0][1:]
+    assert all(v.size == model.n for v in whole)
+    assert all(v is w for span in views for v, w in zip(span[1:], whole))
 
 
 class CountingGenerator:
