@@ -50,8 +50,8 @@ class SolveRequest:
     ``seed`` is an integer >= 0.  ``effort`` is an integer >= 1 and
     backend-specific (sweeps for annealing, the most iterations tabu search
     runs, ignored by enumeration) and is set only here; None means the
-    backend's default.  Tabu search stops early only where running on could
-    not change its result.
+    backend's default.  Tabu search stops early at the first repeat of its
+    assignment and remaining tenures that its cycle detection finds.
     """
 
     model: Model
@@ -340,109 +340,9 @@ class SimulatedAnnealingSolver(_Solver):
         return np.array(best_x)
 
 
-# elements per tabu replay buffer: a batch of replayed iterations holds at
-# most this many gradients or flip deltas, and a cycle is replayed only if a
-# batch holds one period; each doubling of it raised the gate matrix's peak
-# RSS by about 0.1 MB and saved little time.  The 528-bit model's cycles (108
-# or 432 iterations) stay in the plain loop: whole periods of them need
-# 1 << 18, which raised the paper-scale global matrix's peak RSS by about
-# 8 MB (15%) to save about 5% of its time
-_TABU_REPLAY_CHUNK = 1 << 12
-
-
 def _bitmask(bits: np.ndarray) -> int:
     """A boolean vector as an integer whose bit ``i`` is element ``i``."""
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def _tabu_pattern(flips, x: np.ndarray, tenures: np.ndarray, tenure: int):
-    """One period of a hypothesized tabu cycle as bool tables.
-
-    The period flips the bits ``flips`` in order, starting at the top of an
-    iteration with assignment ``x`` (bool) and remaining tenures
-    ``tenures``.  Returns the flips as an array, then per iteration of the
-    period the assignment and the tabu mask at its top: a bit is tabu while
-    tenure left from before the period lasts, and for ``tenure`` iterations
-    after each of its flips.
-    """
-    moves = np.asarray(flips)
-    period = moves.size
-    onehot = np.zeros((period, x.size), dtype=bool)
-    onehot[np.arange(period), moves] = True
-    xs = np.empty_like(onehot)
-    xs[0] = x
-    np.logical_xor.accumulate(onehot[:-1], axis=0, out=xs[1:])
-    xs[1:] ^= x
-    tabu = tenures > np.arange(period)[:, None]
-    for back in range(1, min(tenure, period - 1) + 1):
-        tabu[np.arange(back, period), moves[: period - back]] = True
-    return moves, xs, tabu
-
-
-def _tabu_replay(moves, xs, tabu, g2, energy, best_energy, diag, diag2, rows2, limit):
-    """Replay a tabu cycle in batches of whole periods, from the state at the
-    top of its first iteration.
-
-    ``moves``, ``xs`` and ``tabu`` come from ``_tabu_pattern``.  Every batch
-    recomputes the iterations' gradients, flip deltas, energies and best
-    energies with the scalar loop's float operations, and re-takes each
-    iteration's decision.  The replay keeps the whole periods before the
-    first iteration whose decision is not the pattern's flip, or runs to
-    ``limit`` iterations if no decision differs before then.  Returns
-    ``(rows, energy, best_energy, best_row)``: the iterations replayed, the
-    energies at the top of the next one, and the period row of the
-    assignment after the last strict improvement (None if none); ``g2`` is
-    left at the gradient there.
-    """
-    period, n = xs.shape
-    at = np.arange(period)
-    signed_rows = rows2[moves]
-    signed_rows *= (1.0 - 2.0 * xs[at, moves])[:, None]
-    dx2 = diag2 * xs
-    sign = 1.0 - 2.0 * xs
-    floor = np.where(tabu, np.inf, -np.inf)
-    not_all_tabu = tabu.sum(axis=1) < n
-    per_batch = (_TABU_REPLAY_CHUNK // n - 1) // period
-    rows, best_row = 0, None
-    while rows < limit:
-        reps = min(per_batch, -(-(limit - rows) // period))
-        size = reps * period
-        grads = np.empty((size + 1, n))
-        grads[0] = g2
-        grads[1:].reshape(reps, period, n)[...] = signed_rows
-        np.add.accumulate(grads, axis=0, out=grads)
-        deltas = np.subtract(grads[:-1].reshape(reps, period, n), dx2)
-        deltas += diag
-        deltas *= sign
-        deltas = deltas.reshape(size, n)
-        step, phase = np.arange(size), np.tile(at, reps)
-        planned = moves[phase]
-        first = deltas.argmin(axis=1)
-        first_delta = deltas[step, first]
-        energies = np.empty(size + 1)
-        energies[0] = energy
-        energies[1:] = deltas[step, planned]
-        np.add.accumulate(energies, out=energies)
-        best = energies.copy()
-        best[0] = best_energy
-        np.minimum.accumulate(best, out=best)
-        np.maximum(deltas.reshape(reps, period, n), floor, out=deltas.reshape(reps, period, n))
-        masked = tabu[phase, first] & not_all_tabu[phase]
-        masked &= ~(energies[:-1] + first_delta < best[:-1] - 1e-12)
-        taken = np.where(masked, deltas.argmin(axis=1), first)
-        done = min(size, limit - rows)
-        wrong = np.flatnonzero(taken[:done] != planned[:done])
-        if wrong.size:
-            done = int(wrong[0]) // period * period
-        improved = np.flatnonzero(energies[1 : done + 1] < best[:done])
-        if improved.size:
-            best_row = int(improved[-1] + 1) % period
-        g2[...] = grads[done]
-        energy, best_energy = float(energies[done]), float(best[done])
-        rows += done
-        if wrong.size:
-            break
-    return rows, energy, best_energy, best_row
 
 
 class TabuSolver(_Solver):
@@ -474,57 +374,28 @@ class TabuSolver(_Solver):
     to include ``i`` (``_row_spans``): ``g2 ±= row2`` runs on the span, and
     the three delta ufuncs recompute the deltas only there, since ``sign``
     and ``dx2`` change only at ``i``.  The whole delta vector is computed
-    where the plain loop starts or resumes after a replay.  A skipped entry
-    would add ``±0.0``, which leaves its value as it is and can change at
-    most the sign of a zero gradient entry, and through it the sign of a
-    zero delta or energy.  No comparison, argmin, ``maximum``, aspiration
-    test or cycle check ``==`` reads that sign, and the returned assignment
-    is scored afresh, so the result is bit for bit that of full-vector
-    updates.  A dense row's span is the whole vector, and the iteration then
-    updates whole vectors as before.
+    once, before the first iteration.  A skipped entry would add ``±0.0``,
+    which leaves its value as it is and can change at most the sign of a
+    zero gradient entry, and through it the sign of a zero delta or energy.
+    No comparison, argmin, ``maximum`` or aspiration test reads that sign,
+    and the returned assignment is scored afresh, so the result is bit for
+    bit that of full-vector updates.  A dense row's span is the whole vector,
+    and the iteration then updates whole vectors as before.
 
-    Cycles are found with Brent's cycle detection on the discrete state at
-    the top of an iteration: the assignment and each bit's remaining tenure.
-    One state is marked, re-marked at iterations 1, 2, 4, 8, ..., and
-    compared first by an integer bitmask of the assignment, so a search that
-    never repeats pays one integer comparison per iteration.  The next
-    iteration depends on nothing but that state and the floats (the
-    gradient, the energy and the best energy; the queue of recent flips only
-    ever frees the bit whose tenure ends).  So a repeat whose floats are
-    equal too retraces the same cycle for good, with no step improving on a
-    best energy that is equal at both ends, and the search stops there.
-
-    On float models the floats drift by ulps around a cycle, so the
-    discrete repeat comes without the float one.  The flips since the mark
-    are then replayed as a hypothesis, many iterations per numpy call
-    (``_tabu_replay``), and every float and decision is recomputed exactly:
-
-    - the gradients are ``np.add.accumulate`` down the rows
-      ``[g2; ±rows2[flip]]``, which rounds as ``g2 += row`` does, and
-      ``a - b == a + (-b)`` exactly;
-    - the deltas are the same three ufunc calls on ``(rows, n)`` arrays,
-      with the sign and ``dx2`` rows built as ``1 - 2x`` and ``diag2 * x``,
-      which keeps the signed zeros;
-    - the energies are a 1-D ``add.accumulate`` of the flips' deltas, the
-      best energy a running minimum (equal in value to the strict-improvement
-      rule), and the best assignment the one after the last strict
-      improvement;
-    - each decision is re-taken as above: the row's argmin, the aspiration
-      test ``energy + delta < best - 1e-12``, the period's tabu mask, the
-      all-tabu test and the masked argmin via ``maximum(deltas, floor)``.
-
-    The replay keeps the whole periods before the first iteration whose
-    decision is not the pattern's flip, or runs to the iteration limit.
-    Whole periods bring the assignment and the tenures back to where the
-    replay started, so the plain loop resumes with only the floats, the best
-    assignment and the iterations at which tenures end moved on, and Brent's
-    detection restarts.  The queue of recent flips needs no update: the bit
-    whose tenure ends j iterations after the replay is the one whose tenure
-    ended j iterations after its start, which the queue already names.  The
-    exact repeat above stays the only early stop, and the returned
-    assignment is bit for bit that of the full run.  A replay batch holds at
-    most ``_TABU_REPLAY_CHUNK`` deltas, and a period longer than one batch is
-    left to the plain loop.
+    The search stops at the first repeat of its discrete state that Brent's
+    cycle detection (BIT 20, 176-184, 1980) finds.  The state at the top of
+    an iteration is the assignment and each bit's remaining tenure.  One
+    state is marked, re-marked at iterations 1, 2, 4, 8, ..., and compared
+    first by an integer bitmask of the assignment, so a search that never
+    repeats pays one integer comparison per iteration.  At the first
+    iteration whose state equals the mark's, the search returns the best
+    assignment it has seen; it compares no floats.  So the result is the
+    plain loop's trajectory up to that repeat.  Running on could pick
+    differently only where the floats (the gradient, the energy and the best
+    energy) have moved since the mark: by ulp drift around the cycle on a
+    float model, or by a best energy lowered within the cycle, which can
+    cancel a later aspiration.  Where they have not moved, the search would
+    retrace the cycle for good.
     """
 
     name = "tabu"
@@ -549,7 +420,10 @@ class TabuSolver(_Solver):
         sign = 1.0 - 2.0 * start
         g2 = 2.0 * grad
         dx2 = diag2 * start
-        deltas, masked = np.empty(n), np.empty(n)
+        # the whole delta vector once; each iteration leaves it up to date
+        # for the next
+        deltas = (g2 - dx2 + diag) * sign
+        masked = np.empty(n)
         # a flip of bit i moves g2 on row i's nonzero span and its own delta
         # through sign and dx2, so its deltas are recomputed on that span,
         # which includes i
@@ -564,90 +438,50 @@ class TabuSolver(_Solver):
         bits = _bitmask(start > 0.0)
         # Brent's cycle detection: the state marked at the top of an
         # iteration is re-marked at mark_at, and each re-mark doubles the
-        # span to the next; no assignment has the bitmask -1, so a cleared
-        # mark matches nothing
+        # span to the next; no assignment has the bitmask -1, so the search
+        # stops at no repeat before the first mark
         mark_at, span, mark_bits = 1, 1, -1
-        longest = _TABU_REPLAY_CHUNK // n - 1  # the longest cycle a replay batch holds
-        cycle: list[int] = []  # the first bits flipped since the mark, at most longest
-        cycle_append = cycle.append
-        it = 0
-        while it < iterations:
-            # the whole delta vector where the plain loop starts or resumes;
-            # each iteration then leaves it up to date for the next
-            subtract(g2, dx2, out=deltas)
-            deltas += diag
-            deltas *= sign
-            for it in range(it, iterations):
-                if it > tenure:
-                    b = recent[0]  # flipped in iteration it - tenure - 1
-                    if expires[b] == it:
-                        floor[b] = -np.inf
-                        n_tabu -= 1
-                if bits == mark_bits:
-                    tenures = [max(e - it, 0) for e in expires]
-                    if tenures == mark_tenures:
-                        if (energy, best_energy) == mark_floats and g2.tolist() == mark_g2:
-                            return np.array(best_x)  # only the cycle since the mark is left
-                        break  # replay the cycle since the mark
-                if it == mark_at:
-                    mark_it, mark_at, span, mark_bits = it, it + span, 2 * span, bits
-                    mark_tenures = [max(e - it, 0) for e in expires]
-                    mark_floats, mark_g2 = (energy, best_energy), g2.tolist()
-                    cycle.clear()
-                i = int(argmin())
+        for it in range(iterations):
+            if it > tenure:
+                b = recent[0]  # flipped in iteration it - tenure - 1
+                if expires[b] == it:
+                    floor[b] = -np.inf
+                    n_tabu -= 1
+            if bits == mark_bits and [max(e - it, 0) for e in expires] == mark_tenures:
+                break  # the discrete state repeats
+            if it == mark_at:
+                mark_at, span, mark_bits = it + span, 2 * span, bits
+                mark_tenures = [max(e - it, 0) for e in expires]
+            i = int(argmin())
+            delta = delta_at(i)
+            if expires[i] > it and not energy + delta < best_energy - 1e-12 and n_tabu < n:
+                # no tabu bit aspirates, since energy + delta is monotone in
+                # delta: take the best non-tabu bit, if there is one
+                maximum(deltas, floor, out=masked)
+                i = int(masked_argmin())
                 delta = delta_at(i)
-                if expires[i] > it and not energy + delta < best_energy - 1e-12 and n_tabu < n:
-                    # no tabu bit aspirates, since energy + delta is monotone in
-                    # delta: take the best non-tabu bit, if there is one
-                    maximum(deltas, floor, out=masked)
-                    i = int(masked_argmin())
-                    delta = delta_at(i)
-                x_i = x[i]
-                s = 1.0 - 2.0 * x_i
-                x[i] = x_i + s
-                row2, g2_span, dx2_span, diag_span, sign_span, deltas_span = span_views[i]
-                if s > 0.0:
-                    g2_span += row2
-                else:
-                    g2_span -= row2
-                energy += delta
-                sign[i] = -s
-                dx2[i] = diag2_at[i] * x[i]
-                subtract(g2_span, dx2_span, out=deltas_span)
-                deltas_span += diag_span
-                deltas_span *= sign_span
-                if expires[i] <= it:
-                    floor[i] = np.inf
-                    n_tabu += 1
-                expires[i] = it + 1 + tenure
-                recent.append(i)
-                if len(cycle) < longest:
-                    cycle_append(i)
-                bits ^= 1 << i
-                if energy < best_energy:
-                    best_energy, best_x = energy, x.copy()
+            x_i = x[i]
+            s = 1.0 - 2.0 * x_i
+            x[i] = x_i + s
+            row2, g2_span, dx2_span, diag_span, sign_span, deltas_span = span_views[i]
+            if s > 0.0:
+                g2_span += row2
             else:
-                break  # every iteration ran
-            # a period longer than one batch is left to the plain loop, and
-            # Brent's detection goes on at its current span
-            period, mark_bits, rows = it - mark_it, -1, 0
-            if period <= longest:
-                moves, xs, tabu = _tabu_pattern(
-                    cycle, np.array(x, dtype=bool), np.array(tenures), tenure
-                )
-                rows, energy, best_energy, best_row = _tabu_replay(
-                    moves, xs, tabu, g2, energy, best_energy, diag, diag2, rows2,
-                    iterations - it,
-                )
-                if best_row is not None:
-                    best_x = xs[best_row].astype(float).tolist()
-                mark_at, span = it + rows, 1  # Brent's detection restarts there
-            # short of the limit, whole periods leave the assignment and the
-            # tenures as they were, so only the tenures' ends move on; the
-            # loop resumes past its expiry step, so tenures that have ended
-            # are zeroed and the step, run again, frees nothing twice
-            expires = [e + rows if e > it else 0 for e in expires]
-            it += rows
+                g2_span -= row2
+            energy += delta
+            sign[i] = -s
+            dx2[i] = diag2_at[i] * x[i]
+            subtract(g2_span, dx2_span, out=deltas_span)
+            deltas_span += diag_span
+            deltas_span *= sign_span
+            if expires[i] <= it:
+                floor[i] = np.inf
+                n_tabu += 1
+            expires[i] = it + 1 + tenure
+            recent.append(i)
+            bits ^= 1 << i
+            if energy < best_energy:
+                best_energy, best_x = energy, x.copy()
         return np.array(best_x)
 
 

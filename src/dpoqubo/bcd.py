@@ -91,9 +91,12 @@ def solve_block(
 ) -> tuple[np.ndarray, float]:
     """Best of ``I`` backend runs on the block, seeded ``base_seed ..
     base_seed + I - 1``, judged by full-precision local energy (ties keep
-    the earliest run); returns that run's bits and local energy."""
+    the earliest run); returns that run's bits and local energy.  Raises
+    ``ValueError`` when no run's local energy is below +inf, since no
+    candidate can then be judged."""
     best_energy = np.inf
     best: np.ndarray | None = None
+    energies = []
     for run in range(cfg.repeats_per_block):
         result = backend.solve(SolveRequest(model=sub, seed=base_seed + run))
         candidate = as_bits(result.assignment, sub.n)
@@ -101,9 +104,11 @@ def solve_block(
         # from outside may report any number; scoring here is what keeps the
         # accept test, and so the energy trace, honest for every backend
         energy = qubo_energy(sub, candidate)
+        energies.append(energy)
         if energy < best_energy:
             best_energy, best = energy, candidate
-    assert best is not None
+    if best is None:
+        raise ValueError(f"no run scored a finite local energy: {energies}")
     return best, best_energy
 
 

@@ -345,6 +345,17 @@ class QuantizedIsing(IsingModel):
         object.__setattr__(self, "scale", scale)
 
 
+def _scale_round_clip(a: np.ndarray, alpha: float) -> np.ndarray:
+    """``clip(round(127 * (a / alpha)), -128, 127)`` as int8, in one float
+    buffer: a product's rounding does not depend on the order of its
+    factors, so ``(a / alpha) * 127`` in place is the same float."""
+    out = a / alpha
+    out *= 127.0
+    np.round(out, out=out)
+    np.clip(out, -128, 127, out=out)
+    return out.astype(np.int8)
+
+
 def quantize_int8(model: IsingModel) -> QuantizedIsing:
     """Scale-round-clip all coefficients into signed 8-bit integers.
 
@@ -362,11 +373,10 @@ def quantize_int8(model: IsingModel) -> QuantizedIsing:
     )
     if alpha == 0.0 or math.isinf(127.0 / alpha):
         alpha = 127.0  # every coefficient rounds to zero at scale 1
-    lin = np.clip(np.round(127.0 * (model.linear / alpha)), -128, 127)
-    quad = np.clip(np.round(127.0 * (model.quadratic / alpha)), -128, 127)
+    lin, quad = (_scale_round_clip(a, alpha) for a in (model.linear, model.quadratic))
     return QuantizedIsing(
-        linear=lin.astype(np.int8),
-        quadratic=quad.astype(np.int8),
+        linear=lin,
+        quadratic=quad,
         scale=127.0 / alpha,
         partition=model.partition,
     )

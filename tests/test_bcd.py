@@ -127,6 +127,35 @@ class TestSolveBlock:
             assert chosen <= qubo_energy(sub, single) + 1e-12
 
 
+class AllOnes:
+    """A backend that returns every bit set."""
+
+    name = "ones"
+
+    def solve(self, request):
+        return SimpleNamespace(assignment=np.ones(request.model.n, dtype=np.int8))
+
+
+def overflowing_block():
+    """A one-block model on which every bit set scores +inf."""
+    return Qubo(np.full((2, 2), 1e308), partition=BlockPartition.from_sizes([2]))
+
+
+class TestNonFiniteBlock:
+    # no candidate is below +inf, so none can be judged; the error names the
+    # runs' energies, also under python -O, where a bare assert is gone
+    def test_solve_block_names_the_energies(self):
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match=re.escape("local energy: [inf, inf, inf]")):
+                solve_block(overflowing_block(), AllOnes(), BcdConfig(), 0)
+
+    def test_bcd_solve_reports_them_for_the_block(self):
+        with np.errstate(over="ignore"):
+            with pytest.raises(BcdBackendError, match=r"^block 0: no run scored .*\[inf") as err:
+                bcd_solve(overflowing_block(), AllOnes(), BcdConfig(repeats_per_block=2))
+        assert err.value.partial_trace == ()
+
+
 class TestWriteBack:
     def test_identical_solution_is_noop(self):
         part = BlockPartition.from_sizes([2, 3])

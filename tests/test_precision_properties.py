@@ -100,3 +100,19 @@ def test_quantization_pins_the_extreme_coefficient(m):
     assert np.all(np.abs(q.linear[extreme]) == 127)
     extreme = np.abs(m.quadratic) == alpha
     assert np.all(np.abs(q.quadratic[extreme]) == 127)
+
+
+@settings(deadline=None)
+@given(ising_models(integer=False))
+# 127 x / alpha lands on halves here: ties round to even
+@example(IsingModel(linear=np.array([254.0, 1.0, 3.0, -1.0, -5.0]), quadratic=np.zeros((5, 5))))
+def test_quantization_is_the_documented_formula(m):
+    # quantize_int8 rounds in place in one buffer; each entry must be the
+    # docstring's clip(round(127 * x / alpha), -128, 127) all the same
+    q = quantize_int8(m)
+    alpha = float(max(np.abs(m.linear).max(), np.abs(m.quadratic).max()))
+    if alpha == 0.0 or math.isinf(127.0 / alpha):
+        alpha = 127.0
+    for got, x in ((q.linear, m.linear), (q.quadratic, m.quadratic)):
+        want = np.clip(np.round(127.0 * (x / alpha)), -128, 127).astype(np.int8)
+        assert got.dtype == np.int8 and np.array_equal(got, want)

@@ -7,15 +7,17 @@ operations: a full flip-delta vector, a full admissibility mask and a strided
 column update per tabu iteration, and numpy scalars throughout the annealing
 proposal loop.  The solvers take shortcuts around that work; these tests pin
 that the shortcuts change no float operation and no random draw.  The
-reference tabu search also runs every requested iteration one at a time,
-where the solver stops at the first exact repeat of its search state and
-replays a repeat of its discrete state (assignment and tenures) in bulk
-numpy passes, many iterations per call; and the reference annealer draws
-each sweep's proposals with ``rng.integers`` and ``rng.random``, where the
-solver decodes them in bulk from the generator's raw 64-bit words.  The
-draw tests below also pin that decoder against numpy's own calls directly,
-and the tabu tests check that the replay engages and that a replay whose
-pattern is wrong hands back to the plain loop.  The reference annealer calls
+reference tabu search keeps the solver's stop rule, the first repeat of its
+discrete state (assignment and remaining tenures) that Brent's cycle
+detection finds, with a literal copy of the state at every mark; with
+``stop=False`` it runs every requested iteration instead, and a 24-bit block
+and the 48-bit two-interval model of the default configuration, and the
+tie-heavy integer models, must give that full run's result too.  The tabu
+tests also count the iterations the solver runs before it stops, at the
+paper's scale too.  The reference annealer draws each sweep's proposals with
+``rng.integers`` and ``rng.random``, where the solver decodes them in bulk
+from the generator's raw 64-bit words; the draw tests pin that decoder
+against numpy's own calls directly.  The reference annealer calls
 ``np.exp`` for every uphill move, where the solver decides most of them with
 ``math.exp`` and a band around it; the band tests empty the band, perturb
 ``math.exp`` and overflow the model, and each must still match the
@@ -82,10 +84,11 @@ def reference_sa(q: Qubo, request: SolveRequest):
     return best_x, best_energy
 
 
-def reference_tabu(q: Qubo, request: SolveRequest, trace=None):
-    """The plain tabu loop; ``trace``, if given, gets ``(flip, energy,
-    best_energy, best_x)`` at the top of every iteration and, with flip
-    None, after the last."""
+def reference_tabu(q: Qubo, request: SolveRequest, stop=True):
+    """The plain tabu loop.  With ``stop``, it marks its discrete state at
+    the tops of iterations 1, 2, 4, 8, ... and ends at the top of the first
+    iteration whose state equals the mark's; without, it runs every
+    iteration."""
     n = q.n
     rng = np.random.default_rng(request.seed)
     iterations = request.effort or 100 * n
@@ -98,16 +101,20 @@ def reference_tabu(q: Qubo, request: SolveRequest, trace=None):
     energy = float(x @ grad)
     best_energy, best_x = energy, x.copy()
     expires = np.zeros(n, dtype=np.int64)  # iteration at which tabu ends
+    mark = None
 
     for it in range(iterations):
+        state = (x.tobytes(), np.maximum(expires - it, 0).tobytes())
+        if stop and state == mark:
+            break
+        if it & (it - 1) == 0 and it:
+            mark = state
         deltas = _flip_deltas(diag, x, grad)
         admissible = (expires <= it) | (energy + deltas < best_energy - 1e-12)
         if not admissible.any():
             admissible[:] = True  # fully tabu: fall back to the plain best move
         masked = np.where(admissible, deltas, np.inf)
         i = int(np.argmin(masked))
-        if trace is not None:
-            trace.append((i, energy, best_energy, best_x))
         sign = 1.0 - 2.0 * x[i]
         x[i] += sign
         grad += sign * coeffs[:, i]
@@ -115,8 +122,6 @@ def reference_tabu(q: Qubo, request: SolveRequest, trace=None):
         expires[i] = it + 1 + tenure
         if energy < best_energy:
             best_energy, best_x = energy, x.copy()
-    if trace is not None:
-        trace.append((None, energy, best_energy, best_x))
     return best_x, best_energy
 
 
@@ -183,36 +188,26 @@ def test_drawn_models(name, model, seed, effort):
 
 @pytest.mark.parametrize("n", [12, 30])
 def test_tie_heavy_models_at_long_effort(n):
-    # integer energies repeat exactly, so tabu's cycle stop fires mid-run
+    # integer energies repeat exactly, so tabu stops mid-run, where running
+    # every iteration would only retrace its cycle
     model = seeded_model(2000 + n, n, "int")
     for seed in range(3):
-        assert_matches_reference("tabu", model, seed, 20 * 100 * n)
+        assert_matches_reference("tabu", model, seed, 20 * 100 * n, stop=False)
 
 
 @contextmanager
 def logging_tabu():
-    """What tabu searches run inside the block: ``plain`` counts the
-    iterations of the plain loop, which appends to the recent-flips deque
-    once per iteration, and ``replays`` lists each cycle replay's flips,
-    iteration limit, result and best assignment."""
-    log = SimpleNamespace(plain=0, replays=[])
-    replay = backends._tabu_replay
+    """``plain`` counts the iterations that tabu searches inside the block
+    run, as the appends to their recent-flips deque, one per iteration."""
+    log = SimpleNamespace(plain=0)
 
     class CountingDeque(deque):
         def append(self, bit):
             log.plain += 1
             super().append(bit)
 
-    def logging_replay(moves, xs, tabu, *args):
-        result = replay(moves, xs, tabu, *args)
-        best_row = result[3]
-        best_x = None if best_row is None else xs[best_row].astype(float)
-        log.replays.append((moves.tolist(), args[-1], result, best_x))
-        return result
-
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(backends, "deque", CountingDeque)
-        monkeypatch.setattr(backends, "_tabu_replay", logging_replay)
         yield log
 
 
@@ -222,38 +217,21 @@ def tabu_log():
         yield log
 
 
-def replayed(log):
-    return sum(result[0] for _, _, result, _ in log.replays)
-
-
-def assert_tabu_follows_reference(model, seed, effort, log):
-    """The solver's result is the reference's, and so is every replay it
-    made: a replay ends at the last period boundary before the reference
-    leaves the replayed flips, or at its iteration limit if the reference
-    never leaves them, and leaves the reference's energies and best
-    assignment."""
-    del log.replays[:]
-    trace = []
-    assert_matches_reference("tabu", model, seed, effort, trace=trace)
-    for moves, limit, (rows, energy, best_energy, _), best_x in log.replays:
-        first = len(trace) - 1 - limit
-        period = len(moves)
-        flips = (flip for flip, *_ in trace[first:-1])
-        follows = next((k for k, flip in enumerate(flips) if flip != moves[k % period]), limit)
-        assert rows == (limit if follows == limit else follows - follows % period)
-        _, energy_at, best_at, best_x_at = trace[first + rows]
-        assert (energy, best_energy) == (energy_at, best_at)
-        if best_x is not None:
-            assert np.array_equal(best_x, best_x_at)
+def assert_tabu_stops_early(model, seed, effort, log):
+    """The solver's result is the stopping reference's, and the solver ran
+    fewer iterations than ``effort`` to get it."""
+    plain = log.plain
+    assert_matches_reference("tabu", model, seed, effort)
+    assert 0 < log.plain - plain < effort
 
 
 @pytest.mark.parametrize("n", [12, 24, 30, 48])
 def test_float_models_at_long_effort(n, tabu_log):
-    # float energies drift around a cycle, so tabu replays it in bulk
+    # float energies drift around a cycle, and tabu stops at its first
+    # repeat of the assignment and the tenures all the same
     model = seeded_model(2000 + n, n, "float")
     for seed in range(3):
-        assert_tabu_follows_reference(model, seed, 20 * 100 * n, tabu_log)
-    assert replayed(tabu_log) > 0
+        assert_tabu_stops_early(model, seed, 20 * 100 * n, tabu_log)
 
 
 @settings(max_examples=40, deadline=None)
@@ -264,8 +242,7 @@ def test_float_models_at_long_effort(n, tabu_log):
 )
 def test_drawn_float_models_at_long_effort(model, seed, effort):
     if model.n:
-        with logging_tabu() as log:
-            assert_tabu_follows_reference(model, seed, effort, log)
+        assert_matches_reference("tabu", model, seed, effort)
 
 
 def bundled_model(config):
@@ -289,122 +266,26 @@ def at_precision(model, precision):
 @pytest.mark.parametrize("precision", ["fp", "int8"])
 @pytest.mark.parametrize("name", ["sa", "tabu"])
 def test_paper_block(paper_block, name, precision):
+    # a block of the paper-scale model, as the benchmark solves: tabu's
+    # stop must not move it, so its result is that of running every iteration
     assert paper_block.n == 24
     model = at_precision(paper_block, precision)
-    seeds = range(8) if name == "tabu" else (0, 7)
+    seeds, options = (range(8), {"stop": False}) if name == "tabu" else ((0, 7), {})
     for seed in seeds:
-        assert_matches_reference(name, model, seed, None)
+        assert_matches_reference(name, model, seed, None, **options)
 
 
 def test_tabu_stops_at_a_repeated_state(paper_block, tabu_log):
     model = at_precision(paper_block, "int8")
     make_backend("tabu").solve(SolveRequest(model, seed=0))
-    assert 0 < tabu_log.plain + replayed(tabu_log) < 100 * paper_block.n // 4
+    assert 0 < tabu_log.plain < 100 * paper_block.n // 4
 
 
-def test_tabu_replays_float_cycles(paper_block, tabu_log):
-    # seed 0 stops at an exact repeat after 80 iterations; seeds 2 and 3
-    # repeat only discretely and replay the rest of their 2400 iterations
+def test_tabu_stops_at_float_cycles(paper_block, tabu_log):
+    # the float block's floats drift around its cycles, and each search
+    # stops at its first discrete repeat within a tenth of its iterations
     for seed in range(4):
-        plain = tabu_log.plain
-        assert_tabu_follows_reference(paper_block, seed, None, tabu_log)
-        assert 0 < tabu_log.plain - plain < 100 * paper_block.n // 10
-    assert replayed(tabu_log) > 0
-
-
-def test_tabu_replay_hands_back_at_a_wrong_flip(paper_block, tabu_log, monkeypatch):
-    # the first replay's pattern flips a wrong bit midway through its first
-    # period: no iteration is kept, and the plain loop runs on from the
-    # replay's start until it finds the cycle again
-    pattern, plain_at_call = backends._tabu_pattern, []
-
-    def corrupted(flips, x, tenures, tenure):
-        plain_at_call.append(tabu_log.plain)
-        flips = list(flips)
-        if len(plain_at_call) == 1:
-            k = len(flips) // 2
-            flips[k] = (flips[k] + 1) % x.size
-        return pattern(flips, x, tenures, tenure)
-
-    monkeypatch.setattr(backends, "_tabu_pattern", corrupted)
-    assert_tabu_follows_reference(paper_block, 2, None, tabu_log)
-    (_, _, (rows, *_), _), *_ = tabu_log.replays
-    assert rows == 0
-    assert len(plain_at_call) >= 2 and plain_at_call[1] > plain_at_call[0]
-
-
-def first_repeat(q, seed, effort):
-    """The reference's trace, the iterations at whose tops its discrete
-    state (assignment and tenures) is first seen again and first seen, and
-    that state with the running gradient at the first sighting."""
-    tenure = max(7, q.n // 10)
-    trace = []
-    reference_tabu(q, SolveRequest(q, seed=seed, effort=effort), trace)
-    x = np.random.default_rng(seed).integers(0, 2, size=q.n).astype(float)
-    grad = q.coeffs @ x
-    expires, seen = np.zeros(q.n, dtype=np.int64), {}
-    for it, (flip, *_) in enumerate(trace):
-        tenures = np.maximum(expires - it, 0)
-        state = (x.tobytes(), tenures.tobytes())
-        if state in seen:
-            return trace, it, seen[state]
-        seen[state] = it, x.astype(bool), tenures, grad.copy()
-        sign = 1.0 - 2.0 * x[flip]
-        x[flip] += sign
-        grad += sign * q.coeffs[:, flip]
-        expires[flip] = it + 1 + tenure
-
-
-def replay_from(q, trace, start, end, limit, corrupt_row=None):
-    """Replay the reference's flips from iteration ``start[0]`` up to
-    ``end`` as a cycle, from its state ``start``; ``corrupt_row`` marks that
-    row's flip tabu in the pattern."""
-    _, x, tenures, grad = start
-    moves, xs, tabu = backends._tabu_pattern(
-        [flip for flip, *_ in trace[start[0] : end]], x, tenures, max(7, q.n // 10)
-    )
-    if corrupt_row is not None:
-        tabu[corrupt_row, moves[corrupt_row]] = True
-    _, energy, best_energy, _ = trace[start[0]]
-    diag = np.diag(q.coeffs)
-    result = backends._tabu_replay(
-        moves, xs, tabu, 2.0 * grad, energy, best_energy, diag, 2.0 * diag, 2.0 * q.coeffs, limit
-    )
-    return result, xs
-
-
-def test_tabu_replay_hands_back_in_a_later_period(paper_block):
-    # seed 11's first cycle improves on the best energy in its first period
-    # with its steepest move, which aspirates there and nowhere after; marked
-    # tabu in the pattern, it is refused in the second period, and the
-    # replay keeps the first, whose floats and best assignment are the
-    # reference's
-    trace, repeat, start = first_repeat(paper_block, 11, 400)
-    mark = start[0]
-    period = repeat - mark
-    improving = [
-        k for k in range(period) if trace[mark + k + 1][1] < trace[mark + k][2] - 1e-12
-    ]
-    assert improving
-    (rows, *_), _ = replay_from(paper_block, trace, start, repeat, 400 - mark)
-    assert rows == 400 - mark  # uncorrupted, the replay runs to its limit
-    result, xs = replay_from(paper_block, trace, start, repeat, 400 - mark, improving[0])
-    rows, energy, best_energy, best_row = result
-    _, energy_at, best_at, best_x_at = trace[mark + period]
-    assert (rows, energy, best_energy) == (period, energy_at, best_at)
-    assert np.array_equal(xs[best_row], best_x_at)
-
-
-def test_tabu_replay_runs_an_exact_cycle_to_its_limit(paper_block):
-    # integer energies repeat exactly, so a replay of the int8 block's first
-    # cycle never leaves it: it runs to its limit, ending with the
-    # reference's floats, and improves on nothing
-    q = canonical_qubo(at_precision(paper_block, "int8"))
-    trace, repeat, start = first_repeat(q, 0, 400)
-    limit = 400 - start[0]
-    result, _ = replay_from(q, trace, start, repeat, limit)
-    _, energy, best_energy, _ = trace[-1]
-    assert result == (limit, energy, best_energy, None)
+        assert_tabu_stops_early(paper_block, seed, 100 * paper_block.n // 10, tabu_log)
 
 
 @pytest.mark.parametrize("precision", ["fp", "int8"])
@@ -413,7 +294,7 @@ def test_two_interval_model(precision):
     assert q.n == 48
     model = at_precision(q, precision)
     for seed in range(3):
-        assert_matches_reference("tabu", model, seed, None)
+        assert_matches_reference("tabu", model, seed, None, stop=False)
 
 
 def banded_model(seed, blocks, width, kind):
@@ -466,15 +347,19 @@ def test_paper_model_at_reduced_effort(paper_models, name, effort, precision):
         assert_matches_reference(name, paper_models[precision], seed, effort)
 
 
+def test_paper_model_tabu_stops_at_its_first_cycle(paper_models, tabu_log):
+    # the paper-scale benchmark's fp tabu solve, at its default 52,800
+    # iterations, stops at its first discrete repeat after 2,480
+    q = paper_models["fp"]
+    make_backend("tabu").solve(SolveRequest(q, seed=20000))
+    assert 0 < tabu_log.plain < 10 * q.n
+
+
 def test_banded_float_model_at_long_effort(tabu_log):
-    # seeds 1 and 2 leave a replayed cycle at a differing decision 3 and 6
-    # times, and each time the span loop resumes from a whole delta vector
+    # a banded float model's span loop stops at a discrete repeat too
     model = banded_model(14, 5, 6, "float")
-    handed_back = 0
     for seed in range(3):
-        assert_tabu_follows_reference(model, seed, 200 * model.n, tabu_log)
-        handed_back += sum(rows < limit for _, limit, (rows, *_), _ in tabu_log.replays)
-    assert handed_back == 9
+        assert_tabu_stops_early(model, seed, 200 * model.n, tabu_log)
 
 
 @contextmanager
