@@ -175,73 +175,20 @@ class ExhaustiveSolver(_Solver):
 
 # geometric cooling factor applied to the annealing temperature after each sweep
 _SA_COOLING = 0.97
-# annealing proposals decoded per bulk draw of raw generator words; the
-# decode's temporaries stay near 100 KB, which at 4096 raised peak RSS
+# annealing proposals drawn per bulk call of each random stream, which bounds
+# the draws held at once as Python lists
 _SA_DRAW_CHUNK = 2048
-_LOW_HALF = np.uint64(0xFFFFFFFF)
 
 
-def _sweep_draws(rng: np.random.Generator, high: int, count: int, sweeps: int):
-    """Yield ``sweeps`` pairs of lists, each pair exactly
-    ``rng.integers(0, high, size=count).tolist()`` then
-    ``rng.random(size=count).tolist()``, and leave ``rng`` in the state those
-    calls would leave it in; ``high`` is below 2**32.
-
-    The values are decoded from one ``random_raw`` call per chunk of about
-    ``_SA_DRAW_CHUNK`` proposals.  numpy draws an integer below 2**32 with
-    Lemire's bounded sampler (ACM TOMACS 29(1), 2019): the index is
-    ``(u * high) >> 32`` for a 32-bit half ``u``, taking the low half of a
-    64-bit word first and keeping the high half in the bit generator's state
-    (``has_uint32``, ``uinteger``) for the next integer draw; a double is
-    ``(w >> 11) * 2**-53`` of one whole word and leaves that half alone.  So
-    with ``c0`` a half carried in, integer word ``j`` of a chunk sits at raw
-    position ``j + count * ((c0 + 2j) // count)`` and every other word is a
-    double, in order.  A draw that hit the sampler's rejection branch
-    (``(u * high) mod 2**32 < 2**32 mod high``) used another half, and
-    ``integers(0, 1)`` draws nothing: such a chunk, and every chunk when
-    ``high < 2``, is replayed call by call from the state saved before it.
-    """
-    bitgen = rng.bit_generator
-    per_chunk = max(1, _SA_DRAW_CHUNK // count)
-    threshold = (1 << 32) % high
+def _sweep_streams(rng, accept_rng, n: int, sweeps: int):
+    """Yield ``sweeps`` pairs of lists: ``n`` proposal indices below ``n``
+    from ``rng`` and ``n`` accept draws from ``accept_rng``, drawn in bulk
+    about ``_SA_DRAW_CHUNK`` proposals at a time."""
+    per_chunk = max(1, _SA_DRAW_CHUNK // n)
     for first in range(0, sweeps, per_chunk):
-        chunk = min(per_chunk, sweeps - first)
-        saved = bitgen.state
-        if high >= 2:
-            carry = saved["has_uint32"]
-            total = chunk * count
-            n_int = (total - carry + 1) // 2  # integer words drawn afresh
-            raw = bitgen.random_raw(n_int + total)
-            j = np.arange(n_int)
-            at = j + count * ((carry + 2 * j) // count)
-            is_double = np.ones(raw.size, dtype=bool)
-            is_double[at] = False
-            words = raw[at]
-            halves = np.empty(carry + 2 * n_int, dtype=np.uint64)
-            halves[:carry] = saved["uinteger"]
-            halves[carry::2] = words & _LOW_HALF
-            halves[carry + 1 :: 2] = words >> np.uint64(32)
-            scaled = halves[:total] * np.uint64(high)
-            if not ((scaled & _LOW_HALF) < threshold).any():
-                state = bitgen.state
-                state["has_uint32"] = carry + 2 * n_int - total
-                state["uinteger"] = int(halves[-1]) if n_int else saved["uinteger"]
-                bitgen.state = state
-                indices = (scaled >> np.uint64(32)).reshape(chunk, count)
-                accepts = (raw[is_double] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
-                yield from zip(indices.tolist(), accepts.reshape(chunk, count).tolist())
-                continue
-            bitgen.state = saved
-        for _ in range(chunk):
-            yield rng.integers(0, high, size=count).tolist(), rng.random(size=count).tolist()
-
-
-# the annealer's Metropolis band: an accept draw below _EXP_BELOW or above
-# _EXP_ABOVE times math.exp, with math.exp above _EXP_FLOOR to accept, is
-# decided without np.exp (see SimulatedAnnealingSolver)
-_EXP_BELOW = 1.0 - 2.0**-30
-_EXP_ABOVE = 1.0 + 2.0**-30
-_EXP_FLOOR = 1e-300
+        size = (min(per_chunk, sweeps - first), n)
+        indices, accepts = rng.integers(0, n, size=size), accept_rng.random(size=size)
+        yield from zip(indices.tolist(), accepts.tolist())
 
 
 class SimulatedAnnealingSolver(_Solver):
@@ -252,31 +199,21 @@ class SimulatedAnnealingSolver(_Solver):
     ``t0`` is ``n * max|Q|``, matched to the scale of single-flip energy
     changes.  A request's ``effort`` sets the number of sweeps, 200 by default.
 
-    A sweep's proposals are ``rng.integers(0, n, size=n)`` and its accept
-    draws ``rng.random(size=n)``, but they are decoded in chunks of about
-    2048 proposals from the generator's raw 64-bit words (``_sweep_draws``),
-    one numpy call per chunk instead of two per sweep; the values and the
-    generator's state are identical to the per-sweep calls, which the tests
-    pin against numpy itself.
-
-    The Metropolis test accepts an uphill move when its draw ``u`` is below
-    ``np.exp(z)``, ``z = -delta / T``, but rarely calls it.  ``m =
-    math.exp(z)`` decides first: accept when ``u < m * (1 - 2**-30)`` and
-    ``m > 1e-300``, reject when ``u > m * (1 + 2**-30)``, and ask
-    ``np.exp(z)`` only in between.  Both exps are within a few ulps of
-    ``e**z`` while that is a normal number, far inside the band's relative
-    width of 2**-30, so a decision the band makes is the one ``np.exp``
-    would make.  The ``1e-300`` floor keeps accepts out of the subnormal
-    range, where that relative bound fails; a reject there needs a nonzero
-    ``u``, which is at least 2**-53, far above anything either exp returns
-    there.  On an overflowed model a delta can be NaN, or infinite at an
-    infinite temperature, which makes ``z`` NaN; a NaN fails every
-    comparison, so it reaches ``np.exp`` and is rejected, as before.  The
-    flip delta is ``d + 2g`` for a bit at 0 and ``-(d + 2(g - d))`` for a bit
-    at 1 (``d`` the diagonal entry, ``g`` the gradient entry): the float
-    operations of ``sign * (d + 2(g - d x))`` without the multiplies by
-    ``sign`` and ``x``, which can change only the sign of a zero delta, and
-    a zero delta is accepted either way.
+    The proposals come from the request's generator and the accept draws
+    from a second stream, a jump of it made after the random start.  Each
+    stream is drawn in chunks of about 2048 proposals, one
+    ``rng.integers(0, n, size=(chunk, n))`` and one ``random(size=(chunk,
+    n))`` call per chunk.  A generator that draws one kind of value hands out
+    the same sequence however its calls are cut, so the result does not
+    depend on the chunk size: it is that of per-sweep calls.  An uphill move
+    is accepted when its draw is below ``math.exp(-delta / T)``.  On an
+    overflowed model a delta can be NaN, or infinite at an infinite
+    temperature, which makes the exponent NaN; a NaN fails every comparison,
+    so such a move is rejected.  The flip delta is ``d + 2g`` for a bit at 0
+    and ``-(d + 2(g - d))`` for a bit at 1 (``d`` the diagonal entry, ``g``
+    the gradient entry): the float operations of ``sign * (d + 2(g - d x))``
+    without the multiplies by ``sign`` and ``x``, which can change only the
+    sign of a zero delta, and a zero delta is accepted either way.
 
     An accepted flip of bit ``i`` adds or subtracts row ``i`` only on its
     nonzero column span ``[lo_i, hi_i)``, found once per solve from the
@@ -301,6 +238,7 @@ class SimulatedAnnealingSolver(_Solver):
         max_abs = float(max(coeffs.max(), -coeffs.min()))  # max|Q| without an n x n temporary
 
         start, grad, energy = _random_start(q, rng)
+        accept_rng = np.random.Generator(rng.bit_generator.jumped())
         # the proposal loop runs on Python floats, which round exactly as
         # numpy's float64 scalars do; the memoryview reads the gradient's
         # doubles as floats and follows its in-place updates.  Row i is
@@ -309,23 +247,19 @@ class SimulatedAnnealingSolver(_Solver):
         x, diag = start.tolist(), np.diag(coeffs).tolist()
         span_views = _span_views(*_row_spans(coeffs), coeffs, grad)
         g = memoryview(grad)
-        exp, band_exp = np.exp, math.exp
-        below, above, floor = _EXP_BELOW, _EXP_ABOVE, _EXP_FLOOR
+        exp = math.exp
         best_energy, best_x = energy, x.copy()
 
         temperature = max(n * max_abs, 1e-12)
-        for indices, accepts in _sweep_draws(rng, n, n, sweeps):
+        for indices, accepts in _sweep_streams(rng, accept_rng, n, sweeps):
             for i, u in zip(indices, accepts):
                 d, x_i = diag[i], x[i]
                 if x_i:
                     delta = -(d + 2.0 * (g[i] - d))
                 else:
                     delta = d + 2.0 * g[i]
-                if not delta <= 0.0:  # uphill, or NaN
-                    z = -delta / temperature
-                    m = band_exp(z)
-                    if u > m * above or not (u < m * below and m > floor or u < exp(z)):
-                        continue
+                if not delta <= 0.0 and not u < exp(-delta / temperature):
+                    continue  # uphill, or NaN, and not accepted
                 row, grad_span = span_views[i]
                 if x_i:
                     x[i] = 0.0

@@ -296,6 +296,13 @@ def run_matrix(
     feasible run are reported infeasible, and a cell whose solver raises is
     recorded as an error without stopping the rest of the matrix.
 
+    Nearby ``seed`` values are not independent repetitions: a block run
+    seeds its BCD block solves from its base seed up, one seed per solve
+    (198 at the default configuration), so matrices at seeds ``s`` and
+    ``s + 1`` share nearly all their block solver streams.  Repetitions
+    that share no solver seed need ``seed`` values spaced at least ``10_000
+    * cells * runs`` apart, with ``cells`` the backends times the variants.
+
     ``backends`` entries are base backend names or objects with a string
     ``name``; the int8 wrapping is applied internally by the INT8 variants,
     so pre-wrapped adapters are rejected to keep precision an axis of the

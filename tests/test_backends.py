@@ -388,8 +388,8 @@ class TestSolveContract:
         assert result.reported_energy == qubo_energy(q, result.assignment)
 
     @pytest.mark.parametrize("name, seed, energy, violations", [
-        ("sa", 0, 1286.79, 22),
-        ("sa", 1, 835.16, 22),
+        ("sa", 0, 886.74, 22),
+        ("sa", 1, 1090.86, 22),
         ("tabu", 0, -2.68, 0),
     ])
     def test_outcome_at_the_papers_scale(self, name, seed, energy, violations):

@@ -419,14 +419,14 @@ class TestGoldenFixture:
     # (backend, variant, status, weights, energy) of every cell of the
     # 48-bit gate matrix; each cell has one run, so run 0 is selected
     GATE_CELLS = [
-        ("sa", "global-fp", "infeasible",
-         [[4, 0, 6, 4, 0, 0], [6, 1, 5, 1, 0, 2]], -1.1358584825666895),
+        ("sa", "global-fp", "feasible",
+         [[4, 1, 6, 1, 0, 3], [10, 0, 4, 0, 1, 0]], -0.8087727779681728),
         ("sa", "global-int8", "infeasible",
-         [[4, 6, 2, 1, 0, 2], [1, 1, 9, 1, 1, 0]], 0.999405206145255),
+         [[3, 1, 1, 0, 8, 1], [2, 0, 8, 2, 2, 0]], 0.6085591535209431),
         ("sa", "block-fp", "feasible",
-         [[5, 0, 6, 3, 0, 1], [6, 0, 7, 1, 0, 1]], -1.6205489417650227),
+         [[7, 0, 5, 3, 0, 0], [8, 0, 6, 1, 0, 0]], -1.662293089739407),
         ("sa", "block-int8", "infeasible",
-         [[9, 1, 1, 1, 1, 1], [9, 1, 1, 1, 1, 1]], -0.5238279753960029),
+         [[1, 3, 8, 1, 1, 1], [1, 1, 9, 1, 1, 1]], -0.7738264755070503),
         ("tabu", "global-fp", "feasible",
          [[3, 1, 3, 3, 4, 1], [3, 2, 6, 1, 3, 0]], -1.2499317578272127),
         ("tabu", "global-int8", "infeasible",

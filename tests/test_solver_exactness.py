@@ -14,18 +14,16 @@ detection finds, with a literal copy of the state at every mark; with
 and the 48-bit two-interval model of the default configuration, and the
 tie-heavy integer models, must give that full run's result too.  The tabu
 tests also count the iterations the solver runs before it stops, at the
-paper's scale too.  The reference annealer draws each sweep's proposals with
-``rng.integers`` and ``rng.random``, where the solver decodes them in bulk
-from the generator's raw 64-bit words; the draw tests pin that decoder
-against numpy's own calls directly.  The reference annealer calls
-``np.exp`` for every uphill move, where the solver decides most of them with
-``math.exp`` and a band around it; the band tests empty the band, perturb
-``math.exp`` and overflow the model, and each must still match the
-reference.  Both solvers also update only a flipped row's nonzero span, where
-the references update whole vectors; the banded-model tests put -0.0
-entries, an all-zero row, a zero diagonal entry and a span away from its
-row's own index in its way, and the span tests check that it engages at the
-paper's scale and takes whole vectors on a dense model.
+paper's scale too.  The reference annealer draws each sweep's proposals and
+accept draws with one call each on its two random streams, where the solver
+draws them in bulk chunks; the draw tests pin those chunks against per-sweep
+numpy calls, the chunk-size test pins that the chunking moves no result, and
+the overflow test that a NaN exponent is rejected as in the reference.  Both
+solvers also update only a flipped row's nonzero span, where the references
+update whole vectors; the banded-model tests put -0.0 entries, an all-zero
+row, a zero diagonal entry and a span away from its row's own index in its
+way, and the span tests check that it engages at the paper's scale and takes
+whole vectors on a dense model.
 """
 
 import math
@@ -55,6 +53,9 @@ def _flip_deltas(diag: np.ndarray, x: np.ndarray, grad: np.ndarray) -> np.ndarra
 
 
 def reference_sa(q: Qubo, request: SolveRequest):
+    """The plain annealing loop: per sweep, ``n`` proposals from the
+    request's generator and ``n`` accept draws from its jump, made after the
+    random start."""
     n = q.n
     rng = np.random.default_rng(request.seed)
     sweeps = request.effort or 200
@@ -63,6 +64,7 @@ def reference_sa(q: Qubo, request: SolveRequest):
     max_abs = float(np.abs(coeffs).max()) if n else 0.0
 
     x = rng.integers(0, 2, size=n).astype(float)
+    accept_rng = np.random.Generator(rng.bit_generator.jumped())
     grad = coeffs @ x
     energy = float(x @ grad)
     best_energy, best_x = energy, x.copy()
@@ -70,11 +72,11 @@ def reference_sa(q: Qubo, request: SolveRequest):
     temperature = max(n * max_abs, 1e-12)
     for _ in range(sweeps):
         indices = rng.integers(0, n, size=n)
-        accepts = rng.random(size=n)
+        accepts = accept_rng.random(size=n)
         for i, u in zip(indices, accepts):
             sign = 1.0 - 2.0 * x[i]
             delta = sign * (diag[i] + 2.0 * (grad[i] - diag[i] * x[i]))
-            if delta <= 0.0 or u < np.exp(-delta / temperature):
+            if delta <= 0.0 or u < math.exp(-delta / temperature):
                 x[i] += sign
                 grad += sign * coeffs[:, i]
                 energy += delta
@@ -404,143 +406,53 @@ def test_dense_rows_update_whole_vectors(name):
     assert all(v is w for span in views for v, w in zip(span[1:], whole))
 
 
-class CountingGenerator:
-    """A numpy Generator that counts its ``integers`` calls."""
-
-    def __init__(self, rng):
-        self._rng = rng
-        self.integer_calls = 0
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
-
-    def integers(self, *args, **kwargs):
-        self.integer_calls += 1
-        return self._rng.integers(*args, **kwargs)
-
-
-def per_sweep_draws(rng, high, count, sweeps):
-    return [
-        (rng.integers(0, high, size=count).tolist(), rng.random(size=count).tolist())
-        for _ in range(sweeps)
-    ]
-
-
-def assert_draws_match(seed, high, count, sweeps, start=0):
-    """The bulk draws equal per-sweep calls on a twin generator, after a
-    ``_random_start``-like draw of ``start`` bits, and leave the same state."""
-    bulk = CountingGenerator(np.random.default_rng(seed))
-    calls = np.random.default_rng(seed)
+def assert_sweep_draws_match(seed, n, sweeps, start=0):
+    """The solver's bulk draws equal per-sweep calls on twin generators,
+    after a ``_random_start``-like draw of ``start`` bits, and leave both
+    streams in the same state."""
+    bulk, calls = np.random.default_rng(seed), np.random.default_rng(seed)
     for rng in (bulk, calls):
         rng.integers(0, 2, size=start)
-    assert list(backends._sweep_draws(bulk, high, count, sweeps)) == per_sweep_draws(
-        calls, high, count, sweeps
+    bulk_accepts, call_accepts = (
+        np.random.Generator(rng.bit_generator.jumped()) for rng in (bulk, calls)
     )
+    per_sweep = [
+        (calls.integers(0, n, size=n).tolist(), call_accepts.random(size=n).tolist())
+        for _ in range(sweeps)
+    ]
+    assert list(backends._sweep_streams(bulk, bulk_accepts, n, sweeps)) == per_sweep
     assert bulk.bit_generator.state == calls.bit_generator.state
-    assert bulk.random() == calls.random()
-    return bulk.integer_calls - 1  # integer calls the draws replayed
+    assert bulk_accepts.bit_generator.state == call_accepts.bit_generator.state
 
 
 @pytest.mark.parametrize("start", [0, 5])  # an odd start leaves a half-word carried
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 24, 48, 528])
 def test_sweep_draws_match_per_sweep_calls(n, start):
-    # 200 sweeps span 3 chunks at n = 24, 5 at 48 and 67 at 528
-    replays = assert_draws_match(n, n, n, 200, start)
-    assert replays == (200 if n < 2 else 0)
+    # 200 sweeps span 3 chunks at n = 24, 5 at 48 and 67 at 528; at n = 1
+    # the index draws draw nothing
+    assert_sweep_draws_match(n, n, 200, start)
 
 
 def test_sweep_draws_carry_a_half_word_across_chunks():
     # an odd n flips the carried half every sweep; 3000 sweeps are 11 chunks
     assert backends._SA_DRAW_CHUNK // 7 < 1500
-    assert assert_draws_match(11, 7, 7, 3000, start=3) == 0
+    assert_sweep_draws_match(11, 7, 3000, start=3)
 
 
-def test_sweep_draws_replay_rejected_chunks(monkeypatch):
-    # below 3 * 2**30 Lemire's sampler rejects a quarter of the 32-bit draws,
-    # so some 4-draw chunks reject and replay while the rest decode
-    monkeypatch.setattr(backends, "_SA_DRAW_CHUNK", 4)
-    replays = assert_draws_match(5, 3 * 2**30, 1, 400, start=1)
-    assert 0 < replays < 400
-
-
-def test_sa_draws_once_per_solve(paper_block, monkeypatch):
-    default_rng, made = np.random.default_rng, []
-
-    def counting_rng(seed):
-        made.append(CountingGenerator(default_rng(seed)))
-        return made[-1]
-
-    expected = make_backend("sa").solve(SolveRequest(paper_block, seed=3))
-    monkeypatch.setattr(np.random, "default_rng", counting_rng)
-    result = make_backend("sa").solve(SolveRequest(paper_block, seed=3))
-    assert [rng.integer_calls for rng in made] == [1]  # the random start only
-    assert np.array_equal(result.assignment, expected.assignment)
-
-
-def assert_sa_follows_reference(model, seed, effort, exp_calls):
-    """The annealer returns the reference's assignment and energy, a NaN
-    energy included; returns the np.exp calls the solver and then the
-    reference made."""
-    request = SolveRequest(model, seed=seed, effort=effort)
-    del exp_calls[:]
-    result = make_backend("sa").solve(request)
-    solver_calls = len(exp_calls)
-    q = canonical_qubo(model)
-    bits, _ = reference_sa(q, request)
-    assert np.array_equal(result.assignment, bits.astype(np.int8))
-    assert np.array_equal(result.reported_energy, qubo_energy(q, bits), equal_nan=True)
-    return solver_calls, len(exp_calls) - solver_calls
-
-
-@pytest.fixture
-def exp_calls(monkeypatch):
-    """A list that grows by one on every np.exp call."""
-    calls, exp = [], np.exp
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return exp(*args, **kwargs)
-
-    monkeypatch.setattr(np, "exp", counting)
-    return calls
-
-
-@pytest.fixture
-def no_band(monkeypatch):
-    """The Metropolis band decides nothing: every uphill or NaN delta goes
-    to np.exp."""
-    monkeypatch.setattr(backends, "_EXP_BELOW", 0.0)
-    monkeypatch.setattr(backends, "_EXP_ABOVE", np.inf)
-
-
-def band_test_models(paper_block):
-    """The seeded models of ``test_seeded_models``, with its seeds and
-    efforts, then the paper block and its int8 image at seeds 0 and 7."""
-    for n in range(1, 31):
-        for kind in ("float", "int"):
-            model = seeded_model(1000 + n, n, kind)
-            yield from ((model, n, None), (model, n + 1, 37))
-    for precision in ("fp", "int8"):
-        model = at_precision(paper_block, precision)
-        yield from ((model, 0, None), (model, 7, None))
-
-
-def test_sa_without_the_band(paper_block, exp_calls, no_band):
-    # one np.exp call per proposal the reference sends to np.exp
-    for model, seed, effort in band_test_models(paper_block):
-        solver, reference = assert_sa_follows_reference(model, seed, effort, exp_calls)
-        assert solver == reference
-    assert reference > 0
-
-
-@pytest.mark.parametrize("error", [2.0**-35, -(2.0**-35)], ids=["above", "below"])
-def test_sa_with_an_inexact_math_exp(paper_block, monkeypatch, error):
-    # math.exp a relative 2**-35 off, far more than a libm's few ulps, still
-    # decides nothing np.exp would decide otherwise
-    exact = math.exp
-    monkeypatch.setattr(backends, "math", SimpleNamespace(exp=lambda z: exact(z) * (1.0 + error)))
-    for model, seed, effort in band_test_models(paper_block):
-        assert_matches_reference("sa", model, seed, effort)
+@pytest.mark.parametrize("chunk", [1, 7, 168, 10**6])
+def test_sa_result_does_not_depend_on_the_chunk_size(paper_block, paper_models, chunk, monkeypatch):
+    # a chunk holds whole sweeps, at least one: 1 and 7 draw one sweep per
+    # chunk, 168 draws 7 of the block's 24-bit sweeps per chunk and a short
+    # last chunk, and 10**6 draws every sweep in one chunk.  The default
+    # draws 85 block sweeps, or 3 of the 528-bit model's, per chunk
+    cases = [(at_precision(paper_block, p), seed, None) for p in ("fp", "int8") for seed in (0, 7)]
+    cases.append((paper_models["fp"], 20000, 20))
+    expected = [make_backend("sa").solve(SolveRequest(m, seed=s, effort=e)) for m, s, e in cases]
+    monkeypatch.setattr(backends, "_SA_DRAW_CHUNK", chunk)
+    for (model, seed, effort), want in zip(cases, expected):
+        result = make_backend("sa").solve(SolveRequest(model, seed=seed, effort=effort))
+        assert np.array_equal(result.assignment, want.assignment)
+        assert result.reported_energy == want.reported_energy
 
 
 def overflowing_model(seed, n=6):
@@ -549,22 +461,18 @@ def overflowing_model(seed, n=6):
     return Qubo(upper + np.triu(upper, 1).T)
 
 
-@pytest.mark.parametrize("band", [True, False], ids=["band", "no-band"])
-def test_sa_on_overflowing_models(band, exp_calls, request):
-    # t0 = 6 * 1e308 overflows to inf, so z = -delta / t0 is -0.0 for a
-    # finite delta and NaN for an infinite one, and accepting that NaN moves
-    # the result.  A start whose matrix-vector product sums inf - inf has
-    # NaN gradient entries, so NaN deltas, but also a NaN energy, which
-    # keeps the start as the best assignment whatever is accepted; only the
-    # np.exp count without the band shows a NaN delta that skipped np.exp
-    if not band:
-        request.getfixturevalue("no_band")
+def test_sa_on_overflowing_models():
+    # t0 = 6 * 1e308 overflows to inf, so -delta / t0 is -0.0 for a finite
+    # delta and NaN for an infinite one, and accepting that NaN moves the
+    # result.  A start whose matrix-vector product sums inf - inf has NaN
+    # gradient entries, so NaN deltas, but also a NaN energy, which keeps
+    # the start as the best assignment whatever is accepted
     with np.errstate(all="ignore"):
         for seed in range(40):
-            calls = assert_sa_follows_reference(overflowing_model(seed), seed, None, exp_calls)
-            assert band or calls[0] == calls[1]
-
-
-def test_sa_decides_the_paper_block_without_np_exp(paper_block, exp_calls):
-    solver, reference = assert_sa_follows_reference(paper_block, 0, None, exp_calls)
-    assert (solver, reference) == (0, 2998)
+            model = overflowing_model(seed)
+            request = SolveRequest(model, seed=seed)
+            result = make_backend("sa").solve(request)
+            q = canonical_qubo(model)
+            bits, _ = reference_sa(q, request)
+            assert np.array_equal(result.assignment, bits.astype(np.int8))
+            assert np.array_equal(result.reported_energy, qubo_energy(q, bits), equal_nan=True)
