@@ -18,9 +18,9 @@ paper's scale too.  The reference annealer draws each sweep's proposals and
 accept draws with one call each on its two random streams, where the solver
 draws them in bulk chunks; the draw tests pin those chunks against per-sweep
 numpy calls, the chunk-size test pins that the chunking moves no result, and
-the overflow test that a NaN exponent is rejected as in the reference.  Both
-solvers also update only a flipped row's nonzero span, where the references
-update whole vectors; the banded-model tests put -0.0 entries, an all-zero
+the overflow test that a NaN exponent is rejected as in the reference,
+on dense and on banded models.  Both solvers also update only a flipped
+row's nonzero span, where the references update whole vectors; the banded-model tests put -0.0 entries, an all-zero
 row, a zero diagonal entry and a span away from its row's own index in its
 way, and the span tests check that it engages at the paper's scale and takes
 whole vectors on a dense model.
@@ -455,21 +455,32 @@ def test_sa_result_does_not_depend_on_the_chunk_size(paper_block, paper_models, 
         assert result.reported_energy == want.reported_energy
 
 
-def overflowing_model(seed, n=6):
+def overflowing_model(seed, band):
+    """Entries of +-1e308 on 6 dense bits, or, with ``band``, on the block
+    tridiagonal band of 3 blocks of 3 bits, 0.0 off it."""
+    n = 9 if band else 6
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.choice([-1e308, 1e308], size=(n, n)))
+    if band:
+        block = np.arange(n) // 3
+        upper[np.abs(block[:, None] - block) > 1] = 0.0
     return Qubo(upper + np.triu(upper, 1).T)
 
 
-def test_sa_on_overflowing_models():
+@pytest.mark.parametrize("band", [True, False], ids=["band", "no-band"])
+def test_sa_on_overflowing_models(band):
     # t0 = 6 * 1e308 overflows to inf, so -delta / t0 is -0.0 for a finite
     # delta and NaN for an infinite one, and accepting that NaN moves the
     # result.  A start whose matrix-vector product sums inf - inf has NaN
     # gradient entries, so NaN deltas, but also a NaN energy, which keeps
-    # the start as the best assignment whatever is accepted
+    # the start as the best assignment whatever is accepted.  On the band a
+    # flip updates only its row's nonzero span, so the infinities the
+    # reference adds as whole rows reach the solver's gradient span by span
     with np.errstate(all="ignore"):
         for seed in range(40):
-            model = overflowing_model(seed)
+            model = overflowing_model(seed, band)
+            lo, hi = backends._row_spans(model.coeffs)
+            assert ((hi - lo).min() < model.n) == band
             request = SolveRequest(model, seed=seed)
             result = make_backend("sa").solve(request)
             q = canonical_qubo(model)
