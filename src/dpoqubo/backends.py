@@ -274,11 +274,6 @@ class SimulatedAnnealingSolver(_Solver):
         return np.array(best_x)
 
 
-def _bitmask(bits: np.ndarray) -> int:
-    """A boolean vector as an integer whose bit ``i`` is element ``i``."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
 class TabuSolver(_Solver):
     """Steepest single-flip search with a fixed-tenure tabu list.
 
@@ -296,32 +291,31 @@ class TabuSolver(_Solver):
     tabu.  Both cases pick the bit a full mask would pick.
 
     The flip deltas ``sign * (diag + 2 * (grad - diag * x))`` are evaluated
-    as ``sign * (diag + (g2 - dx2))`` from a carried doubled gradient
-    ``g2 = 2 * grad`` and ``dx2 = 2 * diag * x``, one ufunc call fewer per
-    iteration.  The floats are the same: doubling is exact and commutes with
-    rounding short of overflow, so ``g2 - dx2`` is twice the rounded
-    ``grad - diag * x``, and ``g2 += 2 * row`` twice the rounded
-    ``grad + row``; a sum or difference whose result is subnormal is exact.
+    as ``(grad - dx) * sign2 + sdiag`` from vectors ``dx = diag * x``,
+    ``sign2 = 2 * sign`` and ``sdiag = sign * diag``.  A product by ``±2``
+    and a negation are exact, overflow included, and rounding is symmetric,
+    so these are the floats of the plain form on every finite model, up to
+    the sign of a zero delta, which no comparison reads.
 
     A flip of bit ``i`` touches only row ``i``'s nonzero column span
     ``[lo_i, hi_i)``, found once per solve from the coefficients and widened
-    to include ``i`` (``_row_spans``): ``g2 ±= row2`` runs on the span, and
-    the three delta ufuncs recompute the deltas only there, since ``sign``
-    and ``dx2`` change only at ``i``.  The whole delta vector is computed
-    once, before the first iteration.  A skipped entry would add ``±0.0``,
-    which leaves its value as it is and can change at most the sign of a
-    zero gradient entry, and through it the sign of a zero delta or energy.
-    No comparison, argmin, ``maximum`` or aspiration test reads that sign,
-    and the returned assignment is scored afresh, so the result is bit for
-    bit that of full-vector updates.  A dense row's span is the whole vector,
-    and the iteration then updates whole vectors as before.
+    to include ``i`` (``_row_spans``): ``grad ±= row`` runs on the span, and
+    the three delta ufuncs recompute the deltas only there, since ``dx``,
+    ``sign2`` and ``sdiag`` change only at ``i``.  The whole delta vector is
+    computed once, before the first iteration.  A skipped entry would add
+    ``±0.0``, which leaves its value as it is and can change at most the
+    sign of a zero gradient entry, and through it the sign of a zero delta
+    or energy.  No comparison, argmin, ``maximum`` or aspiration test reads
+    that sign, and the returned assignment is scored afresh, so the result
+    is bit for bit that of full-vector updates.  A dense row's span is the
+    whole vector, and the iteration then updates whole vectors as before.
 
     The search stops at the first repeat of its discrete state that Brent's
     cycle detection (BIT 20, 176-184, 1980) finds.  The state at the top of
     an iteration is the assignment and each bit's remaining tenure.  One
-    state is marked, re-marked at iterations 1, 2, 4, 8, ..., and compared
-    first by an integer bitmask of the assignment, so a search that never
-    repeats pays one integer comparison per iteration.  At the first
+    state is marked, re-marked at iterations 1, 2, 4, 8, ..., and kept as a
+    copy of the assignment list and of the tenures; the tenures are compared
+    only when the assignment equals the mark's.  At the first
     iteration whose state equals the mark's, the search returns the best
     assignment it has seen; it compares no floats.  So the result is the
     plain loop's trajectory up to that repeat.  Running on could pick
@@ -344,24 +338,22 @@ class TabuSolver(_Solver):
         diag = np.diag(coeffs)
 
         start, grad, energy = _random_start(q, rng)
-        # flip deltas are sign * (diag + (g2 - dx2)), evaluated in that order
-        # into one buffer; sign = 1 - 2x and dx2 = 2 * diag * x change in one
-        # element per flip, and row i of the symmetric matrix is column i
-        x, diag2 = start.tolist(), 2.0 * diag
-        rows2 = 2.0 * coeffs
-        diag2_at = diag2.tolist()
+        # flip deltas are sign * (diag + 2 * (grad - diag * x)), evaluated
+        # as (grad - dx) * sign2 + sdiag into one buffer; dx = diag * x,
+        # sign2 = 2 * sign and sdiag = sign * diag change in one element per
+        # flip, and row i of the symmetric matrix is column i
+        x, diag_at = start.tolist(), diag.tolist()
         best_energy, best_x = energy, x.copy()
         sign = 1.0 - 2.0 * start
-        g2 = 2.0 * grad
-        dx2 = diag2 * start
+        sign2, sdiag, dx = 2.0 * sign, sign * diag, diag * start
         # the whole delta vector once; each iteration leaves it up to date
         # for the next
-        deltas = (g2 - dx2 + diag) * sign
+        deltas = (grad - dx) * sign2 + sdiag
         masked = np.empty(n)
-        # a flip of bit i moves g2 on row i's nonzero span and its own delta
-        # through sign and dx2, so its deltas are recomputed on that span,
-        # which includes i
-        span_views = _span_views(*_row_spans(coeffs), rows2, g2, dx2, diag, sign, deltas)
+        # a flip of bit i moves grad on row i's nonzero span and its own
+        # delta through dx, sign2 and sdiag, so its deltas are recomputed on
+        # that span, which includes i
+        span_views = _span_views(*_row_spans(coeffs), coeffs, grad, dx, sign2, sdiag, deltas)
         subtract, maximum = np.subtract, np.maximum
         argmin, delta_at, masked_argmin = deltas.argmin, deltas.item, masked.argmin
         # max(deltas, floor) is deltas with every tabu bit raised to +inf
@@ -369,22 +361,21 @@ class TabuSolver(_Solver):
         expires = [0] * n  # iteration at which tabu ends
         recent: deque[int] = deque(maxlen=tenure + 1)  # bits flipped lately, oldest first
         n_tabu = 0
-        bits = _bitmask(start > 0.0)
         # Brent's cycle detection: the state marked at the top of an
         # iteration is re-marked at mark_at, and each re-mark doubles the
-        # span to the next; no assignment has the bitmask -1, so the search
-        # stops at no repeat before the first mark
-        mark_at, span, mark_bits = 1, 1, -1
+        # span to the next; no assignment equals None, so the search stops
+        # at no repeat before the first mark
+        mark_at, span, mark_x = 1, 1, None
         for it in range(iterations):
             if it > tenure:
                 b = recent[0]  # flipped in iteration it - tenure - 1
                 if expires[b] == it:
                     floor[b] = -np.inf
                     n_tabu -= 1
-            if bits == mark_bits and [max(e - it, 0) for e in expires] == mark_tenures:
+            if x == mark_x and [max(e - it, 0) for e in expires] == mark_tenures:
                 break  # the discrete state repeats
             if it == mark_at:
-                mark_at, span, mark_bits = it + span, 2 * span, bits
+                mark_at, span, mark_x = it + span, 2 * span, x.copy()
                 mark_tenures = [max(e - it, 0) for e in expires]
             i = int(argmin())
             delta = delta_at(i)
@@ -397,23 +388,23 @@ class TabuSolver(_Solver):
             x_i = x[i]
             s = 1.0 - 2.0 * x_i
             x[i] = x_i + s
-            row2, g2_span, dx2_span, diag_span, sign_span, deltas_span = span_views[i]
+            row, grad_span, dx_span, sign2_span, sdiag_span, deltas_span = span_views[i]
             if s > 0.0:
-                g2_span += row2
+                grad_span += row
             else:
-                g2_span -= row2
+                grad_span -= row
             energy += delta
-            sign[i] = -s
-            dx2[i] = diag2_at[i] * x[i]
-            subtract(g2_span, dx2_span, out=deltas_span)
-            deltas_span += diag_span
-            deltas_span *= sign_span
+            dx[i] = diag_at[i] * x[i]
+            sign2[i] = -2.0 * s
+            sdiag[i] = -s * diag_at[i]
+            subtract(grad_span, dx_span, out=deltas_span)
+            deltas_span *= sign2_span
+            deltas_span += sdiag_span
             if expires[i] <= it:
                 floor[i] = np.inf
                 n_tabu += 1
             expires[i] = it + 1 + tenure
             recent.append(i)
-            bits ^= 1 << i
             if energy < best_energy:
                 best_energy, best_x = energy, x.copy()
         return np.array(best_x)

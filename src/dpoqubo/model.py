@@ -316,16 +316,25 @@ class ObjectiveTerms:
         return self.gross_return - self.risk - self.transaction_cost - self.budget_penalty
 
 
+def _check_allocation(
+    config: DpoConfig, allocation: PortfolioAllocation | np.ndarray
+) -> PortfolioAllocation:
+    """The allocation as a ``PortfolioAllocation``, checked to have the
+    config's ``(n_t, n_a)`` shape."""
+    allocation = as_allocation(allocation)
+    shape = allocation.weights.shape
+    if shape != (config.n_t, config.n_a):
+        raise ValueError(f"weights shape {shape} != ({config.n_t}, {config.n_a})")
+    return allocation
+
+
 def _weights_and_turnover(
     config: DpoConfig, allocation: PortfolioAllocation | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The weights as floats, checked against the config's shape, and each
     interval's turnover ``sum_a (omega[t,a] - omega[t-1,a])**2`` from an
     all-cash start.  Turnovers are sums of integer squares, so exact."""
-    w = as_allocation(allocation).weights
-    if w.shape != (config.n_t, config.n_a):
-        raise ValueError(f"weights shape {w.shape} != ({config.n_t}, {config.n_a})")
-    w = w.astype(float)
+    w = _check_allocation(config, allocation).weights.astype(float)
     prev = np.vstack([np.zeros(config.n_a), w[:-1]])
     return w, ((w - prev) ** 2).sum(axis=1)
 

@@ -367,8 +367,10 @@ def quantize_int8(model: IsingModel) -> QuantizedIsing:
     about 7e-307) that ``127 / alpha`` overflows to infinity.
     """
     _require_ising(model)
+    # max|a| without an n x n temporary, and without np.abs, which leaves an
+    # int8 -128 at -128
     alpha = max(
-        (float(np.abs(a).max()) for a in (model.linear, model.quadratic) if a.size),
+        (max(float(a.max()), -float(a.min())) for a in (model.linear, model.quadratic) if a.size),
         default=0.0,
     )
     if alpha == 0.0 or math.isinf(127.0 / alpha):
@@ -416,7 +418,8 @@ def quantization_loss_report(
     partition = quantized.partition or model.partition
     n = model.n
     iu = np.triu_indices(n, k=1)
-    src = coefficient_values(model)
+    # floats, so an int8 source's -128 has the magnitude 128
+    src = coefficient_values(model).astype(float, copy=False)
     img = coefficient_values(quantized).astype(float)
     nonzero = src != 0.0
     zeroed = nonzero & (img == 0.0)

@@ -18,7 +18,6 @@ from dpoqubo.backends import (
 )
 from dpoqubo.bcd import BcdConfig, bcd_solve, extract_subproblem
 from dpoqubo.cli import main as cli_main
-from dpoqubo.market import ReturnPanel
 from dpoqubo.model import (
     Covariance,
     DpoConfig,
@@ -41,16 +40,12 @@ from dpoqubo.qubo import (
     scale_separation_report,
 )
 
+from support import random_panel
+
 
 def _report(num, name, ok, detail):
     print(f"[criterion {num:2d}] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {num} ({name}): {detail}"
-
-
-def _panel(rng, n_t, n_a, dt, scale=0.01):
-    daily = rng.normal(0.0, scale, size=(n_t * dt, n_a))
-    interval = daily.reshape(n_t, dt, -1).sum(axis=1)
-    return ReturnPanel(interval_returns=interval, daily_returns=daily, dt=dt)
 
 
 def _random_block_tridiagonal(rng):
@@ -99,7 +94,7 @@ class TestAcceptance:
                 rho=None if i % 4 == 0 else float(rng.uniform(0.1, 2)),
                 gamma=float(rng.uniform(0, 2)), dt=dt, risk=risk,
             )
-            panel = _panel(rng, n_t, n_a, dt)
+            panel = random_panel(rng, n_t, n_a, dt)
             risks = risk_matrices(cfg, panel)
             q = encode_qubo(cfg, panel, risks)
             bits = _all_bits(cfg.n)
@@ -287,7 +282,7 @@ class TestAcceptance:
         sizes = []
         for n_t, expect in ((2, 48), (6, 144), (22, 528)):
             cfg = DpoConfig(n_t=n_t, n_a=6, n_r=4, budget=15, dt=3)
-            panel = _panel(rng, n_t, 6, 3)
+            panel = random_panel(rng, n_t, 6, 3)
             q = encode_qubo(cfg, panel)
             sizes.append((q.n, expect))
         ok = all(n == e for n, e in sizes)
@@ -302,7 +297,7 @@ class TestAcceptance:
         for i in range(500):
             n_a = int(rng.integers(2, 7))
             dt = int(rng.integers(3, 9))
-            panel = _panel(rng, 1, n_a, dt, scale=float(rng.uniform(0.002, 0.05)))
+            panel = random_panel(rng, 1, n_a, dt, scale=float(rng.uniform(0.002, 0.05)))
             cov = Covariance().estimate(panel, 0)
             semi = Semicovariance(benchmark=float(rng.normal(0, 0.005))).estimate(panel, 0)
             shr = Shrinkage().estimate(panel, 0)

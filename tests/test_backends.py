@@ -18,9 +18,8 @@ from dpoqubo.backends import (
     make_backend,
 )
 from dpoqubo.bcd import BcdResult
-from dpoqubo.market import compute_returns, load_bundled_prices
 from dpoqubo.harness import check_feasibility
-from dpoqubo.model import DpoConfig, decode, encode_qubo
+from dpoqubo.model import DpoConfig, decode
 from dpoqubo.precision import quantization_loss_report, quantize_int8, reduce_dynamic_range
 from dpoqubo.qubo import (
     BlockPartition,
@@ -30,6 +29,8 @@ from dpoqubo.qubo import (
     qubo_energy,
     qubo_to_ising,
 )
+
+from support import bundled_model
 
 
 def random_qubo(seed, n=10, scale=1.0):
@@ -138,7 +139,7 @@ class TestSimulatedAnnealing:
         # peak is the draws' chunk buffers (0.29 MB), not an n x n copy
         # (2.2 MB at 528 bits); 10 sweeps span 4 chunks of draws
         config = DpoConfig()
-        q = encode_qubo(config, compute_returns(load_bundled_prices(), config.n_t, config.dt))
+        q = bundled_model(config)
         request = SolveRequest(model=q, seed=0, effort=10)
         solver = SimulatedAnnealingSolver()
         solver._search(q, request)
@@ -383,7 +384,7 @@ class TestSolveContract:
         # a search's running energy drifts by rounding on the 48-bit
         # bundled model; only the assignment's own energy is reported
         config = DpoConfig(n_t=2)
-        q = encode_qubo(config, compute_returns(load_bundled_prices(), config.n_t, config.dt))
+        q = bundled_model(config)
         result = make_backend(name).solve(SolveRequest(model=q, seed=0))
         assert result.reported_energy == qubo_energy(q, result.assignment)
 
@@ -397,7 +398,7 @@ class TestSolveContract:
         # t0 = n * max|Q|, still hot after its 200 sweeps, and misses the
         # budget in every interval; tabu search ends feasible
         config = DpoConfig()
-        q = encode_qubo(config, compute_returns(load_bundled_prices(), config.n_t, config.dt))
+        q = bundled_model(config)
         assert q.n == 528
         result = make_backend(name).solve(SolveRequest(model=q, seed=seed))
         assert result.reported_energy == pytest.approx(energy, abs=0.005)

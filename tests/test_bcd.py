@@ -22,9 +22,10 @@ from dpoqubo.bcd import (
     solve_block,
     write_back,
 )
-from dpoqubo.market import compute_returns, load_bundled_prices
-from dpoqubo.model import DpoConfig, encode_qubo
+from dpoqubo.model import DpoConfig
 from dpoqubo.qubo import BlockPartition, Qubo, qubo_energy
+
+from support import bundled_model
 
 
 def with_default_effort(solver_class, **defaults):
@@ -385,8 +386,7 @@ class TestOneQuantizationPerVisit:
     @pytest.fixture(scope="class")
     def model(self):
         # the release gate's 48-bit model: 2 blocks of 24 bits
-        config = DpoConfig(n_t=2)
-        return encode_qubo(config, compute_returns(load_bundled_prices(), config.n_t, config.dt))
+        return bundled_model(DpoConfig(n_t=2))
 
     def test_each_visit_tunes_and_quantizes_once(self, model, monkeypatch):
         counts = count_tuning_and_quantizing(monkeypatch)

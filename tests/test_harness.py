@@ -1,6 +1,7 @@
 """Tests for the strategy-matrix evaluation layer."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from dpoqubo.harness import (
     emit_report,
     net_mean_return,
     run_matrix,
+    score_allocation,
     sharpe_ratio,
 )
-from dpoqubo.market import ReturnPanel, compute_returns, load_bundled_prices
 from dpoqubo.model import (
     Covariance,
     DpoConfig,
@@ -31,17 +32,7 @@ from dpoqubo.model import (
 )
 from dpoqubo.qubo import qubo_energy
 
-
-def panel_from_daily(daily, dt):
-    daily = np.asarray(daily, dtype=float)
-    n_t = daily.shape[0] // dt
-    interval = daily.reshape(n_t, dt, -1).sum(axis=1)
-    return ReturnPanel(interval_returns=interval, daily_returns=daily, dt=dt)
-
-
-def random_panel(seed, n_t, n_a, dt=6, scale=0.01):
-    rng = np.random.default_rng(seed)
-    return panel_from_daily(rng.normal(size=(n_t * dt, n_a)) * scale, dt)
+from support import bundled_panel, panel_from_daily, random_panel
 
 
 def tiny_config(**kw):
@@ -213,6 +204,25 @@ class TestSharpeRatio:
         panel = random_panel(6, 2, 2)
         risks = risk_matrices(cfg, panel)
         assert sharpe_ratio(np.zeros((2, 2)), panel, risks, cfg) is None
+
+
+class TestScoreAllocation:
+    def test_allocation_shape_checked_before_feasibility(self):
+        # both are infeasible too, so feasibility alone would report them
+        config = DpoConfig(n_t=2)
+        panel = bundled_panel(config)
+        for shape in ((3, 6), (2, 4)):
+            message = re.escape(f"weights shape {shape} != (2, 6)")
+            with pytest.raises(ValueError, match=message):
+                score_allocation(np.zeros(shape, dtype=int), panel, config)
+
+    def test_panel_checked_before_feasibility(self):
+        config = tiny_config()
+        infeasible = np.array([[1, 0], [0, 1]])
+        with pytest.raises(ValueError, match="panel provides"):
+            score_allocation(infeasible, random_panel(1, 3, 2), config)
+        with pytest.raises(ValueError, match="config expects dt = 6"):
+            score_allocation(infeasible, random_panel(1, 2, 2, dt=4), config)
 
 
 class TestRunMatrix:
@@ -401,10 +411,9 @@ class TestGoldenFixture:
 
     def test_bundled_size_s_tabu_solution(self):
         from dpoqubo.backends import SolveRequest, TabuSolver
-        from dpoqubo.market import compute_returns, load_bundled_prices
 
         cfg = DpoConfig(n_t=2, n_a=6, n_r=4, budget=15, dt=24)
-        panel = compute_returns(load_bundled_prices(), cfg.n_t, cfg.dt)
+        panel = bundled_panel(cfg)
         risks = risk_matrices(cfg, panel)
         from dpoqubo.model import encode_qubo
 
@@ -438,8 +447,8 @@ class TestGoldenFixture:
     ]
 
     def test_bundled_gate_matrix_cells(self):
-        panel = compute_returns(load_bundled_prices(), 2, 24)
-        reports = run_matrix(panel, DpoConfig(n_t=2), ["sa", "tabu"], runs=1, seed=0)
+        config = DpoConfig(n_t=2)
+        reports = run_matrix(bundled_panel(config), config, ["sa", "tabu"], runs=1, seed=0)
         assert len(reports) == len(self.GATE_CELLS)
         for report, (backend, variant, status, weights, energy) in zip(reports, self.GATE_CELLS):
             cell = (report.backend, report.variant.label, report.status, report.selected_run)
@@ -571,7 +580,7 @@ class TestOneAdapterPerCell:
 
         monkeypatch.setattr(backends_mod, "reduce_dynamic_range", counted)
         config = DpoConfig(n_t=2)
-        panel = compute_returns(load_bundled_prices(), config.n_t, config.dt)
+        panel = bundled_panel(config)
         (report,) = run_matrix(
             panel, config, ["tabu"], [StrategyVariant("global", "int8")], runs=3
         )

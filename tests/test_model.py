@@ -7,7 +7,6 @@ import pytest
 
 from dpoqubo.market import (
     PriceTable,
-    ReturnPanel,
     compute_returns,
     generate_synthetic,
     load_bundled_prices,
@@ -33,18 +32,7 @@ from dpoqubo.model import (
 )
 from dpoqubo.qubo import qubo_energy, verify_block_tridiagonal
 
-
-def panel_from_daily(daily, dt):
-    """Panel whose interval returns are the telescoped daily sums."""
-    daily = np.asarray(daily, dtype=float)
-    n_t = daily.shape[0] // dt
-    interval = daily.reshape(n_t, dt, -1).sum(axis=1)
-    return ReturnPanel(interval_returns=interval, daily_returns=daily, dt=dt)
-
-
-def random_panel(seed, n_t, n_a, dt=6, scale=0.01):
-    rng = np.random.default_rng(seed)
-    return panel_from_daily(rng.normal(size=(n_t * dt, n_a)) * scale, dt)
+from support import panel_from_daily, random_panel
 
 
 class TestConfig:

@@ -324,6 +324,21 @@ class TestQuantize:
         assert qm.linear.tolist() == [-128, 127]
         assert qm.linear.dtype == np.int8
 
+    @pytest.mark.parametrize("where", ["field", "coupling"])
+    def test_int8_minus_128_quantizes_like_its_float_twin(self, where):
+        # int8 np.abs wraps -128 to -128, which hid the extreme coefficient
+        h, j = np.array([0.0, 5.0]), np.zeros((2, 2))
+        if where == "field":
+            h[0] = -128.0
+        else:
+            j[0, 1] = j[1, 0] = -128.0
+        quantized = quantize_int8(QuantizedIsing(linear=h, quadratic=j, scale=1.0))
+        twin = quantize_int8(IsingModel(linear=h, quadratic=j))
+        np.testing.assert_array_equal(quantized.linear, twin.linear)
+        np.testing.assert_array_equal(quantized.quadratic, twin.quadratic)
+        assert quantized.scale == twin.scale == 127.0 / 128.0
+        assert twin.linear.tolist() == [-127 if where == "field" else 0, 5]
+
 
 class TestLossReport:
     def test_uniform_scale_int_coeffs_lossless(self):
@@ -347,6 +362,19 @@ class TestLossReport:
         assert report.zeroed_intra == 0
         assert report.zeroed_total == 1
         assert report.max_relative_error == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("source, image", [
+        (([-128, 100], 0), ([-127, 100], 0)),
+        (([0, 100], -128), ([0, 100], -127)),
+    ], ids=["field", "coupling"])
+    def test_int8_minus_128_source_reports_like_its_float_twin(self, source, image):
+        # int8 np.abs wraps -128 to -128, which made its relative error negative
+        (h, c), (image_h, image_c) = source, image
+        j = [[0, c], [c, 0]]
+        image = QuantizedIsing(linear=image_h, quadratic=[[0, image_c], [image_c, 0]], scale=1.0)
+        report = quantization_loss_report(QuantizedIsing(linear=h, quadratic=j, scale=1.0), image)
+        assert report == quantization_loss_report(IsingModel(linear=h, quadratic=j), image)
+        assert report.max_relative_error == 1.0 / 128.0
 
     def test_without_partition_split_is_none(self):
         m = IsingModel(linear=np.array([1.0]), quadratic=np.zeros((1, 1)))

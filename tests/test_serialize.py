@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dpoqubo.backends import FinitePrecisionAdapter, TabuSolver
-from dpoqubo.market import compute_returns, load_bundled_prices
-from dpoqubo.model import DpoConfig, encode_qubo
+from dpoqubo.model import DpoConfig
 from dpoqubo.precision import QuantizedIsing, quantize_int8
 from dpoqubo.qubo import BlockPartition, IsingModel, Qubo
 from dpoqubo.serialize import (
@@ -15,6 +14,8 @@ from dpoqubo.serialize import (
     parse_model,
     save_model,
 )
+
+from support import bundled_model
 
 
 def random_qubo(seed, n=6, partition=None):
@@ -107,8 +108,7 @@ class TestIsingRoundtrip:
         all_zero = quantize_int8(IsingModel(np.zeros(3), np.zeros((3, 3)), partition=part))
         # the device's own input: an encoded QUBO after dynamic-range tuning
         config = DpoConfig(n_t=2, n_a=6, n_r=4, budget=15, dt=24)
-        panel = compute_returns(load_bundled_prices(), n_t=2, dt=24)
-        tuned = FinitePrecisionAdapter(TabuSolver()).quantize(encode_qubo(config, panel))
+        tuned = FinitePrecisionAdapter(TabuSolver()).quantize(bundled_model(config))
         for q in (all_zero, tuned):
             back = parse_model(dump_model(q))
             for f in dataclasses.fields(QuantizedIsing):

@@ -17,13 +17,15 @@ tests also count the iterations the solver runs before it stops, at the
 paper's scale too.  The reference annealer draws each sweep's proposals and
 accept draws with one call each on its two random streams, where the solver
 draws them in bulk chunks; the draw tests pin those chunks against per-sweep
-numpy calls, the chunk-size test pins that the chunking moves no result, and
-the overflow test that a NaN exponent is rejected as in the reference,
-on dense and on banded models.  Both solvers also update only a flipped
-row's nonzero span, where the references update whole vectors; the banded-model tests put -0.0 entries, an all-zero
-row, a zero diagonal entry and a span away from its row's own index in its
-way, and the span tests check that it engages at the paper's scale and takes
-whole vectors on a dense model.
+numpy calls, and the chunk-size test pins that the chunking moves no result.
+The overflow test runs both solvers on models whose sums overflow, dense
+and banded: the annealer must reject a NaN exponent as the reference does,
+and tabu's sign-form flip deltas must round as the reference's plain ones.
+Both solvers also update only a flipped row's nonzero span, where the
+references update whole vectors; the banded-model tests put -0.0 entries,
+an all-zero row, a zero diagonal entry and a span away from its row's own
+index in its way, and the span tests check that it engages at the paper's
+scale and takes whole vectors on a dense model.
 """
 
 import math
@@ -39,9 +41,10 @@ from hypothesis import strategies as st
 from dpoqubo import backends
 from dpoqubo.backends import SolveRequest, canonical_qubo, make_backend
 from dpoqubo.bcd import extract_subproblem
-from dpoqubo.market import compute_returns, load_bundled_prices
-from dpoqubo.model import DpoConfig, encode_qubo
+from dpoqubo.model import DpoConfig
 from dpoqubo.qubo import Qubo, qubo_energy
+
+from support import bundled_model
 
 _SA_COOLING = 0.97
 
@@ -245,11 +248,6 @@ def test_float_models_at_long_effort(n, tabu_log):
 def test_drawn_float_models_at_long_effort(model, seed, effort):
     if model.n:
         assert_matches_reference("tabu", model, seed, effort)
-
-
-def bundled_model(config):
-    panel = compute_returns(load_bundled_prices(), config.n_t, config.dt)
-    return encode_qubo(config, panel)
 
 
 @pytest.fixture(scope="module")
@@ -468,22 +466,25 @@ def overflowing_model(seed, band):
 
 
 @pytest.mark.parametrize("band", [True, False], ids=["band", "no-band"])
-def test_sa_on_overflowing_models(band):
-    # t0 = 6 * 1e308 overflows to inf, so -delta / t0 is -0.0 for a finite
-    # delta and NaN for an infinite one, and accepting that NaN moves the
-    # result.  A start whose matrix-vector product sums inf - inf has NaN
-    # gradient entries, so NaN deltas, but also a NaN energy, which keeps
-    # the start as the best assignment whatever is accepted.  On the band a
-    # flip updates only its row's nonzero span, so the infinities the
-    # reference adds as whole rows reach the solver's gradient span by span
+@pytest.mark.parametrize("name", ["sa", "tabu"])
+def test_overflowing_models(name, band):
+    # sa: t0 = 6 * 1e308 overflows to inf, so -delta / t0 is -0.0 for a
+    # finite delta and NaN for an infinite one, and accepting that NaN moves
+    # the result.  tabu: 2 * (grad - diag * x) overflows, and a doubled
+    # gradient would not round as the plain loop's does.  A start whose
+    # matrix-vector product sums inf - inf has NaN gradient entries, so NaN
+    # deltas, but also a NaN energy, which keeps the start as the best
+    # assignment whatever is flipped.  On the band a flip updates only its
+    # row's nonzero span, so the infinities the reference adds as whole rows
+    # reach the solver's gradient span by span
     with np.errstate(all="ignore"):
         for seed in range(40):
             model = overflowing_model(seed, band)
             lo, hi = backends._row_spans(model.coeffs)
             assert ((hi - lo).min() < model.n) == band
             request = SolveRequest(model, seed=seed)
-            result = make_backend("sa").solve(request)
+            result = make_backend(name).solve(request)
             q = canonical_qubo(model)
-            bits, _ = reference_sa(q, request)
+            bits, _ = _REFERENCES[name](q, request)
             assert np.array_equal(result.assignment, bits.astype(np.int8))
             assert np.array_equal(result.reported_energy, qubo_energy(q, bits), equal_nan=True)

@@ -23,8 +23,7 @@ import pytest
 from dpoqubo import precision
 from dpoqubo.backends import canonical_qubo
 from dpoqubo.bcd import extract_subproblem
-from dpoqubo.market import compute_returns, load_bundled_prices
-from dpoqubo.model import DpoConfig, encode_qubo
+from dpoqubo.model import DpoConfig
 from dpoqubo.precision import (
     _argmin_rows,
     _greedy_descents,
@@ -32,6 +31,8 @@ from dpoqubo.precision import (
     reduce_dynamic_range,
 )
 from dpoqubo.qubo import IsingModel, _bit_table, ising_energy, qubo_to_ising
+
+from support import bundled_model
 
 
 def _greedy_descent(model: IsingModel, z0: np.ndarray) -> np.ndarray:
@@ -88,21 +89,15 @@ def test_float_models_same_best_states(seed):
     assert check._best_states(model) == _best_states(check, model)
 
 
-def _bundled_model(n_t):
-    config = DpoConfig(n_t=n_t)
-    panel = compute_returns(load_bundled_prices(), config.n_t, config.dt)
-    return encode_qubo(config, panel)
-
-
 def _paper_block():
-    q = _bundled_model(22)
+    q = bundled_model(DpoConfig())
     return extract_subproblem(q, np.zeros(q.n, dtype=np.int8), 5)
 
 
 # the spin models the int8 adapter tunes, on the bundled prices
 adapter_models = pytest.mark.parametrize("make, n", [
-    (lambda: _bundled_model(22), 528),
-    (lambda: _bundled_model(2), 48),
+    (lambda: bundled_model(DpoConfig()), 528),
+    (lambda: bundled_model(DpoConfig(n_t=2)), 48),
     (_paper_block, 24),
 ], ids=["default", "gate", "paper-block"])
 
