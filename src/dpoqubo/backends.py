@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .precision import QuantizedIsing, quantize_int8, reduce_dynamic_range
-from .qubo import IsingModel, Model, Qubo, _bit_table, _integer, as_bits, ising_to_qubo
-from .qubo import qubo_energy, qubo_to_ising
+from .qubo import IsingModel, Model, Qubo, _bit_table, _integer, _row_spans, as_bits
+from .qubo import ising_to_qubo, qubo_energy, qubo_to_ising
 
 __all__ = [
     "SolveRequest",
@@ -113,19 +113,6 @@ def _random_start(q: Qubo, rng: np.random.Generator):
     start = rng.integers(0, 2, size=q.n).astype(float)
     grad = q.coeffs @ start
     return start, grad, float(start @ grad)
-
-
-def _row_spans(coeffs: np.ndarray):
-    """Each row's nonzero column span ``[lo, hi)`` as two integer arrays:
-    the first column and one past the last column whose coefficient is not
-    zero (-0.0 is zero), widened to include the row's own index, so an
-    all-zero row ``i`` gets ``[i, i + 1)``.  The spans come from the
-    coefficients themselves, not from a block partition, so they also
-    narrow the couplings that quantization zeroes."""
-    n = coeffs.shape[0]
-    nonzero = coeffs != 0.0
-    nonzero.flat[:: n + 1] = True
-    return nonzero.argmax(axis=1), n - nonzero[:, ::-1].argmax(axis=1)
 
 
 def _span_views(lo, hi, matrix: np.ndarray, *vectors: np.ndarray) -> list:
@@ -423,19 +410,21 @@ class FinitePrecisionAdapter(_Solver):
     ``QuantizedIsing`` reaches the wrapped backend unchanged, and any other
     type raises ``TypeError``.
 
-    An adapter builds one integer model per submitted object, whatever its
-    type: it keeps the last object it quantized, with its integer image, and
-    reuses that image while the same object comes back.  Models are
-    immutable, and the kept reference stops the object's id from being
-    recycled, so the reuse is exact.  Block coordinate descent submits one
-    subproblem object for all repeats of a visit, so a visit tunes once, not
-    once per repeat.
+    The integer model is built once per submitted object, whatever its type,
+    and kept in the object's instance ``__dict__``, the way
+    ``functools.cached_property`` keeps a value on a frozen dataclass.  Every
+    adapter that is later given the same object reuses it, and it lives
+    exactly as long as the object does.  Models are immutable, so the reuse
+    is exact; a ``dataclasses.replace`` copy is a new object and is tuned
+    again.  Block coordinate descent submits one subproblem object for all
+    repeats of a visit, so a visit tunes once, not once per repeat, and the
+    int8 cells of a strategy matrix share one encoded model, so they tune it
+    once between them.  The adapter itself holds no state.
     """
 
     def __init__(self, inner) -> None:
         self.inner = inner
         self.name = f"int8({inner.name})"
-        self._last: tuple[Model, QuantizedIsing] | None = None
 
     def quantize(self, model: Model) -> QuantizedIsing:
         """The integer model the inner backend would see for ``model``."""
@@ -446,10 +435,11 @@ class FinitePrecisionAdapter(_Solver):
                 f"unsupported model type {type(model).__name__}: expected a Qubo,"
                 " an IsingModel or a QuantizedIsing"
             )
-        if self._last is None or self._last[0] is not model:
+        kept = model.__dict__
+        if "_int8_image" not in kept:
             spins = qubo_to_ising(model) if isinstance(model, Qubo) else model
-            self._last = (model, quantize_int8(reduce_dynamic_range(spins).model))
-        return self._last[1]
+            kept["_int8_image"] = quantize_int8(reduce_dynamic_range(spins).model)
+        return kept["_int8_image"]
 
     def _search(self, q: Qubo, request: SolveRequest):
         return self.inner.solve(replace(request, model=self.quantize(request.model))).assignment

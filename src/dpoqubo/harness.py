@@ -36,6 +36,8 @@ from .model import (
     RiskMatrix,
     _check_allocation,
     _check_panel,
+    _check_risks,
+    _objective_terms,
     _weights_and_turnover,
     as_allocation,
     decode,
@@ -122,7 +124,14 @@ def net_mean_return(
     not enter.
     """
     _check_panel(config, panel)
-    w, turnover = _weights_and_turnover(config, allocation)
+    return _net_returns(config, panel, *_weights_and_turnover(config, allocation))
+
+
+def _net_returns(
+    config: DpoConfig, panel: ReturnPanel, w: np.ndarray, turnover: np.ndarray
+) -> np.ndarray:
+    """``net_mean_return`` from a checked panel and the allocation's float
+    weights and turnover (``_weights_and_turnover``)."""
     gross = (w * panel.interval_returns).sum(axis=1)
     return gross - config.nu * config.lam * turnover
 
@@ -181,8 +190,10 @@ def score_allocation(
         return AllocationScore(feasible=False, violations=check.violations)
     if risks is None:
         risks = risk_matrices(config, panel)
-    series = net_mean_return(allocation, panel, config)
-    terms = objective_terms(config, panel, risks, allocation)
+    _check_risks(config, risks)
+    w, turnover = _weights_and_turnover(config, allocation)
+    series = _net_returns(config, panel, w, turnover)
+    terms = _objective_terms(config, panel, risks, w, turnover)
     return AllocationScore(
         feasible=True,
         net_returns=series,
@@ -242,7 +253,8 @@ def _run_once(q, solver, decomposition: str, run_seed: int):
 
 
 def _evaluate_cell(q, backend, variant, config, panel, risks, seed, runs):
-    # one solver per cell, so an int8 cell tunes a model once, not once per run
+    # an int8 adapter keeps the image it builds on the model object, so the
+    # runs of a cell, and every int8 cell given this q, tune it once
     solver = FinitePrecisionAdapter(backend) if variant.precision == "int8" else backend
     records = []
     solutions = []

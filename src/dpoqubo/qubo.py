@@ -252,6 +252,19 @@ def _bit_table(start: int, stop: int, n: int) -> np.ndarray:
     return ((counters[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.int8)
 
 
+def _row_spans(coeffs: np.ndarray):
+    """Each row's nonzero column span ``[lo, hi)`` as two integer arrays:
+    the first column and one past the last column whose coefficient is not
+    zero (-0.0 is zero), widened to include the row's own index, so an
+    all-zero row ``i`` gets ``[i, i + 1)``.  The spans come from the
+    coefficients themselves, not from a block partition, so they also
+    narrow the couplings that quantization zeroes."""
+    n = coeffs.shape[0]
+    nonzero = coeffs != 0.0
+    nonzero.flat[:: n + 1] = True
+    return nonzero.argmax(axis=1), n - nonzero[:, ::-1].argmax(axis=1)
+
+
 def _require_qubo(q) -> None:
     """Every QUBO operation reads the coefficient matrix; name any other type."""
     if not isinstance(q, Qubo):

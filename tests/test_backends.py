@@ -1,7 +1,9 @@
+import gc
 import itertools
 import re
 import tracemalloc
-from dataclasses import fields
+import weakref
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -262,6 +264,31 @@ class TestFinitePrecisionAdapter:
         first, again, other, other_again = inner.models
         assert again is first and other_again is other and other is not first
         np.testing.assert_array_equal(other.quadratic, first.quadratic)
+
+    def test_adapters_share_one_image_per_model_object(self, monkeypatch):
+        import dpoqubo.backends as backends_mod
+
+        tune, calls = backends_mod.reduce_dynamic_range, []
+        monkeypatch.setattr(
+            backends_mod,
+            "reduce_dynamic_range",
+            lambda m, **kw: calls.append(m) or tune(m, **kw),
+        )
+        q = random_qubo(35, n=6, scale=3.0)
+        image = FinitePrecisionAdapter(TabuSolver()).quantize(q)
+        assert FinitePrecisionAdapter(SimulatedAnnealingSolver()).quantize(q) is image
+        assert len(calls) == 1
+        # a copy is another object, so it is tuned again, to an equal image
+        copy = replace(q)
+        again = FinitePrecisionAdapter(TabuSolver()).quantize(copy)
+        assert len(calls) == 2 and again is not image
+        np.testing.assert_array_equal(again.linear, image.linear)
+        np.testing.assert_array_equal(again.quadratic, image.quadratic)
+        # the image is kept on the model, not by the adapters or the module
+        kept = weakref.ref(image)
+        del q, image
+        gc.collect()
+        assert kept() is None
 
     def test_passthrough_for_already_quantized(self):
         q = random_qubo(33, n=5)

@@ -570,7 +570,9 @@ class TestEmitReport:
 
 
 class TestOneAdapterPerCell:
-    def test_multi_run_int8_cell_tunes_once(self, monkeypatch):
+    @pytest.fixture
+    def tune_calls(self, monkeypatch):
+        """The models the int8 adapters hand to the tuner."""
         calls = []
         original = backends_mod.reduce_dynamic_range
 
@@ -579,13 +581,25 @@ class TestOneAdapterPerCell:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(backends_mod, "reduce_dynamic_range", counted)
+        return calls
+
+    def test_multi_run_int8_cell_tunes_once(self, tune_calls):
         config = DpoConfig(n_t=2)
         panel = bundled_panel(config)
         (report,) = run_matrix(
             panel, config, ["tabu"], [StrategyVariant("global", "int8")], runs=3
         )
         assert len(report.runs) == 3
-        assert len(calls) == 1
+        assert len(tune_calls) == 1
+
+    def test_int8_cells_of_one_matrix_tune_once(self, tune_calls):
+        config = DpoConfig(n_t=2)
+        reports = run_matrix(
+            bundled_panel(config), config, ["sa", "tabu"],
+            [StrategyVariant("global", "int8")], runs=2,
+        )
+        assert [(r.error, len(r.runs)) for r in reports] == [(None, 2), (None, 2)]
+        assert len(tune_calls) == 1
 
     def test_non_variant_rejected(self):
         with pytest.raises(TypeError, match="not a StrategyVariant: 'global-fp'"):

@@ -13,6 +13,12 @@ Up to 12 spins the reference is the former enumeration branch, which took
 the ground states of both models over all 2^n spin vectors; the descents
 from every spin vector must reach the same accept decisions and the same
 tuning results.
+
+The batched descent updates a flipped row only on a window that holds the
+flipped spin's nonzero coupling span.  Its reference is the batched descent
+that updated whole rows, and the end states must be equal bit for bit on
+block-tridiagonal models, whose windows are narrower than a row, and on
+dense ones, whose windows are whole rows.
 """
 
 import dataclasses
@@ -28,9 +34,10 @@ from dpoqubo.precision import (
     _argmin_rows,
     _greedy_descents,
     _MinimizerCheck,
+    quantize_int8,
     reduce_dynamic_range,
 )
-from dpoqubo.qubo import IsingModel, _bit_table, ising_energy, qubo_to_ising
+from dpoqubo.qubo import IsingModel, _bit_table, _row_spans, ising_energy, qubo_to_ising
 
 from support import bundled_model
 
@@ -87,6 +94,81 @@ def test_float_models_same_best_states(seed):
     check = _MinimizerCheck(model)
     assert len(check._starts) == 64
     assert check._best_states(model) == _best_states(check, model)
+
+
+def _full_row_descents(model: IsingModel, starts: np.ndarray) -> np.ndarray:
+    """The batched descent that updated every flipped row's fields over all
+    columns and recomputed its deltas over all columns every step."""
+    z = starts.astype(float)
+    quadratic = np.asarray(model.quadratic, dtype=float)
+    field = model.linear + z @ quadratic
+    rows = np.arange(z.shape[0])
+    for _ in range(10 * model.n + 10):
+        deltas = -2.0 * z[rows] * field[rows]
+        best = deltas.argmin(axis=1)
+        descending = deltas[np.arange(rows.size), best] < -1e-12
+        rows, best = rows[descending], best[descending]
+        if not rows.size:
+            break
+        z[rows, best] = -z[rows, best]
+        field[rows] += 2.0 * z[rows, best][:, None] * quadratic[best]
+    return z.astype(np.int8)
+
+
+def banded_model(seed, kind):
+    """A block-tridiagonal model of 4 to 8 blocks of 2 to 9 spins: normal
+    floats or integers in -3..3, with about a third of the entries zero so
+    that spans vary from row to row."""
+    rng = np.random.default_rng([seed, 7])
+    blocks, size = int(rng.integers(4, 9)), int(rng.integers(2, 10))
+    n = blocks * size
+    if kind == "float":
+        h, m = rng.normal(size=n), rng.normal(size=(n, n))
+    else:
+        h = rng.integers(-3, 4, size=n).astype(float)
+        m = rng.integers(-3, 4, size=(n, n)).astype(float)
+    block = np.arange(n) // size
+    m[(np.abs(block[:, None] - block) > 1) | (rng.random((n, n)) < 0.3)] = 0.0
+    j = np.triu(m, 1)
+    return IsingModel(linear=h, quadratic=j + j.T)
+
+
+def assert_same_end_states(model, starts, windowed):
+    lo, hi = _row_spans(model.quadratic)
+    assert ((hi - lo).max() < model.n) == windowed
+    expected = _full_row_descents(model, starts)
+    assert np.array_equal(_greedy_descents(model, starts), expected)
+    # the descents move: most starts are not already local minima
+    assert (expected != starts).any(axis=1).mean() > 0.5
+
+
+@pytest.mark.parametrize("kind", ["float", "int"])
+@pytest.mark.parametrize("seed", range(30))
+def test_banded_models_same_end_states_as_full_rows(seed, kind):
+    model = banded_model(seed, kind)
+    assert_same_end_states(model, seeded_starts(seed, model.n), windowed=True)
+
+
+@pytest.mark.parametrize("kind", ["float", "int"])
+@pytest.mark.parametrize("seed", range(10))
+def test_dense_models_same_end_states_as_full_rows(seed, kind):
+    model = seeded_model(seed, kind)
+    assert_same_end_states(model, seeded_starts(seed, model.n), windowed=False)
+
+
+@pytest.fixture(scope="module")
+def default_spin_model():
+    """The default configuration's 528-spin model on the bundled prices."""
+    return qubo_to_ising(bundled_model(DpoConfig()))
+
+
+@pytest.mark.parametrize("precision", ["fp", "int8"])
+def test_default_model_same_end_states_as_full_rows(default_spin_model, precision):
+    model = default_spin_model
+    if precision == "int8":
+        model = quantize_int8(reduce_dynamic_range(model).model)
+    for starts in (_MinimizerCheck(model)._starts, seeded_starts(1, 528), seeded_starts(2, 528)):
+        assert_same_end_states(model, starts, windowed=True)
 
 
 def _paper_block():
