@@ -36,8 +36,6 @@ from .model import (
     RiskMatrix,
     _check_allocation,
     _check_panel,
-    _check_risks,
-    _objective_terms,
     _weights_and_turnover,
     as_allocation,
     decode,
@@ -124,14 +122,7 @@ def net_mean_return(
     not enter.
     """
     _check_panel(config, panel)
-    return _net_returns(config, panel, *_weights_and_turnover(config, allocation))
-
-
-def _net_returns(
-    config: DpoConfig, panel: ReturnPanel, w: np.ndarray, turnover: np.ndarray
-) -> np.ndarray:
-    """``net_mean_return`` from a checked panel and the allocation's float
-    weights and turnover (``_weights_and_turnover``)."""
+    w, turnover = _weights_and_turnover(config, allocation)
     gross = (w * panel.interval_returns).sum(axis=1)
     return gross - config.nu * config.lam * turnover
 
@@ -190,10 +181,8 @@ def score_allocation(
         return AllocationScore(feasible=False, violations=check.violations)
     if risks is None:
         risks = risk_matrices(config, panel)
-    _check_risks(config, risks)
-    w, turnover = _weights_and_turnover(config, allocation)
-    series = _net_returns(config, panel, w, turnover)
-    terms = _objective_terms(config, panel, risks, w, turnover)
+    series = net_mean_return(allocation, panel, config)
+    terms = objective_terms(config, panel, risks, allocation)
     return AllocationScore(
         feasible=True,
         net_returns=series,

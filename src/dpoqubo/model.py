@@ -349,18 +349,6 @@ def objective_terms(
     _check_panel(config, panel)
     w, turnover = _weights_and_turnover(config, allocation)
     _check_risks(config, risks)
-    return _objective_terms(config, panel, risks, w, turnover)
-
-
-def _objective_terms(
-    config: DpoConfig,
-    panel: ReturnPanel,
-    risks: Sequence[RiskMatrix],
-    w: np.ndarray,
-    turnover: np.ndarray,
-) -> ObjectiveTerms:
-    """``objective_terms`` from checked inputs and the allocation's float
-    weights and turnover (``_weights_and_turnover``)."""
     mu = panel.interval_returns
     gross = float((w * mu).sum())
     risk = 0.5 * config.gamma * sum(

@@ -167,9 +167,7 @@ def _greedy_descents(model: IsingModel, starts: np.ndarray) -> np.ndarray:
     entry would add ``±0.0``, which can change only the sign of a zero field
     and, through it, of a zero delta.  Neither the ``-1e-12`` test nor
     ``argmin`` reads that sign, so the end states are bit for bit those of
-    whole-row updates.  A window over every column is the whole row, and a
-    dense model then updates whole rows and recomputes each descending row's
-    deltas every step.
+    whole-row updates.
     """
     z = starts.astype(float)
     quadratic = np.asarray(model.quadratic, dtype=float)
@@ -177,31 +175,26 @@ def _greedy_descents(model: IsingModel, starts: np.ndarray) -> np.ndarray:
     n = model.n
     lo, hi = _row_spans(quadratic)
     width = int(np.max(hi - lo, initial=0))
-    windowed = width < n
-    if windowed:
-        # window j is columns [first[j], first[j] + width), inside the row;
-        # indexing a window view by distinct rows writes no element twice
-        first = np.minimum(lo, n - width)
-        quadratic_w = sliding_window_view(quadratic, width, axis=1)[np.arange(n), first]
-        deltas = -2.0 * z * field
-        z_w, field_w, deltas_w = (
-            sliding_window_view(a, width, axis=1, writeable=True) for a in (z, field, deltas)
-        )
+    # window j is columns [first[j], first[j] + width), inside the row;
+    # indexing a window view by distinct rows writes no element twice
+    first = np.minimum(lo, n - width)
+    quadratic_w = sliding_window_view(quadratic, width, axis=1)[np.arange(n), first]
+    deltas = -2.0 * z * field
+    z_w, field_w, deltas_w = (
+        sliding_window_view(a, width, axis=1, writeable=True) for a in (z, field, deltas)
+    )
     rows = np.arange(z.shape[0])
     for _ in range(10 * n + 10):
-        active = deltas[rows] if windowed else -2.0 * z[rows] * field[rows]
+        active = deltas[rows]
         best = active.argmin(axis=1)
         descending = active[np.arange(rows.size), best] < -1e-12
         rows, best = rows[descending], best[descending]
         if not rows.size:
             break
         z[rows, best] = -z[rows, best]
-        if windowed:
-            at = rows, first[best]
-            field_w[at] += 2.0 * z[rows, best][:, None] * quadratic_w[best]
-            deltas_w[at] = -2.0 * z_w[at] * field_w[at]
-        else:
-            field[rows] += 2.0 * z[rows, best][:, None] * quadratic[best]
+        at = rows, first[best]
+        field_w[at] += 2.0 * z[rows, best][:, None] * quadratic_w[best]
+        deltas_w[at] = -2.0 * z_w[at] * field_w[at]
     return z.astype(np.int8)
 
 

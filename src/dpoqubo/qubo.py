@@ -145,7 +145,10 @@ class Qubo:
     """Symmetric-matrix QUBO with a constant offset and optional block metadata.
 
     Instances are immutable: the coefficient matrix is copied and marked
-    read-only at construction, so models can be shared freely.
+    read-only at construction, so models can be shared freely.  They carry
+    an instance ``__dict__`` (the class has no ``__slots__``):
+    ``FinitePrecisionAdapter`` keeps each model's int8 image there, and
+    ``copy.copy`` and pickling carry it along.
     """
 
     coeffs: np.ndarray
@@ -182,7 +185,9 @@ class IsingModel:
     """Spin model with linear fields, pairwise couplings, and a constant offset.
 
     ``quadratic`` is symmetric with an exactly zero diagonal; the energy sums
-    each unordered pair once (see module docstring).
+    each unordered pair once (see module docstring).  Like :class:`Qubo`,
+    instances carry an instance ``__dict__`` that ``FinitePrecisionAdapter``
+    keeps each model's int8 image in.
     """
 
     linear: np.ndarray

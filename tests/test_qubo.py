@@ -119,6 +119,15 @@ class TestQuboContainer:
         with pytest.raises(ValueError, match="finite"):
             Qubo(np.array([[np.nan]]))
 
+    @pytest.mark.parametrize(
+        "model", [Qubo(np.zeros((2, 2))), IsingModel(np.zeros(2), np.zeros((2, 2)))]
+    )
+    def test_models_carry_an_instance_dict(self, model):
+        # the int8 adapter keeps each model's integer image in its __dict__,
+        # so neither class may become slotted
+        assert "__slots__" not in type(model).__dict__
+        assert isinstance(model.__dict__, dict)
+
 
 class TestAssignmentValidation:
     def test_as_bits_roundtrip(self):
