@@ -82,8 +82,9 @@ def extract_subproblem(q: Qubo, x, i: int) -> Qubo:
     sl = _require_partition(q).block_slice(i)
     masked = as_bits(x, q.n).astype(float)
     masked[sl] = 0.0
-    induced = 2.0 * (q.coeffs[sl, :] @ masked)
-    return Qubo(q.coeffs[sl, sl] + np.diag(induced))
+    coeffs = q.coeffs[sl, sl].copy()
+    coeffs[np.diag_indices_from(coeffs)] += 2.0 * (q.coeffs[sl, :] @ masked)
+    return Qubo(coeffs)
 
 
 def solve_block(

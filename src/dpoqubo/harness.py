@@ -36,6 +36,7 @@ from .model import (
     RiskMatrix,
     _check_allocation,
     _check_panel,
+    _check_risks,
     _weights_and_turnover,
     as_allocation,
     decode,
@@ -169,13 +170,16 @@ def score_allocation(
     """Feasibility first; a feasible allocation then gets its net-return
     series, their total, the return/risk ratio and the objective terms.
 
-    The panel and the allocation's shape are checked against the config
-    before feasibility, so a mismatch raises ``ValueError`` whether or not
-    the allocation is feasible.  ``risks`` default to the config's estimator
-    on ``panel`` and are only estimated when the allocation is feasible.
+    The panel, the allocation's shape and any given ``risks`` are checked
+    against the config before feasibility, so a mismatch raises
+    ``ValueError`` whether or not the allocation is feasible.  ``risks``
+    default to the config's estimator on ``panel`` and are only estimated
+    when the allocation is feasible.
     """
     _check_panel(config, panel)
     allocation = _check_allocation(config, allocation)
+    if risks is not None:
+        _check_risks(config, risks)
     check = check_feasibility(allocation, config.budget)
     if not check.feasible:
         return AllocationScore(feasible=False, violations=check.violations)

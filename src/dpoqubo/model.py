@@ -70,6 +70,8 @@ class RiskMatrix:
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("risk matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("risk matrix must be finite")
         if not np.allclose(m, m.T, rtol=0, atol=1e-12):
             raise ValueError("risk matrix must be symmetric")
         m = (m + m.T) / 2.0
@@ -245,8 +247,12 @@ class PortfolioAllocation:
         w = np.array(self.weights)
         if w.ndim != 2:
             raise ValueError("weights must be an n_t x n_a matrix")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be nonnegative integers, got a non-finite weight")
         if not np.all(w == np.floor(w)) or np.any(w < 0):
             raise ValueError("weights must be nonnegative integers")
+        if np.any(w >= 2.0**63):
+            raise ValueError("weights must be nonnegative integers below 2**63, the int64 range")
         w = w.astype(np.int64)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -400,11 +406,18 @@ def _weight_space_form(
 
 def _bit_expand(config: DpoConfig, m: np.ndarray, c: np.ndarray, const: float) -> Qubo:
     """The QUBO over little-endian weight bits of ``w'Mw + c'w + const``,
-    one block per interval."""
-    powers = 2.0 ** np.arange(config.n_r)
-    expand = np.kron(np.eye(config.n_t * config.n_a), powers[None, :])  # omega = expand @ x
-    coeffs = expand.T @ m @ expand + np.diag(expand.T @ c)
-    return Qubo.from_dense(coeffs, offset=const, partition=config.partition())
+    one block per interval.
+
+    With place values ``p = 2**r`` the matrix is ``Q = M ⊗ pp' + diag(c ⊗ p)``:
+    entry ``(i, r), (j, s)`` is ``M[i, j] * p_r * p_s``, and the diagonal
+    also carries ``c[i] * p_r`` (``x_r**2 == x_r`` for bits).  Powers of two
+    scale exactly, so ``M``'s exact symmetry carries over to ``Q`` and no
+    symmetrising pass is needed; ``Qubo`` still checks it.
+    """
+    place = 2.0 ** np.arange(config.n_r)
+    coeffs = np.kron(m, np.outer(place, place))
+    coeffs[np.diag_indices_from(coeffs)] += np.kron(c, place)
+    return Qubo(coeffs, offset=const, partition=config.partition())
 
 
 def encode_qubo(

@@ -291,15 +291,17 @@ def reduce_dynamic_range(model: IsingModel, budget: int = 100) -> TuningResult:
     fields, so it keeps the input's type, offset and partition.  With no
     admissible move the input is returned unchanged.
 
-    Only fields move, so the couplings are read once per call, and a
-    candidate model is built only for a move whose range drops: the one the
-    ground-state check tests.  The check is built at the first such move.
+    Only fields move, so the distinct coupling values are sorted once per
+    call; the range and both move rules read only the set of values, which
+    the fields and the distinct couplings give in full.  A candidate model is
+    built only for a move whose range drops: the one the ground-state check
+    tests.  The check is built at the first such move.
     """
     _require_ising(model)
     budget = _integer("budget", budget, 0)
     # read as float, so a QuantizedIsing's int8 -128 keeps its magnitude
     # under np.abs and its gaps under np.diff
-    couplings = _upper_triangle(model.quadratic).astype(float)
+    couplings = np.unique(_upper_triangle(model.quadratic).astype(float))
     check: _MinimizerCheck | None = None
     current = model
     steps: list[TuningStep] = []

@@ -315,8 +315,8 @@ def qubo_to_ising(q: Qubo) -> IsingModel:
     """
     c = q.coeffs
     quadratic = c / 2.0
-    quadratic = quadratic - np.diag(np.diag(quadratic))
-    # Exact-symmetry guard: c/2 is symmetric bitwise, diag removal keeps it so.
+    # c/2 is symmetric bitwise, and zeroing the diagonal keeps it so
+    np.fill_diagonal(quadratic, 0.0)
     linear = -c.sum(axis=1) / 2.0
     offset = q.offset + (float(c.sum()) + float(np.trace(c))) / 4.0
     return IsingModel(
@@ -327,14 +327,14 @@ def qubo_to_ising(q: Qubo) -> IsingModel:
 def ising_to_qubo(m: IsingModel) -> Qubo:
     """Convert an Ising model to the equivalent QUBO (inverse of qubo_to_ising).
 
-    The QUBO keeps the model's partition.  ``2 * quadratic`` plus a diagonal
-    is exactly symmetric, so no symmetrising pass is needed.
+    The QUBO keeps the model's partition.  ``2 * quadratic`` with a vector
+    added to its zero diagonal in place is exactly symmetric, so no
+    symmetrising pass is needed.
     """
     j = m.quadratic
     coeffs = 2.0 * j
     coupling_row_sum = j.sum(axis=1)
-    diag = -2.0 * m.linear - 2.0 * coupling_row_sum
-    coeffs = coeffs + np.diag(diag)
+    coeffs[np.diag_indices_from(coeffs)] += -2.0 * m.linear - 2.0 * coupling_row_sum
     offset = m.offset + float(m.linear.sum()) + float(j.sum()) / 2.0
     return Qubo(coeffs, offset=offset, partition=m.partition)
 

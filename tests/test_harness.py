@@ -115,7 +115,11 @@ class TestFeasibility:
         res = check_feasibility(np.array([[1, 2], [3, 0]]), 3)
         assert res.feasible
 
-    @pytest.mark.parametrize("weights", [[[7.2, 7.3]], [[16, -1]]], ids=["fractional", "negative"])
+    @pytest.mark.parametrize(
+        "weights",
+        [[[7.2, 7.3]], [[16, -1]], [[np.inf, 1.0]], [[1e30, 1.0]]],
+        ids=["fractional", "negative", "infinite", "beyond-int64"],
+    )
     def test_raw_weights_must_be_nonnegative_integers(self, weights):
         cfg = tiny_config(n_t=1)
         panel = random_panel(1, 1, 2)
@@ -223,6 +227,16 @@ class TestScoreAllocation:
             score_allocation(infeasible, random_panel(1, 3, 2), config)
         with pytest.raises(ValueError, match="config expects dt = 6"):
             score_allocation(infeasible, random_panel(1, 2, 2, dt=4), config)
+
+    def test_risks_checked_before_feasibility(self):
+        config = DpoConfig(n_t=2)
+        panel = bundled_panel(config)
+        risks = risk_matrices(config, panel)[:1]
+        feasible = np.full((2, 6), 0)
+        feasible[:, 0] = config.budget
+        for allocation in (np.zeros((2, 6), dtype=int), feasible):
+            with pytest.raises(ValueError, match="need 2 risk matrices, got 1"):
+                score_allocation(allocation, panel, config, risks)
 
 
 class TestRunMatrix:

@@ -493,10 +493,13 @@ class TestInputChecks:
         (lambda: RiskMatrix(np.zeros((2, 3))), "risk matrix must be square"),
         (lambda: RiskMatrix([[1.0, 0.5], [0.0, 1.0]]), "risk matrix must be symmetric"),
         (lambda: RiskMatrix([[1.0, 2.0], [2.0, 1.0]]), "risk matrix not PSD (min eigenvalue -1)"),
+        (lambda: RiskMatrix([[1.0, np.inf], [np.inf, 1.0]]), "risk matrix must be finite"),
+        (lambda: RiskMatrix([[np.nan]]), "risk matrix must be finite"),
         (lambda: RiskMatrix(np.eye(2), ShrinkageDiagnostics(1.5, 0.0, 0.0)),
          "shrinkage intensity must lie in [0, 1]"),
         (lambda: PortfolioAllocation(np.zeros(3)), "weights must be an n_t x n_a matrix"),
-    ], ids=["non-square", "asymmetric", "not-psd", "shrinkage-delta", "1d-allocation"])
+    ], ids=["non-square", "asymmetric", "not-psd", "infinite", "nan", "shrinkage-delta",
+            "1d-allocation"])
     def test_rejected_with_a_message(self, build, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             build()
