@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backends import SolveRequest, SolveResult
-from .qubo import BlockPartition, Qubo, _integer, _require_partition, as_bits, qubo_energy
+from .qubo import BlockPartition, Qubo, _freeze, _integer, _require_partition, as_bits, qubo_energy
 
 __all__ = [
     "BcdConfig",
@@ -84,7 +84,7 @@ def extract_subproblem(q: Qubo, x, i: int) -> Qubo:
     masked[sl] = 0.0
     coeffs = q.coeffs[sl, sl].copy()
     coeffs[np.diag_indices_from(coeffs)] += 2.0 * (q.coeffs[sl, :] @ masked)
-    return Qubo(coeffs)
+    return Qubo(_freeze(coeffs))
 
 
 def solve_block(

@@ -28,7 +28,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .market import ReturnPanel
-from .qubo import BlockPartition, Qubo, _finite, _integer, as_bits
+from .qubo import BlockPartition, Qubo, _finite, _freeze, _integer, as_bits
 
 __all__ = [
     "Covariance",
@@ -254,6 +254,12 @@ class PortfolioAllocation:
         if np.any(w >= 2.0**63):
             raise ValueError("weights must be nonnegative integers below 2**63, the int64 range")
         w = w.astype(np.int64)
+        # summed exactly, as Python ints: an int64 row sum would wrap
+        if any(sum(row) >= 2**63 for row in w.tolist()):
+            raise ValueError(
+                "weights must be nonnegative integers whose sum per interval is below 2**63,"
+                " the int64 range"
+            )
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -412,12 +418,20 @@ def _bit_expand(config: DpoConfig, m: np.ndarray, c: np.ndarray, const: float) -
     entry ``(i, r), (j, s)`` is ``M[i, j] * p_r * p_s``, and the diagonal
     also carries ``c[i] * p_r`` (``x_r**2 == x_r`` for bits).  Powers of two
     scale exactly, so ``M``'s exact symmetry carries over to ``Q`` and no
-    symmetrising pass is needed; ``Qubo`` still checks it.
+    symmetrising pass is needed; ``Qubo`` still checks it.  The product is
+    the one ``np.kron`` computes, written through a 4-D view straight into
+    an n x n buffer that the model then keeps (``np.kron`` returns a view
+    that does not own its buffer, which the model would copy).
     """
-    place = 2.0 ** np.arange(config.n_r)
-    coeffs = np.kron(m, np.outer(place, place))
+    a, r = m.shape[0], config.n_r
+    place = 2.0 ** np.arange(r)
+    coeffs = np.empty((a * r, a * r))
+    np.multiply(
+        m[:, None, :, None], np.outer(place, place)[None, :, None, :],
+        out=coeffs.reshape(a, r, a, r),
+    )
     coeffs[np.diag_indices_from(coeffs)] += np.kron(c, place)
-    return Qubo(coeffs, offset=const, partition=config.partition())
+    return Qubo(_freeze(coeffs), offset=const, partition=config.partition())
 
 
 def encode_qubo(

@@ -125,9 +125,22 @@ class BlockPartition:
 
 
 def _frozen_matrix(m, name: str, partition: BlockPartition | None) -> np.ndarray:
-    """``m`` as a read-only float copy, checked to be square, finite, exactly
-    symmetric and, when a partition is given, as wide as it."""
-    out = np.array(m, dtype=float)
+    """``m`` as a read-only float matrix, checked to be square, finite,
+    exactly symmetric and, when a partition is given, as wide as it.
+
+    A float64 array that is already read-only, C-contiguous and owns its
+    buffer is kept as it is; every other input (a writable array, a
+    read-only view of one, another dtype, a list) is copied.  A caller who
+    freezes a matrix and keeps writing to it through another view, or makes
+    it writable again, is outside the contract."""
+    keep = (
+        isinstance(m, np.ndarray)
+        and not m.flags.writeable
+        and m.flags.c_contiguous
+        and m.flags.owndata
+        and m.dtype == np.float64
+    )
+    out = m if keep else np.array(m, dtype=float)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise ValueError(f"{name} must be a square 2-D matrix, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
@@ -140,20 +153,43 @@ def _frozen_matrix(m, name: str, partition: BlockPartition | None) -> np.ndarray
     return out
 
 
+def _freeze(m: np.ndarray) -> np.ndarray:
+    """``m`` marked read-only, so a model built from it keeps it uncopied."""
+    m.setflags(write=False)
+    return m
+
+
+def _setstate(self, state: dict) -> None:
+    """Restore a pickled or deep-copied model with its arrays read-only
+    again: both make writable copies of them.  The rest of the instance
+    ``__dict__``, such as a cached int8 image, comes back as it was."""
+    self.__dict__.update(state)
+    for value in state.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class Qubo:
     """Symmetric-matrix QUBO with a constant offset and optional block metadata.
 
-    Instances are immutable: the coefficient matrix is copied and marked
-    read-only at construction, so models can be shared freely.  They carry
-    an instance ``__dict__`` (the class has no ``__slots__``):
-    ``FinitePrecisionAdapter`` keeps each model's int8 image there, and
-    ``copy.copy`` and pickling carry it along.
+    Instances are immutable, so models can be shared freely.  A coefficient
+    matrix that is float64, read-only, C-contiguous and owns its buffer is
+    kept as it is; any other is copied and the copy marked read-only.  The
+    package's builders hand over matrices of the first kind, and
+    ``dataclasses.replace`` shares the source's.  A caller who freezes a
+    matrix and then writes to it through another view is outside the
+    contract.  Instances carry an instance ``__dict__`` (the class has no
+    ``__slots__``): ``FinitePrecisionAdapter`` keeps each model's int8 image
+    there, and ``copy.copy``, ``copy.deepcopy`` and pickling carry it along;
+    the latter two come back with read-only arrays.
     """
 
     coeffs: np.ndarray
     offset: float = 0.0
     partition: BlockPartition | None = None
+
+    __setstate__ = _setstate
 
     def __post_init__(self) -> None:
         c = _frozen_matrix(self.coeffs, "coeffs", self.partition)
@@ -173,7 +209,7 @@ class Qubo:
         assignment.
         """
         m = np.asarray(matrix, dtype=float)
-        return cls((m + m.T) / 2.0, offset=offset, partition=partition)
+        return cls(_freeze((m + m.T) / 2.0), offset=offset, partition=partition)
 
     @property
     def n(self) -> int:
@@ -185,15 +221,21 @@ class IsingModel:
     """Spin model with linear fields, pairwise couplings, and a constant offset.
 
     ``quadratic`` is symmetric with an exactly zero diagonal; the energy sums
-    each unordered pair once (see module docstring).  Like :class:`Qubo`,
-    instances carry an instance ``__dict__`` that ``FinitePrecisionAdapter``
-    keeps each model's int8 image in.
+    each unordered pair once (see module docstring).  ``quadratic`` follows
+    :class:`Qubo`'s keep-or-copy rule: a float64, read-only, C-contiguous
+    matrix that owns its buffer is kept, any other is copied, and writing to
+    a kept matrix through another view is outside the contract; ``linear``
+    is always copied.  Like :class:`Qubo`, instances carry an instance
+    ``__dict__`` that ``FinitePrecisionAdapter`` keeps each model's int8
+    image in, and come back from pickling or ``copy.deepcopy`` read-only.
     """
 
     linear: np.ndarray
     quadratic: np.ndarray
     offset: float = 0.0
     partition: BlockPartition | None = None
+
+    __setstate__ = _setstate
 
     def __post_init__(self) -> None:
         h = np.array(self.linear, dtype=float)
@@ -320,7 +362,7 @@ def qubo_to_ising(q: Qubo) -> IsingModel:
     linear = -c.sum(axis=1) / 2.0
     offset = q.offset + (float(c.sum()) + float(np.trace(c))) / 4.0
     return IsingModel(
-        linear=linear, quadratic=quadratic, offset=offset, partition=q.partition
+        linear=linear, quadratic=_freeze(quadratic), offset=offset, partition=q.partition
     )
 
 
@@ -336,7 +378,7 @@ def ising_to_qubo(m: IsingModel) -> Qubo:
     coupling_row_sum = j.sum(axis=1)
     coeffs[np.diag_indices_from(coeffs)] += -2.0 * m.linear - 2.0 * coupling_row_sum
     offset = m.offset + float(m.linear.sum()) + float(j.sum()) / 2.0
-    return Qubo(coeffs, offset=offset, partition=m.partition)
+    return Qubo(_freeze(coeffs), offset=offset, partition=m.partition)
 
 
 def _require_partition(q: Qubo) -> BlockPartition:

@@ -27,7 +27,7 @@ import os
 import numpy as np
 
 from .precision import QuantizedIsing
-from .qubo import BlockPartition, IsingModel, Model, Qubo
+from .qubo import BlockPartition, IsingModel, Model, Qubo, _freeze
 
 __all__ = ["ModelFormatError", "dump_model", "parse_model", "save_model", "load_model"]
 
@@ -200,6 +200,7 @@ def parse_model(text: str) -> Model:
             linear[i] = v
         else:
             matrix[i, j] = matrix[j, i] = v
+    _freeze(matrix)
     if kind == "qubo":
         return Qubo(matrix, offset=offset, partition=partition)
     if integer:

@@ -16,9 +16,15 @@ Tuning sorts the distinct coupling values once per call, where its reference
 joins the fields to every coupling for each candidate move; the range and
 both move rules read only the set of values, so the steps must be equal.
 
-The encoder and the QUBO-to-Ising conversion build their result and nothing
-else: on the default 528-bit model each peaks at no more than 2.5 matrices of
-``n * n`` floats, one of them the frozen copy a model keeps.
+The encoder writes its Kronecker product through ``np.multiply`` into a
+4-D view of an owned n x n buffer; ``np.kron`` performs the same
+multiplication, so the bytes above pin that too.
+
+Every builder hands its fresh matrix to the model read-only, and the model
+keeps it instead of copying it, as does a ``dataclasses.replace`` copy.  So
+on the default 528-bit model the encoder and both conversions peak at no
+more than 1.3 matrices of ``n * n`` floats, and tuning, whose candidates
+share the couplings, at no more than 1.5.
 """
 
 import tracemalloc
@@ -30,6 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpoqubo import qubo as qubo_module
 from dpoqubo.bcd import extract_subproblem
 from dpoqubo.model import (
     Covariance,
@@ -63,6 +70,7 @@ from dpoqubo.qubo import (
     qubo_energies,
     qubo_to_ising,
 )
+from dpoqubo.serialize import dump_model, parse_model
 
 from support import bundled_panel, random_panel
 
@@ -400,8 +408,67 @@ def _peak_bytes(call, *args):
 def test_encoder_and_conversion_build_only_their_result():
     config, panel = _default_config_and_panel()
     risks = risk_matrices(config, panel)
-    limit = 2.5 * config.n**2 * 8
+    unit = config.n**2 * 8
     q, encode_peak = _peak_bytes(encode_qubo, config, panel, risks)
-    _, convert_peak = _peak_bytes(qubo_to_ising, q)
-    assert encode_peak <= limit, encode_peak / (config.n**2 * 8)
-    assert convert_peak <= limit, convert_peak / (config.n**2 * 8)
+    ising, to_ising_peak = _peak_bytes(qubo_to_ising, q)
+    _, to_qubo_peak = _peak_bytes(ising_to_qubo, ising)
+    for peak in (encode_peak, to_ising_peak, to_qubo_peak):
+        assert peak <= 1.3 * unit, peak / unit
+
+
+def test_tuning_candidates_share_the_couplings():
+    config, panel = _default_config_and_panel()
+    ising = qubo_to_ising(encode_qubo(config, panel))
+    # a first call in a process also imports modules numpy loads lazily
+    # (about 0.5 more matrices' worth), so the bound is for a later call; a
+    # candidate that copied the couplings would add one matrix
+    reduce_dynamic_range(ising)
+    result, peak = _peak_bytes(reduce_dynamic_range, ising)
+    assert result.steps
+    assert peak <= 1.5 * config.n**2 * 8, peak / (config.n**2 * 8)
+
+
+# ---------------------------------------------------------------------------
+# hand-over
+
+@pytest.fixture
+def kept_log(monkeypatch):
+    """One entry per matrix a model is built from: True when the model kept
+    the matrix it was given, False when it copied it."""
+    log = []
+    frozen_matrix = qubo_module._frozen_matrix
+
+    def logged(m, name, partition):
+        out = frozen_matrix(m, name, partition)
+        log.append(out is m)
+        return out
+
+    monkeypatch.setattr(qubo_module, "_frozen_matrix", logged)
+    return log
+
+
+def _handover_cases():
+    """Each builder and its arguments, made before the log is read."""
+    config = DpoConfig(n_t=2, n_a=2, n_r=3, budget=5, dt=6)
+    q = seeded_qubo(1, "float")
+    ising, image = seeded_ising(2, "float"), seeded_ising(3, "int8")
+    return {
+        "encode_qubo": (encode_qubo, config, random_panel(0, 2, 2)),
+        "qubo_to_ising": (qubo_to_ising, q),
+        "ising_to_qubo": (ising_to_qubo, ising),
+        "ising_to_qubo-int8": (ising_to_qubo, image),
+        "extract_subproblem": (extract_subproblem, q, _bits(4, q.n, count=1)[0], 0),
+        "from_dense": (Qubo.from_dense, np.arange(9.0).reshape(3, 3)),
+        "parse_model-qubo": (parse_model, dump_model(q)),
+        "parse_model-ising": (parse_model, dump_model(ising)),
+        "parse_model-int8": (parse_model, dump_model(image)),
+        "reduce_dynamic_range": (reduce_dynamic_range, field_led_ising(0, "float")),
+    }
+
+
+@pytest.mark.parametrize("case", list(_handover_cases()))
+def test_builders_hand_their_matrix_over(case, kept_log):
+    builder, *args = _handover_cases()[case]
+    kept_log.clear()
+    builder(*args)
+    assert kept_log and all(kept_log), kept_log

@@ -117,8 +117,8 @@ class TestFeasibility:
 
     @pytest.mark.parametrize(
         "weights",
-        [[[7.2, 7.3]], [[16, -1]], [[np.inf, 1.0]], [[1e30, 1.0]]],
-        ids=["fractional", "negative", "infinite", "beyond-int64"],
+        [[[7.2, 7.3]], [[16, -1]], [[np.inf, 1.0]], [[1e30, 1.0]], [[2.0**62, 2.0**62]]],
+        ids=["fractional", "negative", "infinite", "beyond-int64", "row-sum-beyond-int64"],
     )
     def test_raw_weights_must_be_nonnegative_integers(self, weights):
         cfg = tiny_config(n_t=1)

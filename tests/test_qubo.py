@@ -1,11 +1,15 @@
+import copy
 import itertools
+import pickle
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dpoqubo.backends import ExhaustiveSolver
+from dpoqubo.backends import ExhaustiveSolver, FinitePrecisionAdapter
 from dpoqubo.bcd import bcd_solve, extract_subproblem
+from dpoqubo.precision import QuantizedIsing
 from dpoqubo.qubo import (
     BlockPartition,
     IsingModel,
@@ -127,6 +131,142 @@ class TestQuboContainer:
         # so neither class may become slotted
         assert "__slots__" not in type(model).__dict__
         assert isinstance(model.__dict__, dict)
+
+
+def frozen(m):
+    """A fresh float64 copy of ``m`` that owns its buffer, marked read-only."""
+    out = np.array(m, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+def read_only_fortran(m):
+    out = np.asfortranarray(m, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
+def read_only_float32(m):
+    out = np.array(m, dtype=np.float32)
+    out.setflags(write=False)
+    return out
+
+
+class TestMatrixKeeping:
+    """A model keeps a float64 matrix that is read-only, C-contiguous and owns
+    its buffer, and copies any other."""
+
+    SYMMETRIC = [[0.0, 1.0, -2.0], [1.0, 0.0, 0.5], [-2.0, 0.5, 0.0]]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda m: Qubo(m),
+            lambda m: IsingModel(np.zeros(3), m),
+        ],
+        ids=["qubo", "ising"],
+    )
+    def test_frozen_owned_matrix_is_kept(self, build):
+        m = frozen(self.SYMMETRIC)
+        model = build(m)
+        assert (model.coeffs if isinstance(model, Qubo) else model.quadratic) is m
+
+    def test_writable_input_is_copied(self):
+        m = np.array(self.SYMMETRIC)
+        q, ising = Qubo(m), IsingModel(np.zeros(3), m)
+        m[0, 1] = m[1, 0] = 99.0
+        for kept in (q.coeffs, ising.quadratic):
+            assert kept is not m and not kept.flags.writeable
+            assert kept[0, 1] == kept[1, 0] == 1.0
+
+    def test_read_only_view_of_writable_array_is_copied(self):
+        base = np.array(self.SYMMETRIC)
+        view = base[:]
+        view.setflags(write=False)
+        q = Qubo(view)
+        base[0, 1] = base[1, 0] = 99.0
+        assert q.coeffs is not view
+        assert q.coeffs[0, 1] == 1.0
+
+    @pytest.mark.parametrize(
+        "make", [read_only_fortran, read_only_float32, lambda m: m],
+        ids=["fortran-order", "float32", "list"],
+    )
+    def test_other_inputs_are_copied_as_float64(self, make):
+        m = make(self.SYMMETRIC)
+        q = Qubo(m)
+        assert q.coeffs is not m
+        assert q.coeffs.dtype == np.float64 and not q.coeffs.flags.writeable
+        assert q.coeffs.tolist() == self.SYMMETRIC
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[0.0, 1.0], [2.0, 0.0]], "symmetric"),
+            ([[np.inf]], "finite"),
+            ([[0.0, 1.0]], "square"),
+        ],
+    )
+    def test_kept_matrix_is_still_checked(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            Qubo(frozen(matrix))
+
+    def test_kept_matrix_is_checked_against_the_partition(self):
+        with pytest.raises(ValueError, match="partition"):
+            Qubo(frozen(np.zeros((3, 3))), partition=BlockPartition.from_sizes([2, 2]))
+
+    def test_kept_quadratic_is_checked_for_a_zero_diagonal(self):
+        with pytest.raises(ValueError, match="zero diagonal"):
+            IsingModel(np.zeros(2), frozen(np.eye(2)))
+
+    def test_replace_shares_the_matrix(self):
+        q = Qubo(np.array(self.SYMMETRIC))
+        moved = replace(q, offset=2.5)
+        assert moved.coeffs is q.coeffs and moved.offset == 2.5
+        ising = IsingModel(np.zeros(3), np.array(self.SYMMETRIC))
+        assert replace(ising, linear=np.ones(3)).quadratic is ising.quadratic
+
+
+def _arrays(model):
+    names = ("coeffs",) if isinstance(model, Qubo) else ("linear", "quadratic")
+    return [getattr(model, name) for name in names]
+
+
+_SYMMETRIC = np.array(TestMatrixKeeping.SYMMETRIC)
+_MODELS = {
+    "qubo": lambda: Qubo(_SYMMETRIC, offset=1.5),
+    "ising": lambda: IsingModel(np.array([0.5, -1.0, 2.0]), _SYMMETRIC, offset=-0.5),
+    "quantized": lambda: QuantizedIsing(np.array([3, -4, 5]), 2 * _SYMMETRIC, scale=2.0),
+}
+_COPIES = {
+    "pickle": lambda model: pickle.loads(pickle.dumps(model)),
+    "deepcopy": copy.deepcopy,
+}
+
+
+class TestCopiedModelsStayReadOnly:
+    @pytest.mark.parametrize("how", list(_COPIES))
+    @pytest.mark.parametrize("kind", list(_MODELS))
+    def test_arrays_are_read_only(self, kind, how):
+        model = _MODELS[kind]()
+        copied = _COPIES[how](model)
+        assert type(copied) is type(model) and copied.offset == model.offset
+        for original, array in zip(_arrays(model), _arrays(copied)):
+            assert np.array_equal(array, original) and array.dtype == original.dtype
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 7
+
+    @pytest.mark.parametrize("how", list(_COPIES))
+    def test_instance_dict_travels_along(self, how):
+        q = _MODELS["qubo"]()
+        image = FinitePrecisionAdapter(ExhaustiveSolver()).quantize(q)
+        copied = _COPIES[how](q)
+        assert copied.offset == q.offset
+        kept = copied.__dict__["_int8_image"]
+        assert isinstance(kept, QuantizedIsing) and kept.scale == image.scale
+        assert np.array_equal(kept.quadratic, image.quadratic)
+        assert not kept.quadratic.flags.writeable
 
 
 class TestAssignmentValidation:

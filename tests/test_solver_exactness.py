@@ -18,6 +18,10 @@ paper's scale too.  The reference annealer draws each sweep's proposals and
 accept draws with one call each on its two random streams, where the solver
 draws them in bulk chunks; the draw tests pin those chunks against per-sweep
 numpy calls, and the chunk-size test pins that the chunking moves no result.
+Exhaustive enumeration scores every assignment by a split product of the
+two halves' bit tables, where its reference, the bit-table loop, scores each
+one whole; on integer-valued models every sum is exact, so the two must
+return the same assignment, ties included.
 The overflow test runs both solvers on models whose sums overflow, dense
 and banded: the annealer must reject a NaN exponent as the reference does,
 and tabu's sign-form flip deltas must round as the reference's plain ones.
@@ -42,7 +46,7 @@ from dpoqubo import backends
 from dpoqubo.backends import SolveRequest, canonical_qubo, make_backend
 from dpoqubo.bcd import extract_subproblem
 from dpoqubo.model import DpoConfig
-from dpoqubo.qubo import Qubo, qubo_energy
+from dpoqubo.qubo import Qubo, _bit_table, qubo_energy
 
 from support import bundled_model
 
@@ -166,9 +170,9 @@ def test_seeded_models(name, n):
 
 
 @st.composite
-def symmetric_models(draw, max_n=10, floats_only=False):
+def symmetric_models(draw, max_n=10, floats_only=False, integers_only=False):
     n = draw(st.integers(0, max_n))
-    if floats_only or draw(st.booleans()):
+    if floats_only or (not integers_only and draw(st.booleans())):
         entry = st.floats(-50.0, 50.0, allow_nan=False, allow_subnormal=False)
     else:
         entry = st.integers(-2, 2).map(float)
@@ -488,3 +492,62 @@ def test_overflowing_models(name, band):
             bits, _ = _REFERENCES[name](q, request)
             assert np.array_equal(result.assignment, bits.astype(np.int8))
             assert np.array_equal(result.reported_energy, qubo_energy(q, bits), equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# exhaustive enumeration
+
+def reference_exhaustive(q: Qubo) -> np.ndarray:
+    """The bit-table loop: every assignment scored whole, 65,536 at a time,
+    keeping the first strict improvement in ascending counter order."""
+    n, chunk = q.n, 1 << 16
+    total = 1 << n
+    best_energy, best_counter = np.inf, 0
+    for lo in range(0, total, chunk):
+        bits = _bit_table(lo, min(lo + chunk, total), n).astype(float)
+        energies = ((bits @ q.coeffs) * bits).sum(axis=1)
+        k = int(np.argmin(energies))
+        if energies[k] < best_energy:
+            best_energy, best_counter = float(energies[k]), lo + k
+    return _bit_table(best_counter, best_counter + 1, n)[0]
+
+
+def assert_exhaustive_matches_reference(model, chunk=None):
+    """Equal assignments, with the solver scoring ``chunk`` assignments at a
+    time (at least one high-half row); small chunks carry the tie rule
+    across chunks."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if chunk is not None:
+            monkeypatch.setattr(backends, "_EXHAUSTIVE_CHUNK", chunk)
+        result = make_backend("exhaustive").solve(SolveRequest(model))
+    q = canonical_qubo(model)
+    bits = reference_exhaustive(q)
+    assert np.array_equal(result.assignment, bits)
+    assert result.reported_energy == qubo_energy(q, bits)
+
+
+@pytest.mark.parametrize("chunk", [1, 64, None])
+@pytest.mark.parametrize("n", range(1, 17))
+def test_exhaustive_on_integer_models(n, chunk):
+    for seed in (3000 + n, 4000 + n):
+        assert_exhaustive_matches_reference(seeded_model(seed, n, "int"), chunk)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    model=symmetric_models(max_n=16, integers_only=True),
+    chunk=st.sampled_from([1, 64, None]),
+)
+def test_exhaustive_on_drawn_tie_heavy_models(model, chunk):
+    assert_exhaustive_matches_reference(model, chunk)
+
+
+@pytest.mark.parametrize("block", [2, 9, 17])
+def test_exhaustive_on_int8_paper_blocks(paper_models, block):
+    # a 24-bit block of the paper-scale model in a random context, as its
+    # int8 image: the split product must pick the bit-table loop's minimizer
+    q = paper_models["fp"]
+    x = np.random.default_rng(block).integers(0, 2, size=q.n)
+    model = at_precision(extract_subproblem(q, x, block), "int8")
+    assert model.n == 24
+    assert_exhaustive_matches_reference(model)
