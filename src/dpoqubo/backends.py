@@ -200,6 +200,70 @@ def _sweep_streams(rng, accept_rng, n: int, sweeps: int):
         yield from zip(indices.tolist(), accepts.tolist())
 
 
+def _on_byte_tables(coeffs: np.ndarray, max_abs: float) -> bool:
+    """Whether annealing reads its fields from byte tables: at most 24 bits,
+    integer-valued coefficients and ``n**2 * max|Q| < 2**53``, tested in that
+    order, so a larger model builds no n x n temporary.  A bound that
+    overflows to infinity fails."""
+    n = coeffs.shape[0]
+    return n <= 24 and bool((np.trunc(coeffs) == coeffs).all()) and n * n * max_abs < 2.0**53
+
+
+def _byte_tables(coeffs: np.ndarray) -> list:
+    """For each byte ``b`` of a 24-bit assignment, the 256 partial gradients
+    ``bits8 @ Q[8b:8b+8]``, one per value of that byte (bit ``k`` of the
+    value weighting row ``8b + k``), as a flat float64 memoryview: entry
+    ``v * n + i`` is the part of gradient entry ``i`` from byte value ``v``.
+    Rows past ``n`` are zero."""
+    n = coeffs.shape[0]
+    rows = np.zeros((24, n))
+    rows[:n] = coeffs
+    bits8 = _bit_table(0, 256, 8).astype(float)
+    return [memoryview((bits8 @ rows[b : b + 8]).ravel()) for b in (0, 8, 16)]
+
+
+def _anneal_on_byte_tables(coeffs, start, energy, temperature, draws):
+    """The annealing loop of ``SimulatedAnnealingSolver`` with each field read
+    as the sum of three byte-table entries; see the solver's docstring."""
+    n = coeffs.shape[0]
+    t0, t1, t2 = _byte_tables(coeffs)
+    # table offsets of the assignment's three byte values, and the offset move
+    # of a flip of each bit
+    bits = np.zeros(24, dtype=np.uint8)
+    bits[:n] = start
+    s0, s1, s2 = (n * v for v in np.packbits(bits, bitorder="little").tolist())
+    steps = [n << (i % 8) for i in range(n)]
+    x, diag, exp = start.tolist(), np.diag(coeffs).tolist(), math.exp
+    best_energy, best_x = energy, x.copy()
+    for indices, accepts in draws:
+        for i, u in zip(indices, accepts):
+            d, x_i = diag[i], x[i]
+            g = t0[s0 + i] + t1[s1 + i] + t2[s2 + i]
+            if x_i:
+                delta = -(d + 2.0 * (g - d))
+            else:
+                delta = d + 2.0 * g
+            if not delta <= 0.0 and not u < exp(-delta / temperature):
+                continue  # uphill and not accepted
+            step = steps[i]
+            if x_i:
+                x[i] = 0.0
+                step = -step
+            else:
+                x[i] = 1.0
+            if i < 8:
+                s0 += step
+            elif i < 16:
+                s1 += step
+            else:
+                s2 += step
+            energy += delta
+            if energy < best_energy:
+                best_energy, best_x = energy, x.copy()
+        temperature *= _SA_COOLING
+    return np.array(best_x)
+
+
 class SimulatedAnnealingSolver(_Solver):
     """Single-flip Metropolis with a geometric cooling schedule.
 
@@ -234,6 +298,27 @@ class SimulatedAnnealingSolver(_Solver):
     the returned assignment is scored afresh, so the result is bit for bit
     that of full-row updates.  A dense row's span is the whole row, and the
     flip then updates the whole gradient as before.
+
+    An integer-valued model of at most 24 bits with ``n**2 * max|Q| <
+    2**53``, every int8 image of a block included, is annealed with no
+    gradient at all (``_on_byte_tables``).  Three tables ``t_b = bits8 @
+    Q[8b:8b+8]``, one per byte of the assignment, hold the part of every
+    gradient entry that each of the byte's 256 values gives; the state is
+    the three bytes' table offsets ``s_b``, so the field of bit ``i`` is
+    ``t0[s0 + i] + t1[s1 + i] + t2[s2 + i]``, and an accepted flip moves one
+    offset.  The tables are built per solve, 147 KB at 24 bits, and dropped
+    with it.  The result is bit for bit that of the span loop.  Under the
+    bound every value either loop forms is an integer below 2**53 in
+    magnitude: a table entry or field at most ``n * max|Q|``, a delta at
+    most ``(2n - 1) * max|Q|``, and each running energy the energy of an
+    assignment, at most ``n**2 * max|Q|``.  Each is then exact in float64,
+    whatever the order of its additions, BLAS products included, so a
+    table-sum field equals the running gradient entry the span loop reads,
+    up to the sign of a zero, which no comparison reads.  The draws, the
+    delta formula, the accept test, the running energy and the strict best
+    rule are the span loop's, so every decision is too.  Float models keep
+    the span loop: their table sums would round otherwise than a running
+    gradient does.
     """
 
     name = "sa"
@@ -248,6 +333,9 @@ class SimulatedAnnealingSolver(_Solver):
 
         start, grad, energy = _random_start(q, rng)
         accept_rng = np.random.Generator(rng.bit_generator.jumped())
+        if _on_byte_tables(coeffs, max_abs):
+            draws = _sweep_streams(rng, accept_rng, n, sweeps)
+            return _anneal_on_byte_tables(coeffs, start, energy, max(n * max_abs, 1e-12), draws)
         # the proposal loop runs on Python floats, which round exactly as
         # numpy's float64 scalars do; the memoryview reads the gradient's
         # doubles as floats and follows its in-place updates.  Row i is

@@ -37,6 +37,7 @@ from .model import (
     _check_allocation,
     _check_panel,
     _check_risks,
+    _objective_terms,
     _weights_and_turnover,
     as_allocation,
     decode,
@@ -123,7 +124,14 @@ def net_mean_return(
     not enter.
     """
     _check_panel(config, panel)
-    w, turnover = _weights_and_turnover(config, allocation)
+    return _net_returns(config, panel, *_weights_and_turnover(config, allocation))
+
+
+def _net_returns(
+    config: DpoConfig, panel: ReturnPanel, w: np.ndarray, turnover: np.ndarray
+) -> np.ndarray:
+    """``net_mean_return`` of a checked panel, from the float weights and
+    turnover that ``_weights_and_turnover`` gives."""
     gross = (w * panel.interval_returns).sum(axis=1)
     return gross - config.nu * config.lam * turnover
 
@@ -185,8 +193,9 @@ def score_allocation(
         return AllocationScore(feasible=False, violations=check.violations)
     if risks is None:
         risks = risk_matrices(config, panel)
-    series = net_mean_return(allocation, panel, config)
-    terms = objective_terms(config, panel, risks, allocation)
+    w, turnover = _weights_and_turnover(config, allocation)
+    series = _net_returns(config, panel, w, turnover)
+    terms = _objective_terms(config, panel, risks, w, turnover)
     return AllocationScore(
         feasible=True,
         net_returns=series,

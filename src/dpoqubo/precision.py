@@ -83,6 +83,18 @@ class DynamicRange:
         return self.largest_diff == 0.0
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a float array, kept from the first of
+    each run of equal sorted values: ``np.unique``'s sort-and-compare, which
+    on floats keeps the same one of -0.0 and 0.0, without its masked-array
+    check, which imports ``numpy.ma``."""
+    ordered = np.sort(values, axis=None)
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 def dynamic_range(values) -> DynamicRange:
     """Measure the dynamic range of a coefficient array in bits.
 
@@ -94,7 +106,7 @@ def dynamic_range(values) -> DynamicRange:
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("values contain non-finite entries")
-    distinct = np.unique(values)
+    distinct = _distinct(values)
     if distinct.size < 2:
         return DynamicRange(bits=0.0, largest_diff=0.0, smallest_diff=0.0)
     largest = float(distinct[-1] - distinct[0])
@@ -240,7 +252,7 @@ def _linear_entries_with_value(model: IsingModel, value: float) -> list[int]:
 
 def _shrink_extreme_moves(model: IsingModel, values: np.ndarray):
     """Shrink the largest-magnitude field entry to the runner-up magnitude."""
-    mags = np.unique(np.abs(values))
+    mags = _distinct(np.abs(values))
     if mags.size < 2:
         return
     top, runner_up = float(mags[-1]), float(mags[-2])
@@ -252,11 +264,11 @@ def _shrink_extreme_moves(model: IsingModel, values: np.ndarray):
 def _widen_gap_moves(model: IsingModel, values: np.ndarray):
     """Move one endpoint of the tightest gap toward zero until the gap equals
     the second-tightest."""
-    distinct = np.unique(values)
+    distinct = _distinct(values)
     if distinct.size < 3:
         return
     gaps = np.diff(distinct)
-    gap_sizes = np.unique(gaps)
+    gap_sizes = _distinct(gaps)
     if gap_sizes.size < 2:
         return
     second_tightest = float(gap_sizes[1])
@@ -301,7 +313,7 @@ def reduce_dynamic_range(model: IsingModel, budget: int = 100) -> TuningResult:
     budget = _integer("budget", budget, 0)
     # read as float, so a QuantizedIsing's int8 -128 keeps its magnitude
     # under np.abs and its gaps under np.diff
-    couplings = np.unique(_upper_triangle(model.quadratic).astype(float))
+    couplings = _distinct(_upper_triangle(model.quadratic).astype(float))
     check: _MinimizerCheck | None = None
     current = model
     steps: list[TuningStep] = []

@@ -30,6 +30,11 @@ references update whole vectors; the banded-model tests put -0.0 entries,
 an all-zero row, a zero diagonal entry and a span away from its row's own
 index in its way, and the span tests check that it engages at the paper's
 scale and takes whole vectors on a dense model.
+The annealer reads the fields of an integer-valued model of at most 24 bits
+with ``n**2 * max|Q| < 2**53`` from byte tables instead of a running
+gradient; the loop-selection tests pin which models take that loop, and the
+integer models on either side of its limits, up to the widest integers the
+bound admits, must give the reference's result as well.
 """
 
 import math
@@ -406,6 +411,81 @@ def test_dense_rows_update_whole_vectors(name):
     whole = views[0][1:]
     assert all(v.size == model.n for v in whole)
     assert all(v is w for span in views for v, w in zip(span[1:], whole))
+
+
+def wide_integer_model(seed, n, top):
+    """A symmetric model of integers drawn from ``-top..top``, with ``-top``
+    at ``[0, 1]`` and ``[1, 0]``, so that ``max|Q|`` is ``top``."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.integers(-top, top + 1, size=(n, n))).astype(float)
+    m = upper + np.triu(upper, 1).T
+    m[0, 1] = m[1, 0] = -top
+    return Qubo(m)
+
+
+# integer models annealed from byte tables, by id: every n on either side of
+# a byte boundary, and at 16 bits the widest integers under the bound
+# n**2 * max|Q| < 2**53, 2**45 - 1
+_TABLE_MODELS = {
+    **{f"int-{n}": (lambda n=n: seeded_model(5000 + n, n, "int")) for n in (1, 7, 8, 9, 16, 17, 23, 24)},
+    "wide-16": lambda: wide_integer_model(16, 16, 2**45 - 1),
+}
+# integer models that keep the span loop: above 24 bits, and at 16 bits with
+# n**2 * max|Q| = 2**53, on the bound
+_SPAN_MODELS = {
+    "int-25": lambda: seeded_model(5025, 25, "int"),
+    "wide-16-at-bound": lambda: wide_integer_model(16, 16, 2**45),
+}
+
+
+@contextmanager
+def recording_sa_loops():
+    """A list that gets, per annealing solve, the loop it ran: "tables" when
+    it builds byte tables, "spans" when it builds span views."""
+    ran, byte_tables, span_views = [], backends._byte_tables, backends._span_views
+
+    def tables(*args):
+        ran.append("tables")
+        return byte_tables(*args)
+
+    def spans(*args):
+        ran.append("spans")
+        return span_views(*args)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(backends, "_byte_tables", tables)
+        monkeypatch.setattr(backends, "_span_views", spans)
+        yield ran
+
+
+def solved_sa_loop(model):
+    with recording_sa_loops() as ran:
+        make_backend("sa").solve(SolveRequest(model, seed=0, effort=1))
+    (loop,) = ran
+    return loop
+
+
+@pytest.mark.parametrize("case", [*_TABLE_MODELS, *_SPAN_MODELS])
+def test_sa_loop_selection(case):
+    loop = "tables" if case in _TABLE_MODELS else "spans"
+    model = {**_TABLE_MODELS, **_SPAN_MODELS}[case]()
+    assert solved_sa_loop(model) == loop
+
+
+@pytest.mark.parametrize("precision, loop", [("int8", "tables"), ("fp", "spans")])
+def test_sa_loop_selection_on_the_paper_block(paper_block, precision, loop):
+    # the int8 image is integer-valued, the fp block is not
+    assert solved_sa_loop(at_precision(paper_block, precision)) == loop
+
+
+@pytest.mark.parametrize("case", [*_TABLE_MODELS, *_SPAN_MODELS])
+@pytest.mark.parametrize("name", ["sa", "tabu"])
+def test_integer_models_either_side_of_the_table_limits(name, case):
+    # the table sums and the running gradient hold the same exact integers,
+    # up to the widest the bound admits
+    model = {**_TABLE_MODELS, **_SPAN_MODELS}[case]()
+    for seed, effort in ((model.n, None), (model.n + 1, 37)):
+        assert_matches_reference(name, model, seed, effort)
 
 
 def assert_sweep_draws_match(seed, n, sweeps, start=0):
