@@ -64,6 +64,16 @@ class SolveRequest:
             object.__setattr__(self, "effort", _integer("effort", self.effort, 1))
 
 
+def _spawn_seed(seed: int, *key: int) -> int:
+    """The request seed at position ``key`` under ``seed``: numpy's
+    ``SeedSequence`` spawn-key derivation, so distinct ``(seed, key)`` give
+    independent streams, cut to 63 bits so it is a non-negative int.  The
+    ``uint64`` becomes a Python int before the shift, which numpy 1.x would
+    otherwise promote to float64."""
+    state = np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)
+    return int(state[0]) >> 1
+
+
 @dataclass(frozen=True)
 class SolveResult:
     """A read-only binary assignment and its energy under the submitted

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backends import SolveRequest, SolveResult
+from .backends import SolveRequest, SolveResult, _spawn_seed
 from .qubo import BlockPartition, Qubo, _freeze, _integer, _require_partition, as_bits, qubo_energy
 
 __all__ = [
@@ -40,10 +40,10 @@ __all__ = [
 class BcdConfig:
     """Sweep control: J global iterations, I backend runs per block visit.
 
-    J and I are integers >= 1, ``seed`` an integer >= 0.  ``seed`` anchors
-    the deterministic per-visit seed schedule: block visit number ``v``
-    (counting across iterations) uses backend seeds ``seed + v*I .. seed +
-    v*I + I - 1``, so no two visits share seeds.
+    J and I are integers >= 1, ``seed`` an integer >= 0.  Repeat ``j`` of
+    block visit ``v`` (visits counted across iterations) sends the backend
+    the seed spawned from ``seed`` at key ``(v, j)``, so every solve of a
+    sweep draws its own stream.
     """
 
     global_iters: int = 3
@@ -87,19 +87,16 @@ def extract_subproblem(q: Qubo, x, i: int) -> Qubo:
     return Qubo(_freeze(coeffs))
 
 
-def solve_block(
-    sub: Qubo, backend, cfg: BcdConfig, base_seed: int
-) -> tuple[np.ndarray, float]:
-    """Best of ``I`` backend runs on the block, seeded ``base_seed ..
-    base_seed + I - 1``, judged by full-precision local energy (ties keep
-    the earliest run); returns that run's bits and local energy.  Raises
-    ``ValueError`` when no run's local energy is below +inf, since no
-    candidate can then be judged."""
+def solve_block(sub: Qubo, backend, seeds) -> tuple[np.ndarray, float]:
+    """Best of one backend run per seed in ``seeds`` on the block, judged by
+    full-precision local energy (ties keep the earliest run); returns that
+    run's bits and local energy.  Raises ``ValueError`` when no run's local
+    energy is below +inf, since no candidate can then be judged."""
     best_energy = np.inf
     best: np.ndarray | None = None
     energies = []
-    for run in range(cfg.repeats_per_block):
-        result = backend.solve(SolveRequest(model=sub, seed=base_seed + run))
+    for seed in seeds:
+        result = backend.solve(SolveRequest(model=sub, seed=seed))
         candidate = as_bits(result.assignment, sub.n)
         # the package's backends report exactly this energy, but a backend
         # from outside may report any number; scoring here is what keeps the
@@ -131,7 +128,6 @@ class BcdTraceRecord:
     block: int
     pre_energy: float
     post_energy: float
-    seed: int
     accepted: bool
 
 
@@ -147,9 +143,10 @@ def bcd_solve(q: Qubo, backend, cfg: BcdConfig | None = None) -> BcdResult:
     starting from all zeros (the all-cash, uninvested portfolio).
 
     Every sweep runs.  Each visit solves the frozen-context subproblem ``I``
-    times and accepts the best candidate only on strict local improvement,
-    so the energy trace never increases and a global minimizer is a fixed
-    point under an exact block backend.
+    times, repeat ``j`` of visit ``v`` under the seed spawned from
+    ``cfg.seed`` at key ``(v, j)``, and accepts the best candidate only on
+    strict local improvement, so the energy trace never increases and a
+    global minimizer is a fixed point under an exact block backend.
     """
     if cfg is None:
         cfg = BcdConfig()
@@ -163,12 +160,12 @@ def bcd_solve(q: Qubo, backend, cfg: BcdConfig | None = None) -> BcdResult:
     for iteration in range(cfg.global_iters):
         for i in range(m):
             visit = iteration * m + i
-            base_seed = cfg.seed + visit * cfg.repeats_per_block
+            seeds = [_spawn_seed(cfg.seed, visit, j) for j in range(cfg.repeats_per_block)]
             sub = extract_subproblem(q, x, i)
             sl = part.block_slice(i)
             incumbent_energy = qubo_energy(sub, x[sl])
             try:
-                candidate, candidate_energy = solve_block(sub, backend, cfg, base_seed)
+                candidate, candidate_energy = solve_block(sub, backend, seeds)
             except Exception as exc:
                 raise BcdBackendError(i, str(exc), tuple(trace)) from exc
             pre_energy = energy
@@ -182,7 +179,6 @@ def bcd_solve(q: Qubo, backend, cfg: BcdConfig | None = None) -> BcdResult:
                     block=i,
                     pre_energy=pre_energy,
                     post_energy=energy,
-                    seed=base_seed,
                     accepted=accepted,
                 )
             )

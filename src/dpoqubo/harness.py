@@ -16,6 +16,7 @@ excluded from that guarantee.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -26,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .backends import FinitePrecisionAdapter, SolveRequest, make_backend
+from .backends import FinitePrecisionAdapter, SolveRequest, _spawn_seed, make_backend
 from .bcd import BcdConfig, bcd_solve
 from .market import ReturnPanel
 from .model import (
@@ -64,10 +65,6 @@ __all__ = [
 
 _DECOMPOSITIONS = ("global", "block")
 _PRECISIONS = ("fp", "int8")
-
-# spacing between per-run base seeds; block sweeps consume a contiguous range
-# of derived seeds, so runs must not sit close enough to overlap it
-_SEED_STRIDE = 10_000
 
 
 @dataclass(frozen=True)
@@ -254,14 +251,13 @@ def _run_once(q, solver, decomposition: str, run_seed: int):
     return res.assignment, float(res.reported_energy), time.perf_counter() - start
 
 
-def _evaluate_cell(q, backend, variant, config, panel, risks, seed, runs):
+def _evaluate_cell(q, backend, variant, config, panel, risks, run_seeds):
     # an int8 adapter keeps the image it builds on the model object, so the
     # runs of a cell, and every int8 cell given this q, tune it once
     solver = FinitePrecisionAdapter(backend) if variant.precision == "int8" else backend
     records = []
     solutions = []
-    for r in range(runs):
-        run_seed = seed + r * _SEED_STRIDE
+    for r, run_seed in enumerate(run_seeds):
         assignment, energy, wall = _run_once(q, solver, variant.decomposition, run_seed)
         alloc = decode(assignment, config)
         score = score_allocation(alloc, panel, config, risks)
@@ -308,19 +304,15 @@ def run_matrix(
 ) -> list[EvaluationReport]:
     """Solve the encoded problem across every backend x variant cell.
 
-    Each cell performs ``runs`` (an integer >= 1) independent solves with
-    distinct base seeds (cell ``k``, run ``r`` uses ``seed + (k*runs + r) *
-    10_000``, where ``seed`` is an integer >= 0) and reports
+    Each cell performs ``runs`` (an integer >= 1) seeded solves and reports
     the feasible run with the highest total net return; cells with no
     feasible run are reported infeasible, and a cell whose solver raises is
-    recorded as an error without stopping the rest of the matrix.
-
-    Nearby ``seed`` values are not independent repetitions: a block run
-    seeds its BCD block solves from its base seed up, one seed per solve
-    (198 at the default configuration), so matrices at seeds ``s`` and
-    ``s + 1`` share nearly all their block solver streams.  Repetitions
-    that share no solver seed need ``seed`` values spaced at least ``10_000
-    * cells * runs`` apart, with ``cells`` the backends times the variants.
+    recorded as an error without stopping the rest of the matrix.  Run
+    ``r`` of cell ``k`` (cells counted backend-major) is seeded with the
+    seed spawned from ``seed`` (an integer >= 0) at key ``(k, r)``, and a
+    block run spawns its block solves' seeds from that one, so every solve
+    of a matrix, and of matrices at any two ``seed`` values, draws its own
+    stream.
 
     ``backends`` entries are base backend names or objects with a string
     ``name``; the int8 wrapping is applied internally by the INT8 variants,
@@ -360,24 +352,21 @@ def run_matrix(
     q = encode_qubo(config, panel, risks)
 
     reports: list[EvaluationReport] = []
-    cell = 0
-    for backend in resolved:
-        for variant in variants:
-            base = seed + cell * runs * _SEED_STRIDE
-            try:
-                reports.append(
-                    _evaluate_cell(q, backend, variant, config, panel, risks, base, runs)
+    for cell, (backend, variant) in enumerate(itertools.product(resolved, variants)):
+        run_seeds = [_spawn_seed(seed, cell, r) for r in range(runs)]
+        try:
+            reports.append(
+                _evaluate_cell(q, backend, variant, config, panel, risks, run_seeds)
+            )
+        except Exception as exc:  # noqa: BLE001 - cell isolation is the point
+            reports.append(
+                EvaluationReport(
+                    backend=backend.name,
+                    variant=variant,
+                    error=f"{type(exc).__name__}: {exc}",
+                    feasible=False,
                 )
-            except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-                reports.append(
-                    EvaluationReport(
-                        backend=backend.name,
-                        variant=variant,
-                        error=f"{type(exc).__name__}: {exc}",
-                        feasible=False,
-                    )
-                )
-            cell += 1
+            )
     return reports
 
 

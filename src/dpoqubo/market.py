@@ -114,9 +114,10 @@ class ReturnPanel:
         return slice(t * self.dt, (t + 1) * self.dt)
 
 
-def _is_iso_date(text: str) -> bool:
+def _is_iso_date(text) -> bool:
+    """Whether ``text`` is a ``YYYY-MM-DD`` string naming a real date."""
     try:
-        return datetime.date.fromisoformat(text).isoformat() == text
+        return isinstance(text, str) and datetime.date.fromisoformat(text).isoformat() == text
     except ValueError:
         return False
 
@@ -241,6 +242,8 @@ def generate_synthetic(
     seed = _integer("seed", seed, 0)
     n_a = _integer("n_a", n_a, 1)
     days = _integer("days", days, 1)
+    if not _is_iso_date(start_date):
+        raise ValueError(f"start_date must be a YYYY-MM-DD date, got {start_date!r}")
     mu = _per_asset("drift", drift, n_a)
     sigma = _per_asset("volatility", volatility, n_a)
     if np.any(sigma < 0.0):

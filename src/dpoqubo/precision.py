@@ -26,7 +26,7 @@ from itertools import chain
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .qubo import IsingModel, _bit_table, _integer, _row_spans
+from .qubo import IsingModel, _bit_table, _freeze, _frozen_matrix, _integer, _row_spans
 
 __all__ = [
     "DynamicRange",
@@ -362,16 +362,21 @@ class QuantizedIsing(IsingModel):
     absolute coefficient; dividing integer energies by ``scale`` recovers
     approximate source-model energies (the source offset is not carried, so
     ``offset`` is 0).  Coefficients must be integers in -128..127 and are
-    stored as read-only int8; others raise ``ValueError``.  Every energy is a
-    small integer, so ``ising_energy`` and ``ising_to_qubo`` treat the model
-    exactly.
+    stored as read-only int8; others raise ``ValueError``.  An int8 coupling
+    matrix is checked as it is and kept under :class:`IsingModel`'s
+    keep-or-copy rule with int8 in place of float64, so it is never widened;
+    any other is checked as floats and then converted once.  Every energy is
+    a small integer, so ``ising_energy`` and ``ising_to_qubo`` treat the
+    model exactly.
     """
 
     scale: float
 
     def __post_init__(self) -> None:
-        coeffs = [np.asarray(self.linear), np.asarray(self.quadratic)]
-        for values in coeffs:
+        linear, quadratic = np.asarray(self.linear), np.asarray(self.quadratic)
+        for values in (linear, quadratic):
+            if values.dtype == np.int8:
+                continue  # integers in range by type
             if np.any(values != np.round(values)):
                 raise ValueError("coefficients must be integers; got non-integer values")
             if np.any((values < -128) | (values > 127)):
@@ -381,23 +386,24 @@ class QuantizedIsing(IsingModel):
         scale = float(self.scale)
         if not (math.isfinite(scale) and scale > 0.0):
             raise ValueError(f"scale must be finite and > 0, got {scale!r}")
-        super().__post_init__()
-        for name, values in zip(("linear", "quadratic"), coeffs):
-            values = values.astype(np.int8)
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
+        if quadratic.dtype == np.int8:
+            j = _frozen_matrix(quadratic, "quadratic", self.partition, np.int8)
+        else:
+            super().__post_init__()
+            linear, j = self.linear, _freeze(self.quadratic.astype(np.int8))
+        self._store(linear.astype(np.int8), j)
         object.__setattr__(self, "scale", scale)
 
 
 def _scale_round_clip(a: np.ndarray, alpha: float) -> np.ndarray:
-    """``clip(round(127 * (a / alpha)), -128, 127)`` as int8, in one float
-    buffer: a product's rounding does not depend on the order of its
-    factors, so ``(a / alpha) * 127`` in place is the same float."""
+    """``clip(round(127 * (a / alpha)), -128, 127)`` as read-only int8, in
+    one float buffer: a product's rounding does not depend on the order of
+    its factors, so ``(a / alpha) * 127`` in place is the same float."""
     out = a / alpha
     out *= 127.0
     np.round(out, out=out)
     np.clip(out, -128, 127, out=out)
-    return out.astype(np.int8)
+    return _freeze(out.astype(np.int8))
 
 
 def quantize_int8(model: IsingModel) -> QuantizedIsing:

@@ -124,12 +124,14 @@ class BlockPartition:
         return slice(start, stop)
 
 
-def _frozen_matrix(m, name: str, partition: BlockPartition | None) -> np.ndarray:
-    """``m`` as a read-only float matrix, checked to be square, finite,
+def _frozen_matrix(
+    m, name: str, partition: BlockPartition | None, dtype=np.float64
+) -> np.ndarray:
+    """``m`` as a read-only ``dtype`` matrix, checked to be square, finite,
     exactly symmetric and, when a partition is given, as wide as it.
 
-    A float64 array that is already read-only, C-contiguous and owns its
-    buffer is kept as it is; every other input (a writable array, a
+    An array of ``dtype`` that is already read-only, C-contiguous and owns
+    its buffer is kept as it is; every other input (a writable array, a
     read-only view of one, another dtype, a list) is copied.  A caller who
     freezes a matrix and keeps writing to it through another view, or makes
     it writable again, is outside the contract."""
@@ -138,12 +140,12 @@ def _frozen_matrix(m, name: str, partition: BlockPartition | None) -> np.ndarray
         and not m.flags.writeable
         and m.flags.c_contiguous
         and m.flags.owndata
-        and m.dtype == np.float64
+        and m.dtype == dtype
     )
-    out = m if keep else np.array(m, dtype=float)
+    out = m if keep else np.array(m, dtype=dtype)
     if out.ndim != 2 or out.shape[0] != out.shape[1]:
         raise ValueError(f"{name} must be a square 2-D matrix, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if out.dtype.kind == "f" and not np.all(np.isfinite(out)):
         raise ValueError(f"{name} contains non-finite entries")
     if not np.array_equal(out, out.T):
         raise ValueError(f"{name} must be exactly symmetric")
@@ -238,12 +240,18 @@ class IsingModel:
     __setstate__ = _setstate
 
     def __post_init__(self) -> None:
-        h = np.array(self.linear, dtype=float)
+        self._store(
+            np.array(self.linear, dtype=float),
+            _frozen_matrix(self.quadratic, "quadratic", self.partition),
+        )
+
+    def _store(self, h: np.ndarray, j: np.ndarray) -> None:
+        """Check the fields ``h`` against the checked, read-only couplings
+        ``j`` and store both, ``h`` made read-only."""
         if h.ndim != 1:
             raise ValueError(f"linear must be a 1-D vector, got shape {h.shape}")
         if not np.all(np.isfinite(h)):
             raise ValueError("linear contains non-finite entries")
-        j = _frozen_matrix(self.quadratic, "quadratic", self.partition)
         if j.shape[0] != h.shape[0]:
             raise ValueError(
                 f"linear has {h.shape[0]} entries, quadratic is {j.shape[0]}x{j.shape[1]}"

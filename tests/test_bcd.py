@@ -12,6 +12,7 @@ from dpoqubo.backends import (
     SimulatedAnnealingSolver,
     SolveRequest,
     TabuSolver,
+    _spawn_seed,
     make_backend,
 )
 from dpoqubo.bcd import (
@@ -103,7 +104,7 @@ class TestSolveBlock:
         q = tridiagonal_qubo(5, [4, 4])
         x = np.zeros(8, dtype=int)
         sub = extract_subproblem(q, x, 0)
-        y, _ = solve_block(sub, ExhaustiveSolver(), BcdConfig(repeats_per_block=1), 0)
+        y, _ = solve_block(sub, ExhaustiveSolver(), [0])
         best = min(
             itertools.product([0, 1], repeat=4),
             key=lambda b: qubo_energy(sub, np.array(b)),
@@ -114,17 +115,17 @@ class TestSolveBlock:
         part = BlockPartition.from_sizes([2])
         q = Qubo(np.diag([-1.0, 2.0]), partition=part)
         sub = extract_subproblem(q, np.zeros(2, dtype=int), 0)
-        y, _ = solve_block(sub, ExhaustiveSolver(), BcdConfig(), 0)
+        y, _ = solve_block(sub, ExhaustiveSolver(), [0, 1, 2])
         assert y.tolist() == [1, 0]
 
     def test_min_of_runs(self):
         q = tridiagonal_qubo(11, [10], scale=2.0)
         sub = extract_subproblem(q, np.zeros(10, dtype=int), 0)
         backend = with_default_effort(SimulatedAnnealingSolver, sweeps=5)  # weak on purpose
-        y, _ = solve_block(sub, backend, BcdConfig(repeats_per_block=3), 40)
+        y, _ = solve_block(sub, backend, [40, 41, 42])
         chosen = qubo_energy(sub, y)
-        for run in range(3):
-            single, _ = solve_block(sub, backend, BcdConfig(repeats_per_block=1), 40 + run)
+        for seed in (40, 41, 42):
+            single, _ = solve_block(sub, backend, [seed])
             assert chosen <= qubo_energy(sub, single) + 1e-12
 
 
@@ -148,7 +149,7 @@ class TestNonFiniteBlock:
     def test_solve_block_names_the_energies(self):
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match=re.escape("local energy: [inf, inf, inf]")):
-                solve_block(overflowing_block(), AllOnes(), BcdConfig(), 0)
+                solve_block(overflowing_block(), AllOnes(), [0, 1, 2])
 
     def test_bcd_solve_reports_them_for_the_block(self):
         with np.errstate(over="ignore"):
@@ -272,7 +273,7 @@ class TestBcdSolve:
         for i in range(len(q.partition)):
             sub = extract_subproblem(q, opt, i)
             sl = q.partition.block_slice(i)
-            y, _ = solve_block(sub, ExhaustiveSolver(), BcdConfig(), 0)
+            y, _ = solve_block(sub, ExhaustiveSolver(), [0, 1, 2])
             # the acceptance rule keeps opt unless a candidate is strictly lower
             assert not qubo_energy(sub, y) < qubo_energy(sub, opt[sl])
 
@@ -285,11 +286,21 @@ class TestBcdSolve:
         assert len(result.trace) == 3 * 3  # J iterations x m blocks
 
     def test_seed_schedule_distinct_per_visit(self):
+        seen = []
+
+        class Recording:
+            name = "recording"
+
+            def solve(self, request):
+                seen.append(request.seed)
+                return ExhaustiveSolver().solve(request)
+
         q = tridiagonal_qubo(4, [2, 2])
         cfg = BcdConfig(global_iters=2, repeats_per_block=3, seed=100)
-        result = bcd_solve(q, ExhaustiveSolver(), cfg)
-        seeds = [r.seed for r in result.trace]
-        assert seeds == [100, 103, 106, 109]
+        bcd_solve(q, Recording(), cfg)
+        # visit v (counted across iterations), repeat j
+        assert seen == [_spawn_seed(100, v, j) for v in range(4) for j in range(3)]
+        assert len(set(seen)) == 12
 
     def test_deterministic_given_seed(self):
         q = tridiagonal_qubo(31, [4, 4, 4], scale=2.0)

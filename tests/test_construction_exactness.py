@@ -24,7 +24,8 @@ Every builder hands its fresh matrix to the model read-only, and the model
 keeps it instead of copying it, as does a ``dataclasses.replace`` copy.  So
 on the default 528-bit model the encoder and both conversions peak at no
 more than 1.3 matrices of ``n * n`` floats, and tuning, whose candidates
-share the couplings, at no more than 1.5.
+share the couplings, at no more than 1.5.  A quantized model built from
+int8 arrays checks them as int8 and peaks below half a matrix of floats.
 """
 
 import tracemalloc
@@ -414,6 +415,17 @@ def test_encoder_and_conversion_build_only_their_result():
     _, to_qubo_peak = _peak_bytes(ising_to_qubo, ising)
     for peak in (encode_peak, to_ising_peak, to_qubo_peak):
         assert peak <= 1.3 * unit, peak / unit
+
+
+def test_int8_arrays_build_a_quantized_model_without_widening():
+    config, panel = _default_config_and_panel()
+    image = quantize_int8(qubo_to_ising(encode_qubo(config, panel)))
+    args = (image.linear, image.quadratic)
+    kwargs = {"scale": image.scale, "partition": image.partition}
+    rebuilt, peak = _peak_bytes(lambda: QuantizedIsing(*args, **kwargs))
+    assert rebuilt.quadratic is image.quadratic
+    # a float64 copy of the couplings alone would be one matrix
+    assert peak < 0.5 * config.n**2 * 8, peak / (config.n**2 * 8)
 
 
 def test_tuning_candidates_share_the_couplings():

@@ -11,6 +11,7 @@ from dpoqubo.backends import (
     ExhaustiveSolver,
     FinitePrecisionAdapter,
     SolveResult,
+    _spawn_seed,
 )
 from dpoqubo.harness import (
     ALL_VARIANTS,
@@ -69,6 +70,10 @@ class ScriptedBackend:
             assignment=x,
             reported_energy=qubo_energy(request.model, x),
         )
+
+
+# the request seeds of runs 0, 1 and 2 of the first cell of a matrix at seed 0
+RUN_SEEDS = [_spawn_seed(0, 0, r) for r in range(3)]
 
 
 class ExplodingBackend:
@@ -275,9 +280,9 @@ class TestRunMatrix:
         cfg = tiny_config()
         panel = random_panel(8, 2, 2)
         feasible = bits_for([[3, 0], [0, 3]], cfg)
-        backend = ScriptedBackend({0: feasible, 10_000: feasible, 20_000: feasible})
+        backend = ScriptedBackend(dict.fromkeys(RUN_SEEDS, feasible))
         run_matrix(panel, cfg, [backend], [StrategyVariant("global", "fp")], seed=0)
-        assert backend.seen_seeds == [0, 10_000, 20_000]
+        assert backend.seen_seeds == RUN_SEEDS
         assert len(set(backend.seen_seeds)) == 3
 
     def test_selects_best_net_return_among_feasible(self):
@@ -286,11 +291,9 @@ class TestRunMatrix:
         a = [[3, 0], [0, 3]]
         b = [[0, 3], [3, 0]]
         infeasible = [[3, 3], [3, 3]]
-        backend = ScriptedBackend({
-            0: bits_for(a, cfg),
-            10_000: bits_for(infeasible, cfg),
-            20_000: bits_for(b, cfg),
-        })
+        backend = ScriptedBackend(dict(zip(
+            RUN_SEEDS, [bits_for(a, cfg), bits_for(infeasible, cfg), bits_for(b, cfg)]
+        )))
         reports = run_matrix(
             panel, cfg, [backend], [StrategyVariant("global", "fp")], seed=0
         )
@@ -320,7 +323,7 @@ class TestRunMatrix:
         cfg = tiny_config()
         panel = random_panel(11, 2, 2)
         bad = bits_for([[3, 3], [3, 3]], cfg)
-        backend = ScriptedBackend({0: bad, 10_000: bad, 20_000: bad})
+        backend = ScriptedBackend(dict.fromkeys(RUN_SEEDS, bad))
         (rep,) = run_matrix(
             panel, cfg, [backend], [StrategyVariant("global", "fp")], seed=0
         )
@@ -443,21 +446,21 @@ class TestGoldenFixture:
     # 48-bit gate matrix; each cell has one run, so run 0 is selected
     GATE_CELLS = [
         ("sa", "global-fp", "feasible",
-         [[4, 1, 6, 1, 0, 3], [10, 0, 4, 0, 1, 0]], -0.8087727779681728),
+         [[4, 0, 1, 5, 1, 4], [3, 0, 3, 8, 1, 0]], -0.7157828141278912),
         ("sa", "global-int8", "infeasible",
-         [[3, 1, 1, 0, 8, 1], [2, 0, 8, 2, 2, 0]], 0.6085591535209431),
+         [[6, 1, 2, 2, 2, 2], [0, 6, 4, 0, 2, 2]], -0.29871914427592117),
         ("sa", "block-fp", "feasible",
-         [[7, 0, 5, 3, 0, 0], [8, 0, 6, 1, 0, 0]], -1.662293089739407),
+         [[7, 0, 5, 2, 1, 0], [7, 0, 7, 0, 0, 1]], -1.6332255204446255),
         ("sa", "block-int8", "infeasible",
-         [[1, 3, 8, 1, 1, 1], [1, 1, 9, 1, 1, 1]], -0.7738264755070503),
+         [[1, 5, 1, 1, 5, 1], [3, 9, 1, 1, 1, 1]], 0.32820998720320915),
         ("tabu", "global-fp", "feasible",
-         [[3, 1, 3, 3, 4, 1], [3, 2, 6, 1, 3, 0]], -1.2499317578272127),
+         [[1, 0, 3, 3, 0, 8], [1, 0, 4, 4, 0, 6]], -0.25038846970547013),
         ("tabu", "global-int8", "infeasible",
-         [[2, 2, 2, 2, 2, 2], [2, 2, 10, 2, 0, 0]], 1.8726475447490571),
+         [[2, 2, 2, 2, 6, 2], [1, 1, 1, 5, 5, 1]], 0.09235413312698881),
         ("tabu", "block-fp", "feasible",
-         [[6, 0, 5, 3, 1, 0], [5, 1, 6, 3, 0, 0]], -1.6454537356318184),
+         [[5, 0, 5, 3, 2, 0], [6, 0, 7, 2, 0, 0]], -1.67377456103452),
         ("tabu", "block-int8", "infeasible",
-         [[5, 1, 5, 1, 1, 1], [9, 1, 1, 1, 1, 1]], -0.4380090982765523),
+         [[5, 1, 5, 1, 1, 1], [1, 1, 9, 1, 1, 1]], -0.6789593362168915),
     ]
 
     def test_bundled_gate_matrix_cells(self):
@@ -519,7 +522,7 @@ class TestEmitReport:
         cfg = tiny_config()
         panel = random_panel(17, 2, 2)
         bad = bits_for([[3, 3], [3, 3]], cfg)
-        backend = ScriptedBackend({0: bad, 10_000: bad, 20_000: bad})
+        backend = ScriptedBackend(dict.fromkeys(RUN_SEEDS, bad))
         reports = run_matrix(
             panel, cfg, [backend], [StrategyVariant("global", "fp")], seed=0
         )

@@ -234,6 +234,18 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="correlation"):
             generate_synthetic(seed=0, n_a=2, days=10, correlation=1.5)
 
+    # the YYYY-MM-DD rule price files are read by, on every Python version:
+    # date.fromisoformat takes the first two on 3.11 and up only
+    @pytest.mark.parametrize(
+        "start_date",
+        ["20230102", "2023-W01-1", "2023-13-01", 20230102],
+        ids=["basic-format", "week-date", "month-13", "int"],
+    )
+    def test_start_date_must_be_yyyy_mm_dd(self, start_date):
+        message = f"start_date must be a YYYY-MM-DD date, got {start_date!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_synthetic(seed=0, n_a=2, days=5, start_date=start_date)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kwargs, message", [
         ({"drift": math.nan}, "drift must be finite, got nan"),
