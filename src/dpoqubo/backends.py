@@ -211,56 +211,52 @@ def _sweep_streams(rng, accept_rng, n: int, sweeps: int):
 
 
 def _on_byte_tables(coeffs: np.ndarray, max_abs: float) -> bool:
-    """Whether annealing reads its fields from byte tables: at most 24 bits,
-    integer-valued coefficients and ``n**2 * max|Q| < 2**53``, tested in that
-    order, so a larger model builds no n x n temporary.  A bound that
+    """Whether annealing reads its flip deltas from byte tables: at most 24
+    bits, integer-valued coefficients and ``n**2 * max|Q| < 2**53``, tested
+    in that order, so a larger model builds no n x n temporary.  A bound that
     overflows to infinity fails."""
     n = coeffs.shape[0]
     return n <= 24 and bool((np.trunc(coeffs) == coeffs).all()) and n * n * max_abs < 2.0**53
 
 
-def _byte_tables(coeffs: np.ndarray) -> list:
-    """For each byte ``b`` of a 24-bit assignment, the 256 partial gradients
-    ``bits8 @ Q[8b:8b+8]``, one per value of that byte (bit ``k`` of the
-    value weighting row ``8b + k``), as a flat float64 memoryview: entry
-    ``v * n + i`` is the part of gradient entry ``i`` from byte value ``v``.
-    Rows past ``n`` are zero."""
+def _byte_tables(coeffs: np.ndarray) -> memoryview:
+    """For each byte ``b`` of a 24-bit assignment and each of its 256 values
+    ``v``, the row of ``2 Q[8b + k, i]`` summed over the set bits ``k`` of
+    ``v`` with ``8b + k != i``, plus ``Q[i, i]`` in table 0, as one flat
+    float64 memoryview: entry ``(256 b + v) * n + i`` is bit ``i``'s part
+    from byte value ``v``.  Rows past ``n`` are zero."""
     n = coeffs.shape[0]
     rows = np.zeros((24, n))
-    rows[:n] = coeffs
-    bits8 = _bit_table(0, 256, 8).astype(float)
-    return [memoryview((bits8 @ rows[b : b + 8]).ravel()) for b in (0, 8, 16)]
+    rows[:n] = 2.0 * coeffs
+    np.fill_diagonal(rows, 0.0)
+    tables = _bit_table(0, 256, 8).astype(float) @ rows.reshape(3, 8, n)
+    tables[0] += np.diag(coeffs)
+    return memoryview(tables.ravel())
 
 
 def _anneal_on_byte_tables(coeffs, start, energy, temperature, draws):
-    """The annealing loop of ``SimulatedAnnealingSolver`` with each field read
-    as the sum of three byte-table entries; see the solver's docstring."""
+    """The annealing loop of ``SimulatedAnnealingSolver`` with each flip delta
+    read as the sum of three byte-table entries; see the solver's docstring."""
     n = coeffs.shape[0]
-    t0, t1, t2 = _byte_tables(coeffs)
-    # table offsets of the assignment's three byte values, and the offset move
-    # of a flip of each bit
+    t = _byte_tables(coeffs)
+    # offsets of the assignment's three byte values, table b starting at
+    # entry 256 b n, and the offset move of a flip of each bit, negative
+    # while the bit is set; the best state is kept as its three offsets
     bits = np.zeros(24, dtype=np.uint8)
     bits[:n] = start
-    s0, s1, s2 = (n * v for v in np.packbits(bits, bitorder="little").tolist())
-    steps = [n << (i % 8) for i in range(n)]
-    x, diag, exp = start.tolist(), np.diag(coeffs).tolist(), math.exp
-    best_energy, best_x = energy, x.copy()
+    s0, s1, s2 = (n * (np.arange(0, 768, 256) + np.packbits(bits, bitorder="little"))).tolist()
+    steps = [(1 - 2 * x) * (n << (i % 8)) for i, x in enumerate(bits[:n].tolist())]
+    exp = math.exp
+    best_energy, best = energy, (s0, s1, s2)
     for indices, accepts in draws:
         for i, u in zip(indices, accepts):
-            d, x_i = diag[i], x[i]
-            g = t0[s0 + i] + t1[s1 + i] + t2[s2 + i]
-            if x_i:
-                delta = -(d + 2.0 * (g - d))
-            else:
-                delta = d + 2.0 * g
+            step = steps[i]
+            delta = t[s0 + i] + t[s1 + i] + t[s2 + i]
+            if step < 0:
+                delta = -delta
             if not delta <= 0.0 and not u < exp(-delta / temperature):
                 continue  # uphill and not accepted
-            step = steps[i]
-            if x_i:
-                x[i] = 0.0
-                step = -step
-            else:
-                x[i] = 1.0
+            steps[i] = -step
             if i < 8:
                 s0 += step
             elif i < 16:
@@ -269,9 +265,10 @@ def _anneal_on_byte_tables(coeffs, start, energy, temperature, draws):
                 s2 += step
             energy += delta
             if energy < best_energy:
-                best_energy, best_x = energy, x.copy()
+                best_energy, best = energy, (s0, s1, s2)
         temperature *= _SA_COOLING
-    return np.array(best_x)
+    best_bytes = np.array(best) // n % 256
+    return np.unpackbits(best_bytes.astype(np.uint8), bitorder="little")[:n]
 
 
 class SimulatedAnnealingSolver(_Solver):
@@ -311,24 +308,27 @@ class SimulatedAnnealingSolver(_Solver):
 
     An integer-valued model of at most 24 bits with ``n**2 * max|Q| <
     2**53``, every int8 image of a block included, is annealed with no
-    gradient at all (``_on_byte_tables``).  Three tables ``t_b = bits8 @
-    Q[8b:8b+8]``, one per byte of the assignment, hold the part of every
-    gradient entry that each of the byte's 256 values gives; the state is
-    the three bytes' table offsets ``s_b``, so the field of bit ``i`` is
-    ``t0[s0 + i] + t1[s1 + i] + t2[s2 + i]``, and an accepted flip moves one
-    offset.  The tables are built per solve, 147 KB at 24 bits, and dropped
-    with it.  The result is bit for bit that of the span loop.  Under the
-    bound every value either loop forms is an integer below 2**53 in
-    magnitude: a table entry or field at most ``n * max|Q|``, a delta at
-    most ``(2n - 1) * max|Q|``, and each running energy the energy of an
+    gradient at all (``_on_byte_tables``).  Three tables, one per byte of the
+    assignment, hold for each of the byte's 256 values and each bit ``i``
+    the sum of ``2 Q[j, i]`` over the value's set bits ``j != i``, and table
+    0 adds ``d = Q[i, i]``.  The three entries an assignment's bytes select
+    then sum to ``d + 2 sum_{j != i} Q[i, j] x_j``: the delta of setting bit
+    ``i``, and minus the delta of clearing it.  The state is the three
+    bytes' table offsets and one signed offset step per bit, negative while
+    the bit is set; an accepted flip moves one offset by its step and
+    negates the step.  The best state is kept as its three offsets and
+    decoded once, at the end.  The tables are built per solve, 147 KB at 24
+    bits, and dropped with it.  The result is bit for bit that of the span
+    loop.  Under the bound every value either loop forms is an integer below
+    2**53 in magnitude: a table entry, a gradient entry or a delta at most
+    ``(2n - 1) * max|Q|``, and each running energy the energy of an
     assignment, at most ``n**2 * max|Q|``.  Each is then exact in float64,
     whatever the order of its additions, BLAS products included, so a
-    table-sum field equals the running gradient entry the span loop reads,
-    up to the sign of a zero, which no comparison reads.  The draws, the
-    delta formula, the accept test, the running energy and the strict best
-    rule are the span loop's, so every decision is too.  Float models keep
-    the span loop: their table sums would round otherwise than a running
-    gradient does.
+    table-sum delta equals the span loop's ``d + 2g`` or ``-(d + 2(g -
+    d))``, up to the sign of a zero, which no comparison reads.  The draws,
+    the accept test, the running energy and the strict best rule are the
+    span loop's, so every decision is too.  Float models keep the span loop:
+    their table sums would round otherwise than a running gradient does.
     """
 
     name = "sa"

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import datetime
 import io
+import math
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -150,7 +151,7 @@ def parse_prices(text: str) -> PriceTable:
             values = [float(cell) for cell in cells]
         except ValueError:
             raise ValueError(f"line {lineno}: non-numeric price") from None
-        if any(not np.isfinite(v) or v <= 0.0 for v in values):
+        if any(not math.isfinite(v) or v <= 0.0 for v in values):
             raise ValueError(f"line {lineno}: prices must be positive and finite")
         if dates and not dates[-1] < date:
             raise ValueError(f"line {lineno}: dates not strictly increasing ({dates[-1]!r} >= {date!r})")
@@ -166,8 +167,9 @@ def load_prices(path: str | os.PathLike) -> PriceTable:
     Dates are ``YYYY-MM-DD``, so their string order is date order.  Rows
     missing any asset's price are dropped whole; malformed rows, bad dates
     and prices, out-of-order dates and bad asset names raise ``ValueError``.
+    A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_prices(fh.read())
 
 

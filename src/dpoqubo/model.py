@@ -530,6 +530,7 @@ def save_config(config: DpoConfig, path: str | os.PathLike) -> None:
 
 
 def load_config(path: str | os.PathLike) -> DpoConfig:
-    """Read a JSON config; every field is optional and falls back to defaults."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a JSON config; every field is optional and falls back to defaults.
+    A leading UTF-8 byte-order mark is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return config_from_dict(json.load(fh))

@@ -11,6 +11,7 @@ from dpoqubo.market import (
     compute_returns,
     generate_synthetic,
     load_bundled_prices,
+    load_prices,
     parse_prices,
     save_prices,
 )
@@ -105,6 +106,17 @@ class TestParsing:
         path = tmp_path / "prices.csv"
         save_prices(table, path)
         back = parse_prices(path.read_text())
+        assert back.assets == table.assets
+        assert back.dates == table.dates
+        assert np.array_equal(back.prices, table.prices)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with EF BB BF
+        table = load_bundled_prices()
+        path = tmp_path / "prices.csv"
+        save_prices(table, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        back = load_prices(path)
         assert back.assets == table.assets
         assert back.dates == table.dates
         assert np.array_equal(back.prices, table.prices)

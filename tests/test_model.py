@@ -400,6 +400,13 @@ class TestConfigFiles:
         save_config(cfg, path)
         assert load_config(path) == cfg
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        cfg = DpoConfig(n_t=4, n_a=3, lam=0.5, risk=Semicovariance(benchmark=0.001))
+        path = tmp_path / "config.json"
+        save_config(cfg, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_config(path) == cfg
+
     def test_empty_file_gives_defaults(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{}")

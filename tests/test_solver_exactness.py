@@ -30,11 +30,13 @@ references update whole vectors; the banded-model tests put -0.0 entries,
 an all-zero row, a zero diagonal entry and a span away from its row's own
 index in its way, and the span tests check that it engages at the paper's
 scale and takes whole vectors on a dense model.
-The annealer reads the fields of an integer-valued model of at most 24 bits
-with ``n**2 * max|Q| < 2**53`` from byte tables instead of a running
-gradient; the loop-selection tests pin which models take that loop, and the
-integer models on either side of its limits, up to the widest integers the
-bound admits, must give the reference's result as well.
+The annealer reads the flip deltas of an integer-valued model of at most 24
+bits with ``n**2 * max|Q| < 2**53`` from byte tables instead of a running
+gradient; the table test pins that the entries a state selects sum to the
+exact energy change of setting each bit, the loop-selection tests pin which
+models take that loop, and the integer models on either side of its limits,
+up to the widest integers the bound admits, must give the reference's result
+as well.
 """
 
 import math
@@ -476,6 +478,25 @@ def test_sa_loop_selection(case):
 def test_sa_loop_selection_on_the_paper_block(paper_block, precision, loop):
     # the int8 image is integer-valued, the fp block is not
     assert solved_sa_loop(at_precision(paper_block, precision)) == loop
+
+
+@pytest.mark.parametrize("case", _TABLE_MODELS)
+def test_byte_tables_hold_flip_deltas(case):
+    # bit i's entries from the three tables a state's bytes select sum to the
+    # exact change in x @ Q @ x from clearing bit i to setting it
+    q = _TABLE_MODELS[case]()
+    n = q.n
+    coeffs = q.coeffs.astype(np.int64)  # exact: every energy is below 2**53
+    tables = np.asarray(backends._byte_tables(q.coeffs)).reshape(3, 256, n)
+    rng = np.random.default_rng(n)
+    for x in [*rng.integers(0, 2, size=(3, n)), np.ones(n, dtype=np.int64)]:
+        counter = sum(int(bit) << i for i, bit in enumerate(x))
+        values = [(counter >> (8 * b)) & 255 for b in range(3)]
+        for i in range(n):
+            set_i, clear_i = x.copy(), x.copy()
+            set_i[i], clear_i[i] = 1, 0
+            change = int(set_i @ coeffs @ set_i) - int(clear_i @ coeffs @ clear_i)
+            assert sum(tables[b, v, i] for b, v in enumerate(values)) == change
 
 
 @pytest.mark.parametrize("case", [*_TABLE_MODELS, *_SPAN_MODELS])
