@@ -20,6 +20,8 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 
@@ -234,9 +236,10 @@ def _byte_tables(coeffs: np.ndarray) -> memoryview:
     return memoryview(tables.ravel())
 
 
-def _anneal_on_byte_tables(coeffs, start, energy, temperature, draws):
+def _anneal_on_byte_tables(coeffs, start, energy, schedule):
     """The annealing loop of ``SimulatedAnnealingSolver`` with each flip delta
-    read as the sum of three byte-table entries; see the solver's docstring."""
+    read as the sum of three byte-table entries; see the solver's docstring.
+    ``schedule`` yields each sweep's temperature and draws."""
     n = coeffs.shape[0]
     t = _byte_tables(coeffs)
     # offsets of the assignment's three byte values, table b starting at
@@ -248,7 +251,7 @@ def _anneal_on_byte_tables(coeffs, start, energy, temperature, draws):
     steps = [(1 - 2 * x) * (n << (i % 8)) for i, x in enumerate(bits[:n].tolist())]
     exp = math.exp
     best_energy, best = energy, (s0, s1, s2)
-    for indices, accepts in draws:
+    for temperature, (indices, accepts) in schedule:
         for i, u in zip(indices, accepts):
             step = steps[i]
             delta = t[s0 + i] + t[s1 + i] + t[s2 + i]
@@ -266,7 +269,6 @@ def _anneal_on_byte_tables(coeffs, start, energy, temperature, draws):
             energy += delta
             if energy < best_energy:
                 best_energy, best = energy, (s0, s1, s2)
-        temperature *= _SA_COOLING
     best_bytes = np.array(best) // n % 256
     return np.unpackbits(best_bytes.astype(np.uint8), bitorder="little")[:n]
 
@@ -274,10 +276,13 @@ def _anneal_on_byte_tables(coeffs, start, energy, temperature, draws):
 class SimulatedAnnealingSolver(_Solver):
     """Single-flip Metropolis with a geometric cooling schedule.
 
-    Each sweep proposes ``n`` uniformly random flips at temperature
-    ``t0 * 0.97**sweep``; the best assignment ever visited is returned.
-    ``t0`` is ``n * max|Q|``, matched to the scale of single-flip energy
-    changes.  A request's ``effort`` sets the number of sweeps, 200 by default.
+    Each sweep proposes ``n`` uniformly random flips at its own temperature;
+    the best assignment ever visited is returned.  The schedule is built once
+    per solve, as the running product ``t0, t0 * 0.97, (t0 * 0.97) * 0.97,
+    ...``, one temperature per sweep, and both annealing loops read it.
+    ``t0`` is ``n * max|Q|`` (at least 1e-12), matched to the scale of
+    single-flip energy changes.  A request's ``effort`` sets the number of
+    sweeps, 200 by default.
 
     The proposals come from the request's generator and the accept draws
     from a second stream, a jump of it made after the random start.  Each
@@ -343,9 +348,11 @@ class SimulatedAnnealingSolver(_Solver):
 
         start, grad, energy = _random_start(q, rng)
         accept_rng = np.random.Generator(rng.bit_generator.jumped())
+        t0 = max(n * max_abs, 1e-12)
+        temperatures = accumulate(repeat(_SA_COOLING, sweeps - 1), mul, initial=t0)
+        schedule = zip(temperatures, _sweep_streams(rng, accept_rng, n, sweeps))
         if _on_byte_tables(coeffs, max_abs):
-            draws = _sweep_streams(rng, accept_rng, n, sweeps)
-            return _anneal_on_byte_tables(coeffs, start, energy, max(n * max_abs, 1e-12), draws)
+            return _anneal_on_byte_tables(coeffs, start, energy, schedule)
         # the proposal loop runs on Python floats, which round exactly as
         # numpy's float64 scalars do; the memoryview reads the gradient's
         # doubles as floats and follows its in-place updates.  Row i is
@@ -357,8 +364,7 @@ class SimulatedAnnealingSolver(_Solver):
         exp = math.exp
         best_energy, best_x = energy, x.copy()
 
-        temperature = max(n * max_abs, 1e-12)
-        for indices, accepts in _sweep_streams(rng, accept_rng, n, sweeps):
+        for temperature, (indices, accepts) in schedule:
             for i, u in zip(indices, accepts):
                 d, x_i = diag[i], x[i]
                 if x_i:
@@ -377,7 +383,6 @@ class SimulatedAnnealingSolver(_Solver):
                 energy += delta
                 if energy < best_energy:
                     best_energy, best_x = energy, x.copy()
-            temperature *= _SA_COOLING
         return np.array(best_x)
 
 

@@ -152,8 +152,16 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.strategy == "block" and args.effort is not None:
-        raise ValueError("--effort applies only to --strategy global; block sweeps do not use it")
+    for dest, flag, strategy in (
+        ("effort", "--effort", "global"),
+        ("global_iters", "--bcd-iters", "block"),
+        ("repeats_per_block", "--bcd-repeats", "block"),
+    ):
+        if args.strategy != strategy and getattr(args, dest) is not None:
+            raise ValueError(
+                f"{flag} applies only to --strategy {strategy}; "
+                f"--strategy {args.strategy} does not use it"
+            )
     model = load_model(args.model)
     backend = make_backend(args.backend)
     if args.strategy == "global":
@@ -281,8 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--effort", type=int, help="backend-specific iteration budget (global strategy only)")
-    p.add_argument("--bcd-iters", dest="global_iters", type=int)
-    p.add_argument("--bcd-repeats", dest="repeats_per_block", type=int)
+    p.add_argument("--bcd-iters", dest="global_iters", type=int, help="block sweeps (block strategy only)")
+    p.add_argument("--bcd-repeats", dest="repeats_per_block", type=int, help="solves per block (block strategy only)")
     p.add_argument("--out", required=True, metavar="FILE")
     p.set_defaults(func=_cmd_solve)
 

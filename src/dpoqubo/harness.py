@@ -38,7 +38,6 @@ from .model import (
     _check_allocation,
     _check_panel,
     _check_risks,
-    _objective_terms,
     _weights_and_turnover,
     as_allocation,
     decode,
@@ -121,14 +120,7 @@ def net_mean_return(
     not enter.
     """
     _check_panel(config, panel)
-    return _net_returns(config, panel, *_weights_and_turnover(config, allocation))
-
-
-def _net_returns(
-    config: DpoConfig, panel: ReturnPanel, w: np.ndarray, turnover: np.ndarray
-) -> np.ndarray:
-    """``net_mean_return`` of a checked panel, from the float weights and
-    turnover that ``_weights_and_turnover`` gives."""
+    w, turnover = _weights_and_turnover(config, allocation)
     gross = (w * panel.interval_returns).sum(axis=1)
     return gross - config.nu * config.lam * turnover
 
@@ -173,7 +165,8 @@ def score_allocation(
     risks: Sequence[RiskMatrix] | None = None,
 ) -> AllocationScore:
     """Feasibility first; a feasible allocation then gets its net-return
-    series, their total, the return/risk ratio and the objective terms.
+    series, their total, the return/risk ratio and the objective terms:
+    those of ``net_mean_return``, ``sharpe_ratio`` and ``objective_terms``.
 
     The panel, the allocation's shape and any given ``risks`` are checked
     against the config before feasibility, so a mismatch raises
@@ -190,9 +183,8 @@ def score_allocation(
         return AllocationScore(feasible=False, violations=check.violations)
     if risks is None:
         risks = risk_matrices(config, panel)
-    w, turnover = _weights_and_turnover(config, allocation)
-    series = _net_returns(config, panel, w, turnover)
-    terms = _objective_terms(config, panel, risks, w, turnover)
+    series = net_mean_return(allocation, panel, config)
+    terms = objective_terms(config, panel, risks, allocation)
     return AllocationScore(
         feasible=True,
         net_returns=series,

@@ -237,15 +237,25 @@ class TestSolve:
         assert code == 0
         assert json.loads(out.read_text())["backend"] == "int8(tabu)"
 
-    def test_block_strategy_rejects_effort(self, tmp_path, model_file, capsys):
+    @pytest.mark.parametrize(
+        "strategy, flag, owner",
+        [
+            ("block", "--effort", "global"),
+            ("global", "--bcd-iters", "block"),
+            ("global", "--bcd-repeats", "block"),
+        ],
+    )
+    def test_flag_the_strategy_does_not_use_is_rejected(
+        self, tmp_path, model_file, capsys, strategy, flag, owner
+    ):
         out = tmp_path / "sol.json"
         code = run([
-            "solve", "--model", model_file, "--strategy", "block",
-            "--effort", 10, "--out", out,
+            "solve", "--model", model_file, "--strategy", strategy,
+            flag, 10, "--out", out,
         ])
         assert code == 1
         err = capsys.readouterr().err
-        assert "--effort" in err and "--strategy global" in err
+        assert flag in err and f"--strategy {owner}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

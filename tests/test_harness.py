@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dpoqubo.backends as backends_mod
+import dpoqubo.harness as harness_mod
 from dpoqubo.backends import (
     ExhaustiveSolver,
     FinitePrecisionAdapter,
@@ -242,6 +243,42 @@ class TestScoreAllocation:
         for allocation in (np.zeros((2, 6), dtype=int), feasible):
             with pytest.raises(ValueError, match="need 2 risk matrices, got 1"):
                 score_allocation(allocation, panel, config, risks)
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.0])
+    def test_score_composes_the_public_metrics(self, monkeypatch, gamma):
+        # a feasible score holds exactly what net_mean_return, objective_terms
+        # and sharpe_ratio give, from one call of each scoring function; an
+        # infeasible one calls neither
+        config = DpoConfig(n_t=2, gamma=gamma)
+        panel = bundled_panel(config)
+        risks = risk_matrices(config, panel)
+        calls = []
+        for name in ("net_mean_return", "objective_terms"):
+            def counted(*args, _name=name, _fn=getattr(harness_mod, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(harness_mod, name, counted)
+        feasible = [
+            [[15, 0, 0, 0, 0, 0], [15, 0, 0, 0, 0, 0]],
+            [[15, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 15]],
+            [[3, 2, 1, 4, 5, 0], [0, 7, 0, 0, 0, 8]],
+        ]
+        for weights in feasible:
+            allocation = PortfolioAllocation(np.array(weights))
+            calls.clear()
+            score = score_allocation(allocation, panel, config)
+            assert sorted(calls) == ["net_mean_return", "objective_terms"]
+            assert score.feasible
+            series = net_mean_return(allocation, panel, config)
+            assert np.array_equal(score.net_returns, series)
+            assert score.total_net_return == float(series.sum())
+            assert score.objective == objective_terms(config, panel, risks, allocation)
+            assert score.sharpe == sharpe_ratio(allocation, panel, risks, config)
+            assert (score.sharpe is None) == (gamma == 0.0)
+        calls.clear()
+        infeasible = PortfolioAllocation(np.array([[15, 1, 0, 0, 0, 0], [0] * 6]))
+        assert not score_allocation(infeasible, panel, config).feasible
+        assert calls == []
 
 
 class TestRunMatrix:
