@@ -47,6 +47,7 @@ from .market import (
 from .model import (
     _RISK_KINDS,
     DpoConfig,
+    _read_json,
     _risk_from_json,
     config_from_dict,
     config_to_dict,
@@ -163,6 +164,16 @@ def _cmd_solve(args) -> int:
                 f"--strategy {args.strategy} does not use it"
             )
     model = load_model(args.model)
+    # the sidecar is checked before the solve, so a broken one costs no solve
+    meta_path = Path(str(args.model) + ".meta.json")
+    meta = _read_json(meta_path) if meta_path.exists() else {}
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: a model sidecar must hold a JSON object")
+    if "config" in meta:
+        try:
+            config_from_dict(meta["config"])
+        except ValueError as exc:
+            raise ValueError(f"{meta_path}: {exc}") from None
     backend = make_backend(args.backend)
     if args.strategy == "global":
         res = backend.solve(SolveRequest(model, seed=args.seed, effort=args.effort))
@@ -178,18 +189,15 @@ def _cmd_solve(args) -> int:
         "strategy": args.strategy,
         "seed": args.seed,
     }
-    meta_path = Path(str(args.model) + ".meta.json")
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
-        if "config" in meta:
-            payload["config"] = meta["config"]
+    if "config" in meta:
+        payload["config"] = meta["config"]
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}: energy {energy!r} via {args.backend}/{args.strategy}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    solution = json.loads(Path(args.solution).read_text())
+    solution = _read_json(args.solution)
     if not isinstance(solution, dict):
         raise ValueError(f"{args.solution}: a solution file must hold a JSON object")
     if not isinstance(solution.get("assignment"), list):

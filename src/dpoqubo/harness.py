@@ -45,7 +45,7 @@ from .model import (
     objective_terms,
     risk_matrices,
 )
-from .qubo import _integer
+from .qubo import _integer, qubo_energy
 
 __all__ = [
     "ALL_VARIANTS",
@@ -232,47 +232,37 @@ class EvaluationReport(AllocationScore):
         return "feasible" if self.feasible else "infeasible"
 
 
-def _run_once(q, solver, decomposition: str, run_seed: int):
-    """Returns (assignment, energy, wall_time) for one seeded solve; the one
-    place that reads the wall clock."""
-    start = time.perf_counter()
-    if decomposition == "global":
-        res = solver.solve(SolveRequest(q, seed=run_seed))
-    else:
-        res = bcd_solve(q, solver, BcdConfig(seed=run_seed))
-    return res.assignment, float(res.reported_energy), time.perf_counter() - start
-
-
 def _evaluate_cell(q, backend, variant, config, panel, risks, run_seeds):
+    """Solve, decode and score each seeded run of one cell, and report the
+    selected one.  This is the one place that reads the wall clock, and a
+    run's energy is that of its assignment on ``q``, whatever the solver
+    reports."""
     # an int8 adapter keeps the image it builds on the model object, so the
     # runs of a cell, and every int8 cell given this q, tune it once
     solver = FinitePrecisionAdapter(backend) if variant.precision == "int8" else backend
-    records = []
-    solutions = []
+    runs = []  # (record, allocation, score) per run
     for r, run_seed in enumerate(run_seeds):
-        assignment, energy, wall = _run_once(q, solver, variant.decomposition, run_seed)
-        alloc = decode(assignment, config)
+        start = time.perf_counter()
+        if variant.decomposition == "global":
+            res = solver.solve(SolveRequest(q, seed=run_seed))
+        else:
+            res = bcd_solve(q, solver, BcdConfig(seed=run_seed))
+        wall = time.perf_counter() - start
+        alloc = decode(res.assignment, config)
         score = score_allocation(alloc, panel, config, risks)
-        records.append(
-            RunRecord(
-                index=r,
-                seed=run_seed,
-                energy=energy,
-                feasible=score.feasible,
-                total_net_return=score.total_net_return,
-                wall_time=wall,
-            )
+        record = RunRecord(
+            index=r, seed=run_seed, energy=qubo_energy(q, res.assignment),
+            feasible=score.feasible, total_net_return=score.total_net_return, wall_time=wall,
         )
-        solutions.append((alloc, score))
+        runs.append((record, alloc, score))
 
-    feasible_runs = [rec for rec in records if rec.feasible]
+    # the feasible run with the best total net return; with none feasible,
+    # the lowest-energy attempt for diagnostics; ties keep the earliest run
+    feasible_runs = [run for run in runs if run[0].feasible]
     if feasible_runs:
-        # report the feasible run with the best total net return
-        best = max(feasible_runs, key=lambda rec: rec.total_net_return)
+        best, alloc, score = max(feasible_runs, key=lambda run: run[0].total_net_return)
     else:
-        # nothing feasible: surface the lowest-energy attempt for diagnostics
-        best = min(records, key=lambda rec: rec.energy)
-    alloc, score = solutions[best.index]
+        best, alloc, score = min(runs, key=lambda run: run[0].energy)
     return EvaluationReport(
         backend=backend.name,
         variant=variant,
@@ -280,7 +270,7 @@ def _evaluate_cell(q, backend, variant, config, panel, risks, run_seeds):
         energy=best.energy,
         allocation=alloc,
         selected_run=best.index,
-        runs=tuple(records),
+        runs=tuple(run[0] for run in runs),
         **vars(score),
     )
 

@@ -247,6 +247,8 @@ class PortfolioAllocation:
         w = np.array(self.weights)
         if w.ndim != 2:
             raise ValueError("weights must be an n_t x n_a matrix")
+        if w.dtype.kind not in "biuf":  # bool, integer or float
+            raise ValueError(f"weights must be nonnegative integers, got {w.dtype} values")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be nonnegative integers, got a non-finite weight")
         if not np.all(w == np.floor(w)) or np.any(w < 0):
@@ -303,6 +305,8 @@ def _check_risks(config: DpoConfig, risks: Sequence[RiskMatrix]) -> None:
     if len(risks) != config.n_t:
         raise ValueError(f"need {config.n_t} risk matrices, got {len(risks)}")
     for t, r in enumerate(risks):
+        if not isinstance(r, RiskMatrix):
+            raise ValueError(f"risk matrix {t} must be a RiskMatrix, got {type(r).__name__}")
         if r.n_a != config.n_a:
             raise ValueError(f"risk matrix {t} is {r.n_a}x{r.n_a}, expected {config.n_a}")
 
@@ -517,8 +521,17 @@ def save_config(config: DpoConfig, path: str | os.PathLike) -> None:
         fh.write("\n")
 
 
+def _read_json(path: str | os.PathLike):
+    """The JSON value in a file.  A leading UTF-8 byte-order mark is skipped,
+    and a file that does not decode or parse raises ``ValueError`` naming it."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def load_config(path: str | os.PathLike) -> DpoConfig:
     """Read a JSON config; every field is optional and falls back to defaults.
     A leading UTF-8 byte-order mark is skipped."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return config_from_dict(json.load(fh))
+    return config_from_dict(_read_json(path))

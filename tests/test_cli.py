@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dpoqubo.cli as cli
 from dpoqubo.backends import canonical_qubo, make_backend
 from dpoqubo.bcd import BcdConfig, bcd_solve
 from dpoqubo.cli import main
@@ -39,6 +40,19 @@ def model_file(tmp_path, prices_csv):
     ])
     assert code == 0
     return out
+
+
+class RecordingBackend:
+    """Tabu, keeping each request it is given."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.requests = []
+
+    def solve(self, request):
+        self.requests.append(request)
+        return make_backend("tabu").solve(request)
 
 
 class TestSynth:
@@ -193,6 +207,25 @@ class TestSolve:
         assert sol["energy"] == pytest.approx(qubo_energy(q, x), rel=1e-12)
         assert sol["config"]["n_t"] == 2  # copied from the meta sidecar
 
+    @pytest.mark.parametrize("sidecar, message", [
+        ('"config"', "a model sidecar must hold a JSON object"),
+        ('{"config": [1]}', "a config must be a JSON object"),
+        ('{"config": {', "Expecting"),
+    ], ids=["string", "config-not-object", "truncated"])
+    def test_broken_sidecar_fails_before_the_solve(
+        self, tmp_path, model_file, capsys, monkeypatch, sidecar, message
+    ):
+        backend = RecordingBackend()
+        monkeypatch.setattr(cli, "make_backend", lambda name: backend)
+        meta = Path(str(model_file) + ".meta.json")
+        meta.write_text(sidecar)
+        out = tmp_path / "sol.json"
+        assert run(["solve", "--model", model_file, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {meta}: ") and message in err
+        assert backend.requests == []
+        assert not out.exists()
+
     def test_block_strategy_runs(self, tmp_path, model_file):
         out = tmp_path / "sol.json"
         code = run([
@@ -291,6 +324,39 @@ class TestSolve:
         assert "error:" in capsys.readouterr().err
 
 
+class TestJsonInputs:
+    @staticmethod
+    def _input(tmp_path, prices_csv, model_file, command):
+        """The JSON file ``command`` reads, holding a valid value, and the
+        command's arguments."""
+        if command == "build":
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"n_t": 2, "n_a": 4, "n_r": 2, "budget": 3, "dt": 4}))
+            argv = ["build", "--prices", prices_csv, "--config", path, "--out", tmp_path / "m.txt"]
+        elif command == "evaluate":
+            path = tmp_path / "sol.json"
+            assert run(["solve", "--model", model_file, "--out", path]) == 0
+            argv = ["evaluate", "--solution", path, "--prices", prices_csv,
+                    "--out", tmp_path / "eval"]
+        else:  # the model's sidecar
+            path = Path(str(model_file) + ".meta.json")
+            argv = ["solve", "--model", model_file, "--out", tmp_path / "sol.json"]
+        return path, argv
+
+    @pytest.mark.parametrize("command", ["build", "evaluate", "solve"])
+    def test_bom_is_skipped_and_a_broken_file_is_named(
+        self, tmp_path, prices_csv, model_file, capsys, command
+    ):
+        path, argv = self._input(tmp_path, prices_csv, model_file, command)
+        text = path.read_text()
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert run(argv) == 0
+        capsys.readouterr()
+        path.write_text(text[: len(text) // 2])
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 class TestEvaluate:
     def _solution(self, tmp_path, model_file, **kw):
         out = tmp_path / "sol.json"
@@ -373,12 +439,14 @@ class TestEvaluate:
         ([1, 2], "must hold a JSON object"),
         ({"energy": 1}, "no 'assignment' list"),
         ({"assignment": 5}, "no 'assignment' list"),
+        pytest.param('{"assignment": [0, 1', "sol.json: Expecting", id="truncated"),
     ])
     def test_malformed_solution_fails_cleanly(
         self, tmp_path, prices_csv, capsys, solution, message
     ):
         sol = tmp_path / "sol.json"
-        sol.write_text(json.dumps(solution))
+        # a string case is the file's text, not a value to serialize
+        sol.write_text(solution if isinstance(solution, str) else json.dumps(solution))
         code = run([
             "evaluate", "--solution", sol, "--prices", prices_csv, "--out", tmp_path / "eval",
         ])

@@ -13,7 +13,9 @@ from dpoqubo.backends import (
     FinitePrecisionAdapter,
     SolveResult,
     _spawn_seed,
+    make_backend,
 )
+from dpoqubo.bcd import bcd_solve
 from dpoqubo.harness import (
     ALL_VARIANTS,
     StrategyVariant,
@@ -29,6 +31,7 @@ from dpoqubo.model import (
     DpoConfig,
     PortfolioAllocation,
     decode,
+    encode_qubo,
     objective_terms,
     risk_matrices,
 )
@@ -77,6 +80,21 @@ class ScriptedBackend:
 RUN_SEEDS = [_spawn_seed(0, 0, r) for r in range(3)]
 
 
+class MisreportingBackend:
+    """Tabu's assignments, each reported 5 below its true energy."""
+
+    name = "misreporting"
+
+    def __init__(self):
+        self.inner = make_backend("tabu")
+        self.returned = []
+
+    def solve(self, request):
+        res = self.inner.solve(request)
+        self.returned.append(res.assignment)
+        return SolveResult(assignment=res.assignment, reported_energy=res.reported_energy - 5)
+
+
 class ExplodingBackend:
     name = "exploding"
 
@@ -123,8 +141,10 @@ class TestFeasibility:
 
     @pytest.mark.parametrize(
         "weights",
-        [[[7.2, 7.3]], [[16, -1]], [[np.inf, 1.0]], [[1e30, 1.0]], [[2.0**62, 2.0**62]]],
-        ids=["fractional", "negative", "infinite", "beyond-int64", "row-sum-beyond-int64"],
+        [[[7.2, 7.3]], [[16, -1]], [[np.inf, 1.0]], [[1e30, 1.0]], [[2.0**62, 2.0**62]],
+         [["7", "8"]], [[None, 1]]],
+        ids=["fractional", "negative", "infinite", "beyond-int64", "row-sum-beyond-int64",
+             "strings", "none"],
     )
     def test_raw_weights_must_be_nonnegative_integers(self, weights):
         cfg = tiny_config(n_t=1)
@@ -345,6 +365,46 @@ class TestRunMatrix:
         assert rep.total_net_return == pytest.approx(totals[expect])
         runs = {rec.index: rec for rec in rep.runs}
         assert not runs[1].feasible and runs[1].total_net_return is None
+
+    @pytest.mark.parametrize("weights, feasible", [
+        ([[3, 0], [0, 3]], True),
+        ([[3, 3], [3, 3]], False),
+    ], ids=["feasible", "infeasible"])
+    def test_tied_runs_select_the_earliest(self, weights, feasible):
+        cfg = tiny_config()
+        panel = random_panel(13, 2, 2)
+        backend = ScriptedBackend(dict.fromkeys(RUN_SEEDS, bits_for(weights, cfg)))
+        (rep,) = run_matrix(
+            panel, cfg, [backend], [StrategyVariant("global", "fp")], seed=0
+        )
+        assert rep.feasible is feasible
+        assert len(rep.runs) == 3
+        assert rep.selected_run == 0
+
+    @pytest.mark.parametrize("decomposition", ["global", "block"])
+    def test_run_energy_is_that_of_the_returned_assignment(self, monkeypatch, decomposition):
+        backend = MisreportingBackend()
+        returned = backend.returned
+        if decomposition == "block":
+            # a block run returns the assignment its sweep ends on
+            returned = []
+
+            def recorded(*args, **kwargs):
+                res = bcd_solve(*args, **kwargs)
+                returned.append(res.assignment)
+                return res
+
+            monkeypatch.setattr(harness_mod, "bcd_solve", recorded)
+        cfg = tiny_config()
+        panel = random_panel(12, 2, 2)
+        (rep,) = run_matrix(
+            panel, cfg, [backend], [StrategyVariant(decomposition, "fp")], seed=0
+        )
+        q = encode_qubo(cfg, panel, risk_matrices(cfg, panel))
+        assert rep.error is None
+        assert len(returned) == 3
+        assert [rec.energy for rec in rep.runs] == [qubo_energy(q, x) for x in returned]
+        assert rep.energy == rep.runs[rep.selected_run].energy
 
     def test_all_runs_logged_even_for_reported_best(self):
         cfg = tiny_config()

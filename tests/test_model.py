@@ -11,7 +11,7 @@ from dpoqubo.market import (
     generate_synthetic,
     load_bundled_prices,
 )
-from dpoqubo.harness import net_mean_return
+from dpoqubo.harness import net_mean_return, score_allocation
 from dpoqubo.model import (
     Covariance,
     DpoConfig,
@@ -530,9 +530,23 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=rf"\b{name}\b"):
             calls[call]()
 
-    def test_wrong_number_of_risk_matrices(self):
+    @pytest.mark.parametrize("bad_risks, message", [
+        (lambda risks: risks[:2], "need 3 risk matrices, got 2"),
+        (lambda risks: [r.matrix for r in risks],
+         "risk matrix 0 must be a RiskMatrix, got ndarray"),
+    ], ids=["too-few", "plain-arrays"])
+    @pytest.mark.parametrize("call", ["encode_qubo", "objective_terms", "score_allocation"])
+    def test_wrong_number_of_risk_matrices(self, call, bad_risks, message):
         cfg = DpoConfig(n_t=3, n_a=2, n_r=2, budget=3, dt=6)
         panel = random_panel(0, n_t=3, n_a=2)
-        risks = risk_matrices(cfg, panel)
-        with pytest.raises(ValueError, match="need 3 risk matrices, got 2"):
-            encode_qubo(cfg, panel, risks[:2])
+        risks = bad_risks(risk_matrices(cfg, panel))
+        weights = np.zeros((cfg.n_t, cfg.n_a), dtype=int)
+        calls = {
+            "encode_qubo": lambda: encode_qubo(cfg, panel, risks),
+            "objective_terms": lambda: objective_terms(cfg, panel, risks, weights),
+            "score_allocation": lambda: score_allocation(
+                PortfolioAllocation(weights), panel, cfg, risks
+            ),
+        }
+        with pytest.raises(ValueError, match=re.escape(message)):
+            calls[call]()
