@@ -47,9 +47,9 @@ from .market import (
 from .model import (
     _RISK_KINDS,
     DpoConfig,
+    _config_read_from,
     _read_json,
     _risk_from_json,
-    config_from_dict,
     config_to_dict,
     decode,
     encode_qubo,
@@ -99,13 +99,14 @@ def _config_overrides(args) -> dict:
     return overrides
 
 
-def _resolve_config(args, saved: dict | None = None) -> DpoConfig:
-    """The config of ``--config``, else ``saved`` (a config dict), else the
-    defaults, with the flags that were set laid over it."""
+def _resolve_config(args, saved: dict | None = None, source=None) -> DpoConfig:
+    """The config of ``--config``, else ``saved`` (a config dict read from
+    the file ``source``, which an invalid one names), else the defaults,
+    with the flags that were set laid over it."""
     if args.config:
         base = load_config(args.config)
     else:
-        base = config_from_dict({} if saved is None else saved)
+        base = DpoConfig() if saved is None else _config_read_from(source, saved)
     return replace(base, **_config_overrides(args))
 
 
@@ -170,10 +171,7 @@ def _cmd_solve(args) -> int:
     if not isinstance(meta, dict):
         raise ValueError(f"{meta_path}: a model sidecar must hold a JSON object")
     if "config" in meta:
-        try:
-            config_from_dict(meta["config"])
-        except ValueError as exc:
-            raise ValueError(f"{meta_path}: {exc}") from None
+        _config_read_from(meta_path, meta["config"])
     backend = make_backend(args.backend)
     if args.strategy == "global":
         res = backend.solve(SolveRequest(model, seed=args.seed, effort=args.effort))
@@ -202,7 +200,7 @@ def _cmd_evaluate(args) -> int:
         raise ValueError(f"{args.solution}: a solution file must hold a JSON object")
     if not isinstance(solution.get("assignment"), list):
         raise ValueError(f"{args.solution}: the solution has no 'assignment' list")
-    config = _resolve_config(args, solution.get("config"))
+    config = _resolve_config(args, solution.get("config"), args.solution)
     panel = _build_panel(args, config)
     alloc = decode(np.asarray(solution["assignment"]), config)
     score = score_allocation(alloc, panel, config)

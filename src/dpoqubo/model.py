@@ -531,7 +531,17 @@ def _read_json(path: str | os.PathLike):
             raise ValueError(f"{path}: {exc}") from None
 
 
+def _config_read_from(path: str | os.PathLike, obj) -> DpoConfig:
+    """``config_from_dict(obj)`` for a value read from the file at ``path``;
+    a value that is not a valid config raises ``ValueError`` naming the file."""
+    try:
+        return config_from_dict(obj)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_config(path: str | os.PathLike) -> DpoConfig:
     """Read a JSON config; every field is optional and falls back to defaults.
-    A leading UTF-8 byte-order mark is skipped."""
-    return config_from_dict(_read_json(path))
+    A leading UTF-8 byte-order mark is skipped, and a file that does not
+    parse or does not hold a valid config raises ``ValueError`` naming it."""
+    return _config_read_from(path, _read_json(path))

@@ -395,15 +395,26 @@ class QuantizedIsing(IsingModel):
         object.__setattr__(self, "scale", scale)
 
 
+# coefficients rounded per float buffer when quantizing (a 128 KB buffer)
+_ROUND_CHUNK = 1 << 14
+
+
 def _scale_round_clip(a: np.ndarray, alpha: float) -> np.ndarray:
-    """``clip(round(127 * (a / alpha)), -128, 127)`` as read-only int8, in
-    one float buffer: a product's rounding does not depend on the order of
-    its factors, so ``(a / alpha) * 127`` in place is the same float."""
-    out = a / alpha
-    out *= 127.0
-    np.round(out, out=out)
-    np.clip(out, -128, 127, out=out)
-    return _freeze(out.astype(np.int8))
+    """``clip(round(127 * (a / alpha)), -128, 127)`` as read-only int8,
+    rounded in chunks of rows of about ``_ROUND_CHUNK`` coefficients, each
+    in one float buffer written into the int8 result: a product's rounding
+    does not depend on the order of its factors, so ``(a / alpha) * 127`` in
+    place is the same float, and every entry is rounded on its own, so the
+    chunks give the bytes of one whole-array buffer."""
+    out = np.empty(a.shape, dtype=np.int8)
+    rows = max(1, _ROUND_CHUNK // max(1, math.prod(a.shape[1:])))
+    for first in range(0, len(a), rows):
+        chunk = a[first : first + rows] / alpha
+        chunk *= 127.0
+        np.round(chunk, out=chunk)
+        np.clip(chunk, -128, 127, out=chunk)
+        out[first : first + rows] = chunk
+    return _freeze(out)
 
 
 def quantize_int8(model: IsingModel) -> QuantizedIsing:

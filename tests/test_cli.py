@@ -356,6 +356,23 @@ class TestJsonInputs:
         assert run(argv) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
+    @pytest.mark.parametrize("command", ["build", "evaluate"])
+    def test_an_invalid_config_names_its_file(
+        self, tmp_path, prices_csv, model_file, capsys, command
+    ):
+        # the file parses, but the config it holds does not: a config file
+        # for build, a solution's embedded config for evaluate
+        path, argv = self._input(tmp_path, prices_csv, model_file, command)
+        if command == "build":
+            path.write_text(json.dumps({"lam": 0.5}))
+        else:
+            solution = json.loads(path.read_text())
+            path.write_text(json.dumps({**solution, "config": {"lam": 0.5}}))
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: unknown config fields: ['lam']\n"
+
 
 class TestEvaluate:
     def _solution(self, tmp_path, model_file, **kw):

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from dpoqubo import precision
 from dpoqubo.backends import make_backend
 from dpoqubo.market import ReturnPanel
 from dpoqubo.model import DpoConfig, encode_qubo
@@ -18,6 +19,8 @@ from dpoqubo.precision import (
     reduce_dynamic_range,
 )
 from dpoqubo.qubo import BlockPartition, IsingModel, Qubo, ising_energy, qubo_to_ising
+
+from support import bundled_model
 
 
 def random_ising(rng, n, scale=1.0):
@@ -220,7 +223,48 @@ class TestTuning:
             reduce_dynamic_range(m, budget=budget)
 
 
+def one_buffer_scale_round_clip(a, alpha):
+    """The int8 image of ``a`` rounded in one float buffer of its size."""
+    out = a / alpha
+    out *= 127.0
+    np.round(out, out=out)
+    np.clip(out, -128, 127, out=out)
+    return out.astype(np.int8)
+
+
+# ties at alpha 1 (127 times an odd half is a tie), entries that round to
+# +-128 and past it, and signed zeros
+_ROUNDING_CASES = [
+    0.5, -0.5, 1.5, -2.5, 127.5, -127.5, 128.4, -128.4, 128.6, -128.6, 500.0, -500.0, 0.0, -0.0
+]
+
+
 class TestQuantize:
+    @pytest.mark.parametrize("alpha", [1.0, 127.0, 3.0])
+    @pytest.mark.parametrize("chunk", [1, 5, 13, 1 << 14])
+    @pytest.mark.parametrize("shape", [(0,), (1,), (29,), (0, 0), (1, 1), (29, 29)])
+    def test_row_chunks_round_as_one_buffer(self, monkeypatch, shape, chunk, alpha):
+        # a chunk of 5 coefficients holds one row of 29, or 5 entries of a
+        # vector, so both shapes cross chunk boundaries mid-array
+        rng = np.random.default_rng(len(shape) * 100 + sum(shape))
+        values = [*_ROUNDING_CASES, *rng.normal(scale=100.0, size=16)]
+        a = rng.choice(values, size=shape)
+        monkeypatch.setattr(precision, "_ROUND_CHUNK", chunk)
+        got = precision._scale_round_clip(a, alpha)
+        want = one_buffer_scale_round_clip(a, alpha)
+        assert got.dtype == np.int8 and got.shape == shape and not got.flags.writeable
+        assert got.tobytes() == want.tobytes()
+
+    def test_paper_model_quantizes_as_one_buffer(self, monkeypatch):
+        # 528 spins: a default chunk holds 31 coupling rows, so 18 chunks
+        spins = qubo_to_ising(bundled_model(DpoConfig()))
+        got = quantize_int8(spins)
+        monkeypatch.setattr(precision, "_ROUND_CHUNK", spins.quadratic.size)
+        want = quantize_int8(spins)
+        assert got.quadratic.tobytes() == want.quadratic.tobytes()
+        assert got.linear.tobytes() == want.linear.tobytes()
+        assert got.scale == want.scale
+
     def test_extremes_map_to_127(self):
         m = IsingModel(
             linear=np.array([127.0, -127.0]),

@@ -29,24 +29,29 @@ Both solvers also update only a flipped row's nonzero span, where the
 references update whole vectors; the banded-model tests put -0.0 entries,
 an all-zero row, a zero diagonal entry and a span away from its row's own
 index in its way, and the span tests check that it engages at the paper's
-scale and takes whole vectors on a dense model.
-The annealer reads the flip deltas of an integer-valued model of at most 24
-bits with ``n**2 * max|Q| < 2**53`` from byte tables instead of a running
-gradient; the table test pins that the entries a state selects sum to the
-exact energy change of setting each bit, the loop-selection tests pin which
-models take that loop, and the integer models on either side of its limits,
-up to the widest integers the bound admits, must give the reference's result
-as well.
+scale and takes whole vectors on a dense model (the annealer's on its
+Python loop).
+The annealer runs its proposal loop in a C kernel when the kernel builds and
+loads, and in Python otherwise.  The ``name`` fixture runs every annealing
+test on both: "sa" on the kernel, skipped when it does not load, and
+"sa-fallback" on the Python loop.  The loop-selection tests pin that every
+model takes the kernel when it loads, and the span loop when it does not or
+when no C compiler can build it.  The integer models on either side of the
+limits of an earlier byte-table loop, up to the widest integers
+``n**2 * max|Q| < 2**53`` admits, must give the reference's result as well.
 """
 
 import math
+import os
+import sysconfig
+import tempfile
 from collections import deque
 from contextlib import contextmanager
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dpoqubo import backends
@@ -144,6 +149,19 @@ def reference_tabu(q: Qubo, request: SolveRequest, stop=True):
 _REFERENCES = {"sa": reference_sa, "tabu": reference_tabu}
 
 
+@pytest.fixture(params=["sa", "sa-fallback", "tabu"])
+def name(request, monkeypatch):
+    """The backend a test solves with: "sa" anneals in the C kernel,
+    "sa-fallback" in the Python span loop that runs when the kernel does not
+    load, and "tabu" is tabu search."""
+    if request.param == "sa" and backends._anneal_kernel() is None:
+        pytest.skip("the C annealing kernel did not build or load")
+    if request.param == "sa-fallback":
+        monkeypatch.setattr(backends, "_anneal_kernel", lambda: None)
+        return "sa"
+    return request.param
+
+
 def assert_matches_reference(name, model, seed, effort, **reference_options):
     request = SolveRequest(model, seed=seed, effort=effort)
     result = make_backend(name).solve(request)
@@ -165,7 +183,6 @@ def seeded_model(seed, n, kind):
 
 
 @pytest.mark.parametrize("n", range(31))
-@pytest.mark.parametrize("name", ["sa", "tabu"])
 def test_seeded_models(name, n):
     # tenure is 7 up to n = 79, so for n <= 7 every bit can be tabu at once
     for kind in ("float", "int"):
@@ -189,8 +206,10 @@ def symmetric_models(draw, max_n=10, floats_only=False, integers_only=False):
     return Qubo(upper + np.triu(upper, 1).T)
 
 
-@pytest.mark.parametrize("name", ["sa", "tabu"])
-@settings(max_examples=60, deadline=None)
+# the name fixture sets which loop anneals once per test, for every example
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
 @given(
     model=symmetric_models(),
     seed=st.integers(0, 2**16),
@@ -275,7 +294,6 @@ def at_precision(model, precision):
 
 
 @pytest.mark.parametrize("precision", ["fp", "int8"])
-@pytest.mark.parametrize("name", ["sa", "tabu"])
 def test_paper_block(paper_block, name, precision):
     # a block of the paper-scale model, as the benchmark solves: tabu's
     # stop must not move it, so its result is that of running every iteration
@@ -328,7 +346,6 @@ def banded_model(seed, blocks, width, kind):
 
 
 @pytest.mark.parametrize("blocks", [3, 4, 6])
-@pytest.mark.parametrize("name", ["sa", "tabu"])
 def test_banded_models(name, blocks):
     # a flip updates only its row's nonzero span, which is narrower than
     # the model from 3 blocks on; the float and the tie-heavy integer
@@ -351,7 +368,9 @@ def paper_models():
 
 
 @pytest.mark.parametrize("precision", ["fp", "int8"])
-@pytest.mark.parametrize("name, effort", [("sa", 8), ("tabu", 1500)])
+@pytest.mark.parametrize(
+    "name, effort", [("sa", 8), ("sa-fallback", 8), ("tabu", 1500)], indirect=["name"]
+)
 def test_paper_model_at_reduced_effort(paper_models, name, effort, precision):
     # request seed 20000 is the paper-scale benchmark's fp tabu solve at its seed 0
     for seed in (0, 20000):
@@ -376,7 +395,8 @@ def test_banded_float_model_at_long_effort(tabu_log):
 @contextmanager
 def recording_span_views():
     """A list that gets, per solve, the span views it builds: per row, the
-    flipped row's span and then the vectors a flip updates, cut to it."""
+    flipped row's span and then the vectors a flip updates, cut to it.  The
+    annealer builds them on its Python loop, so the C kernel is off."""
     built, span_views = [], backends._span_views
 
     def recording(*args):
@@ -385,6 +405,7 @@ def recording_span_views():
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(backends, "_span_views", recording)
+        monkeypatch.setattr(backends, "_anneal_kernel", lambda: None)
         yield built
 
 
@@ -425,86 +446,90 @@ def wide_integer_model(seed, n, top):
     return Qubo(m)
 
 
-# integer models annealed from byte tables, by id: every n on either side of
-# a byte boundary, and at 16 bits the widest integers under the bound
-# n**2 * max|Q| < 2**53, 2**45 - 1
-_TABLE_MODELS = {
-    **{f"int-{n}": (lambda n=n: seeded_model(5000 + n, n, "int")) for n in (1, 7, 8, 9, 16, 17, 23, 24)},
+# integer models by id, on either side of the limits of an earlier loop that
+# annealed integer models from byte tables: every n on either side of a byte
+# boundary and of 24 bits, and at 16 bits the widest integers under the
+# bound n**2 * max|Q| < 2**53, 2**45 - 1, and on it, 2**45
+_INTEGER_MODELS = {
+    **{f"int-{n}": (lambda n=n: seeded_model(5000 + n, n, "int")) for n in (1, 7, 8, 9, 16, 17, 23, 24, 25)},
     "wide-16": lambda: wide_integer_model(16, 16, 2**45 - 1),
-}
-# integer models that keep the span loop: above 24 bits, and at 16 bits with
-# n**2 * max|Q| = 2**53, on the bound
-_SPAN_MODELS = {
-    "int-25": lambda: seeded_model(5025, 25, "int"),
     "wide-16-at-bound": lambda: wide_integer_model(16, 16, 2**45),
 }
 
 
-@contextmanager
-def recording_sa_loops():
-    """A list that gets, per annealing solve, the loop it ran: "tables" when
-    it builds byte tables, "spans" when it builds span views."""
-    ran, byte_tables, span_views = [], backends._byte_tables, backends._span_views
+def sa_loops_run(model, kernel):
+    """The loops one annealing solve runs when ``_anneal_kernel()`` gives
+    ``kernel``: "kernel" per call of it and "spans" per span-view build."""
+    ran, span_views = [], backends._span_views
 
-    def tables(*args):
-        ran.append("tables")
-        return byte_tables(*args)
+    def recording_kernel(*args):
+        ran.append("kernel")
+        return kernel(*args)
 
     def spans(*args):
         ran.append("spans")
         return span_views(*args)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(backends, "_byte_tables", tables)
+        monkeypatch.setattr(backends, "_anneal_kernel", lambda: kernel and recording_kernel)
         monkeypatch.setattr(backends, "_span_views", spans)
-        yield ran
-
-
-def solved_sa_loop(model):
-    with recording_sa_loops() as ran:
         make_backend("sa").solve(SolveRequest(model, seed=0, effort=1))
-    (loop,) = ran
-    return loop
+    return ran
 
 
-@pytest.mark.parametrize("case", [*_TABLE_MODELS, *_SPAN_MODELS])
-def test_sa_loop_selection(case):
-    loop = "tables" if case in _TABLE_MODELS else "spans"
-    model = {**_TABLE_MODELS, **_SPAN_MODELS}[case]()
-    assert solved_sa_loop(model) == loop
+@pytest.mark.parametrize("case", [*_INTEGER_MODELS, "paper-block-fp", "paper-block-int8"])
+def test_sa_loop_selection(paper_block, case):
+    # integer or float, every model anneals in one kernel call when the
+    # kernel loads, and on span views when it does not
+    if case.startswith("paper-block-"):
+        model = at_precision(paper_block, case.removeprefix("paper-block-"))
+    else:
+        model = _INTEGER_MODELS[case]()
+    assert sa_loops_run(model, None) == ["spans"]
+    kernel = backends._anneal_kernel()
+    if kernel is not None:
+        assert sa_loops_run(model, kernel) == ["kernel"]
 
 
-@pytest.mark.parametrize("precision, loop", [("int8", "tables"), ("fp", "spans")])
-def test_sa_loop_selection_on_the_paper_block(paper_block, precision, loop):
-    # the int8 image is integer-valued, the fp block is not
-    assert solved_sa_loop(at_precision(paper_block, precision)) == loop
+def test_an_unusable_compiler_leaves_the_span_loop(monkeypatch):
+    # the kernel is built once per process: the cache is cleared so that
+    # this call builds it with a compiler that does not exist, and cleared
+    # again after, so that the next call builds it with the real one
+    monkeypatch.setattr(sysconfig, "get_config_var", lambda key: "/nonexistent/bin/cc")
+    backends._anneal_kernel.cache_clear()
+    try:
+        assert backends._anneal_kernel() is None
+        for n in (1, 9, 24):
+            assert_matches_reference("sa", seeded_model(6000 + n, n, "float"), n, None)
+    finally:
+        backends._anneal_kernel.cache_clear()
 
 
-@pytest.mark.parametrize("case", _TABLE_MODELS)
-def test_byte_tables_hold_flip_deltas(case):
-    # bit i's entries from the three tables a state's bytes select sum to the
-    # exact change in x @ Q @ x from clearing bit i to setting it
-    q = _TABLE_MODELS[case]()
-    n = q.n
-    coeffs = q.coeffs.astype(np.int64)  # exact: every energy is below 2**53
-    tables = np.asarray(backends._byte_tables(q.coeffs)).reshape(3, 256, n)
-    rng = np.random.default_rng(n)
-    for x in [*rng.integers(0, 2, size=(3, n)), np.ones(n, dtype=np.int64)]:
-        counter = sum(int(bit) << i for i, bit in enumerate(x))
-        values = [(counter >> (8 * b)) & 255 for b in range(3)]
-        for i in range(n):
-            set_i, clear_i = x.copy(), x.copy()
-            set_i[i], clear_i[i] = 1, 0
-            change = int(set_i @ coeffs @ set_i) - int(clear_i @ coeffs @ clear_i)
-            assert sum(tables[b, v, i] for b, v in enumerate(values)) == change
+def test_the_kernel_build_leaves_no_files(monkeypatch):
+    made = []
+
+    class RecordedDirectory(tempfile.TemporaryDirectory):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self.name)
+
+    monkeypatch.setattr(tempfile, "TemporaryDirectory", RecordedDirectory)
+    backends._anneal_kernel.cache_clear()
+    try:
+        kernel = backends._anneal_kernel()
+    finally:
+        backends._anneal_kernel.cache_clear()
+    if kernel is None:
+        pytest.skip("the C annealing kernel did not build or load")
+    (directory,) = made
+    assert not os.path.exists(directory)
 
 
-@pytest.mark.parametrize("case", [*_TABLE_MODELS, *_SPAN_MODELS])
-@pytest.mark.parametrize("name", ["sa", "tabu"])
+@pytest.mark.parametrize("case", _INTEGER_MODELS)
 def test_integer_models_either_side_of_the_table_limits(name, case):
-    # the table sums and the running gradient hold the same exact integers,
-    # up to the widest the bound admits
-    model = {**_TABLE_MODELS, **_SPAN_MODELS}[case]()
+    # the running gradient holds exact integers, up to the widest the old
+    # table bound admitted, and past it
+    model = _INTEGER_MODELS[case]()
     for seed, effort in ((model.n, None), (model.n + 1, 37)):
         assert_matches_reference(name, model, seed, effort)
 
@@ -523,7 +548,8 @@ def assert_sweep_draws_match(seed, n, sweeps, start=0):
         (calls.integers(0, n, size=n).tolist(), call_accepts.random(size=n).tolist())
         for _ in range(sweeps)
     ]
-    assert list(backends._sweep_streams(bulk, bulk_accepts, n, sweeps)) == per_sweep
+    chunks = backends._draw_chunks(bulk, bulk_accepts, n, sweeps)
+    assert [(i.tolist(), u.tolist()) for c in chunks for i, u in zip(*c)] == per_sweep
     assert bulk.bit_generator.state == calls.bit_generator.state
     assert bulk_accepts.bit_generator.state == call_accepts.bit_generator.state
 
@@ -542,18 +568,28 @@ def test_sweep_draws_carry_a_half_word_across_chunks():
     assert_sweep_draws_match(11, 7, 3000, start=3)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 168, 10**6])
-def test_sa_result_does_not_depend_on_the_chunk_size(paper_block, paper_models, chunk, monkeypatch):
+_CHUNKS = [1, 7, 168, 10**6]
+
+
+@pytest.mark.parametrize(
+    "name, chunk",
+    [*(("sa", c) for c in _CHUNKS), *(("sa-fallback", c) for c in _CHUNKS)],
+    ids=[*map(str, _CHUNKS), *(f"fallback-{c}" for c in _CHUNKS)],
+    indirect=["name"],
+)
+def test_sa_result_does_not_depend_on_the_chunk_size(
+    paper_block, paper_models, name, chunk, monkeypatch
+):
     # a chunk holds whole sweeps, at least one: 1 and 7 draw one sweep per
     # chunk, 168 draws 7 of the block's 24-bit sweeps per chunk and a short
     # last chunk, and 10**6 draws every sweep in one chunk.  The default
     # draws 85 block sweeps, or 3 of the 528-bit model's, per chunk
     cases = [(at_precision(paper_block, p), seed, None) for p in ("fp", "int8") for seed in (0, 7)]
     cases.append((paper_models["fp"], 20000, 20))
-    expected = [make_backend("sa").solve(SolveRequest(m, seed=s, effort=e)) for m, s, e in cases]
+    expected = [make_backend(name).solve(SolveRequest(m, seed=s, effort=e)) for m, s, e in cases]
     monkeypatch.setattr(backends, "_SA_DRAW_CHUNK", chunk)
     for (model, seed, effort), want in zip(cases, expected):
-        result = make_backend("sa").solve(SolveRequest(model, seed=seed, effort=effort))
+        result = make_backend(name).solve(SolveRequest(model, seed=seed, effort=effort))
         assert np.array_equal(result.assignment, want.assignment)
         assert result.reported_energy == want.reported_energy
 
@@ -571,7 +607,6 @@ def overflowing_model(seed, band):
 
 
 @pytest.mark.parametrize("band", [True, False], ids=["band", "no-band"])
-@pytest.mark.parametrize("name", ["sa", "tabu"])
 def test_overflowing_models(name, band):
     # sa: t0 = 6 * 1e308 overflows to inf, so -delta / t0 is -0.0 for a
     # finite delta and NaN for an infinite one, and accepting that NaN moves
