@@ -221,28 +221,31 @@ def _draw_chunks(rng, accept_rng, n: int, sweeps: int):
 
 
 @functools.cache
-def _anneal_kernel():
-    """The annealing loop of ``_anneal.c`` as a ctypes function, compiled on
-    first use with the interpreter's C compiler into a private temporary
-    directory that is removed once the library is loaded.  None on a 32-bit
-    build or when any step fails; annealing then runs the span loop."""
+def _kernels():
+    """The search loops of ``_kernels.c`` as a ctypes library, its
+    ``anneal`` and ``tabu`` functions declared, compiled on first use with
+    the interpreter's C compiler into a private temporary directory that is
+    removed once the library is loaded.  None on a 32-bit build or when any
+    step fails; both solvers then run their Python span loops."""
     if sys.maxsize < 2**63 - 1:
         return None
-    source = os.path.join(os.path.dirname(__file__), "_anneal.c")
+    source = os.path.join(os.path.dirname(__file__), "_kernels.c")
     try:
         compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
         with tempfile.TemporaryDirectory() as tmp:
-            library = os.path.join(tmp, "_anneal.so")
+            library = os.path.join(tmp, "_kernels.so")
             flags = ["-O2", "-shared", "-fPIC", "-ffp-contract=off", "-o", library]
             subprocess.run(
                 [*compiler, *flags, source, "-lm"], check=True, capture_output=True, timeout=60
             )
-            kernel = ctypes.CDLL(library).anneal
+            kernels = ctypes.CDLL(library)
     except (OSError, ValueError, subprocess.SubprocessError):
         return None
-    kernel.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 11
-    kernel.restype = None
-    return kernel
+    kernels.anneal.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 11
+    kernels.anneal.restype = None
+    kernels.tabu.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_double] + [ctypes.c_void_p] * 9
+    kernels.tabu.restype = ctypes.c_int64
+    return kernels
 
 
 class SimulatedAnnealingSolver(_Solver):
@@ -282,13 +285,14 @@ class SimulatedAnnealingSolver(_Solver):
     that of full-row updates.  A dense row's span is the whole row, and the
     flip then updates the whole gradient as before.
 
-    The proposal loop runs in C (``_anneal.c``), one call per chunk of
+    The proposal loop runs in C (``_kernels.c``), one call per chunk of
     draws, at about 35-75 ns per proposal on a 2-core x86-64 host, against
     about 0.5-0.7 us for the same loop in Python.  The kernel is compiled
-    with the system C compiler on the first anneal of a process, in about
-    0.1 s, not at import, and kept for the life of the process.  Where it
-    cannot be built or loaded (no compiler, a 32-bit build) the loop runs in
-    Python, with the same result.  The kernel is bit for bit that loop: it
+    together with tabu search's (``_kernels``) by the system C compiler on
+    the first anneal or tabu search of a process, in about 0.1 s, not at
+    import, and kept for the life of the process.  Where it cannot be built
+    or loaded (no compiler, a 32-bit build) the loop runs in Python, with
+    the same result.  The kernel is bit for bit that loop: it
     does the same IEEE binary64 operations in the same order, the random
     start, gradient, schedule and draws come from the same numpy calls, and
     the exponential is the C library's ``exp``, which ``math.exp`` calls.
@@ -312,8 +316,8 @@ class SimulatedAnnealingSolver(_Solver):
         temperatures = list(accumulate(repeat(_SA_COOLING, sweeps - 1), mul, initial=t0))
         chunks = _draw_chunks(rng, accept_rng, n, sweeps)
         lo, hi = _row_spans(coeffs)
-        kernel = _anneal_kernel()
-        if kernel is not None:
+        kernels = _kernels()
+        if kernels is not None:
             # the kernel reads and updates C-contiguous float64 and int64
             # arrays in place (a Qubo's matrix is one, the draws are numpy's
             # default dtypes): the assignment, its gradient, the best
@@ -326,7 +330,9 @@ class SimulatedAnnealingSolver(_Solver):
             addresses = [a.ctypes.data for a in state]
             first = temps.ctypes.data
             for indices, accepts in chunks:
-                kernel(n, len(indices), indices.ctypes.data, accepts.ctypes.data, first, *addresses)
+                kernels.anneal(
+                    n, len(indices), indices.ctypes.data, accepts.ctypes.data, first, *addresses
+                )
                 first += 8 * len(indices)
             return best
         # the proposal loop runs on Python floats, which round exactly as
@@ -413,6 +419,22 @@ class TabuSolver(_Solver):
     float model, or by a best energy lowered within the cycle, which can
     cancel a later aspiration.  Where they have not moved, the search would
     retrace the cycle for good.
+
+    The iterations run in C (``_kernels.c``), one call per solve, at about
+    0.2 us per iteration on a 24-bit block and 1.2-2.7 us on the 528-bit
+    model on a 2-core x86-64 host, against about 5-9 us for the span loop
+    in Python.  The kernel is compiled with the annealer's, on the first
+    solve of either, and where it cannot be built or loaded the span loop
+    runs, with the same result.  The kernel is bit for bit that loop: the
+    random start, gradient and spans come from the same numpy calls, and it
+    does the same IEEE binary64 operations in the same order, under the
+    annealer's compiler flags.  Its move is ``np.argmin``'s pick (the first
+    NaN, else the lowest index of the lowest delta), a tabu bit counts as
+    ``np.maximum(delta, inf)``, which keeps a NaN, and each delta is
+    recomputed in three roundings, ``(g - dx)``, then ``* sign2``, then
+    ``+ sdiag``, from the bit's assignment and diagonal entry.  ctypes
+    passes the iteration limit as an int64, which would silently wrap a
+    larger effort, so the limit is cut to ``2**63 - 1`` first.
     """
 
     name = "tabu"
@@ -424,9 +446,24 @@ class TabuSolver(_Solver):
         iterations = request.effort or self.iterations or 100 * n
         tenure = max(7, n // 10)
         coeffs = q.coeffs
-        diag = np.diag(coeffs)
+        diag = coeffs.diagonal().copy()
 
         start, grad, energy = _random_start(q, rng)
+        lo, hi = _row_spans(coeffs)
+        kernels = _kernels()
+        if kernels is not None:
+            # the kernel updates C-contiguous float64 and int64 arrays in
+            # place: the assignment, its gradient and the best assignment,
+            # and as scratch the flip deltas with the marked assignment and
+            # the tenures with the marked ones.  The limit is cut to what an
+            # int64 holds, which no search reaches
+            best = start.copy()
+            work, ticks = np.empty(2 * n), np.empty(2 * n, dtype=np.int64)
+            spans = [a.astype(np.int64, copy=False) for a in (lo, hi)]
+            state = [coeffs, diag, *spans, start, grad, best, work, ticks]
+            limit = min(iterations, 2**63 - 1)
+            kernels.tabu(n, limit, tenure, energy, *(a.ctypes.data for a in state))
+            return best
         # flip deltas are sign * (diag + 2 * (grad - diag * x)), evaluated
         # as (grad - dx) * sign2 + sdiag into one buffer; dx = diag * x,
         # sign2 = 2 * sign and sdiag = sign * diag change in one element per
@@ -442,7 +479,7 @@ class TabuSolver(_Solver):
         # a flip of bit i moves grad on row i's nonzero span and its own
         # delta through dx, sign2 and sdiag, so its deltas are recomputed on
         # that span, which includes i
-        span_views = _span_views(*_row_spans(coeffs), coeffs, grad, dx, sign2, sdiag, deltas)
+        span_views = _span_views(lo, hi, coeffs, grad, dx, sign2, sdiag, deltas)
         subtract, maximum = np.subtract, np.maximum
         argmin, delta_at, masked_argmin = deltas.argmin, deltas.item, masked.argmin
         # max(deltas, floor) is deltas with every tabu bit raised to +inf

@@ -31,12 +31,16 @@ an all-zero row, a zero diagonal entry and a span away from its row's own
 index in its way, and the span tests check that it engages at the paper's
 scale and takes whole vectors on a dense model (the annealer's on its
 Python loop).
-The annealer runs its proposal loop in a C kernel when the kernel builds and
-loads, and in Python otherwise.  The ``name`` fixture runs every annealing
-test on both: "sa" on the kernel, skipped when it does not load, and
-"sa-fallback" on the Python loop.  The loop-selection tests pin that every
-model takes the kernel when it loads, and the span loop when it does not or
-when no C compiler can build it.  The integer models on either side of the
+Both solvers run their loops in C kernels when the kernels build and load,
+and in Python otherwise.  The ``name`` fixture runs every test that takes it
+on both: "sa" and "tabu" on the kernels, skipped when they do not load, and
+"sa-fallback" and "tabu-fallback" on the Python loops; the tabu tests
+without it run each case on both loops in turn.  The decimal and
+huge-diagonal models tell the kernels' rounding apart from close variants:
+a set bit's annealing delta computed as ``-(2g - d)``, or tabu's span
+recompute reassociated.  The loop-selection tests pin that every model takes
+its kernel when the kernels load, and the span loop when they do not or
+when no C compiler can build them.  The integer models on either side of the
 limits of an earlier byte-table loop, up to the widest integers
 ``n**2 * max|Q| < 2**53`` admits, must give the reference's result as well.
 """
@@ -149,24 +153,36 @@ def reference_tabu(q: Qubo, request: SolveRequest, stop=True):
 _REFERENCES = {"sa": reference_sa, "tabu": reference_tabu}
 
 
-@pytest.fixture(params=["sa", "sa-fallback", "tabu"])
-def name(request, monkeypatch):
-    """The backend a test solves with: "sa" anneals in the C kernel,
-    "sa-fallback" in the Python span loop that runs when the kernel does not
-    load, and "tabu" is tabu search."""
-    if request.param == "sa" and backends._anneal_kernel() is None:
-        pytest.skip("the C annealing kernel did not build or load")
-    if request.param == "sa-fallback":
-        monkeypatch.setattr(backends, "_anneal_kernel", lambda: None)
-        return "sa"
+@pytest.fixture(params=["sa", "sa-fallback", "tabu", "tabu-fallback"])
+def name(request):
+    """The loop a test solves with: "sa" anneals and "tabu" searches in the
+    C kernels, and "sa-fallback" and "tabu-fallback" in the Python span
+    loops that run when the kernels do not load."""
+    if not request.param.endswith("-fallback") and backends._kernels() is None:
+        pytest.skip("the C kernels did not build or load")
     return request.param
 
 
-def assert_matches_reference(name, model, seed, effort, **reference_options):
+def tabu_loops():
+    """The loops a tabu test without the ``name`` fixture runs each case
+    on: the C kernel, when it loads, and the Python loop."""
+    return ("tabu-fallback",) if backends._kernels() is None else ("tabu", "tabu-fallback")
+
+
+def solve(loop, request):
+    """``request`` solved by the backend ``loop`` names, on its Python loop
+    when ``loop`` ends in "-fallback"."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if loop.endswith("-fallback"):
+            monkeypatch.setattr(backends, "_kernels", lambda: None)
+        return make_backend(loop.removesuffix("-fallback")).solve(request)
+
+
+def assert_matches_reference(loop, model, seed, effort, **reference_options):
     request = SolveRequest(model, seed=seed, effort=effort)
-    result = make_backend(name).solve(request)
+    result = solve(loop, request)
     q = canonical_qubo(model)
-    bits, _ = _REFERENCES[name](q, request, **reference_options)
+    bits, _ = _REFERENCES[loop.removesuffix("-fallback")](q, request, **reference_options)
     assert np.array_equal(result.assignment, bits.astype(np.int8))
     assert result.reported_energy == qubo_energy(q, bits)
 
@@ -206,7 +222,7 @@ def symmetric_models(draw, max_n=10, floats_only=False, integers_only=False):
     return Qubo(upper + np.triu(upper, 1).T)
 
 
-# the name fixture sets which loop anneals once per test, for every example
+# the name fixture sets the loop once per test, for every example
 @settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -226,23 +242,35 @@ def test_tie_heavy_models_at_long_effort(n):
     # integer energies repeat exactly, so tabu stops mid-run, where running
     # every iteration would only retrace its cycle
     model = seeded_model(2000 + n, n, "int")
-    for seed in range(3):
-        assert_matches_reference("tabu", model, seed, 20 * 100 * n, stop=False)
+    for loop in tabu_loops():
+        for seed in range(3):
+            assert_matches_reference(loop, model, seed, 20 * 100 * n, stop=False)
 
 
 @contextmanager
 def logging_tabu():
-    """``plain`` counts the iterations that tabu searches inside the block
-    run, as the appends to their recent-flips deque, one per iteration."""
-    log = SimpleNamespace(plain=0)
+    """``iterations`` counts the iterations that tabu searches inside the
+    block run: the count the C kernel returns, and on the Python loop the
+    appends to its recent-flips deque, one per iteration."""
+    log = SimpleNamespace(iterations=0)
 
     class CountingDeque(deque):
         def append(self, bit):
-            log.plain += 1
+            log.iterations += 1
             super().append(bit)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(backends, "deque", CountingDeque)
+        kernels = backends._kernels()
+        if kernels is not None:
+
+            def counting_tabu(*args):
+                ran = kernels.tabu(*args)
+                log.iterations += ran
+                return ran
+
+            counting = SimpleNamespace(anneal=kernels.anneal, tabu=counting_tabu)
+            monkeypatch.setattr(backends, "_kernels", lambda: counting)
         yield log
 
 
@@ -253,11 +281,12 @@ def tabu_log():
 
 
 def assert_tabu_stops_early(model, seed, effort, log):
-    """The solver's result is the stopping reference's, and the solver ran
-    fewer iterations than ``effort`` to get it."""
-    plain = log.plain
-    assert_matches_reference("tabu", model, seed, effort)
-    assert 0 < log.plain - plain < effort
+    """On each tabu loop, the solver's result is the stopping reference's,
+    and the solver ran fewer iterations than ``effort`` to get it."""
+    for loop in tabu_loops():
+        before = log.iterations
+        assert_matches_reference(loop, model, seed, effort)
+        assert 0 < log.iterations - before < effort
 
 
 @pytest.mark.parametrize("n", [12, 24, 30, 48])
@@ -277,7 +306,8 @@ def test_float_models_at_long_effort(n, tabu_log):
 )
 def test_drawn_float_models_at_long_effort(model, seed, effort):
     if model.n:
-        assert_matches_reference("tabu", model, seed, effort)
+        for loop in tabu_loops():
+            assert_matches_reference(loop, model, seed, effort)
 
 
 @pytest.fixture(scope="module")
@@ -299,15 +329,17 @@ def test_paper_block(paper_block, name, precision):
     # stop must not move it, so its result is that of running every iteration
     assert paper_block.n == 24
     model = at_precision(paper_block, precision)
-    seeds, options = (range(8), {"stop": False}) if name == "tabu" else ((0, 7), {})
+    seeds, options = (range(8), {"stop": False}) if name.startswith("tabu") else ((0, 7), {})
     for seed in seeds:
         assert_matches_reference(name, model, seed, None, **options)
 
 
 def test_tabu_stops_at_a_repeated_state(paper_block, tabu_log):
     model = at_precision(paper_block, "int8")
-    make_backend("tabu").solve(SolveRequest(model, seed=0))
-    assert 0 < tabu_log.plain < 100 * paper_block.n // 4
+    for loop in tabu_loops():
+        before = tabu_log.iterations
+        solve(loop, SolveRequest(model, seed=0))
+        assert 0 < tabu_log.iterations - before < 100 * paper_block.n // 4
 
 
 def test_tabu_stops_at_float_cycles(paper_block, tabu_log):
@@ -322,8 +354,9 @@ def test_two_interval_model(precision):
     q = bundled_model(DpoConfig(n_t=2))
     assert q.n == 48
     model = at_precision(q, precision)
-    for seed in range(3):
-        assert_matches_reference("tabu", model, seed, None, stop=False)
+    for loop in tabu_loops():
+        for seed in range(3):
+            assert_matches_reference(loop, model, seed, None, stop=False)
 
 
 def banded_model(seed, blocks, width, kind):
@@ -369,20 +402,33 @@ def paper_models():
 
 @pytest.mark.parametrize("precision", ["fp", "int8"])
 @pytest.mark.parametrize(
-    "name, effort", [("sa", 8), ("sa-fallback", 8), ("tabu", 1500)], indirect=["name"]
+    "name, effort",
+    [("sa", 8), ("sa-fallback", 8), ("tabu", 1500), ("tabu-fallback", 1500)],
+    indirect=["name"],
 )
 def test_paper_model_at_reduced_effort(paper_models, name, effort, precision):
-    # request seed 20000 is the paper-scale benchmark's fp tabu solve at its seed 0
-    for seed in (0, 20000):
+    # request seed 8897364151550420695 is the fp tabu solve of the
+    # paper-global benchmark at its seed 0, whose search stops at a cycle
+    # after 620 iterations; at request seed 20000 the fp search runs to the
+    # 1,500-iteration limit
+    for seed in (0, 20000, 8897364151550420695):
         assert_matches_reference(name, paper_models[precision], seed, effort)
 
 
 def test_paper_model_tabu_stops_at_its_first_cycle(paper_models, tabu_log):
-    # the paper-scale benchmark's fp tabu solve, at its default 52,800
-    # iterations, stops at its first discrete repeat after 2,480
+    # at its default 52,800 iterations, the fp tabu solve of the
+    # paper-global benchmark at its seed 0 (request seed
+    # 8897364151550420695) stops at its first discrete repeat after 620,
+    # and the search at request seed 20000 after 2,480, on both loops
     q = paper_models["fp"]
-    make_backend("tabu").solve(SolveRequest(q, seed=20000))
-    assert 0 < tabu_log.plain < 10 * q.n
+    for seed in (8897364151550420695, 20000):
+        ran = []
+        for loop in tabu_loops():
+            before = tabu_log.iterations
+            solve(loop, SolveRequest(q, seed=seed))
+            ran.append(tabu_log.iterations - before)
+        assert 0 < ran[0] < 10 * q.n
+        assert len(set(ran)) == 1
 
 
 def test_banded_float_model_at_long_effort(tabu_log):
@@ -396,7 +442,7 @@ def test_banded_float_model_at_long_effort(tabu_log):
 def recording_span_views():
     """A list that gets, per solve, the span views it builds: per row, the
     flipped row's span and then the vectors a flip updates, cut to it.  The
-    annealer builds them on its Python loop, so the C kernel is off."""
+    solvers build them on their Python loops, so the C kernels are off."""
     built, span_views = [], backends._span_views
 
     def recording(*args):
@@ -405,7 +451,7 @@ def recording_span_views():
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(backends, "_span_views", recording)
-        monkeypatch.setattr(backends, "_anneal_kernel", lambda: None)
+        monkeypatch.setattr(backends, "_kernels", lambda: None)
         yield built
 
 
@@ -457,52 +503,74 @@ _INTEGER_MODELS = {
 }
 
 
-def sa_loops_run(model, kernel):
-    """The loops one annealing solve runs when ``_anneal_kernel()`` gives
-    ``kernel``: "kernel" per call of it and "spans" per span-view build."""
+def loops_run(backend, model, kernels):
+    """The loops one solve by ``backend`` runs when ``_kernels()`` gives
+    ``kernels``: the kernel's name per call of one of its functions, and
+    "spans" per span-view build."""
     ran, span_views = [], backends._span_views
 
-    def recording_kernel(*args):
-        ran.append("kernel")
-        return kernel(*args)
+    def recording(kernel, name):
+        def recorded(*args):
+            ran.append(name)
+            return kernel(*args)
+
+        return recorded
 
     def spans(*args):
         ran.append("spans")
         return span_views(*args)
 
+    recorded = kernels and SimpleNamespace(
+        anneal=recording(kernels.anneal, "anneal"), tabu=recording(kernels.tabu, "tabu")
+    )
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(backends, "_anneal_kernel", lambda: kernel and recording_kernel)
+        monkeypatch.setattr(backends, "_kernels", lambda: recorded)
         monkeypatch.setattr(backends, "_span_views", spans)
-        make_backend("sa").solve(SolveRequest(model, seed=0, effort=1))
+        make_backend(backend).solve(SolveRequest(model, seed=0, effort=1))
     return ran
+
+
+def assert_loop_selection(backend, kernel, paper_block, case):
+    """The model ``case`` names runs on span views without the kernels, and
+    in one call of ``kernel`` with them, when they load."""
+    if case.startswith("paper-block-"):
+        model = at_precision(paper_block, case.removeprefix("paper-block-"))
+    else:
+        model = _INTEGER_MODELS[case]()
+    assert loops_run(backend, model, None) == ["spans"]
+    kernels = backends._kernels()
+    if kernels is not None:
+        assert loops_run(backend, model, kernels) == [kernel]
 
 
 @pytest.mark.parametrize("case", [*_INTEGER_MODELS, "paper-block-fp", "paper-block-int8"])
 def test_sa_loop_selection(paper_block, case):
     # integer or float, every model anneals in one kernel call when the
     # kernel loads, and on span views when it does not
-    if case.startswith("paper-block-"):
-        model = at_precision(paper_block, case.removeprefix("paper-block-"))
-    else:
-        model = _INTEGER_MODELS[case]()
-    assert sa_loops_run(model, None) == ["spans"]
-    kernel = backends._anneal_kernel()
-    if kernel is not None:
-        assert sa_loops_run(model, kernel) == ["kernel"]
+    assert_loop_selection("sa", "anneal", paper_block, case)
+
+
+@pytest.mark.parametrize("case", [*_INTEGER_MODELS, "paper-block-fp", "paper-block-int8"])
+def test_tabu_loop_selection(paper_block, case):
+    # integer or float, every model searches in one kernel call when the
+    # kernel loads, and on span views when it does not
+    assert_loop_selection("tabu", "tabu", paper_block, case)
 
 
 def test_an_unusable_compiler_leaves_the_span_loop(monkeypatch):
-    # the kernel is built once per process: the cache is cleared so that
-    # this call builds it with a compiler that does not exist, and cleared
-    # again after, so that the next call builds it with the real one
+    # the kernels are built once per process: the cache is cleared so that
+    # this call builds them with a compiler that does not exist, and cleared
+    # again after, so that the next call builds them with the real one.
+    # Both solvers then run their Python loops
     monkeypatch.setattr(sysconfig, "get_config_var", lambda key: "/nonexistent/bin/cc")
-    backends._anneal_kernel.cache_clear()
+    backends._kernels.cache_clear()
     try:
-        assert backends._anneal_kernel() is None
-        for n in (1, 9, 24):
-            assert_matches_reference("sa", seeded_model(6000 + n, n, "float"), n, None)
+        assert backends._kernels() is None
+        for name in ("sa", "tabu"):
+            for n in (1, 9, 24):
+                assert_matches_reference(name, seeded_model(6000 + n, n, "float"), n, None)
     finally:
-        backends._anneal_kernel.cache_clear()
+        backends._kernels.cache_clear()
 
 
 def test_the_kernel_build_leaves_no_files(monkeypatch):
@@ -514,13 +582,13 @@ def test_the_kernel_build_leaves_no_files(monkeypatch):
             made.append(self.name)
 
     monkeypatch.setattr(tempfile, "TemporaryDirectory", RecordedDirectory)
-    backends._anneal_kernel.cache_clear()
+    backends._kernels.cache_clear()
     try:
-        kernel = backends._anneal_kernel()
+        kernels = backends._kernels()
     finally:
-        backends._anneal_kernel.cache_clear()
-    if kernel is None:
-        pytest.skip("the C annealing kernel did not build or load")
+        backends._kernels.cache_clear()
+    if kernels is None:
+        pytest.skip("the C kernels did not build or load")
     (directory,) = made
     assert not os.path.exists(directory)
 
@@ -586,10 +654,10 @@ def test_sa_result_does_not_depend_on_the_chunk_size(
     # draws 85 block sweeps, or 3 of the 528-bit model's, per chunk
     cases = [(at_precision(paper_block, p), seed, None) for p in ("fp", "int8") for seed in (0, 7)]
     cases.append((paper_models["fp"], 20000, 20))
-    expected = [make_backend(name).solve(SolveRequest(m, seed=s, effort=e)) for m, s, e in cases]
+    expected = [solve(name, SolveRequest(m, seed=s, effort=e)) for m, s, e in cases]
     monkeypatch.setattr(backends, "_SA_DRAW_CHUNK", chunk)
     for (model, seed, effort), want in zip(cases, expected):
-        result = make_backend(name).solve(SolveRequest(model, seed=seed, effort=effort))
+        result = solve(name, SolveRequest(model, seed=seed, effort=effort))
         assert np.array_equal(result.assignment, want.assignment)
         assert result.reported_energy == want.reported_energy
 
@@ -623,11 +691,65 @@ def test_overflowing_models(name, band):
             lo, hi = backends._row_spans(model.coeffs)
             assert ((hi - lo).min() < model.n) == band
             request = SolveRequest(model, seed=seed)
-            result = make_backend(name).solve(request)
+            result = solve(name, request)
             q = canonical_qubo(model)
-            bits, _ = _REFERENCES[name](q, request)
+            bits, _ = _REFERENCES[name.removesuffix("-fallback")](q, request)
             assert np.array_equal(result.assignment, bits.astype(np.int8))
             assert np.array_equal(result.reported_energy, qubo_energy(q, bits), equal_nan=True)
+
+
+def decimal_model(seed, n):
+    """A symmetric model of sums of two tenths in -1..1: most are inexact in
+    binary, so sums round, and many flips and assignments tie in exact
+    arithmetic."""
+    m = np.random.default_rng(seed).integers(-10, 11, size=(n, n)) / 10.0
+    return Qubo(m + m.T)
+
+
+# (seed, n) of decimal models on which a rounding variant of a kernel picks
+# differently: the first four anneal apart with a set bit's delta computed
+# as -(2g - d), and the last three search apart with tabu's span recompute
+# reassociated as g * sign2 + (sdiag - dx * sign2)
+_DECIMAL_MODELS = [(52, 5), (203, 6), (228, 11), (355, 8), (35, 8), (162, 5), (371, 4)]
+
+
+def test_decimal_models(name):
+    # the kernels must round each delta as the reference loops do, not only
+    # to within an ulp: a near tie between two flips, or between a new
+    # energy and the best one, is decided by the last bit
+    for seed, n in _DECIMAL_MODELS:
+        assert_matches_reference(name, decimal_model(seed, n), seed, None)
+
+
+def huge_diagonal_model(seed, n):
+    """Normal entries and one diagonal entry of +-1.5e308: every energy and
+    flip delta is finite, but twice that bit's gradient entry overflows
+    while the bit is set."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n))
+    k = rng.integers(n)
+    m[k, k] = rng.choice([-0.75e308, 0.75e308])
+    return Qubo(m + m.T)
+
+
+@pytest.mark.parametrize("name", ["tabu", "tabu-fallback"], indirect=True)
+def test_huge_diagonal_models(name):
+    # tabu's flip delta subtracts dx from the gradient before doubling, so
+    # it stays finite where g * sign2 - dx * sign2 would be inf - inf
+    for seed, n in [(0, 3), (7, 10), (8, 11), (10, 3), (13, 6), (14, 7)]:
+        assert_matches_reference(name, huge_diagonal_model(seed, n), seed, None)
+
+
+@pytest.mark.parametrize("effort", [2**63, 2**64 + 5])
+@pytest.mark.parametrize("name", ["tabu", "tabu-fallback"], indirect=True)
+def test_tabu_effort_past_int64(name, effort):
+    # the kernel takes the iteration limit as an int64, into which ctypes
+    # would wrap 2**63 as a negative limit, which runs no iteration, and
+    # 2**64 + 5 as 5; a tie-heavy search stops at its first cycle long
+    # before either limit
+    model = seeded_model(7012, 12, "int")
+    for seed in range(3):
+        assert_matches_reference(name, model, seed, effort)
 
 
 # ---------------------------------------------------------------------------
