@@ -1,8 +1,9 @@
-/* The search loops of dpoqubo.backends, on a symmetric n x n QUBO matrix q
-   with diagonal diag: the float operations of each solver's Python span
-   loop, in its order.  x is the assignment, g its gradient q x, and best
-   the best assignment seen.  A flip of bit i moves g by row i of q on its
-   nonzero column span [lo[i], hi[i]).  Build with -ffp-contract=off and
+/* The search loops of dpoqubo.backends and the ground-state check's descent
+   of dpoqubo.precision, on a symmetric n x n matrix q: the float operations
+   of each Python loop, in its order.  A flip of bit or spin i touches row i
+   of q only on its nonzero column span [lo[i], hi[i]).  In the solvers x is
+   the assignment, g its gradient q x, diag the diagonal of the QUBO matrix
+   and best the best assignment seen.  Build with -ffp-contract=off and
    without -ffast-math, so that every operation rounds on its own. */
 #include <math.h>
 #include <stdint.h>
@@ -137,4 +138,33 @@ int64_t tabu(int64_t n, int64_t iterations, int64_t tenure, double energy,
         }
     }
     return it;
+}
+
+/* precision._greedy_descents: steepest single-flip descent of each of the
+   rows spin vectors z[r n ...] (entries +-1.0) on the Ising couplings q,
+   field[r n ...] holding the row's local fields linear + z q.  A row stops
+   when no flip delta -2 z_j field_j is below -1e-12, or after cap flips.
+   deltas holds n doubles of scratch.  Rows never interact in the batched
+   loop, so running them one after another is exact.  n must be at least 1. */
+void descend(int64_t rows, int64_t n, int64_t cap, const double *q,
+             const int64_t *lo, const int64_t *hi, double *z, double *field,
+             double *deltas)
+{
+    for (int64_t r = 0; r < rows; r++) {
+        double *zr = z + r * n, *f = field + r * n;
+        for (int64_t j = 0; j < n; j++)
+            deltas[j] = (-2.0 * zr[j]) * f[j];
+        for (int64_t t = 0; t < cap; t++) {
+            int64_t b = lowest(deltas, n, 0, NULL, 0);
+            if (!(deltas[b] < -1e-12))
+                break;
+            zr[b] = -zr[b];
+            double step = 2.0 * zr[b];
+            const double *row = q + b * n;
+            for (int64_t j = lo[b]; j < hi[b]; j++)
+                f[j] += step * row[j];
+            for (int64_t j = lo[b]; j < hi[b]; j++)
+                deltas[j] = (-2.0 * zr[j]) * f[j];
+        }
+    }
 }

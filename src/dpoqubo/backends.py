@@ -16,16 +16,8 @@ energy.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import os
 import re
-import shlex
-import subprocess
-import sys
-import sysconfig
-import tempfile
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import accumulate, repeat
@@ -34,7 +26,7 @@ from operator import mul
 import numpy as np
 
 from .precision import QuantizedIsing, quantize_int8, reduce_dynamic_range
-from .qubo import IsingModel, Model, Qubo, _bit_table, _integer, _row_spans, as_bits
+from .qubo import IsingModel, Model, Qubo, _bit_table, _integer, _kernels, _row_spans, as_bits
 from .qubo import ising_to_qubo, qubo_energy, qubo_to_ising
 
 __all__ = [
@@ -220,34 +212,6 @@ def _draw_chunks(rng, accept_rng, n: int, sweeps: int):
         yield rng.integers(0, n, size=size), accept_rng.random(size=size)
 
 
-@functools.cache
-def _kernels():
-    """The search loops of ``_kernels.c`` as a ctypes library, its
-    ``anneal`` and ``tabu`` functions declared, compiled on first use with
-    the interpreter's C compiler into a private temporary directory that is
-    removed once the library is loaded.  None on a 32-bit build or when any
-    step fails; both solvers then run their Python span loops."""
-    if sys.maxsize < 2**63 - 1:
-        return None
-    source = os.path.join(os.path.dirname(__file__), "_kernels.c")
-    try:
-        compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
-        with tempfile.TemporaryDirectory() as tmp:
-            library = os.path.join(tmp, "_kernels.so")
-            flags = ["-O2", "-shared", "-fPIC", "-ffp-contract=off", "-o", library]
-            subprocess.run(
-                [*compiler, *flags, source, "-lm"], check=True, capture_output=True, timeout=60
-            )
-            kernels = ctypes.CDLL(library)
-    except (OSError, ValueError, subprocess.SubprocessError):
-        return None
-    kernels.anneal.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 11
-    kernels.anneal.restype = None
-    kernels.tabu.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_double] + [ctypes.c_void_p] * 9
-    kernels.tabu.restype = ctypes.c_int64
-    return kernels
-
-
 class SimulatedAnnealingSolver(_Solver):
     """Single-flip Metropolis with a geometric cooling schedule.
 
@@ -288,8 +252,8 @@ class SimulatedAnnealingSolver(_Solver):
     The proposal loop runs in C (``_kernels.c``), one call per chunk of
     draws, at about 35-75 ns per proposal on a 2-core x86-64 host, against
     about 0.5-0.7 us for the same loop in Python.  The kernel is compiled
-    together with tabu search's (``_kernels``) by the system C compiler on
-    the first anneal or tabu search of a process, in about 0.1 s, not at
+    together with the others (``qubo._kernels``) by the system C compiler on
+    the first use of any of them in a process, in about 0.1 s, not at
     import, and kept for the life of the process.  Where it cannot be built
     or loaded (no compiler, a 32-bit build) the loop runs in Python, with
     the same result.  The kernel is bit for bit that loop: it
@@ -424,7 +388,7 @@ class TabuSolver(_Solver):
     0.2 us per iteration on a 24-bit block and 1.2-2.7 us on the 528-bit
     model on a 2-core x86-64 host, against about 5-9 us for the span loop
     in Python.  The kernel is compiled with the annealer's, on the first
-    solve of either, and where it cannot be built or loaded the span loop
+    use of any kernel, and where it cannot be built or loaded the span loop
     runs, with the same result.  The kernel is bit for bit that loop: the
     random start, gradient and spans come from the same numpy calls, and it
     does the same IEEE binary64 operations in the same order, under the

@@ -13,6 +13,9 @@ Three stages, usable independently:
    descent check decides this: greedy descents on both models start from
    every spin vector up to 12 spins, which makes the check exact, and from
    64 seeded random vectors above, where it is a multistart agreement test.
+   The descents run in the C kernel ``descend`` of ``_kernels.c``, which the
+   solvers' kernels share, and in numpy where it cannot be built; both give
+   the same end states bit for bit.
 3. :func:`quantize_int8` maps coefficients to integers in [-128, 127] via
    scale-round-clip with the maximum absolute coefficient pinned to 127.
 """
@@ -26,7 +29,8 @@ from itertools import chain
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .qubo import IsingModel, _bit_table, _freeze, _frozen_matrix, _integer, _row_spans
+from .qubo import IsingModel, _bit_table, _freeze, _frozen_matrix, _integer
+from .qubo import _kernels, _row_spans
 
 __all__ = [
     "DynamicRange",
@@ -160,32 +164,57 @@ def _argmin_rows(energies: np.ndarray) -> frozenset[int]:
 
 def _greedy_descents(model: IsingModel, starts: np.ndarray) -> np.ndarray:
     """Steepest single-flip descent of every row of ``starts`` to a local
-    minimum, all rows at once.
+    minimum.
 
     The local fields ``linear + Z @ quadratic`` are computed once; a flip of
     spin ``j`` in one row then adds ``2 * z_j * quadratic[j]`` to that row's
     fields only.  Each step flips, in every row still descending, the spin
-    with the most negative flip delta, and a row stops once no delta is below
-    ``-1e-12`` or after ``10 * n + 10`` steps.  The updated fields round
-    differently from a fresh matrix-vector product, so two flip deltas that
-    agree to float rounding can break their tie differently from a
-    one-start-at-a-time descent; with integer-valued coefficients every sum
-    is exact and the end states are the same.
+    with the most negative flip delta ``-2 * z * field`` (the lowest index
+    among equal ones), and a row stops once no delta is below ``-1e-12`` or
+    after ``10 * n + 10`` steps.  The updated fields round differently from
+    a fresh matrix-vector product, so two flip deltas that agree to float
+    rounding can break their tie differently from a one-start-at-a-time
+    descent; with integer-valued coefficients every sum is exact and the end
+    states are the same.
 
-    A flip of spin ``j`` touches only a window of ``width`` columns that
-    holds row ``j``'s nonzero span (``_row_spans``), ``width`` being the
-    widest span: the fields are updated there, and the flip deltas
-    ``-2 * z * field``, kept for every row, are recomputed there.  A skipped
-    entry would add ``±0.0``, which can change only the sign of a zero field
-    and, through it, of a zero delta.  Neither the ``-1e-12`` test nor
-    ``argmin`` reads that sign, so the end states are bit for bit those of
-    whole-row updates.
+    A flip of spin ``j`` touches only row ``j``'s nonzero span
+    (``_row_spans``): the fields are updated there, and the flip deltas,
+    kept for every row, are recomputed there.  A skipped entry would add
+    ``±0.0``, which can change only the sign of a zero field and, through
+    it, of a zero delta.  Neither the ``-1e-12`` test nor ``argmin`` reads
+    that sign, so the end states are bit for bit those of whole-row updates.
+
+    The flips run in C (``descend`` in ``_kernels.c``), one call for all
+    rows, compiled with the solvers' kernels (``qubo._kernels``); the float
+    start, the fields and the spans come from numpy as above.  Rows never
+    interact, so the kernel descends them one after another.  It does the
+    same IEEE binary64 operations in the same order: its pick is
+    ``np.argmin``'s (the first NaN, else the lowest index of the lowest
+    delta), a row stops when ``delta < -1e-12`` fails, which a NaN also
+    fails, and a flip of ``b`` adds ``(2 * z_b) * quadratic[b, j]`` to each
+    field on the span and then sets the delta to ``(-2 * z_j) * field_j``.
+    Where the kernels cannot be built or loaded, all rows descend in lock
+    step in numpy, on a window of ``width`` columns that holds each flipped
+    row's span, ``width`` being the widest span; the extra entries are zero
+    and again change only the sign of a zero.  Either way the end states
+    are the same.  With no spins every start is its own end state.
     """
-    z = starts.astype(float)
+    z = starts.astype(float, order="C")
+    n = model.n
+    if not n:
+        return z.astype(np.int8)
     quadratic = np.asarray(model.quadratic, dtype=float)
     field = model.linear + z @ quadratic
-    n = model.n
     lo, hi = _row_spans(quadratic)
+    kernels = _kernels()
+    if kernels is not None:
+        # the kernel reads the couplings (a model's matrix, or its float
+        # copy, is C-contiguous) and updates the C-contiguous float64 spins
+        # and fields in place, with n doubles of scratch for one row's deltas
+        spans = [a.astype(np.int64, copy=False) for a in (lo, hi)]
+        state = [quadratic, *spans, z, field, np.empty(n)]
+        kernels.descend(len(z), n, 10 * n + 10, *(a.ctypes.data for a in state))
+        return z.astype(np.int8)
     width = int(np.max(hi - lo, initial=0))
     # window j is columns [first[j], first[j] + width), inside the row;
     # indexing a window view by distinct rows writes no element twice

@@ -15,8 +15,16 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import numbers
+import os
+import shlex
+import subprocess
+import sys
+import sysconfig
+import tempfile
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence, Union
@@ -318,6 +326,37 @@ def _row_spans(coeffs: np.ndarray):
     nonzero = coeffs != 0.0
     nonzero.flat[:: n + 1] = True
     return nonzero.argmax(axis=1), n - nonzero[:, ::-1].argmax(axis=1)
+
+
+@functools.cache
+def _kernels():
+    """The loops of ``_kernels.c`` as a ctypes library, its ``anneal``,
+    ``tabu`` and ``descend`` functions declared, compiled on first use with
+    the interpreter's C compiler into a private temporary directory that is
+    removed once the library is loaded, and kept for the life of the
+    process.  None on a 32-bit build or when any step fails; the solvers
+    and the tuning check's descent then run their Python loops."""
+    if sys.maxsize < 2**63 - 1:
+        return None
+    source = os.path.join(os.path.dirname(__file__), "_kernels.c")
+    try:
+        compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
+        with tempfile.TemporaryDirectory() as tmp:
+            library = os.path.join(tmp, "_kernels.so")
+            flags = ["-O2", "-shared", "-fPIC", "-ffp-contract=off", "-o", library]
+            subprocess.run(
+                [*compiler, *flags, source, "-lm"], check=True, capture_output=True, timeout=60
+            )
+            kernels = ctypes.CDLL(library)
+    except (OSError, ValueError, subprocess.SubprocessError):
+        return None
+    kernels.anneal.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 11
+    kernels.anneal.restype = None
+    kernels.tabu.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_double] + [ctypes.c_void_p] * 9
+    kernels.tabu.restype = ctypes.c_int64
+    kernels.descend.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 6
+    kernels.descend.restype = None
+    return kernels
 
 
 def _require_qubo(q) -> None:

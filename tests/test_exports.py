@@ -25,7 +25,8 @@ def test_package_exports_equal_union_of_module_all():
 
 
 def test_package_data_ships_the_annealing_kernel_source():
-    # an installed package builds its C annealing and tabu kernels from this file
+    # an installed package builds its C annealing, tabu and descent kernels
+    # from this file
     text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     section = re.search(r"^\[tool\.setuptools\.package-data\]\ndpoqubo = (\[.*\])$", text, re.M)
     package = Path(dpoqubo.__file__).parent

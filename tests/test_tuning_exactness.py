@@ -20,16 +20,31 @@ that updated whole rows, and the end states must be equal bit for bit on
 block-tridiagonal models, whose windows are narrower than a row, and on
 dense ones, whose windows are whole rows.
 
+The descents run in a C kernel when the kernels build and load, and in the
+numpy lock-step loop otherwise.  The ``loops`` fixture runs each case of
+every test that takes it on both in turn: the kernel, left out when the
+kernels do not load, and the fallback, with ``precision._kernels`` patched
+to give None.  Every descent and tuning case takes it: the seeded, banded, dense and default
+models, the adapter models, the small models, int8 models with -128
+couplings, models of 0, 1 and 2 spins, and overflowing models whose field
+updates make NaN deltas, where a row must stop at the first NaN as
+``np.argmin`` picks it.  A recording stub checks that the kernel is called
+once per descent with the ``10 * n + 10`` flip cap and C-contiguous float64
+buffers holding the numpy start, fields and spans, and never on rows of
+length 0.
+
 Tuning sorts distinct values with a sort-and-compare of its own, which must
 return ``np.unique``'s array, down to which of -0.0 and 0.0 it keeps, and
 which leaves ``numpy.ma`` unimported, as a fresh process's int8 solve shows.
 """
 
+import ctypes
 import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,6 +54,7 @@ from dpoqubo.backends import canonical_qubo
 from dpoqubo.bcd import extract_subproblem
 from dpoqubo.model import DpoConfig
 from dpoqubo.precision import (
+    QuantizedIsing,
     _argmin_rows,
     _greedy_descents,
     _MinimizerCheck,
@@ -48,6 +64,23 @@ from dpoqubo.precision import (
 from dpoqubo.qubo import IsingModel, _bit_table, _row_spans, ising_energy, qubo_to_ising
 
 from support import bundled_model
+
+
+@pytest.fixture
+def loops(monkeypatch):
+    """``loops()`` iterates over the descent loops a test runs each case on:
+    it gives "kernel" with the C kernels, when they load, and then
+    "fallback" with ``precision._kernels`` patched to give None, which
+    selects numpy's lock-step loop, and undoes the patch when it ends."""
+
+    def each():
+        if precision._kernels() is not None:
+            yield "kernel"
+        with monkeypatch.context() as patch:
+            patch.setattr(precision, "_kernels", lambda: None)
+            yield "fallback"
+
+    return each
 
 
 def _greedy_descent(model: IsingModel, z0: np.ndarray) -> np.ndarray:
@@ -89,24 +122,27 @@ def seeded_starts(seed, n):
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_integer_models_same_end_states(seed):
+def test_integer_models_same_end_states(loops, seed):
     model = seeded_model(seed, "int")
     starts = seeded_starts(seed, model.n)
     expected = np.array([_greedy_descent(model, s) for s in starts])
-    assert np.array_equal(_greedy_descents(model, starts), expected)
+    for loop in loops():
+        assert np.array_equal(_greedy_descents(model, starts), expected), loop
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_float_models_same_best_states(seed):
+def test_float_models_same_best_states(loops, seed):
     model = seeded_model(seed, "float")
-    check = _MinimizerCheck(model)
-    assert len(check._starts) == 64
-    assert check._best_states(model) == _best_states(check, model)
+    for loop in loops():
+        check = _MinimizerCheck(model)
+        assert len(check._starts) == 64
+        assert check._best_states(model) == _best_states(check, model), loop
 
 
-def _full_row_descents(model: IsingModel, starts: np.ndarray) -> np.ndarray:
+def _full_row_fields(model: IsingModel, starts: np.ndarray):
     """The batched descent that updated every flipped row's fields over all
-    columns and recomputed its deltas over all columns every step."""
+    columns and recomputed its deltas over all columns every step: the end
+    states as floats, and their fields."""
     z = starts.astype(float)
     quadratic = np.asarray(model.quadratic, dtype=float)
     field = model.linear + z @ quadratic
@@ -120,7 +156,11 @@ def _full_row_descents(model: IsingModel, starts: np.ndarray) -> np.ndarray:
             break
         z[rows, best] = -z[rows, best]
         field[rows] += 2.0 * z[rows, best][:, None] * quadratic[best]
-    return z.astype(np.int8)
+    return z, field
+
+
+def _full_row_descents(model: IsingModel, starts: np.ndarray) -> np.ndarray:
+    return _full_row_fields(model, starts)[0].astype(np.int8)
 
 
 def banded_model(seed, kind):
@@ -141,27 +181,28 @@ def banded_model(seed, kind):
     return IsingModel(linear=h, quadratic=j + j.T)
 
 
-def assert_same_end_states(model, starts, windowed):
+def assert_same_end_states(loops, model, starts, windowed):
     lo, hi = _row_spans(model.quadratic)
     assert ((hi - lo).max() < model.n) == windowed
     expected = _full_row_descents(model, starts)
-    assert np.array_equal(_greedy_descents(model, starts), expected)
+    for loop in loops():
+        assert np.array_equal(_greedy_descents(model, starts), expected), loop
     # the descents move: most starts are not already local minima
     assert (expected != starts).any(axis=1).mean() > 0.5
 
 
 @pytest.mark.parametrize("kind", ["float", "int"])
 @pytest.mark.parametrize("seed", range(30))
-def test_banded_models_same_end_states_as_full_rows(seed, kind):
+def test_banded_models_same_end_states_as_full_rows(loops, seed, kind):
     model = banded_model(seed, kind)
-    assert_same_end_states(model, seeded_starts(seed, model.n), windowed=True)
+    assert_same_end_states(loops, model, seeded_starts(seed, model.n), windowed=True)
 
 
 @pytest.mark.parametrize("kind", ["float", "int"])
 @pytest.mark.parametrize("seed", range(10))
-def test_dense_models_same_end_states_as_full_rows(seed, kind):
+def test_dense_models_same_end_states_as_full_rows(loops, seed, kind):
     model = seeded_model(seed, kind)
-    assert_same_end_states(model, seeded_starts(seed, model.n), windowed=False)
+    assert_same_end_states(loops, model, seeded_starts(seed, model.n), windowed=False)
 
 
 @pytest.fixture(scope="module")
@@ -171,12 +212,12 @@ def default_spin_model():
 
 
 @pytest.mark.parametrize("precision", ["fp", "int8"])
-def test_default_model_same_end_states_as_full_rows(default_spin_model, precision):
+def test_default_model_same_end_states_as_full_rows(loops, default_spin_model, precision):
     model = default_spin_model
     if precision == "int8":
         model = quantize_int8(reduce_dynamic_range(model).model)
     for starts in (_MinimizerCheck(model)._starts, seeded_starts(1, 528), seeded_starts(2, 528)):
-        assert_same_end_states(model, starts, windowed=True)
+        assert_same_end_states(loops, model, starts, windowed=True)
 
 
 def _paper_block():
@@ -192,19 +233,27 @@ adapter_models = pytest.mark.parametrize("make, n", [
 ], ids=["default", "gate", "paper-block"])
 
 
-@adapter_models
-def test_adapter_models_same_tuning(monkeypatch, make, n):
-    model = qubo_to_ising(canonical_qubo(make()))
-    assert model.n == n
+def assert_same_tuning_as_single_starts(monkeypatch, model):
+    """Tune ``model``, and again with the check's descents run one start at
+    a time (``_best_states`` above); the steps and fields must agree.
+    Returns the tuning result."""
     result = reduce_dynamic_range(model)
     with monkeypatch.context() as patch:
         patch.setattr(precision._MinimizerCheck, "_best_states", _best_states)
         expected = reduce_dynamic_range(model)
-    assert result.steps
     assert [dataclasses.astuple(s) for s in result.steps] == [
         dataclasses.astuple(s) for s in expected.steps
     ]
     assert np.array_equal(result.model.linear, expected.model.linear)
+    return result
+
+
+@adapter_models
+def test_adapter_models_same_tuning(loops, monkeypatch, make, n):
+    model = qubo_to_ising(canonical_qubo(make()))
+    assert model.n == n
+    for loop in loops():
+        assert assert_same_tuning_as_single_starts(monkeypatch, model).steps, loop
 
 
 def _reference_tuning(model: IsingModel, budget: int = 100) -> precision.TuningResult:
@@ -243,11 +292,11 @@ def _reference_tuning(model: IsingModel, budget: int = 100) -> precision.TuningR
 
 
 @adapter_models
-def test_adapter_models_build_only_checked_candidates(monkeypatch, make, n):
+def test_adapter_models_build_only_checked_candidates(loops, monkeypatch, make, n):
     model = qubo_to_ising(canonical_qubo(make()))
     assert model.n == n
     expected = _reference_tuning(model)
-    counts = {"built": 0, "checked": 0}
+    counts = {}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -259,16 +308,18 @@ def test_adapter_models_build_only_checked_candidates(monkeypatch, make, n):
     monkeypatch.setattr(
         _MinimizerCheck, "passes", counting("checked", _MinimizerCheck.passes)
     )
-    result = reduce_dynamic_range(model)
-    assert counts["checked"] >= 1
-    assert counts["built"] == counts["checked"]
-    assert result.steps == expected.steps
-    assert type(result.model) is type(expected.model)
-    assert np.array_equal(result.model.linear, expected.model.linear)
-    assert np.array_equal(result.model.quadratic, expected.model.quadratic)
-    assert (result.model.offset, result.model.partition) == (
-        expected.model.offset, expected.model.partition
-    )
+    for loop in loops():
+        counts.update(built=0, checked=0)
+        result = reduce_dynamic_range(model)
+        assert counts["checked"] >= 1
+        assert counts["built"] == counts["checked"]
+        assert result.steps == expected.steps, loop
+        assert type(result.model) is type(expected.model)
+        assert np.array_equal(result.model.linear, expected.model.linear)
+        assert np.array_equal(result.model.quadratic, expected.model.quadratic)
+        assert (result.model.offset, result.model.partition) == (
+            expected.model.offset, expected.model.partition
+        )
 
 
 def _enumerated_energies(model: IsingModel, spins: np.ndarray) -> np.ndarray:
@@ -327,33 +378,187 @@ def field_candidates(model, rng):
 
 @pytest.mark.parametrize("n", range(1, 13))
 @pytest.mark.parametrize("kind", KINDS)
-def test_small_models_same_decisions(kind, n):
+def test_small_models_same_decisions(loops, kind, n):
     decisions = []
     for seed in range(3):
         model = small_model(seed, n, kind)
-        check, reference = _MinimizerCheck(model), _EnumerationCheck(model)
-        assert len(check._starts) == 1 << n
-        for candidate in field_candidates(model, np.random.default_rng(seed)):
-            decision = check.passes(candidate)
-            assert decision == reference.passes(candidate)
-            decisions.append(decision)
+        reference = _EnumerationCheck(model)
+        for loop in loops():
+            check = _MinimizerCheck(model)
+            assert len(check._starts) == 1 << n
+            for candidate in field_candidates(model, np.random.default_rng(seed)):
+                decision = check.passes(candidate)
+                assert decision == reference.passes(candidate), loop
+                decisions.append(decision)
     # both outcomes are exercised
     assert len(set(decisions)) == 2
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(0, 13))
 @pytest.mark.parametrize("kind", KINDS)
-def test_small_models_same_tuning(monkeypatch, kind, n):
+def test_small_models_same_tuning(loops, monkeypatch, kind, n):
+    # models of 0 and 1 spins have a degenerate range and tune no step
     for seed in range(10):
         model = small_model(seed, n, kind)
-        result = reduce_dynamic_range(model, budget=50)
         with monkeypatch.context() as patch:
             patch.setattr(precision, "_MinimizerCheck", _EnumerationCheck)
             expected = reduce_dynamic_range(model, budget=50)
-        assert [dataclasses.astuple(s) for s in result.steps] == [
-            dataclasses.astuple(s) for s in expected.steps
-        ]
-        assert np.array_equal(result.model.linear, expected.model.linear)
+        for loop in loops():
+            result = reduce_dynamic_range(model, budget=50)
+            assert [dataclasses.astuple(s) for s in result.steps] == [
+                dataclasses.astuple(s) for s in expected.steps
+            ], loop
+            assert np.array_equal(result.model.linear, expected.model.linear)
+
+
+def test_no_spins_descend_nowhere(loops):
+    for loop in loops():
+        got = _greedy_descents(small_model(0, 0, "float"), np.ones((3, 0), dtype=np.int8))
+        assert got.shape == (3, 0) and got.dtype == np.int8, loop
+
+
+def test_flips_down_by_at_most_1e_12_stop_a_descent(loops):
+    # flip deltas of -5e-13, -1e-12 and -1.2e-12 from the fields, all spins
+    # as starts: only the last is a descent step, and spins 3 and 4 descend
+    # on their coupling
+    quadratic = np.zeros((5, 5))
+    quadratic[3, 4] = quadratic[4, 3] = 1.0
+    model = IsingModel(linear=[2.5e-13, -5e-13, 6e-13, 0.0, 0.0], quadratic=quadratic)
+    starts = 1 - 2 * _bit_table(0, 32, 5)
+    z, field = _full_row_fields(model, starts)
+    deltas = -2.0 * z * field
+    # spins 0 and 1 keep their small downhill deltas in some end states
+    assert ((deltas < 0) & (deltas >= -1e-12))[:, :2].any(axis=0).all()
+    for loop in loops():
+        assert np.array_equal(_greedy_descents(model, starts), z.astype(np.int8)), loop
+
+
+def int8_model(seed):
+    """A QuantizedIsing of 16 to 40 spins: int8 couplings within 6 of the
+    diagonal, multiples of 32 with about a fifth of them -128, and int8
+    fields, multiples of 16 but for up to three, which tuning can move."""
+    rng = np.random.default_rng([seed, 128])
+    n = int(rng.integers(16, 41))
+    m = 32 * rng.integers(-4, 4, size=(n, n))
+    m[rng.random((n, n)) < 0.2] = -128
+    index = np.arange(n)
+    m[np.abs(index[:, None] - index) > 6] = 0
+    j = np.triu(m, 1)
+    h = 16 * rng.integers(-8, 8, size=n)
+    h[rng.integers(0, n, size=3)] += rng.integers(1, 8, size=3)
+    return QuantizedIsing(
+        linear=h.astype(np.int8), quadratic=(j + j.T).astype(np.int8), scale=1.0
+    )
+
+
+def test_int8_models_with_minus_128(loops, monkeypatch):
+    # the descents read the int8 couplings as floats, in which -128 keeps
+    # its magnitude; every sum is an exact integer
+    steps = 0
+    for seed in range(10):
+        model = int8_model(seed)
+        assert model.quadratic.dtype == np.int8 and (model.quadratic == -128).any()
+        assert_same_end_states(loops, model, seeded_starts(seed, model.n), windowed=True)
+        for loop in loops():
+            steps += len(assert_same_tuning_as_single_starts(monkeypatch, model).steps)
+    assert steps
+
+
+def overflowing_chain(seed, n):
+    """A chain of ``n`` spins with couplings of magnitude 0.9e308 to
+    0.95e308, so that a doubled coupling overflows, and the four starts in
+    which the two couplings into each inner spin cancel in its field, so
+    that every start field is finite."""
+    rng = np.random.default_rng([seed, 308])
+    signs = rng.choice([-1, 1], size=n - 1)
+    upper = np.zeros((n, n))
+    upper[np.arange(n - 1), np.arange(1, n)] = signs * rng.uniform(0.9, 0.95, size=n - 1) * 1e308
+    model = IsingModel(linear=rng.normal(size=n), quadratic=upper + upper.T)
+    starts = np.empty((4, n), dtype=np.int8)
+    starts[:, :2] = [[1, 1], [1, -1], [-1, 1], [-1, -1]]
+    for k in range(1, n - 1):
+        starts[:, k + 1] = -signs[k - 1] * signs[k] * starts[:, k - 1]
+    return model, starts
+
+
+@pytest.mark.parametrize("n", [16, 30])
+@pytest.mark.parametrize("seed", range(6))
+def test_overflowing_models(loops, seed, n):
+    # a flip adds a doubled coupling, which overflows to an infinite field,
+    # and a later flip can add the opposite infinity: a NaN field and flip
+    # delta.  The row then stops, as np.argmin picks the first NaN, where a
+    # pick that passed over NaNs would flip on
+    model, starts = overflowing_chain(seed, n)
+    with np.errstate(all="ignore"):
+        assert np.isfinite(model.linear + starts @ model.quadratic).all()
+        z, field = _full_row_fields(model, starts)
+        assert np.isnan(-2.0 * z * field).any()
+        for loop in loops():
+            assert np.array_equal(_greedy_descents(model, starts), z.astype(np.int8)), loop
+
+
+def _read(address, ctype, shape):
+    """A copy of the C-contiguous array of ``ctype`` of ``shape`` at ``address``."""
+    size = int(np.prod(shape))
+    return np.ctypeslib.as_array((ctype * size).from_address(address)).reshape(shape).copy()
+
+
+def recorded_descents(monkeypatch):
+    """Patch ``precision._kernels`` to give a stub whose ``descend`` records
+    each call's row count, size and flip cap, and copies of its buffers read
+    as C-contiguous float64 (int64 for the spans), and then runs the
+    kernel.  A call on rows of length 0 fails the test."""
+    kernels = precision._kernels()
+    if kernels is None:
+        pytest.skip("the C kernels did not build or load")
+    calls = []
+
+    def descend(rows, n, cap, q, lo, hi, z, field, scratch):
+        assert n >= 1, "the kernel ran on rows of length 0"
+        doubles, ints = ctypes.c_double, ctypes.c_int64
+        calls.append(SimpleNamespace(
+            rows=rows, n=n, cap=cap, q=_read(q, doubles, (n, n)),
+            lo=_read(lo, ints, n), hi=_read(hi, ints, n),
+            z=_read(z, doubles, (rows, n)), field=_read(field, doubles, (rows, n)),
+        ))
+        kernels.descend(rows, n, cap, q, lo, hi, z, field, scratch)
+
+    monkeypatch.setattr(precision, "_kernels", lambda: SimpleNamespace(descend=descend))
+    return calls
+
+
+@pytest.mark.parametrize("case", ["float", "int8", "fortran-order-starts"])
+def test_the_kernel_gets_the_flip_cap_and_float64_buffers(monkeypatch, case):
+    model = int8_model(0) if case == "int8" else seeded_model(0, "float")
+    starts = seeded_starts(0, model.n)
+    if case == "fortran-order-starts":
+        starts = np.asfortranarray(starts)
+    calls = recorded_descents(monkeypatch)
+    got = _greedy_descents(model, starts)
+    (call,) = calls
+    n = model.n
+    quadratic = model.quadratic.astype(float)
+    z = np.ascontiguousarray(starts, dtype=float)
+    assert (call.rows, call.n, call.cap) == (64, n, 10 * n + 10)
+    for recorded, expected in zip(
+        (call.q, call.lo, call.hi, call.z, call.field),
+        (quadratic, *_row_spans(quadratic), z, model.linear + z @ quadratic),
+    ):
+        assert recorded.tobytes() == expected.astype(recorded.dtype).tobytes()
+    assert np.array_equal(got, _full_row_descents(model, starts))
+
+
+def test_tuning_never_runs_the_kernel_on_no_spins(monkeypatch):
+    # tuning builds no check with fewer than two spins: one field alone has
+    # a degenerate range.  Two spins descend in the kernel, and a direct
+    # descent of no spins skips it
+    calls = recorded_descents(monkeypatch)
+    for n in (0, 1, 2):
+        for seed in range(10):
+            reduce_dynamic_range(small_model(seed, n, "float"))
+    _greedy_descents(small_model(0, 0, "float"), np.ones((3, 0), dtype=np.int8))
+    assert calls
+    assert {(call.n, call.cap) for call in calls} == {(2, 30)}
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 15, 16, 17, 200, 5000])
